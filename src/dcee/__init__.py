@@ -9,7 +9,6 @@ from .core import (
     evaluate,
     jacobian,
     jacobian_fd,
-    least_squares_cost,
     objective,
     objective_grid,
     objective_split,
@@ -54,13 +53,11 @@ from .plant import EnvSegment, NoiseSpec, VehicleParams, active_segment, drag_fo
 from .reward import (
     QuadraticRewardSpec,
     basis,
-    basis_derivative,
     eval_reward,
     is_admissible,
     make_true_params,
     optimal_condition,
     optimal_condition_jacobian,
-    project_admissible,
 )
 from .solver import GnConfig, GnReport, controller_step, gn_step, scp_step, solve
 

@@ -226,7 +226,7 @@ def criterion_8_performance() -> CriterionResult:
     d = default_config()
     d["horizon_s"] = 90.0
     cfg = scenario_from_dict(d)
-    # warm up numpy/scipy code paths so one-time costs stay out of the max
+    # warm up the numpy code paths so one-time costs stay out of the max
     _ = bench_solver(scenario_from_dict({**d, "horizon_s": 1.0}), repetitions=1, agreement_stride=10**9)
     bench = bench_solver(cfg, repetitions=1, agreement_stride=10**9)
     t = bench["timing"]

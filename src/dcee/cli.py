@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -61,21 +60,14 @@ def _cmd_compare(args) -> int:
     for c in controllers:
         if c not in CONTROLLER_TYPES:
             raise DceeError(f"unknown controller {c!r}; choose from {CONTROLLER_TYPES}")
-    workers = max(1, int(os.environ.get("DCEE_THREADS", "1")))
-
-    def one(controller):
+    results = {}
+    for controller in controllers:
         raw = dict(cfg.raw)
         raw["controller"] = dict(raw["controller"], type=controller)
-        return controller, run_closed_loop(scenario_from_dict(raw))
-
-    results = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        for controller, result in pool.map(one, controllers):
-            results[controller] = result
+        results[controller] = run_closed_loop(scenario_from_dict(raw))
     out = _ensure_out(args)
     summary = {}
-    for controller in controllers:
-        result = results[controller]
+    for controller, result in results.items():
         _print_metrics(f"compare[{controller}]", result)
         summary[controller] = {"metrics": result.metrics, "timing": result.timing}
         if out:

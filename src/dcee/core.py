@@ -182,11 +182,6 @@ def objective(p: DceeProblem, u: float) -> float:
     return float(f @ f)
 
 
-def least_squares_cost(p: DceeProblem, u: float) -> float:
-    """Conventional least-squares scaling D(u) / 2; same minimizer."""
-    return 0.5 * objective(p, u)
-
-
 def objective_split(p: DceeProblem, u: float) -> tuple[float, float]:
     """(exploitation, exploration) terms computed from the ensemble
     statistics directly, not from the stacked residual, so the identity

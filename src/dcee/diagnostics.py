@@ -12,7 +12,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import DceeProblem, _as_residual_only, evaluate, jacobian_fd
 from .ensemble import Ensemble
@@ -98,7 +97,10 @@ def contraction_rate(split: HessianSplit) -> float:
     E = split.e_ggn
     if np.linalg.eigvalsh(B).min() <= 0.0:
         raise RateUndefinedError("curvature matrix is not positive definite")
-    vals = scipy.linalg.eigh(E, B, eigvals_only=True)
+    # with B = L L', the pencil (E, B) has the eigenvalues of L^-1 E L^-T
+    L = np.linalg.cholesky(B)
+    M = np.linalg.solve(L, np.linalg.solve(L, E).T)
+    vals = np.linalg.eigvalsh(0.5 * (M + M.T))
     return float(np.max(np.abs(vals)))
 
 

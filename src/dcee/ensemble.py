@@ -5,11 +5,10 @@ admissibility projection) and, separately, by the candidate-input-induced
 predicted update used inside the control objective (no projection there, so
 that map stays smooth in the candidate input).
 
-The measured update is covariance-weighted (recursive least squares) when
-the bank carries a SharedCovariance, and a change test on the innovations
-re-opens that covariance after the environment switches.  A bank without a
-covariance falls back to a rank-one step per member at its own staggered
-rate.  The predicted update always uses the staggered rates.
+The measured update is covariance-weighted (recursive least squares) with
+one SharedCovariance for the whole bank, and a change test on the
+innovations re-opens that covariance after the environment switches.  The
+predicted update uses each member's own staggered rate.
 """
 from __future__ import annotations
 
@@ -61,8 +60,8 @@ class Ensemble:
     """Immutable estimator bank: one parameter row per member."""
 
     members: np.ndarray  # (n, 3)
-    rates: np.ndarray    # (n,) positive learning rates
-    covariance: SharedCovariance | None = None  # None selects the rate law
+    rates: np.ndarray    # (n,) positive rates of the predicted update
+    covariance: SharedCovariance | None = None  # required by measured_update
 
     @property
     def n_members(self) -> int:
@@ -91,15 +90,14 @@ def init_ensemble(
     seed: int,
     eta_lo: float = 0.05,
     eta_hi: float = 0.5,
-    noise_sigma: float | None = None,
+    noise_sigma: float = 0.0,
 ) -> Ensemble:
     """Draw members uniformly in prior_mean +/- spread and project each to
-    admissibility; learning rates are log-spaced on [eta_lo, eta_hi].
+    admissibility; predicted-update rates are log-spaced on [eta_lo, eta_hi].
 
-    With noise_sigma given, the bank also carries a SharedCovariance: prior
-    covariance diag(spread**2), measurement variance
-    max(noise_sigma**2, NOISE_VAR_FLOOR).  Its measured update is then the
-    covariance-weighted one.
+    The bank carries a SharedCovariance with prior covariance
+    diag(spread**2) and measurement variance
+    max(noise_sigma**2, NOISE_VAR_FLOOR).
     """
     if n_members < 1:
         raise ConfigurationError("ensemble needs at least one member")
@@ -111,20 +109,18 @@ def init_ensemble(
         raise ConfigurationError("spread entries must be nonnegative")
     if not (0.0 < eta_lo <= eta_hi):
         raise ConfigurationError("need 0 < eta_lo <= eta_hi")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ConfigurationError("noise_sigma must be a nonnegative number")
     rng = np.random.default_rng(seed)
     members = prior_mean + rng.uniform(-1.0, 1.0, size=(n_members, 3)) * spread
     members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
     rates = np.geomspace(eta_lo, eta_hi, n_members)
-    covariance = None
-    if noise_sigma is not None:
-        if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
-            raise ConfigurationError("noise_sigma must be a nonnegative number")
-        prior_cov = np.diag(spread * spread)
-        covariance = SharedCovariance(
-            matrix=prior_cov,
-            prior=prior_cov,
-            noise_var=max(float(noise_sigma) ** 2, NOISE_VAR_FLOOR),
-        )
+    prior_cov = np.diag(spread * spread)
+    covariance = SharedCovariance(
+        matrix=prior_cov,
+        prior=prior_cov,
+        noise_var=max(float(noise_sigma) ** 2, NOISE_VAR_FLOOR),
+    )
     return Ensemble(members=members, rates=rates, covariance=covariance)
 
 
@@ -147,16 +143,15 @@ def change_test(cusum_hi: float, cusum_lo: float, nu: float) -> tuple[float, flo
 
 
 def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_meas: float) -> Ensemble:
-    """Step of each member toward the measured reward, followed by the
-    admissibility projection.  Rates are unchanged.
+    """Recursive-least-squares step of each member toward the measured
+    reward, followed by the admissibility projection.  Rates are unchanged.
 
-    Without a covariance each member takes a gradient step at its own rate.
-    With one, every member takes the recursive-least-squares step
-    theta_i -= K (psi'theta_i - r), K = P psi / (psi'P psi + R), and P
-    shrinks to P - K psi'P.  Before the step, the mean member's innovation,
-    normalized by its predicted standard deviation, feeds change_test; an
-    alarm adds the prior covariance to P, so the belief can move again after
-    the environment switched.  A member pushed past the curvature floor is
+    Every member takes the step theta_i -= K (psi'theta_i - r), with
+    K = P psi / (psi'P psi + R), and P shrinks to P - K psi'P; a bank
+    without a covariance raises InvalidInputError.  Before the step, the
+    mean member's innovation, normalized by its predicted standard
+    deviation, feeds change_test; an alarm adds the prior covariance to P,
+    so the belief can move again after the environment switched.  A member pushed past the curvature floor is
     moved back along P's first column, the correction closest in the P^-1
     metric: a plain clamp of theta[0] alone would lower that member's reward
     at the speeds already measured, and the predicted update would then push
@@ -164,35 +159,34 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     """
     if not math.isfinite(float(reward_meas)):
         raise InvalidInputError(f"measured reward must be finite, got {reward_meas}")
-    psi = basis(spec, y)
-    innovations = e.members @ psi - float(reward_meas)
     cov = e.covariance
     if cov is None:
-        members = e.members - (e.rates * innovations)[:, None] * psi[None, :]
-    else:
-        P = cov.matrix
+        raise InvalidInputError("measured update needs a bank with a SharedCovariance")
+    psi = basis(spec, y)
+    innovations = e.members @ psi - float(reward_meas)
+    P = cov.matrix
+    p_psi = P @ psi
+    s = float(psi @ p_psi) + cov.noise_var
+    nu = -float(innovations.sum()) / (e.n_members * math.sqrt(s))
+    hi, lo, fired = change_test(cov.cusum_hi, cov.cusum_lo, nu)
+    if fired:
+        P = P + cov.prior
         p_psi = P @ psi
         s = float(psi @ p_psi) + cov.noise_var
-        nu = -float(innovations.sum()) / (e.n_members * math.sqrt(s))
-        hi, lo, fired = change_test(cov.cusum_hi, cov.cusum_lo, nu)
-        if fired:
-            P = P + cov.prior
-            p_psi = P @ psi
-            s = float(psi @ p_psi) + cov.noise_var
-        gain = p_psi / s
-        members = e.members - innovations[:, None] * gain[None, :]
-        P = P - gain[:, None] * p_psi
-        if members[:, 0].max() > -spec.curvature_floor:
-            excess = np.maximum(members[:, 0] + spec.curvature_floor, 0.0)
-            members -= excess[:, None] * (P[0] / P[0, 0])[None, :]
-        cov = SharedCovariance(
-            matrix=P,
-            prior=cov.prior,
-            noise_var=cov.noise_var,
-            cusum_hi=hi,
-            cusum_lo=lo,
-            resets=cov.resets + fired,
-        )
+    gain = p_psi / s
+    members = e.members - innovations[:, None] * gain[None, :]
+    P = P - gain[:, None] * p_psi
+    if members[:, 0].max() > -spec.curvature_floor:
+        excess = np.maximum(members[:, 0] + spec.curvature_floor, 0.0)
+        members -= excess[:, None] * (P[0] / P[0, 0])[None, :]
+    cov = SharedCovariance(
+        matrix=P,
+        prior=cov.prior,
+        noise_var=cov.noise_var,
+        cusum_hi=hi,
+        cusum_lo=lo,
+        resets=cov.resets + fired,
+    )
     members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
     return Ensemble(members=members, rates=e.rates, covariance=cov)
 

@@ -1,11 +1,12 @@
 """Closed-loop experiment runner, metrics, CSV/JSON export, and the solver
 timing benchmark.
 
-Step ordering within one control period: measure output and reward at the
-current state, learn (measured ensemble update), select the input from the
-updated belief (warm-started at the previous input), apply it, advance the
-plant.  The measurement at t = 0 therefore seeds the belief before the
-first input is chosen.
+Both the runner and the benchmark step the loop through one driver,
+_drive.  Step ordering within one control period: measure output and reward
+at the current state, learn (measured ensemble update), select the input
+from the updated belief (warm-started at the previous input), apply it,
+advance the plant.  The measurement at t = 0 therefore seeds the belief
+before the first input is chosen.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ CSV_COLUMNS = (
     "exploit",
     "explore",
     "reward_meas",
-    "solve_time_ns",
     "iterations",
 )
 CSV_HEADER = ",".join(CSV_COLUMNS)
@@ -51,7 +51,6 @@ class StepRecord:
     exploit: float
     explore: float
     reward_meas: float
-    solve_time_ns: int
     iterations: int
 
 
@@ -76,49 +75,60 @@ def _timing_summary(times_ns) -> dict:
     }
 
 
-def _initial_belief(cfg: ScenarioConfig):
-    """The configured estimator bank, carrying the shared covariance whose
-    measurement variance follows the configured reward noise."""
-    ens = cfg.ensemble
-    return init_ensemble(
-        cfg.reward,
-        ens.prior,
-        ens.spread,
-        ens.n_members,
-        ens.seed,
-        eta_lo=ens.eta_lo,
-        eta_hi=ens.eta_hi,
-        noise_sigma=cfg.noise.sigma_reward,
-    )
+def _drive(cfg: ScenarioConfig, select):
+    """Step the configured closed loop through its horizon: measure, learn,
+    select, apply.
 
-
-def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
-    """Simulate the configured controller against the scheduled environment.
-
-    Deterministic given the config: the measurement noise is a pure function
-    of (seed, step) and the ensemble draw of its own seed.  Wall-clock solver
-    times are collected into the timing summary only; the per-record
-    solve_time_ns field stays zero so that exported trajectories are
-    byte-reproducible.
+    select(k, t, seg, r_meas, problem, u_prev) returns the input to apply.
+    problem carries the belief after this step's measured update, whose
+    shared covariance follows the configured reward noise.  Returns the
+    last problem and the last applied input.
     """
     vehicle = cfg.vehicle
     spec = cfg.reward
-    ens = _initial_belief(cfg)
-    ctype = cfg.controller.type
-    esc_state = esc_init(cfg.v0) if ctype == "esc" else None
+    ens_cfg = cfg.ensemble
+    ens = init_ensemble(
+        spec,
+        ens_cfg.prior,
+        ens_cfg.spread,
+        ens_cfg.n_members,
+        ens_cfg.seed,
+        eta_lo=ens_cfg.eta_lo,
+        eta_hi=ens_cfg.eta_hi,
+        noise_sigma=cfg.noise.sigma_reward,
+    )
     v = cfg.v0
-    u_prev = 0.0
-    records = []
-    wall_times = []
+    u = 0.0
     problem = None
     for k in range(cfg.n_steps):
         t = k * vehicle.dt
         seg = active_segment(cfg.schedule, t)
         y, r_meas = measure(spec, v, seg, cfg.noise, k)
         ens = measured_update(ens, spec, y, r_meas)
-        stats = condition_stats(ens, spec)
         problem = DceeProblem(vehicle=vehicle, reward=spec, ensemble=ens, v=v)
+        u = select(k, t, seg, r_meas, problem, u)
+        v = plant_step(vehicle, v, u, seg)
+    return problem, u
 
+
+def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
+    """Simulate the configured controller against the scheduled environment.
+
+    Deterministic given the config: the measurement noise is a pure function
+    of (seed, step) and the ensemble draw of its own seed.  Wall-clock
+    selection times go into the timing summary only, so that exported
+    trajectories are byte-reproducible.
+    """
+    vehicle = cfg.vehicle
+    spec = cfg.reward
+    ctype = cfg.controller.type
+    esc_state = esc_init(cfg.v0) if ctype == "esc" else None
+    records = []
+    wall_times = []
+
+    def select(k, t, seg, r_meas, problem, u_prev):
+        nonlocal esc_state
+        stats = condition_stats(problem.ensemble, spec)
         if ctype == "numerical_dcee":
             u, report = controller_step(problem, u_prev, cfg.controller.solver)
             elapsed = report.solve_time_ns
@@ -130,7 +140,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
             iterations = 1
         else:
             t0 = time.perf_counter_ns()
-            u, esc_state = esc_step(esc_state, cfg.controller.esc, r_meas, v, vehicle, vehicle.dt)
+            u, esc_state = esc_step(esc_state, cfg.controller.esc, r_meas, problem.v, vehicle, vehicle.dt)
             elapsed = time.perf_counter_ns() - t0
             iterations = 0
 
@@ -142,21 +152,20 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         records.append(
             StepRecord(
                 t=t,
-                v=v,
+                v=problem.v,
                 u=u,
                 v_star_true=optimal_condition(spec, seg.theta_true),
                 gamma_mean_est=stats.mean,
                 exploit=exploit,
                 explore=explore,
                 reward_meas=r_meas,
-                solve_time_ns=0,
                 iterations=iterations,
             )
         )
         wall_times.append(elapsed)
-        v = plant_step(vehicle, v, u, seg)
-        u_prev = u
+        return u
 
+    problem, u = _drive(cfg, select)
     metrics = compute_metrics(records, cfg.schedule, spec)
     return RunResult(
         records=records,
@@ -164,7 +173,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         timing=_timing_summary(wall_times),
         config=cfg.raw,
         final_problem=problem,
-        final_u=u_prev,
+        final_u=u,
     )
 
 
@@ -178,15 +187,13 @@ def compute_metrics(records, schedule, spec) -> dict:
     for rec in records:
         seg = active_segment(schedule, rec.t)
         v_star = optimal_condition(spec, seg.theta_true)
-        iae += abs(rec.v - v_star)
+        e_v = abs(rec.v - v_star)  # the terminal error once the loop ends
+        iae += e_v
         z = rec.v / spec.v_scale
         zs = v_star / spec.v_scale
         t0 = seg.theta_true[0]
         # R(theta*, v*) - R(theta*, v) = -theta0 * (z - z*)^2 for the peak form
         regret += -t0 * (z - zs) ** 2
-    last = records[-1]
-    seg = active_segment(schedule, last.t)
-    e_v = abs(last.v - optimal_condition(spec, seg.theta_true))
     return {"e_v": e_v, "iae_v": iae, "regret": regret}
 
 
@@ -220,7 +227,6 @@ def export(result: RunResult, path, fmt: str):
                             _fmt(r.exploit),
                             _fmt(r.explore),
                             _fmt(r.reward_meas),
-                            str(r.solve_time_ns),
                             str(r.iterations),
                         )
                     )
@@ -262,8 +268,7 @@ def parse_csv(path) -> list:
                 exploit=float(parts[5]),
                 explore=float(parts[6]),
                 reward_meas=float(parts[7]),
-                solve_time_ns=int(parts[8]),
-                iterations=int(parts[9]),
+                iterations=int(parts[8]),
             )
         )
     return records
@@ -365,50 +370,40 @@ def bench_solver(
     agreement_checks = 0
     reference_failures = 0
 
+    def select(k, t, seg, r_meas, problem, u_prev):
+        nonlocal agreement_max_rel, agreement_checks, reference_failures
+        u, report = controller_step(problem, u_prev, gncfg)
+        times["analytic_gn"].append(report.solve_time_ns)
+
+        try:
+            _, rep_fd = solve(_fd_jacobian_fn(problem), [u_prev], gncfg)
+            times["fd_jacobian_gn"].append(rep_fd.solve_time_ns)
+        except SolverFailureError:
+            reference_failures += 1
+        try:
+            _, _, t_newton = _newton_fd_solve(problem, u_prev, gncfg)
+            times["fd_hessian_newton"].append(t_newton)
+        except SolverFailureError:
+            reference_failures += 1
+
+        if k % agreement_stride == 0:
+            try:
+                u_a, _ = solve(residual_fn(problem), [u_prev], ref_cfg)
+                u_b, _ = solve(_fd_jacobian_fn(problem), [u_prev], ref_cfg)
+                u_c, _, _ = _newton_fd_solve(problem, u_prev, ref_cfg)
+                objs = []
+                for uu in (float(u_a[0]), float(u_b[0]), u_c):
+                    f = evaluate(problem, uu, with_jacobian=False).residual
+                    objs.append(float(f @ f))
+                spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
+                agreement_max_rel = max(agreement_max_rel, spread_rel)
+                agreement_checks += 1
+            except SolverFailureError:
+                reference_failures += 1
+        return u
+
     for _ in range(repetitions):
-        vehicle = cfg.vehicle
-        spec = cfg.reward
-        ens = _initial_belief(cfg)
-        v = cfg.v0
-        u_prev = 0.0
-        for k in range(cfg.n_steps):
-            t = k * vehicle.dt
-            seg = active_segment(cfg.schedule, t)
-            y, r_meas = measure(spec, v, seg, cfg.noise, k)
-            ens = measured_update(ens, spec, y, r_meas)
-            problem = DceeProblem(vehicle=vehicle, reward=spec, ensemble=ens, v=v)
-
-            u, report = controller_step(problem, u_prev, gncfg)
-            times["analytic_gn"].append(report.solve_time_ns)
-
-            try:
-                _, rep_fd = solve(_fd_jacobian_fn(problem), [u_prev], gncfg)
-                times["fd_jacobian_gn"].append(rep_fd.solve_time_ns)
-            except SolverFailureError:
-                reference_failures += 1
-            try:
-                _, _, t_newton = _newton_fd_solve(problem, u_prev, gncfg)
-                times["fd_hessian_newton"].append(t_newton)
-            except SolverFailureError:
-                reference_failures += 1
-
-            if k % agreement_stride == 0:
-                try:
-                    u_a, _ = solve(residual_fn(problem), [u_prev], ref_cfg)
-                    u_b, _ = solve(_fd_jacobian_fn(problem), [u_prev], ref_cfg)
-                    u_c, _, _ = _newton_fd_solve(problem, u_prev, ref_cfg)
-                    objs = []
-                    for uu in (float(u_a[0]), float(u_b[0]), u_c):
-                        f = evaluate(problem, uu, with_jacobian=False).residual
-                        objs.append(float(f @ f))
-                    spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
-                    agreement_max_rel = max(agreement_max_rel, spread_rel)
-                    agreement_checks += 1
-                except SolverFailureError:
-                    reference_failures += 1
-
-            v = plant_step(vehicle, v, u, seg)
-            u_prev = u
+        _drive(cfg, select)
 
     summary = {name: _timing_summary(vals) for name, vals in times.items()}
     mean_gn = summary["analytic_gn"]["mean_ns"]

@@ -61,13 +61,6 @@ def basis(spec: QuadraticRewardSpec, v: float) -> np.ndarray:
     return np.array([z * z, z, 1.0])
 
 
-def basis_derivative(spec: QuadraticRewardSpec, v: float) -> np.ndarray:
-    """Derivative of the feature vector with respect to v, shape (3,)."""
-    v = _check_speed(v)
-    s = spec.v_scale
-    return np.array([2.0 * v / (s * s), 1.0 / s, 0.0])
-
-
 def eval_reward(spec: QuadraticRewardSpec, theta, v: float) -> float:
     """Reward psi(v) . theta.  The additive offset hook is identically zero
     for this reward family, so the basis carries the whole value."""
@@ -78,13 +71,6 @@ def eval_reward(spec: QuadraticRewardSpec, theta, v: float) -> float:
 def is_admissible(spec: QuadraticRewardSpec, theta) -> bool:
     """True when theta[0] <= -curvature_floor (strictly concave reward)."""
     return bool(theta[0] <= -spec.curvature_floor)
-
-
-def project_admissible(spec: QuadraticRewardSpec, theta) -> np.ndarray:
-    """Clamp theta[0] down to -curvature_floor; other entries untouched."""
-    theta = np.array(theta, dtype=float, copy=True)
-    theta[0] = min(theta[0], -spec.curvature_floor)
-    return theta
 
 
 def optimal_condition(spec: QuadraticRewardSpec, theta) -> float:

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import DceeProblem, residual_fn
 from .errors import InfeasibleCandidateError, RankDeficiencyError, SolverFailureError
@@ -92,10 +91,10 @@ def gn_step(F, J, damping: float) -> np.ndarray:
     A = J.T @ J + damping * np.eye(n)
     b = -(J.T @ F)
     try:
-        c, low = scipy.linalg.cho_factor(A, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError("normal equations singular at the given damping") from exc
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def scp_step(F, J, damping: float) -> np.ndarray:

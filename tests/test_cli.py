@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
-from dcee import default_config
+import dcee
+from dcee import default_config, load_config, run_closed_loop, scenario_from_dict
 from dcee.cli import main
 
 
@@ -63,8 +66,16 @@ def test_run_requires_config():
     assert main(["run"]) == 2
 
 
-def test_compare(cfg_path, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DCEE_THREADS", "2")
+def test_import_loads_no_scipy():
+    # a fresh interpreter, importing the same dcee as this test session
+    src = os.path.dirname(os.path.dirname(dcee.__file__))
+    code = "import sys, dcee; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def test_compare(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "cmp")
     rc = main(["compare", cfg_path, "--controllers", "numerical_dcee,esc", "--out", out])
     assert rc == 0
@@ -74,6 +85,10 @@ def test_compare(cfg_path, tmp_path, capsys, monkeypatch):
         summary = json.load(fh)
     assert set(summary) == {"numerical_dcee", "esc"}
     assert os.path.exists(os.path.join(out, "compare_numerical_dcee.csv"))
+    raw = load_config(cfg_path).raw
+    for controller in ("numerical_dcee", "esc"):
+        cfg = scenario_from_dict({**raw, "controller": {**raw["controller"], "type": controller}})
+        assert summary[controller]["metrics"] == run_closed_loop(cfg).metrics
 
 
 def test_compare_rejects_unknown_controller(cfg_path):

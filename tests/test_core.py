@@ -10,7 +10,6 @@ from dcee import (
     evaluate,
     jacobian,
     jacobian_fd,
-    least_squares_cost,
     make_true_params,
     objective,
     objective_grid,
@@ -89,13 +88,6 @@ def test_objective_split_nonnegative_and_consistent():
         checked += 1
 
 
-def test_least_squares_cost_is_half_objective():
-    rng = np.random.default_rng(22)
-    p = random_problem(rng)
-    u = 100.0
-    assert least_squares_cost(p, u) == pytest.approx(0.5 * objective(p, u))
-
-
 def test_residual_eval_norm_matches_objective():
     rng = np.random.default_rng(23)
     p = random_problem(rng)
@@ -143,8 +135,8 @@ def test_gradient_identity():
         h = fd_step(p.vehicle, u)
         try:
             ev = evaluate(p, u)
-            lp = least_squares_cost(p, u + h)
-            lm = least_squares_cost(p, u - h)
+            lp = 0.5 * objective(p, u + h)
+            lm = 0.5 * objective(p, u - h)
         except InfeasibleCandidateError:
             continue
         g = float(ev.jacobian[:, 0] @ ev.residual)

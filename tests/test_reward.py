@@ -8,13 +8,11 @@ from dcee import (
     InvalidInputError,
     QuadraticRewardSpec,
     basis,
-    basis_derivative,
     eval_reward,
     is_admissible,
     make_true_params,
     optimal_condition,
     optimal_condition_jacobian,
-    project_admissible,
 )
 
 
@@ -29,23 +27,6 @@ def test_basis_rejects_non_finite():
         basis(QuadraticRewardSpec(), float("nan"))
     with pytest.raises(InvalidInputError):
         basis(QuadraticRewardSpec(), float("inf"))
-
-
-def test_basis_derivative_hand_values():
-    assert np.allclose(basis_derivative(QuadraticRewardSpec(v_scale=30.0), 15.0), [1 / 30, 1 / 30, 0.0])
-    assert np.allclose(basis_derivative(QuadraticRewardSpec(v_scale=1.0), 0.0), [0.0, 1.0, 0.0])
-    assert np.allclose(basis_derivative(QuadraticRewardSpec(v_scale=2.0), 2.0), [1.0, 0.5, 0.0])
-
-
-def test_basis_derivative_matches_finite_differences():
-    spec = QuadraticRewardSpec()
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        v = rng.uniform(0.0, 60.0)
-        h = 1e-6 * (1.0 + abs(v))
-        fd = (basis(spec, v + h) - basis(spec, v - h)) / (2.0 * h)
-        an = basis_derivative(spec, v)
-        assert np.abs(fd - an).max() <= 1e-8 * max(1.0, np.abs(an).max())
 
 
 def test_eval_reward_hand_values():
@@ -150,11 +131,8 @@ def test_peak_property():
 
 def test_projection_and_admissibility():
     spec = QuadraticRewardSpec()
-    theta = project_admissible(spec, [1.0, 2.0, 3.0])
-    assert theta[0] == -spec.curvature_floor
+    theta = np.array([-spec.curvature_floor, 2.0, 3.0])
     assert is_admissible(spec, theta)
-    untouched = project_admissible(spec, [-1.0, 2.0, 3.0])
-    assert untouched[0] == -1.0
 
 
 def test_spec_validation():
