@@ -15,6 +15,7 @@ from .core import (
     predict_output,
     residual,
     residual_fn,
+    standstill_input,
 )
 from .diagnostics import (
     AuditReport,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DceeProblem, evaluate
+from .core import DceeProblem, evaluate, standstill_input
 from .errors import ConfigurationError, InfeasibleCandidateError
 from .plant import VehicleParams, drag_force
 
@@ -31,11 +31,13 @@ class GradDceeConfig:
 def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
     """One explicit gradient step u - gain * grad(D)(u), clamped to bounds.
 
-    grad(D) = 2 J'F from the shared residual pipeline.  If the evaluation at
-    u_prev is infeasible the input is held.
+    grad(D) = 2 J'F from the shared residual pipeline.  As in
+    controller_step, a u_prev below standstill_input is lifted to it, where
+    the gradient does not vanish.  If the evaluation is infeasible the
+    (lifted) input is held.
     """
     veh = p.vehicle
-    u_prev = min(max(float(u_prev), veh.u_min), veh.u_max)
+    u_prev = min(max(float(u_prev), veh.u_min, standstill_input(veh, p.v)), veh.u_max)
     try:
         ev = evaluate(p, u_prev, with_jacobian=True)
     except InfeasibleCandidateError:

@@ -33,6 +33,15 @@ def _ensure_out(args):
     return args.out
 
 
+def _print_solver_health(tag, health: dict):
+    if health["solves"]:
+        print(
+            f"{tag}: {health['converged']}/{health['solves']} solves converged, "
+            f"{health['escalations']} escalations, {health['fallbacks']} fallbacks, "
+            f"iteration histogram {health['iteration_histogram']}"
+        )
+
+
 def _print_metrics(tag, result):
     m = result.metrics
     t = result.timing
@@ -40,6 +49,7 @@ def _print_metrics(tag, result):
         f"{tag}: e_v={m['e_v']:.6g} m/s  IAE_v={m['iae_v']:.6g} m/s  Reg={m['regret']:.6g}  "
         f"solver mean {t['mean_ns']/1e6:.3f} ms / p99 {t['p99_ns']/1e6:.3f} ms / max {t['max_ns']/1e6:.3f} ms"
     )
+    _print_solver_health(tag, result.solver.as_dict())
 
 
 def _cmd_run(args) -> int:
@@ -69,7 +79,11 @@ def _cmd_compare(args) -> int:
     summary = {}
     for controller, result in results.items():
         _print_metrics(f"compare[{controller}]", result)
-        summary[controller] = {"metrics": result.metrics, "timing": result.timing}
+        summary[controller] = {
+            "metrics": result.metrics,
+            "timing": result.timing,
+            "solver": result.solver.as_dict(),
+        }
         if out:
             path = os.path.join(out, f"compare_{controller}.csv")
             export(result, path, "csv")
@@ -97,6 +111,7 @@ def _cmd_bench(args) -> int:
         f"bench[agreement]: max relative objective spread {report['agreement_max_rel']:.2e} "
         f"over {report['agreement_checks']} checks"
     )
+    _print_solver_health("bench[analytic_gn]", report["solver"])
     out = _ensure_out(args)
     if out:
         path = os.path.join(out, "bench.json")

@@ -55,6 +55,13 @@ def predict_output(p: DceeProblem, u: float) -> float:
     return max(0.0, p.v + veh.dt * accel)
 
 
+def standstill_input(vehicle: VehicleParams, v: float) -> float:
+    """The input below which the nominal prediction from speed v clamps at
+    standstill: every smaller input predicts speed 0, so the residual is
+    flat there and its Jacobian is 0."""
+    return drag_force(vehicle, v) - v * vehicle.mass / vehicle.dt
+
+
 class _Prepared:
     """Problem-invariant quantities shared by all evaluations of one snapshot.
 
@@ -64,7 +71,7 @@ class _Prepared:
     """
 
     __slots__ = ("p", "m0", "m1", "m2", "d0", "d1", "rates", "mean",
-                 "drag", "dy_du", "s", "floor", "n", "inv_sqrt_n")
+                 "drag", "dy_du", "u_stop", "s", "floor", "n", "inv_sqrt_n")
 
     def __init__(self, p: DceeProblem):
         members = p.ensemble.members
@@ -79,6 +86,7 @@ class _Prepared:
         veh = p.vehicle
         self.drag = drag_force(veh, p.v)
         self.dy_du = veh.dt / veh.mass
+        self.u_stop = standstill_input(veh, p.v)
         self.s = p.reward.v_scale
         self.floor = p.reward.curvature_floor
         self.n = members.shape[0]
@@ -89,9 +97,16 @@ def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool) -> ResidualEv
     u = float(u)
     if not math.isfinite(u):
         raise InvalidInputError(f"candidate input must be finite, got {u}")
-    y = prep.p.v + prep.dy_du * (u - prep.drag)
-    if y < 0.0:
+    dy_du = prep.dy_du
+    if u < prep.u_stop:
+        # the predicted speed clamps at standstill, where it no longer
+        # depends on the input
         y = 0.0
+        dy_du = 0.0
+    else:
+        # at u_stop itself rounding can leave y a hair below 0; the
+        # derivative there is the one-sided one from above
+        y = max(prep.p.v + dy_du * (u - prep.drag), 0.0)
     s = prep.s
     z = y / s
     psi0 = z * z
@@ -142,10 +157,10 @@ def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool) -> ResidualEv
         dgam = dth1_dy * th0
         dgam -= th1 * dth0_dy
         dgam /= th0 * th0
-        dgam *= 0.5 * s * prep.dy_du
+        dgam *= 0.5 * s * dy_du
         dmean = dgam.mean()
         col = np.empty(prep.n + 1)
-        col[0] = prep.dy_du - dmean
+        col[0] = dy_du - dmean
         np.subtract(dgam, dmean, out=col[1:])
         col[1:] *= prep.inv_sqrt_n
         jac = col[:, None]
@@ -156,9 +171,10 @@ def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool) -> ResidualEv
 def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True) -> ResidualEval:
     """Residual stack F(u) and, when requested, its analytic Jacobian dF/du.
 
-    The Jacobian chains the nominal plant sensitivity dy/du = dt/mass through
-    the predicted member update (product rule over the basis and the
-    innovation) and the derivative of the optimal-speed map.
+    The Jacobian chains the nominal plant sensitivity dy/du = dt/mass (0
+    where the predicted speed clamps at standstill) through the predicted
+    member update (product rule over the basis and the innovation) and the
+    derivative of the optimal-speed map.
 
     This is the solver's per-iteration hot path, so the predicted update and
     the condition statistics are fused into one pass instead of going through
@@ -229,7 +245,7 @@ def objective_grid(p: DceeProblem, us) -> np.ndarray:
 
 
 def residual_fn(p: DceeProblem):
-    """Adapter for the inner solver: u (shape-(1,) array) -> (F, J).
+    """Adapter for the inner solver: u (one-element sequence) -> (F, J).
 
     Prepares the problem-invariant quantities once, so repeated evaluations
     inside one solve stay cheap.

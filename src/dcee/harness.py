@@ -25,7 +25,7 @@ from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
 from .plant import active_segment, measure, plant_step
 from .reward import optimal_condition
-from .solver import GnConfig, controller_step, solve
+from .solver import GnConfig, SolverHealth, controller_step, solve
 
 CSV_COLUMNS = (
     "t",
@@ -62,6 +62,8 @@ class RunResult:
     config: dict
     final_problem: DceeProblem = field(repr=False, default=None)
     final_u: float = 0.0
+    # counts over the GN solves; empty for the baseline controllers
+    solver: SolverHealth = field(default_factory=SolverHealth)
 
 
 def _timing_summary(times_ns) -> dict:
@@ -125,12 +127,14 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
     esc_state = esc_init(cfg.v0) if ctype == "esc" else None
     records = []
     wall_times = []
+    health = SolverHealth()
 
     def select(k, t, seg, r_meas, problem, u_prev):
         nonlocal esc_state
         stats = condition_stats(problem.ensemble, spec)
         if ctype == "numerical_dcee":
             u, report = controller_step(problem, u_prev, cfg.controller.solver)
+            health.add(report)
             elapsed = report.solve_time_ns
             iterations = report.iterations
         elif ctype == "grad_dcee":
@@ -174,6 +178,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         config=cfg.raw,
         final_problem=problem,
         final_u=u,
+        solver=health,
     )
 
 
@@ -205,7 +210,8 @@ def export(result: RunResult, path, fmt: str):
     """Write a RunResult to disk.
 
     csv: one row per record with the exact column set CSV_COLUMNS.
-    json: metrics, timing summary, and the full config echo (no records).
+    json: metrics, timing summary, solver health counts, and the full
+    config echo (no records).
     """
     if fmt not in ("csv", "json"):
         raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -238,6 +244,7 @@ def export(result: RunResult, path, fmt: str):
                 "config": result.config,
                 "metrics": result.metrics,
                 "timing": result.timing,
+                "solver": result.solver.as_dict(),
             }
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
@@ -288,8 +295,11 @@ def _fd_jacobian_fn(problem: DceeProblem):
 
 def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
     """Damped Newton reference with gradient and Hessian from central
-    differences of the half objective; scalar input only.  Returns
-    (u, iterations, solve_time_ns) or raises SolverFailureError."""
+    differences of the half objective; scalar input only.  The damping is
+    relative to the curvature and escalates as in solve, so both take
+    like steps.  A zero difference curvature where the gradient is nonzero
+    gives no step to take and counts as a failure.  Returns (u, iterations,
+    solve_time_ns) or raises SolverFailureError."""
     t_start = time.perf_counter_ns()
 
     def L(u):
@@ -312,23 +322,25 @@ def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
             raise SolverFailureError("stencil point infeasible") from exc
         g = (lp - lm) / (2.0 * hg)
         H = (hp - 2.0 * val + hm) / (hh * hh)
+        if H == 0.0 and g != 0.0:
+            raise SolverFailureError("newton reference has zero curvature at a slope")
         lam = cfg.damping
         accepted = False
         for _attempt in range(6):
-            denom = H + lam
-            if denom <= 0.0:
-                denom = abs(H) + max(lam, 1e-8)
-            du = -g / denom
+            # a negative difference curvature is used by magnitude, so the
+            # step still descends; a flat objective gives a zero step
+            denom = abs(H) * (1.0 + lam)
+            du = -g / denom if denom > 0.0 else 0.0
             u_new = min(max(u + du, cfg.u_min), cfg.u_max)
             try:
                 val_new = L(u_new)
             except InfeasibleCandidateError:
-                lam = lam * 10.0 if lam > 0.0 else 1e-12
-                continue
-            if val_new <= val * (1.0 + 1e-12) + 1e-15:
-                accepted = True
-                break
-            lam = lam * 10.0 if lam > 0.0 else 1e-12
+                pass
+            else:
+                if val_new <= val * (1.0 + 1e-12) + 1e-15:
+                    accepted = True
+                    break
+            lam = max(10.0 * lam, 1.0)
         if not accepted:
             raise SolverFailureError("newton reference found no acceptable step")
         step = abs(u_new - u)
@@ -353,7 +365,8 @@ def bench_solver(
     controller; the references solve each snapshot from the same warm start
     with the same settings.  Every agreement_stride steps all three are also
     re-solved to convergence (reference_max_iters budget) and the relative
-    spread of the reached objectives is tracked.
+    spread of the reached objectives is tracked.  The health counts of the
+    production solves are reported under "solver".
     """
     if repetitions < 1:
         raise InvalidInputError("repetitions must be at least 1")
@@ -366,6 +379,7 @@ def bench_solver(
         u_max=gncfg.u_max,
     )
     times = {"analytic_gn": [], "fd_jacobian_gn": [], "fd_hessian_newton": []}
+    health = SolverHealth()
     agreement_max_rel = 0.0
     agreement_checks = 0
     reference_failures = 0
@@ -374,6 +388,7 @@ def bench_solver(
         nonlocal agreement_max_rel, agreement_checks, reference_failures
         u, report = controller_step(problem, u_prev, gncfg)
         times["analytic_gn"].append(report.solve_time_ns)
+        health.add(report)
 
         try:
             _, rep_fd = solve(_fd_jacobian_fn(problem), [u_prev], gncfg)
@@ -417,6 +432,7 @@ def bench_solver(
         "agreement_max_rel": agreement_max_rel,
         "agreement_checks": agreement_checks,
         "reference_failures": reference_failures,
+        "solver": health.as_dict(),
         "steps_per_repetition": cfg.n_steps,
         "repetitions": repetitions,
     }

@@ -5,13 +5,15 @@ convex least-squares subproblem; with a squared-norm outer loss that
 subproblem *is* the Gauss-Newton step, so the curvature matrix J'J is
 positive semidefinite and only first derivatives are ever needed.
 
-Two equivalent step computations are provided:
+The input is a scalar, so ``solve`` forms the normal equation inline on
+plain floats.  Two step computations for any number of inputs are kept as a
+cross-checked pair:
 
 * ``gn_step``    solves the damped normal equations by Cholesky
-                 (production path, quadratic-model view);
+                 (quadratic-model view);
 * ``scp_step``   minimizes ||F + J du||^2 (+ damping) by orthogonal
                  factorization of the stacked system (linearized-residual
-                 view, kept as an independent cross-check).
+                 view, an independent cross-check).
 """
 from __future__ import annotations
 
@@ -21,8 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DceeProblem, residual_fn
-from .errors import InfeasibleCandidateError, RankDeficiencyError, SolverFailureError
+from .core import DceeProblem, residual_fn, standstill_input
+from .errors import (
+    InfeasibleCandidateError,
+    InvalidInputError,
+    RankDeficiencyError,
+    SolverFailureError,
+)
 
 # Relative slack when judging whether a trial step decreased the objective;
 # guards against rejecting genuinely converged steps on rounding noise.
@@ -36,9 +43,13 @@ _MAX_ESCALATIONS = 5
 class GnConfig:
     """Inner-loop settings.
 
-    damping is a Levenberg term added to J'J; the base value is tiny and is
-    escalated tenfold when a step is rejected (infeasible trial point,
-    singular system, or objective increase).
+    damping is a dimensionless Levenberg factor relative to the curvature:
+    the step is -(J'F) / (J'J (1 + damping)), so it means the same whatever
+    the units of the input.  When a step is rejected (infeasible trial point
+    or objective increase) it escalates to max(10 damping, 1), and the five
+    retries shorten the step by about 1e4.  A solve ends as converged when
+    the stopping measure meets tol or when an accepted step leaves the
+    objective unchanged or higher, i.e. at the rounding floor.
     """
 
     max_iters: int = 10
@@ -71,6 +82,38 @@ class GnReport:
     damping_escalations: int = 0
 
 
+@dataclass
+class SolverHealth:
+    """Running counts over the solves of one run; histogram[k] is the number
+    of solves that took k iterations."""
+
+    solves: int = 0
+    converged: int = 0
+    escalations: int = 0
+    fallbacks: int = 0
+    histogram: list = field(default_factory=list)
+
+    def add(self, report: GnReport) -> None:
+        self.solves += 1
+        self.converged += report.converged
+        self.escalations += report.damping_escalations
+        self.fallbacks += report.fallback
+        k = report.iterations
+        if k >= len(self.histogram):
+            self.histogram.extend([0] * (k + 1 - len(self.histogram)))
+        self.histogram[k] += 1
+
+    def as_dict(self) -> dict:
+        return {
+            "solves": self.solves,
+            "converged": self.converged,
+            "converged_frac": self.converged / self.solves if self.solves else None,
+            "iteration_histogram": list(self.histogram),
+            "escalations": self.escalations,
+            "fallbacks": self.fallbacks,
+        }
+
+
 def gn_step(F, J, damping: float) -> np.ndarray:
     """Solve (J'J + damping*I) du = -J'F by Cholesky factorization.
 
@@ -81,13 +124,6 @@ def gn_step(F, J, damping: float) -> np.ndarray:
     J = np.atleast_2d(np.asarray(J, dtype=float))
     F = np.asarray(F, dtype=float).ravel()
     n = J.shape[1]
-    if n == 1:
-        # scalar normal equation; the Cholesky solve reduces to a division
-        col = J[:, 0]
-        a = float(col @ col) + damping
-        if a <= 0.0:
-            raise RankDeficiencyError("normal equations singular at the given damping")
-        return np.array([-(float(col @ F)) / a])
     A = J.T @ J + damping * np.eye(n)
     b = -(J.T @ F)
     try:
@@ -113,21 +149,31 @@ def scp_step(F, J, damping: float) -> np.ndarray:
 
 
 def solve(fun, u_init, cfg: GnConfig):
-    """Run the damped Gauss-Newton iteration from u_init.
+    """Run the damped Gauss-Newton iteration from a one-element u_init.
 
-    fun maps an input vector to (residual, jacobian) and may raise
-    InfeasibleCandidateError.  Iterates are clamped to the input box after
-    each step; the stopping measure is ||du|| / (1 + ||u||) evaluated with
-    the effective (post-clamp) step, so saturation at a bound terminates.
+    fun maps a one-element input sequence to (residual, jacobian of shape
+    (m, 1)) and may raise InfeasibleCandidateError.  The step is
+    -(J'F) / (J'J (1 + damping)) with the damping relative to J'J (see
+    GnConfig); where J'J = 0 the gradient vanishes too and the step is zero.
+    Iterates are clamped to the input box after each step; the stopping
+    measure is |du| / (1 + |u|) evaluated with the effective (post-clamp)
+    step, so saturation at a bound terminates.  An accepted step that leaves
+    the objective unchanged or higher also ends the solve as converged: the
+    iterate sits at the rounding floor, and further steps only cycle there.
 
-    Returns (u, report).  Raises SolverFailureError (carrying the partial
-    report) when no acceptable step exists after damping escalation.
+    Returns (u as a shape-(1,) array, report).  Raises SolverFailureError
+    (carrying the partial report) when no acceptable step exists after
+    damping escalation.
     """
     t0 = time.perf_counter_ns()
-    u = np.clip(np.atleast_1d(np.asarray(u_init, dtype=float)), cfg.u_min, cfg.u_max)
+    u_arr = np.asarray(u_init, dtype=float).ravel()
+    if u_arr.size != 1:
+        raise InvalidInputError(f"solve takes a one-element input, got {u_arr.size} elements")
+    u_min, u_max = cfg.u_min, cfg.u_max
+    u = min(max(float(u_arr[0]), u_min), u_max)
     report = GnReport()
     try:
-        F, J = fun(u)
+        F, J = fun((u,))
     except InfeasibleCandidateError as exc:
         report.solve_time_ns = time.perf_counter_ns() - t0
         raise SolverFailureError("initial point infeasible", report) from exc
@@ -135,20 +181,24 @@ def solve(fun, u_init, cfg: GnConfig):
     report.objective_trace.append(obj)
 
     for _ in range(cfg.max_iters):
+        col = J[:, 0]
+        jtj = float(col @ col)
+        jtf = float(col @ F)
         lam = cfg.damping
         accepted = False
         for _attempt in range(_MAX_ESCALATIONS + 1):
+            du = -jtf / (jtj * (1.0 + lam)) if jtj > 0.0 else 0.0
+            u_new = min(max(u + du, u_min), u_max)
             try:
-                du = gn_step(F, J, lam)
-                u_new = np.clip(u + du, cfg.u_min, cfg.u_max)
-                F_new, J_new = fun(u_new)
+                F_new, J_new = fun((u_new,))
+            except InfeasibleCandidateError:
+                pass
+            else:
                 obj_new = float(F_new @ F_new)
                 if obj_new <= obj * (1.0 + _ACCEPT_RTOL) + _ACCEPT_ATOL:
                     accepted = True
                     break
-            except (InfeasibleCandidateError, RankDeficiencyError):
-                pass
-            lam = lam * 10.0 if lam > 0.0 else 1e-12
+            lam = max(10.0 * lam, 1.0)
             report.damping_escalations += 1
         if not accepted:
             report.solve_time_ns = time.perf_counter_ns() - t0
@@ -156,29 +206,34 @@ def solve(fun, u_init, cfg: GnConfig):
                 "no acceptable step after damping escalation", report
             )
 
-        step = u_new - u
-        step_norm = float(np.linalg.norm(step))
+        step_norm = abs(u_new - u)
         report.iterations += 1
         report.step_norms.append(step_norm)
-        report.stop_measure = step_norm / (1.0 + float(np.linalg.norm(u)))
+        report.stop_measure = step_norm / (1.0 + abs(u))
+        stalled = obj_new >= obj
         u, F, J, obj = u_new, F_new, J_new, obj_new
         report.objective_trace.append(obj)
-        if report.stop_measure <= cfg.tol:
+        if report.stop_measure <= cfg.tol or stalled:
             report.converged = True
             break
 
     report.solve_time_ns = time.perf_counter_ns() - t0
-    return u, report
+    return np.array([u]), report
 
 
 def controller_step(p: DceeProblem, u_prev: float, cfg: GnConfig):
     """One control-step solve, warm-started at the previously applied input.
 
+    A warm start below standstill_input is lifted to it: every smaller input
+    predicts speed 0 and gives the same residual with a zero Jacobian, so a
+    solve started there could never move.
+
     Never raises: a solver failure falls back to holding u_prev and the
     report is flagged, preserving the real-time contract.
     """
+    u_start = max(float(u_prev), standstill_input(p.vehicle, p.v))
     try:
-        u_vec, report = solve(residual_fn(p), [float(u_prev)], cfg)
+        u_vec, report = solve(residual_fn(p), [u_start], cfg)
         return float(u_vec[0]), report
     except SolverFailureError as exc:
         report = exc.report if exc.report is not None else GnReport()

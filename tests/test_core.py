@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from dcee import (
     objective_split,
     predict_output,
     residual,
+    standstill_input,
 )
 from dcee.diagnostics import fd_step, random_input, random_problem
 
@@ -123,6 +125,32 @@ def test_jacobian_matches_finite_differences():
         worst = max(worst, float(np.abs(J_fd - J).max() / np.abs(J).max()))
         checked += 1
     assert worst < 1e-6
+
+
+def test_jacobian_vanishes_at_standstill():
+    # u = -4000 N brakes the predicted speed from 0.2 m/s below zero, where
+    # it clamps: the residual no longer depends on u
+    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    u = -4000.0
+    assert predict_output(p, u) == 0.0
+    J = evaluate(p, u).jacobian
+    J_fd = jacobian_fd(p, u, fd_step(p.vehicle, u))
+    assert np.array_equal(J, J_fd)
+    assert not J.any()
+
+
+def test_standstill_input_is_the_edge_of_the_clamp():
+    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    u_stop = standstill_input(p.vehicle, p.v)
+    assert predict_output(p, u_stop) == pytest.approx(0.0, abs=1e-12)
+    assert predict_output(p, u_stop - 1.0) == 0.0
+    assert predict_output(p, u_stop + 1.0) > 0.0
+    # at the edge the Jacobian is the one-sided one from above
+    h = fd_step(p.vehicle, u_stop)
+    J = evaluate(p, u_stop).jacobian
+    J_fwd = (residual(p, u_stop + h) - residual(p, u_stop)) / h
+    assert np.allclose(J[:, 0], J_fwd, rtol=1e-4, atol=1e-12 * np.abs(J).max())
+    assert J.any()
 
 
 def test_gradient_identity():

@@ -1,10 +1,14 @@
 import json
 import math
+import types
 
+import numpy as np
 import pytest
 
 from dcee import (
+    GnConfig,
     InvalidInputError,
+    SolverFailureError,
     bench_solver,
     compute_metrics,
     default_config,
@@ -13,6 +17,8 @@ from dcee import (
     run_closed_loop,
     scenario_from_dict,
 )
+from dcee import harness
+from dcee.diagnostics import fd_step
 from dcee.harness import CSV_HEADER, StepRecord
 
 
@@ -42,6 +48,47 @@ def test_record_count_and_fields():
     assert r.v == cfg.v0
     assert r.iterations >= 1
     assert res.timing["mean_ns"] > 0
+
+
+def test_default_run_reports_converged_solves():
+    d = default_config()
+    d["horizon_s"] = 60.0
+    cfg = scenario_from_dict(d)
+    health = run_closed_loop(cfg).solver.as_dict()
+    assert health["solves"] == cfg.n_steps
+    assert sum(health["iteration_histogram"]) == cfg.n_steps
+    assert health["converged_frac"] >= 0.99
+    assert health["fallbacks"] == 0
+
+
+@pytest.mark.parametrize("controller", ["numerical_dcee", "grad_dcee"])
+def test_run_leaves_standstill(controller):
+    # from v0 = 0 the warm start u = 0 lies in the flat region below the
+    # drag force; both controllers must still accelerate away
+    cfg = short_cfg(v0=0.0, controller={"type": controller})
+    r = run_closed_loop(cfg)
+    assert r.records[-1].v > 1.0
+
+
+def test_newton_reference_fails_at_a_slope_without_curvature(monkeypatch):
+    # a bump seen by the gradient stencil but not by the curvature stencil:
+    # the difference Hessian is 0 while the gradient is not, and the
+    # reference must fail rather than report convergence where it stands
+    cfg = short_cfg()
+    vehicle = cfg.vehicle
+    u0 = 1000.0
+    hg = fd_step(vehicle, u0)
+    assert 2.0 * hg < 1e-4 * (1.0 + u0)
+
+    def fake_evaluate(problem, u, with_jacobian=True):
+        bump = 1.0 if u0 + 0.5 * hg < u < u0 + 2.0 * hg else 0.0
+        return types.SimpleNamespace(residual=np.array([bump]))
+
+    monkeypatch.setattr(harness, "evaluate", fake_evaluate)
+    problem = types.SimpleNamespace(vehicle=vehicle)
+    gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
+    with pytest.raises(SolverFailureError):
+        harness._newton_fd_solve(problem, u0, gncfg)
 
 
 def test_run_deterministic():
@@ -150,6 +197,8 @@ def test_json_export(tmp_path):
     assert payload["config"] == res.config
     assert payload["metrics"]["iae_v"] == pytest.approx(res.metrics["iae_v"])
     assert set(payload["timing"]) == {"mean_ns", "max_ns", "p99_ns"}
+    assert payload["solver"] == res.solver.as_dict()
+    assert payload["solver"]["solves"] == cfg.n_steps
 
 
 def test_export_guards(tmp_path):
@@ -190,6 +239,7 @@ def test_bench_solver_structure_and_ordering():
     # all solvers reach the same objective when solved to convergence
     assert report["agreement_checks"] >= 4
     assert report["agreement_max_rel"] < 1e-6
+    assert report["solver"]["solves"] == cfg.n_steps
 
 
 def test_bench_solver_rejects_zero_reps():

@@ -7,15 +7,20 @@ from dcee import (
     Ensemble,
     GnConfig,
     InfeasibleCandidateError,
+    InvalidInputError,
     RankDeficiencyError,
     SolverFailureError,
     controller_step,
+    default_config,
     gn_step,
     objective,
     objective_grid,
     residual_fn,
+    run_closed_loop,
+    scenario_from_dict,
     scp_step,
     solve,
+    standstill_input,
 )
 from dcee.diagnostics import random_input, random_problem
 
@@ -119,6 +124,48 @@ def test_solve_tol_infinite_returns_after_first_step():
     _, rep = solve(fun, [0.0], cfg)
     assert rep.iterations == 1
     assert rep.converged
+
+
+def test_escalation_backtracks_from_infeasible_full_step():
+    # the full GN step lands at u = 10, where the residual is undefined; the
+    # escalated damping must shorten it to an accepted feasible step
+    a = np.array([1.0, 2.0])
+
+    def fun(u):
+        if float(u[0]) > 4.0:
+            raise InfeasibleCandidateError("synthetic")
+        return a * (float(u[0]) - 10.0), a[:, None]
+
+    cfg = GnConfig(max_iters=1, tol=1e-12, u_min=-100.0, u_max=100.0)
+    u, rep = solve(fun, [0.0], cfg)
+    assert 0.0 < float(u[0]) <= 4.0
+    assert rep.damping_escalations >= 1
+    assert rep.iterations == 1
+    assert rep.objective_trace[1] < rep.objective_trace[0]
+
+
+def test_solve_started_at_fixed_point_stops_converged():
+    # at the solution of a closed-loop step the GN step is rounding noise
+    # (about 1e-11 N), larger than tol = 1e-15 allows; the unchanged
+    # objective must end the solve instead of cycling to max_iters
+    d = default_config()
+    d["horizon_s"] = 30.0
+    res = run_closed_loop(scenario_from_dict(d))
+    p = res.final_problem
+    cfg = GnConfig(max_iters=50, tol=1e-15, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
+    u_star, _ = solve(residual_fn(p), [res.final_u], cfg)
+    u, rep = solve(residual_fn(p), u_star, cfg)
+    assert rep.converged
+    assert rep.iterations <= 2
+    assert abs(float(u[0]) - float(u_star[0])) < 1e-9
+
+
+def test_solve_rejects_multi_element_input():
+    def fun(u):
+        return np.array([float(u[0])]), np.ones((1, 1))
+
+    with pytest.raises(InvalidInputError):
+        solve(fun, [1.0, 2.0], GnConfig())
 
 
 def test_solve_objective_trace_nonincreasing():
@@ -236,6 +283,32 @@ def test_controller_step_falls_back_on_non_finite_residual():
     assert rep.iterations == 0
 
 
+def test_solve_converges_at_standstill():
+    # the predicted speed clamps to 0, so the objective is flat in u and
+    # J'J = 0: the zero step converges instead of exhausting the escalations
+    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
+    u, rep = solve(residual_fn(p), [-4000.0], cfg)
+    assert float(u[0]) == -4000.0
+    assert rep.converged
+    assert rep.damping_escalations == 0
+
+
+def test_controller_step_lifts_warm_start_out_of_standstill():
+    # from a warm start in the flat region the step starts at the edge of
+    # it, where the one-sided Jacobian lets it move
+    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
+    u_stop = standstill_input(p.vehicle, p.v)
+    assert -4000.0 < u_stop
+    assert residual_fn(p)((u_stop,))[1].any()
+    u, rep = controller_step(p, -4000.0, cfg)
+    assert u > u_stop
+    assert rep.iterations >= 1
+    assert rep.converged
+    assert not rep.fallback
+
+
 def test_gn_config_validation():
     with pytest.raises(ValueError):
         GnConfig(max_iters=0)
@@ -247,14 +320,14 @@ def test_gn_config_validation():
 
 def test_q_linear_tail_of_damped_iteration():
     # when the damping is comparable to the curvature the iteration is a
-    # geometric contraction: with lam = 3 a^2 each step retains 3/4 of the gap
+    # geometric contraction: with damping 3 (relative to a'a) each step
+    # retains 3/4 of the gap
     a = np.array([0.3, -0.4])
 
     def fun(u):
         return a * (float(u[0]) - 2.0), a[:, None]
 
-    lam = 3.0 * float(a @ a)
-    cfg = GnConfig(max_iters=10, tol=1e-15, damping=lam, u_min=-100.0, u_max=100.0)
+    cfg = GnConfig(max_iters=10, tol=1e-15, damping=3.0, u_min=-100.0, u_max=100.0)
     _, rep = solve(fun, [10.0], cfg)
     tail = rep.step_norms[-3:]
     assert len(tail) == 3
