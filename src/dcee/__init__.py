@@ -45,7 +45,6 @@ from .errors import (
     DceeError,
     InfeasibleCandidateError,
     InvalidInputError,
-    RankDeficiencyError,
     RateUndefinedError,
     SolverFailureError,
 )

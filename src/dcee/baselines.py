@@ -42,7 +42,7 @@ def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
         ev = evaluate(p, u_prev, with_jacobian=True)
     except InfeasibleCandidateError:
         return u_prev
-    grad = 2.0 * float(ev.jacobian[:, 0] @ ev.residual)
+    grad = 2.0 * float(ev.jacobian @ ev.residual)
     u = u_prev - cfg.gain * grad
     return min(max(u, veh.u_min), veh.u_max)
 

@@ -16,11 +16,8 @@ from .harness import bench_solver, export, run_closed_loop
 
 
 def _resolve_config(args):
-    path = getattr(args, "config_flag", None) or getattr(args, "config", None)
-    if path is None:
-        raise DceeError("a scenario config file is required (positional or --config)")
-    cfg = load_config(path)
-    if getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config)
+    if args.seed is not None:
         raw = dict(cfg.raw)
         raw["noise"] = dict(raw["noise"], seed=int(args.seed))
         cfg = scenario_from_dict(raw)
@@ -155,36 +152,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="simulate one controller and export the trajectory")
-    p_run.add_argument("config", nargs="?", help="scenario YAML file")
-    p_run.add_argument("--config", dest="config_flag", metavar="PATH")
-    p_run.add_argument("--out", metavar="DIR")
-    p_run.add_argument("--seed", type=int)
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("config", help="scenario YAML file")
+    scenario.add_argument("--out", metavar="DIR")
+    scenario.add_argument("--seed", type=int, help="measurement-noise seed override")
+
+    p_run = sub.add_parser("run", parents=[scenario],
+                           help="simulate one controller and export the trajectory")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run several controllers on the same scenario")
-    p_cmp.add_argument("config", nargs="?")
-    p_cmp.add_argument("--config", dest="config_flag", metavar="PATH")
+    p_cmp = sub.add_parser("compare", parents=[scenario],
+                           help="run several controllers on the same scenario")
     p_cmp.add_argument("--controllers", default="numerical_dcee,grad_dcee,esc")
-    p_cmp.add_argument("--out", metavar="DIR")
-    p_cmp.add_argument("--seed", type=int)
     p_cmp.set_defaults(fn=_cmd_compare)
 
-    p_bench = sub.add_parser("bench", help="time the solver against internal references")
-    p_bench.add_argument("config", nargs="?")
-    p_bench.add_argument("--config", dest="config_flag", metavar="PATH")
+    p_bench = sub.add_parser("bench", parents=[scenario],
+                             help="time the solver against internal references")
     p_bench.add_argument("--reps", type=int, default=1)
-    p_bench.add_argument("--out", metavar="DIR")
-    p_bench.add_argument("--seed", type=int)
     p_bench.set_defaults(fn=_cmd_bench)
 
-    p_audit = sub.add_parser("audit", help="randomized derivative and decomposition audit")
-    p_audit.add_argument("config", nargs="?")
-    p_audit.add_argument("--config", dest="config_flag", metavar="PATH")
+    p_audit = sub.add_parser("audit", parents=[scenario],
+                             help="randomized derivative and decomposition audit")
     p_audit.add_argument("--samples", type=int, default=100)
-    p_audit.add_argument("--out", metavar="DIR")
-    p_audit.add_argument("--seed", type=int)
     p_audit.set_defaults(fn=_cmd_audit)
 
     p_check = sub.add_parser("check", help="run the acceptance criteria")

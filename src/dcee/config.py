@@ -93,7 +93,6 @@ class ControllerSettings:
 class ScenarioConfig:
     vehicle: VehicleParams
     reward: QuadraticRewardSpec
-    c_r: float
     noise: NoiseSpec
     schedule: tuple[EnvSegment, ...]
     horizon_s: float
@@ -245,7 +244,6 @@ def scenario_from_dict(overrides: dict) -> ScenarioConfig:
     return ScenarioConfig(
         vehicle=vehicle,
         reward=reward,
-        c_r=c_r,
         noise=noise,
         schedule=tuple(segments),
         horizon_s=horizon_s,

@@ -35,9 +35,7 @@ class ResidualEval:
     """Residual stack (and optionally its Jacobian) at one candidate input."""
 
     residual: np.ndarray          # ((n+1),)
-    jacobian: np.ndarray | None   # ((n+1), 1)
-    y_pred: float
-    condition_mean: float
+    jacobian: np.ndarray | None   # ((n+1),), dF/du
 
 
 def predict_output(p: DceeProblem, u: float) -> float:
@@ -159,13 +157,12 @@ def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool) -> ResidualEv
         dgam /= th0 * th0
         dgam *= 0.5 * s * dy_du
         dmean = dgam.mean()
-        col = np.empty(prep.n + 1)
-        col[0] = dy_du - dmean
-        np.subtract(dgam, dmean, out=col[1:])
-        col[1:] *= prep.inv_sqrt_n
-        jac = col[:, None]
+        jac = np.empty(prep.n + 1)
+        jac[0] = dy_du - dmean
+        np.subtract(dgam, dmean, out=jac[1:])
+        jac[1:] *= prep.inv_sqrt_n
 
-    return ResidualEval(residual=residual, jacobian=jac, y_pred=y, condition_mean=float(gmean))
+    return ResidualEval(residual=residual, jacobian=jac)
 
 
 def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True) -> ResidualEval:
@@ -245,38 +242,38 @@ def objective_grid(p: DceeProblem, us) -> np.ndarray:
 
 
 def residual_fn(p: DceeProblem):
-    """Adapter for the inner solver: u (one-element sequence) -> (F, J).
+    """Adapter for the inner solver: u -> (F, J).
 
     Prepares the problem-invariant quantities once, so repeated evaluations
     inside one solve stay cheap.
     """
     prep = _Prepared(p)
 
-    def fn(u_vec):
-        ev = _eval_prepared(prep, float(u_vec[0]), True)
+    def fn(u: float):
+        ev = _eval_prepared(prep, u, True)
         return ev.residual, ev.jacobian
 
     return fn
 
 
 def _as_residual_only(target):
-    """Normalize a DceeProblem or a residual callable to u_vec -> F."""
+    """Normalize a DceeProblem or a residual callable to u -> F."""
     if isinstance(target, DceeProblem):
         prep = _Prepared(target)
 
-        def fn(u_vec):
-            return _eval_prepared(prep, float(u_vec[0]), False).residual
+        def fn(u: float):
+            return _eval_prepared(prep, u, False).residual
         return fn
     if callable(target):
-        def fn(u_vec):
-            out = target(np.asarray(u_vec, dtype=float))
+        def fn(u: float):
+            out = target(u)
             return out[0] if isinstance(out, tuple) else out
         return fn
     raise InvalidInputError(f"expected a DceeProblem or callable, got {type(target)!r}")
 
 
-def jacobian_fd(target, u, h: float) -> np.ndarray:
-    """Central-difference Jacobian of the residual map, step h per component.
+def jacobian_fd(target, u: float, h: float) -> np.ndarray:
+    """Central-difference Jacobian dF/du of the residual map with step h.
 
     Verification oracle for the analytic Jacobian; target may be a
     DceeProblem or any callable returning the residual (or (F, J)).
@@ -284,10 +281,4 @@ def jacobian_fd(target, u, h: float) -> np.ndarray:
     if not (h > 0.0):
         raise InvalidInputError(f"finite-difference step must be positive, got {h}")
     fn = _as_residual_only(target)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    cols = []
-    for i in range(u.size):
-        du = np.zeros_like(u)
-        du[i] = h
-        cols.append((fn(u + du) - fn(u - du)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    return (fn(u + h) - fn(u - h)) / (2.0 * h)

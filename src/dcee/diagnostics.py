@@ -9,11 +9,11 @@ iteration.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import DceeProblem, _as_residual_only, evaluate, jacobian_fd
+from .core import DceeProblem, _as_residual_only, evaluate, jacobian_fd, standstill_input
 from .ensemble import Ensemble
 from .errors import InfeasibleCandidateError, InvalidInputError, RateUndefinedError
 from .plant import VehicleParams
@@ -23,25 +23,25 @@ from .reward import QuadraticRewardSpec, make_true_params
 @dataclass(frozen=True)
 class HessianSplit:
     """h_exact = b_ggn + e_ggn, with b_ggn = J'J from the analytic Jacobian
-    and h_exact a symmetrized finite-difference Hessian of 0.5 * ||F||^2."""
+    and h_exact a finite-difference second derivative of 0.5 * ||F||^2."""
 
-    b_ggn: np.ndarray
-    e_ggn: np.ndarray
-    h_exact: np.ndarray
+    b_ggn: float
+    e_ggn: float
+    h_exact: float
 
 
 def _half_objective_fn(target):
     fn = _as_residual_only(target)
 
-    def L(u_vec):
-        f = fn(u_vec)
+    def L(u: float) -> float:
+        f = fn(u)
         return 0.5 * float(f @ f)
 
     return L
 
 
-def exact_hessian_fd(target, u, h: float) -> np.ndarray:
-    """Central second differences of 0.5 * ||F(u)||^2, symmetrized.
+def exact_hessian_fd(target, u: float, h: float) -> float:
+    """Central second difference of 0.5 * ||F(u)||^2.
 
     target may be a DceeProblem or a residual callable.  Infeasible stencil
     points propagate as InfeasibleCandidateError.
@@ -49,59 +49,38 @@ def exact_hessian_fd(target, u, h: float) -> np.ndarray:
     if not (h > 0.0):
         raise InvalidInputError(f"finite-difference step must be positive, got {h}")
     L = _half_objective_fn(target)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    n = u.size
-    H = np.empty((n, n))
-    L0 = L(u)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (L(u + ei) - 2.0 * L0 + L(u - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            cross = (L(u + ei + ej) - L(u + ei - ej) - L(u - ei + ej) + L(u - ei - ej)) / (4.0 * h * h)
-            H[i, j] = cross
-            H[j, i] = cross
-    return 0.5 * (H + H.T)
+    return (L(u + h) - 2.0 * L(u) + L(u - h)) / (h * h)
 
 
-def ggn_split(target, u, h: float | None = None) -> HessianSplit:
-    """Split the exact (finite-difference) Hessian into J'J and the rest.
+def ggn_split(target, u: float, h: float | None = None) -> HessianSplit:
+    """Split the exact (finite-difference) curvature into J'J and the rest.
 
     The default Hessian step is 1e-4 * (1 + |u|); second differences lose
     more precision than first, so the step is coarser than the Jacobian's.
     """
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    u = float(u)
     if h is None:
-        h = 1e-4 * (1.0 + float(np.linalg.norm(u_arr)))
+        h = 1e-4 * (1.0 + abs(u))
     if isinstance(target, DceeProblem):
-        J = evaluate(target, float(u_arr[0]), with_jacobian=True).jacobian
+        J = evaluate(target, u, with_jacobian=True).jacobian
     else:
-        out = target(u_arr)
+        out = target(u)
         if not (isinstance(out, tuple) and len(out) == 2):
             raise InvalidInputError("callable target must return (residual, jacobian)")
-        J = np.atleast_2d(np.asarray(out[1], dtype=float))
-    b = J.T @ J
-    h_exact = exact_hessian_fd(target, u_arr, h)
+        J = np.asarray(out[1], dtype=float)
+    b = float(J @ J)
+    h_exact = exact_hessian_fd(target, u, h)
     return HessianSplit(b_ggn=b, e_ggn=h_exact - b, h_exact=h_exact)
 
 
 def contraction_rate(split: HessianSplit) -> float:
-    """Smallest alpha with -alpha*B <= E <= alpha*B (as quadratic forms).
+    """|E| / B, the smallest alpha with -alpha*B <= E <= alpha*B.
 
-    Largest absolute generalized eigenvalue of (E, B); below one, the
-    full-step iteration contracts locally.  Requires B positive definite.
+    Below one, the full-step iteration contracts locally.  Requires B > 0.
     """
-    B = split.b_ggn
-    E = split.e_ggn
-    if np.linalg.eigvalsh(B).min() <= 0.0:
-        raise RateUndefinedError("curvature matrix is not positive definite")
-    # with B = L L', the pencil (E, B) has the eigenvalues of L^-1 E L^-T
-    L = np.linalg.cholesky(B)
-    M = np.linalg.solve(L, np.linalg.solve(L, E).T)
-    vals = np.linalg.eigvalsh(0.5 * (M + M.T))
-    return float(np.max(np.abs(vals)))
+    if not (split.b_ggn > 0.0):
+        raise RateUndefinedError("curvature J'J is not positive")
+    return abs(split.e_ggn) / split.b_ggn
 
 
 @dataclass
@@ -162,12 +141,31 @@ def random_input(rng: np.random.Generator, vehicle: VehicleParams) -> float:
     return float(rng.uniform(vehicle.u_min, vehicle.u_max))
 
 
+def _audit_instance(rng: np.random.Generator, p: DceeProblem, k: int):
+    """The k-th audit instance, cycling through the edges the solver can
+    reach: the speed is a cruising one or a standstill one (v in [0, 0.5],
+    where low inputs clamp the predicted speed to 0), and the input is
+    interior or at a bound."""
+    prob = random_problem(rng, vehicle=p.vehicle, reward=p.reward)
+    if k % 2:
+        prob = replace(prob, v=float(rng.uniform(0.0, 0.5)))
+    veh = prob.vehicle
+    if k % 4 >= 2:
+        u = veh.u_max if rng.random() < 0.5 else veh.u_min
+    else:
+        u = random_input(rng, veh)
+    return prob, u
+
+
 def derivative_audit(p: DceeProblem, samples: int, seed: int) -> AuditReport:
     """Randomized check of the analytic Jacobian, the gradient identity
     grad(0.5*||F||^2) = J'F, and the exploitation/exploration decomposition.
 
-    Instances that hit the infeasible region (at the point or on the
-    finite-difference stencil) are skipped and counted, not failed.
+    Three in four instances sit at an edge: a standstill speed, an input at
+    a bound, or both (see _audit_instance).  Instances that hit the
+    infeasible region (at the point or on the finite-difference stencil),
+    or whose stencil straddles standstill_input, where the residual has a
+    kink, are skipped and counted, not failed.
     """
     if samples < 1:
         raise InvalidInputError("samples must be at least 1")
@@ -179,16 +177,17 @@ def derivative_audit(p: DceeProblem, samples: int, seed: int) -> AuditReport:
     max_grad = 0.0
     max_split = 0.0
     skipped = 0
-    for _ in range(samples):
-        prob = random_problem(rng, vehicle=p.vehicle, reward=p.reward)
-        u = random_input(rng, prob.vehicle)
+    for k in range(samples):
+        prob, u = _audit_instance(rng, p, k)
         h = fd_step(prob.vehicle, u)
+        if u - h < standstill_input(prob.vehicle, prob.v) < u + h:
+            skipped += 1
+            continue
         try:
             ev = evaluate(prob, u, with_jacobian=True)
             J_fd = jacobian_fd(prob, u, h)
-            u_arr = np.array([u])
             L = _half_objective_fn(prob)
-            g_fd = (L(u_arr + h) - L(u_arr - h)) / (2.0 * h)
+            g_fd = (L(u + h) - L(u - h)) / (2.0 * h)
             exploit, explore = objective_split(prob, u)
             d = objective(prob, u)
         except InfeasibleCandidateError:
@@ -197,7 +196,7 @@ def derivative_audit(p: DceeProblem, samples: int, seed: int) -> AuditReport:
         J = ev.jacobian
         jac_scale = max(np.abs(J).max(), 1e-300)
         max_jac = max(max_jac, float(np.abs(J_fd - J).max() / jac_scale))
-        g = float(J[:, 0] @ ev.residual)
+        g = float(J @ ev.residual)
         g_scale = max(abs(g), abs(g_fd), 1e-10)
         max_grad = max(max_grad, abs(g_fd - g) / g_scale)
         max_split = max(max_split, abs(d - (exploit + explore)))

@@ -23,12 +23,8 @@ class ConfigurationError(DceeError):
     """Invalid scenario, ensemble, or solver configuration."""
 
 
-class RankDeficiencyError(DceeError):
-    """Normal equations are singular at zero damping."""
-
-
 class RateUndefinedError(DceeError):
-    """Local contraction rate requires a positive definite curvature matrix."""
+    """Local contraction rate requires a positive curvature J'J."""
 
 
 class SolverFailureError(DceeError):

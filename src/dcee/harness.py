@@ -284,8 +284,7 @@ def parse_csv(path) -> list:
 def _fd_jacobian_fn(problem: DceeProblem):
     """Residual/Jacobian callback with the Jacobian by central differences."""
 
-    def fn(u_vec):
-        u = float(u_vec[0])
+    def fn(u: float):
         F = evaluate(problem, u, with_jacobian=False).residual
         J = jacobian_fd(problem, u, fd_step(problem.vehicle, u))
         return F, J
@@ -391,7 +390,7 @@ def bench_solver(
         health.add(report)
 
         try:
-            _, rep_fd = solve(_fd_jacobian_fn(problem), [u_prev], gncfg)
+            _, rep_fd = solve(_fd_jacobian_fn(problem), u_prev, gncfg)
             times["fd_jacobian_gn"].append(rep_fd.solve_time_ns)
         except SolverFailureError:
             reference_failures += 1
@@ -403,11 +402,11 @@ def bench_solver(
 
         if k % agreement_stride == 0:
             try:
-                u_a, _ = solve(residual_fn(problem), [u_prev], ref_cfg)
-                u_b, _ = solve(_fd_jacobian_fn(problem), [u_prev], ref_cfg)
+                u_a, _ = solve(residual_fn(problem), u_prev, ref_cfg)
+                u_b, _ = solve(_fd_jacobian_fn(problem), u_prev, ref_cfg)
                 u_c, _, _ = _newton_fd_solve(problem, u_prev, ref_cfg)
                 objs = []
-                for uu in (float(u_a[0]), float(u_b[0]), u_c):
+                for uu in (u_a, u_b, u_c):
                     f = evaluate(problem, uu, with_jacobian=False).residual
                     objs.append(float(f @ f))
                 spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)

@@ -2,18 +2,12 @@
 
 Each iteration linearizes only the residual map and solves the resulting
 convex least-squares subproblem; with a squared-norm outer loss that
-subproblem *is* the Gauss-Newton step, so the curvature matrix J'J is
-positive semidefinite and only first derivatives are ever needed.
+subproblem *is* the Gauss-Newton step, so the curvature J'J is nonnegative
+and only first derivatives are ever needed.
 
-The input is a scalar, so ``solve`` forms the normal equation inline on
-plain floats.  Two step computations for any number of inputs are kept as a
-cross-checked pair:
-
-* ``gn_step``    solves the damped normal equations by Cholesky
-                 (quadratic-model view);
-* ``scp_step``   minimizes ||F + J du||^2 (+ damping) by orthogonal
-                 factorization of the stacked system (linearized-residual
-                 view, an independent cross-check).
+The input is a scalar, so J is a vector, J'J a number, and the step one
+division: ``gn_step``.  ``scp_step`` computes the same step by least
+squares on the stacked linearized residual, an independent cross-check.
 """
 from __future__ import annotations
 
@@ -24,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DceeProblem, residual_fn, standstill_input
-from .errors import (
-    InfeasibleCandidateError,
-    InvalidInputError,
-    RankDeficiencyError,
-    SolverFailureError,
-)
+from .errors import InfeasibleCandidateError, SolverFailureError
 
 # Relative slack when judging whether a trial step decreased the objective;
 # guards against rejecting genuinely converged steps on rounding noise.
@@ -48,7 +37,7 @@ class GnConfig:
     the units of the input.  When a step is rejected (infeasible trial point
     or objective increase) it escalates to max(10 damping, 1), and the five
     retries shorten the step by about 1e4.  A solve ends as converged when
-    the stopping measure meets tol or when an accepted step leaves the
+    |du| / (1 + |u|) meets tol or when an accepted step leaves the
     objective unchanged or higher, i.e. at the rounding floor.
     """
 
@@ -75,7 +64,6 @@ class GnReport:
     iterations: int = 0
     step_norms: list = field(default_factory=list)
     objective_trace: list = field(default_factory=list)
-    stop_measure: float = math.inf
     converged: bool = False
     solve_time_ns: int = 0
     fallback: bool = False
@@ -114,66 +102,48 @@ class SolverHealth:
         }
 
 
-def gn_step(F, J, damping: float) -> np.ndarray:
-    """Solve (J'J + damping*I) du = -J'F by Cholesky factorization.
+def gn_step(jtf: float, jtj: float, damping: float) -> float:
+    """The damped Gauss-Newton step -(J'F) / (J'J (1 + damping)).
 
-    For damping = 0 and full-rank J this is the exact minimizer of
-    ||F + J du||^2.  A singular system (possible only at zero damping)
-    raises RankDeficiencyError so the caller can retry damped.
+    damping is relative to the curvature J'J (see GnConfig).  J'J = 0 means
+    J = 0, so the gradient J'F vanishes too and the step is 0.
     """
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    F = np.asarray(F, dtype=float).ravel()
-    n = J.shape[1]
-    A = J.T @ J + damping * np.eye(n)
-    b = -(J.T @ F)
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError("normal equations singular at the given damping") from exc
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+    return -jtf / (jtj * (1.0 + damping)) if jtj > 0.0 else 0.0
 
 
-def scp_step(F, J, damping: float) -> np.ndarray:
-    """Minimize ||F + J du||^2 + damping ||du||^2 via least squares on the
-    stacked system; independent of the normal-equations path."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
-    F = np.asarray(F, dtype=float).ravel()
-    n = J.shape[1]
-    if damping > 0.0:
-        A = np.vstack([J, math.sqrt(damping) * np.eye(n)])
-        b = np.concatenate([-F, np.zeros(n)])
-    else:
-        A, b = J, -F
+def scp_step(F, J, damping: float) -> float:
+    """Minimize ||F + J du||^2 + damping du^2 by least squares on the stacked
+    system [J; sqrt(damping)] du = [-F; 0].
+
+    damping is absolute here: gn_step's relative damping lam corresponds to
+    lam * J'J.  Independent of gn_step's normal-equation formula.
+    """
+    A = np.append(np.asarray(J, dtype=float), math.sqrt(damping))[:, None]
+    b = np.append(-np.asarray(F, dtype=float), 0.0)
     sol, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    return sol
+    return float(sol[0])
 
 
-def solve(fun, u_init, cfg: GnConfig):
-    """Run the damped Gauss-Newton iteration from a one-element u_init.
+def solve(fun, u_init: float, cfg: GnConfig):
+    """Run the damped Gauss-Newton iteration from u_init.
 
-    fun maps a one-element input sequence to (residual, jacobian of shape
-    (m, 1)) and may raise InfeasibleCandidateError.  The step is
-    -(J'F) / (J'J (1 + damping)) with the damping relative to J'J (see
-    GnConfig); where J'J = 0 the gradient vanishes too and the step is zero.
-    Iterates are clamped to the input box after each step; the stopping
-    measure is |du| / (1 + |u|) evaluated with the effective (post-clamp)
-    step, so saturation at a bound terminates.  An accepted step that leaves
-    the objective unchanged or higher also ends the solve as converged: the
+    fun maps an input u to (residual, jacobian), both of shape (m,), and may
+    raise InfeasibleCandidateError.  Each trial step is gn_step's.  Iterates
+    are clamped to the input box after each step; the stopping measure is
+    |du| / (1 + |u|) evaluated with the effective (post-clamp) step, so
+    saturation at a bound terminates.  An accepted step that leaves the
+    objective unchanged or higher also ends the solve as converged: the
     iterate sits at the rounding floor, and further steps only cycle there.
 
-    Returns (u as a shape-(1,) array, report).  Raises SolverFailureError
-    (carrying the partial report) when no acceptable step exists after
-    damping escalation.
+    Returns (u, report).  Raises SolverFailureError (carrying the partial
+    report) when no acceptable step exists after damping escalation.
     """
     t0 = time.perf_counter_ns()
-    u_arr = np.asarray(u_init, dtype=float).ravel()
-    if u_arr.size != 1:
-        raise InvalidInputError(f"solve takes a one-element input, got {u_arr.size} elements")
     u_min, u_max = cfg.u_min, cfg.u_max
-    u = min(max(float(u_arr[0]), u_min), u_max)
+    u = min(max(float(u_init), u_min), u_max)
     report = GnReport()
     try:
-        F, J = fun((u,))
+        F, J = fun(u)
     except InfeasibleCandidateError as exc:
         report.solve_time_ns = time.perf_counter_ns() - t0
         raise SolverFailureError("initial point infeasible", report) from exc
@@ -181,16 +151,14 @@ def solve(fun, u_init, cfg: GnConfig):
     report.objective_trace.append(obj)
 
     for _ in range(cfg.max_iters):
-        col = J[:, 0]
-        jtj = float(col @ col)
-        jtf = float(col @ F)
+        jtj = float(J @ J)
+        jtf = float(J @ F)
         lam = cfg.damping
         accepted = False
         for _attempt in range(_MAX_ESCALATIONS + 1):
-            du = -jtf / (jtj * (1.0 + lam)) if jtj > 0.0 else 0.0
-            u_new = min(max(u + du, u_min), u_max)
+            u_new = min(max(u + gn_step(jtf, jtj, lam), u_min), u_max)
             try:
-                F_new, J_new = fun((u_new,))
+                F_new, J_new = fun(u_new)
             except InfeasibleCandidateError:
                 pass
             else:
@@ -209,16 +177,16 @@ def solve(fun, u_init, cfg: GnConfig):
         step_norm = abs(u_new - u)
         report.iterations += 1
         report.step_norms.append(step_norm)
-        report.stop_measure = step_norm / (1.0 + abs(u))
+        stop = step_norm / (1.0 + abs(u))
         stalled = obj_new >= obj
         u, F, J, obj = u_new, F_new, J_new, obj_new
         report.objective_trace.append(obj)
-        if report.stop_measure <= cfg.tol or stalled:
+        if stop <= cfg.tol or stalled:
             report.converged = True
             break
 
     report.solve_time_ns = time.perf_counter_ns() - t0
-    return np.array([u]), report
+    return u, report
 
 
 def controller_step(p: DceeProblem, u_prev: float, cfg: GnConfig):
@@ -233,8 +201,7 @@ def controller_step(p: DceeProblem, u_prev: float, cfg: GnConfig):
     """
     u_start = max(float(u_prev), standstill_input(p.vehicle, p.v))
     try:
-        u_vec, report = solve(residual_fn(p), [u_start], cfg)
-        return float(u_vec[0]), report
+        return solve(residual_fn(p), u_start, cfg)
     except SolverFailureError as exc:
         report = exc.report if exc.report is not None else GnReport()
         report.fallback = True

@@ -62,8 +62,12 @@ def test_run_byte_identical_replay(cfg_path, tmp_path):
     assert a == b
 
 
-def test_run_requires_config():
-    assert main(["run"]) == 2
+def test_run_requires_config(cfg_path):
+    # every scenario command names its config one way: the positional path
+    for argv in (["run"], ["compare"], ["bench"], ["audit"], ["run", "--config", cfg_path]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_import_loads_no_scipy():

@@ -96,17 +96,17 @@ def test_residual_eval_norm_matches_objective():
     ev = evaluate(p, 250.0)
     assert float(ev.residual @ ev.residual) == pytest.approx(objective(p, 250.0), abs=1e-12)
     assert ev.residual.shape == (p.ensemble.n_members + 1,)
-    assert ev.jacobian.shape == (p.ensemble.n_members + 1, 1)
+    assert ev.jacobian.shape == (p.ensemble.n_members + 1,)
 
 
 def test_jacobian_consensus_has_zero_uncertainty_rows(spec):
     theta = make_true_params(spec, 1.0, 22.0, 1.0)
     p = make_problem(np.tile(theta, (5, 1)), v=20.0, spec=spec)
     J = jacobian(p, 300.0)
-    assert np.abs(J[1:, 0]).max() == 0.0
+    assert np.abs(J[1:]).max() == 0.0
     single = make_problem(theta[None, :], v=20.0, spec=spec)
     J1 = jacobian(single, 300.0)
-    assert J1[1, 0] == 0.0
+    assert J1[1] == 0.0
 
 
 def test_jacobian_matches_finite_differences():
@@ -149,7 +149,7 @@ def test_standstill_input_is_the_edge_of_the_clamp():
     h = fd_step(p.vehicle, u_stop)
     J = evaluate(p, u_stop).jacobian
     J_fwd = (residual(p, u_stop + h) - residual(p, u_stop)) / h
-    assert np.allclose(J[:, 0], J_fwd, rtol=1e-4, atol=1e-12 * np.abs(J).max())
+    assert np.allclose(J, J_fwd, rtol=1e-4, atol=1e-12 * np.abs(J).max())
     assert J.any()
 
 
@@ -167,7 +167,7 @@ def test_gradient_identity():
             lm = 0.5 * objective(p, u - h)
         except InfeasibleCandidateError:
             continue
-        g = float(ev.jacobian[:, 0] @ ev.residual)
+        g = float(ev.jacobian @ ev.residual)
         g_fd = (lp - lm) / (2.0 * h)
         assert abs(g - g_fd) <= 1e-6 * max(abs(g), abs(g_fd), 1e-10)
         checked += 1
@@ -181,7 +181,7 @@ def test_linearized_objective_midpoint_convexity():
     F, J = ev.residual, ev.jacobian
 
     def q(du):
-        r = F + J[:, 0] * du
+        r = F + J * du
         return float(r @ r)
 
     for _ in range(200):
@@ -214,18 +214,17 @@ def test_jacobian_fd_affine_exact():
     a = np.array([2.0, -1.0, 0.5])
     b = np.array([1.0, 0.0, -2.0])
 
-    def affine(u_vec):
-        return a * float(u_vec[0]) + b
+    def affine(u):
+        return a * u + b
 
     J = jacobian_fd(affine, 3.0, h=1e-3)
-    assert np.abs(J[:, 0] - a).max() < 1e-12
+    assert np.abs(J - a).max() < 1e-12
 
 
 def test_jacobian_fd_second_order_convergence():
     # halving the step reduces the truncation error about fourfold on a
     # smooth synthetic residual with known third derivative
-    def cubic(u_vec):
-        u = float(u_vec[0])
+    def cubic(u):
         return np.array([u**3, math.sin(u)])
 
     def exact(u):
@@ -235,7 +234,7 @@ def test_jacobian_fd_second_order_convergence():
     errs = []
     for h in (1e-2, 5e-3):
         J = jacobian_fd(cubic, u0, h=h)
-        errs.append(np.abs(J[:, 0] - exact(u0)).max())
+        errs.append(np.abs(J - exact(u0)).max())
     ratio = errs[0] / errs[1]
     assert 3.5 < ratio < 4.5
 
