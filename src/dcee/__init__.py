@@ -7,13 +7,11 @@ from .core import (
     DceeProblem,
     ResidualEval,
     evaluate,
-    jacobian,
     jacobian_fd,
     objective,
     objective_grid,
     objective_split,
     predict_output,
-    residual,
     residual_fn,
     standstill_input,
 )

@@ -30,6 +30,14 @@ def _ensure_out(args):
     return args.out
 
 
+def _write_json(out, name, payload):
+    path = os.path.join(out, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
 def _print_solver_health(tag, health: dict):
     if health["solves"]:
         print(
@@ -86,11 +94,7 @@ def _cmd_compare(args) -> int:
             export(result, path, "csv")
             print(f"wrote {path}")
     if out:
-        path = os.path.join(out, "compare_summary.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path}")
+        _write_json(out, "compare_summary.json", summary)
     return 0
 
 
@@ -111,11 +115,7 @@ def _cmd_bench(args) -> int:
     _print_solver_health("bench[analytic_gn]", report["solver"])
     out = _ensure_out(args)
     if out:
-        path = os.path.join(out, "bench.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path}")
+        _write_json(out, "bench.json", report)
     return 0
 
 
@@ -129,11 +129,7 @@ def _cmd_audit(args) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     out = _ensure_out(args)
     if out:
-        path = os.path.join(out, "audit.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path}")
+        _write_json(out, "audit.json", payload)
     return 0 if report.passed else 1
 
 

@@ -60,38 +60,73 @@ def standstill_input(vehicle: VehicleParams, v: float) -> float:
     return drag_force(vehicle, v) - v * vehicle.mass / vehicle.dt
 
 
+def _pairwise_sum(a: list) -> float:
+    """Sum a list of floats in numpy's pairwise order (numpy's
+    pairwise_sum): fewer than 8 entries in order; up to 128 in 8 running
+    partial sums combined as a tree, then the tail in order; longer lists
+    as two halves split at a multiple of 8."""
+    n = len(a)
+    if n < 8:
+        res = 0.0
+        for x in a:
+            res += x
+        return res
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    head = n - n % 8
+    r = a[:8]
+    for i in range(8, head, 8):
+        r = [ri + x for ri, x in zip(r, a[i:i + 8])]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in a[head:]:
+        res += x
+    return res
+
+
+def _mean(a: list) -> float:
+    """np.mean of a list of floats, bit for bit: numpy adds the pairwise sum
+    to its identity 0.0, then divides by the count."""
+    return (0.0 + _pairwise_sum(a)) / len(a)
+
+
 class _Prepared:
     """Problem-invariant quantities shared by all evaluations of one snapshot.
 
     The inner solver evaluates the same DceeProblem many times per control
     period; everything that does not depend on the candidate input is
-    computed once here.
+    computed once here, as Python floats and lists (see evaluate).
     """
 
-    __slots__ = ("p", "m0", "m1", "m2", "d0", "d1", "rates", "mean",
-                 "drag", "dy_du", "u_stop", "s", "floor", "n", "inv_sqrt_n")
+    __slots__ = ("v", "m0", "m1", "m2", "d0", "d1", "rates", "mean",
+                 "drag", "dy_du", "u_stop", "s", "floor", "inv_sqrt_n")
 
     def __init__(self, p: DceeProblem):
-        members = p.ensemble.members
-        self.p = p
-        self.m0 = np.ascontiguousarray(members[:, 0])
-        self.m1 = np.ascontiguousarray(members[:, 1])
-        self.m2 = np.ascontiguousarray(members[:, 2])
-        self.rates = p.ensemble.rates
-        self.mean = members.mean(axis=0)
-        self.d0 = self.m0 - self.mean[0]
-        self.d1 = self.m1 - self.mean[1]
+        self.m0, self.m1, self.m2 = p.ensemble.members.T.tolist()
+        self.rates = p.ensemble.rates.tolist()
+        n = len(self.m0)
+        # members.mean(axis=0) sums each column in order, starting from 0.0
+        mean = []
+        for col in (self.m0, self.m1, self.m2):
+            acc = 0.0
+            for x in col:
+                acc += x
+            mean.append(acc / n)
+        self.mean = mean
+        self.d0 = [x - mean[0] for x in self.m0]
+        self.d1 = [x - mean[1] for x in self.m1]
         veh = p.vehicle
+        self.v = p.v
         self.drag = drag_force(veh, p.v)
         self.dy_du = veh.dt / veh.mass
         self.u_stop = standstill_input(veh, p.v)
         self.s = p.reward.v_scale
         self.floor = p.reward.curvature_floor
-        self.n = members.shape[0]
-        self.inv_sqrt_n = 1.0 / math.sqrt(self.n)
+        self.inv_sqrt_n = 1.0 / math.sqrt(n)
 
 
-def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool) -> ResidualEval:
+def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool):
+    """(F, J) at u as arrays, with J None unless requested."""
     u = float(u)
     if not math.isfinite(u):
         raise InvalidInputError(f"candidate input must be finite, got {u}")
@@ -104,65 +139,59 @@ def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool) -> ResidualEv
     else:
         # at u_stop itself rounding can leave y a hair below 0; the
         # derivative there is the one-sided one from above
-        y = max(prep.p.v + dy_du * (u - prep.drag), 0.0)
+        y = max(prep.v + dy_du * (u - prep.drag), 0.0)
     s = prep.s
     z = y / s
     psi0 = z * z
-    psi1 = z
-    mean = prep.mean
-    r_hat = mean[0] * psi0 + mean[1] * psi1 + mean[2]
-    pred = prep.m0 * psi0
-    pred += prep.m1 * psi1
-    pred += prep.m2
-    innov = pred
-    innov -= r_hat
-    gain = prep.rates * innov
-    th0 = prep.m0 - gain * psi0
-    th1 = prep.m1 - gain * psi1
-    if th0.max() > -prep.floor:
-        raise InfeasibleCandidateError(
-            f"candidate u={u} drives a predicted member outside the admissible region"
-        )
-    gam = th1 / th0
-    gam *= -0.5 * s
-    gmean = gam.mean()
+    mean0, mean1, mean2 = prep.mean
+    r_hat = mean0 * psi0 + mean1 * z + mean2
+    neg_floor = -prep.floor
+    scale = -0.5 * s
+    # predicted member update theta - rate * innovation * psi, and each
+    # updated member's optimal speed
+    innov, th0, th1, gam = [], [], [], []
+    for a, b, c, rate in zip(prep.m0, prep.m1, prep.m2, prep.rates):
+        e = a * psi0 + b * z + c - r_hat
+        gain = rate * e
+        t0 = a - gain * psi0
+        if t0 > neg_floor:
+            raise InfeasibleCandidateError(
+                f"candidate u={u} drives a predicted member outside the admissible region"
+            )
+        t1 = b - gain * z
+        innov.append(e)
+        th0.append(t0)
+        th1.append(t1)
+        gam.append(t1 / t0 * scale)
+    gmean = _mean(gam)
     if not math.isfinite(gmean):
         # overflowing members give inf/nan here; to the solver that is one
         # more candidate it must not accept
         raise InfeasibleCandidateError(
             f"candidate u={u} gives a non-finite predicted optimal speed"
         )
+    w = prep.inv_sqrt_n
+    F = np.array([y - gmean] + [(g - gmean) * w for g in gam])
+    if not with_jacobian:
+        return F, None
 
-    residual = np.empty(prep.n + 1)
-    residual[0] = y - gmean
-    np.subtract(gam, gmean, out=residual[1:])
-    residual[1:] *= prep.inv_sqrt_n
-
-    jac = None
-    if with_jacobian:
-        dpsi0 = 2.0 * y / (s * s)
-        dpsi1 = 1.0 / s
-        dinnov = prep.d0 * dpsi0
-        dinnov += prep.d1 * dpsi1
-        dth0_dy = dpsi0 * innov
-        dth0_dy += psi0 * dinnov
-        dth0_dy *= prep.rates
-        dth1_dy = dpsi1 * innov
-        dth1_dy += psi1 * dinnov
-        dth1_dy *= prep.rates
-        # d(gam)/dy = -(s/2) * (dth1 * th0 - th1 * dth0) / th0^2, with the
-        # minus signs of the update direction folded in
-        dgam = dth1_dy * th0
-        dgam -= th1 * dth0_dy
-        dgam /= th0 * th0
-        dgam *= 0.5 * s * dy_du
-        dmean = dgam.mean()
-        jac = np.empty(prep.n + 1)
-        jac[0] = dy_du - dmean
-        np.subtract(dgam, dmean, out=jac[1:])
-        jac[1:] *= prep.inv_sqrt_n
-
-    return ResidualEval(residual=residual, jacobian=jac)
+    dpsi0 = 2.0 * y / (s * s)
+    dpsi1 = 1.0 / s
+    k = 0.5 * s * dy_du
+    # d(gam)/du = -(s/2) dy/du (dth1 th0 - th1 dth0) / th0^2, with the minus
+    # signs of the update direction folded in
+    dgam = []
+    try:
+        for e, t0, t1, d0, d1, rate in zip(innov, th0, th1, prep.d0, prep.d1, prep.rates):
+            de = d0 * dpsi0 + d1 * dpsi1
+            dt0 = (dpsi0 * e + psi0 * de) * rate
+            dt1 = (dpsi1 * e + z * de) * rate
+            dgam.append((dt1 * t0 - t1 * dt0) / (t0 * t0) * k)
+    except ZeroDivisionError:  # th0**2 underflows below a floor of about 1e-154
+        raise InfeasibleCandidateError(f"candidate u={u}: predicted curvature underflows") from None
+    dmean = _mean(dgam)
+    J = np.array([dy_du - dmean] + [(g - dmean) * w for g in dgam])
+    return F, J
 
 
 def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True) -> ResidualEval:
@@ -174,19 +203,17 @@ def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True) -> ResidualEv
     derivative of the optimal-speed map.
 
     This is the solver's per-iteration hot path, so the predicted update and
-    the condition statistics are fused into one pass instead of going through
-    the ensemble-module functions; objective_split keeps the unfused route,
-    which is what makes the decomposition identity a genuine cross-check.
+    the condition statistics are fused into one loop over the members
+    instead of going through the ensemble-module functions; objective_split
+    keeps the unfused route, which is what makes the decomposition identity
+    a genuine cross-check.  With about ten members, numpy's per-call cost
+    would outweigh the arithmetic, so the loop runs on Python floats: one
+    pass for the residual and a second for the Jacobian.  Its means add in
+    np.mean's order, so the results are those of the same formulas
+    evaluated on numpy arrays, bit for bit.
     """
-    return _eval_prepared(_Prepared(p), u, with_jacobian)
-
-
-def residual(p: DceeProblem, u: float) -> np.ndarray:
-    return evaluate(p, u, with_jacobian=False).residual
-
-
-def jacobian(p: DceeProblem, u: float) -> np.ndarray:
-    return evaluate(p, u, with_jacobian=True).jacobian
+    F, J = _eval_prepared(_Prepared(p), u, with_jacobian)
+    return ResidualEval(residual=F, jacobian=J)
 
 
 def objective(p: DceeProblem, u: float) -> float:
@@ -250,8 +277,7 @@ def residual_fn(p: DceeProblem):
     prep = _Prepared(p)
 
     def fn(u: float):
-        ev = _eval_prepared(prep, u, True)
-        return ev.residual, ev.jacobian
+        return _eval_prepared(prep, u, True)
 
     return fn
 
@@ -262,7 +288,7 @@ def _as_residual_only(target):
         prep = _Prepared(target)
 
         def fn(u: float):
-            return _eval_prepared(prep, u, False).residual
+            return _eval_prepared(prep, u, False)[0]
         return fn
     if callable(target):
         def fn(u: float):

@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .baselines import esc_init, esc_step, grad_dcee_step
 from .config import ScenarioConfig
-from .core import DceeProblem, objective_split, residual_fn, jacobian_fd, evaluate
+from .core import DceeProblem, evaluate, jacobian_fd, objective, objective_split, residual_fn
 from .diagnostics import fd_step
 from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
@@ -222,21 +222,8 @@ def export(result: RunResult, path, fmt: str):
         if fmt == "csv":
             lines = [CSV_HEADER]
             for r in result.records:
-                lines.append(
-                    ",".join(
-                        (
-                            _fmt(r.t),
-                            _fmt(r.v),
-                            _fmt(r.u),
-                            _fmt(r.v_star_true),
-                            _fmt(r.gamma_mean_est),
-                            _fmt(r.exploit),
-                            _fmt(r.explore),
-                            _fmt(r.reward_meas),
-                            str(r.iterations),
-                        )
-                    )
-                )
+                fields = [_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]]
+                lines.append(",".join(fields + [str(r.iterations)]))
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join(lines) + "\n")
         else:
@@ -265,19 +252,7 @@ def parse_csv(path) -> list:
         parts = ln.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise InvalidInputError(f"malformed CSV row: {ln!r}")
-        records.append(
-            StepRecord(
-                t=float(parts[0]),
-                v=float(parts[1]),
-                u=float(parts[2]),
-                v_star_true=float(parts[3]),
-                gamma_mean_est=float(parts[4]),
-                exploit=float(parts[5]),
-                explore=float(parts[6]),
-                reward_meas=float(parts[7]),
-                iterations=int(parts[8]),
-            )
-        )
+        records.append(StepRecord(*map(float, parts[:-1]), iterations=int(parts[-1])))
     return records
 
 
@@ -370,13 +345,7 @@ def bench_solver(
     if repetitions < 1:
         raise InvalidInputError("repetitions must be at least 1")
     gncfg = cfg.controller.solver
-    ref_cfg = GnConfig(
-        max_iters=reference_max_iters,
-        tol=gncfg.tol,
-        damping=gncfg.damping,
-        u_min=gncfg.u_min,
-        u_max=gncfg.u_max,
-    )
+    ref_cfg = replace(gncfg, max_iters=reference_max_iters)
     times = {"analytic_gn": [], "fd_jacobian_gn": [], "fd_hessian_newton": []}
     health = SolverHealth()
     agreement_max_rel = 0.0
@@ -405,10 +374,7 @@ def bench_solver(
                 u_a, _ = solve(residual_fn(problem), u_prev, ref_cfg)
                 u_b, _ = solve(_fd_jacobian_fn(problem), u_prev, ref_cfg)
                 u_c, _, _ = _newton_fd_solve(problem, u_prev, ref_cfg)
-                objs = []
-                for uu in (u_a, u_b, u_c):
-                    f = evaluate(problem, uu, with_jacobian=False).residual
-                    objs.append(float(f @ f))
+                objs = [objective(problem, uu) for uu in (u_a, u_b, u_c)]
                 spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
                 agreement_max_rel = max(agreement_max_rel, spread_rel)
                 agreement_checks += 1

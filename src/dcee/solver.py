@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import DceeProblem, residual_fn, standstill_input
 from .errors import InfeasibleCandidateError, SolverFailureError
+from .plant import drag_force
 
 # Relative slack when judging whether a trial step decreased the objective;
 # guards against rejecting genuinely converged steps on rounding noise.
@@ -196,14 +197,20 @@ def controller_step(p: DceeProblem, u_prev: float, cfg: GnConfig):
     predicts speed 0 and gives the same residual with a zero Jacobian, so a
     solve started there could never move.
 
-    Never raises: a solver failure falls back to holding u_prev and the
-    report is flagged, preserving the real-time contract.
+    Never raises: a solver failure falls back to holding u_prev, clamped to
+    the box, and the report is flagged, preserving the real-time contract.
+    A non-finite u_prev gives no input to hold, so it falls back to the
+    input that holds the current speed against drag.
     """
-    u_start = max(float(u_prev), standstill_input(p.vehicle, p.v))
-    try:
-        return solve(residual_fn(p), u_start, cfg)
-    except SolverFailureError as exc:
-        report = exc.report if exc.report is not None else GnReport()
-        report.fallback = True
-        u_held = min(max(float(u_prev), cfg.u_min), cfg.u_max)
-        return u_held, report
+    u_prev = float(u_prev)
+    report = GnReport()
+    if math.isfinite(u_prev):
+        try:
+            return solve(residual_fn(p), max(u_prev, standstill_input(p.vehicle, p.v)), cfg)
+        except SolverFailureError as exc:
+            report = exc.report or report
+        u_held = u_prev
+    else:
+        u_held = drag_force(p.vehicle, p.v)
+    report.fallback = True
+    return min(max(u_held, cfg.u_min), cfg.u_max), report

@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from dcee import (
+    Ensemble,
     InfeasibleCandidateError,
     InvalidInputError,
     drag_force,
     evaluate,
-    jacobian,
     jacobian_fd,
     make_true_params,
     objective,
     objective_grid,
     objective_split,
     predict_output,
-    residual,
     standstill_input,
 )
+from dcee.core import _mean
 from dcee.diagnostics import fd_step, random_input, random_problem
 
 from conftest import make_problem
@@ -46,7 +46,7 @@ def test_residual_zero_at_consensus_optimum(spec, vehicle):
     theta = make_true_params(spec, 1.0, 25.0, 1.0)
     p = make_problem(np.tile(theta, (4, 1)), v=25.0, spec=spec, vehicle=vehicle)
     u_eq = drag_force(vehicle, 25.0)
-    F = residual(p, u_eq)
+    F = evaluate(p, u_eq).residual
     assert np.abs(F).max() < 1e-12
     assert objective(p, u_eq) < 1e-24
 
@@ -54,7 +54,7 @@ def test_residual_zero_at_consensus_optimum(spec, vehicle):
 def test_residual_singleton_has_zero_uncertainty_block(spec):
     theta = make_true_params(spec, 1.0, 18.0, 0.5)
     p = make_problem(theta[None, :], v=12.0, spec=spec)
-    F = residual(p, 500.0)
+    F = evaluate(p, 500.0).residual
     assert F.shape == (2,)
     assert F[1] == 0.0
 
@@ -66,7 +66,7 @@ def test_residual_hand_values(spec):
     m2 = make_true_params(spec, 1.0, 20.0, 0.0)
     p = make_problem(np.stack([m1, m2]), rates=[1e-300, 1e-300], v=12.0)
     u = drag_force(p.vehicle, 12.0)  # predicted output 12, tiny rates freeze the update
-    F = residual(p, u)
+    F = evaluate(p, u).residual
     assert F == pytest.approx([-3.0, -5.0 / math.sqrt(2.0), 5.0 / math.sqrt(2.0)])
     assert objective(p, u) == pytest.approx(34.0)
     exploit, explore = objective_split(p, u)
@@ -102,10 +102,10 @@ def test_residual_eval_norm_matches_objective():
 def test_jacobian_consensus_has_zero_uncertainty_rows(spec):
     theta = make_true_params(spec, 1.0, 22.0, 1.0)
     p = make_problem(np.tile(theta, (5, 1)), v=20.0, spec=spec)
-    J = jacobian(p, 300.0)
+    J = evaluate(p, 300.0).jacobian
     assert np.abs(J[1:]).max() == 0.0
     single = make_problem(theta[None, :], v=20.0, spec=spec)
-    J1 = jacobian(single, 300.0)
+    J1 = evaluate(single, 300.0).jacobian
     assert J1[1] == 0.0
 
 
@@ -118,7 +118,7 @@ def test_jacobian_matches_finite_differences():
         u = random_input(rng, p.vehicle)
         h = fd_step(p.vehicle, u)
         try:
-            J = jacobian(p, u)
+            J = evaluate(p, u).jacobian
             J_fd = jacobian_fd(p, u, h)
         except InfeasibleCandidateError:
             continue
@@ -148,7 +148,7 @@ def test_standstill_input_is_the_edge_of_the_clamp():
     # at the edge the Jacobian is the one-sided one from above
     h = fd_step(p.vehicle, u_stop)
     J = evaluate(p, u_stop).jacobian
-    J_fwd = (residual(p, u_stop + h) - residual(p, u_stop)) / h
+    J_fwd = (evaluate(p, u_stop + h).residual - evaluate(p, u_stop).residual) / h
     assert np.allclose(J, J_fwd, rtol=1e-4, atol=1e-12 * np.abs(J).max())
     assert J.any()
 
@@ -245,7 +245,7 @@ def test_infeasible_candidate_raises(spec):
     members = np.array([[-0.0501, 2.0, 0.0], [-1.0, 1.0, 0.5]])
     p = make_problem(members, rates=[0.5, 0.5], v=55.0, spec=spec)
     with pytest.raises(InfeasibleCandidateError):
-        residual(p, 5000.0)
+        evaluate(p, 5000.0)
 
 
 def test_objective_grid_matches_pointwise():
@@ -267,3 +267,69 @@ def test_objective_grid_marks_infeasible(spec):
     us = np.array([0.0, 5000.0])
     grid = objective_grid(p, us)
     assert np.isinf(grid[1])
+
+
+def test_mean_matches_numpy_bitwise():
+    # the residual's means run on Python floats; they must round exactly as
+    # np.mean does (pairwise summation), or trajectories drift from it
+    rng = np.random.default_rng(29)
+    for n in list(range(1, 41)) + [129, 300]:
+        for _ in range(50):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+            assert np.float64(_mean(x.tolist())).tobytes() == x.mean().tobytes()
+    zeros = np.full(10, -0.0)
+    assert np.float64(_mean(zeros.tolist())).tobytes() == zeros.mean().tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 17])
+def test_evaluate_agrees_with_split_and_grid(n):
+    # the fused float residual against the two independent routes: the
+    # unfused ensemble statistics and the vectorized grid objective, at
+    # cruising speeds and at standstill speeds where low inputs clamp
+    rng = np.random.default_rng(30 + n)
+    checked = clamped = infeasible = 0
+    while checked < 60:
+        p = random_problem(rng)
+        members = p.ensemble.members.mean(axis=0) + rng.uniform(-0.3, 0.3, size=(n, 3))
+        members[:, 0] = np.minimum(members[:, 0], -p.reward.curvature_floor)
+        p = dataclasses.replace(p, ensemble=Ensemble(members, np.geomspace(0.05, 0.5, n)))
+        if checked % 2:
+            p = dataclasses.replace(p, v=float(rng.uniform(0.0, 0.3)))
+        u = random_input(rng, p.vehicle) if checked % 3 else p.vehicle.u_min
+        grid = float(objective_grid(p, [u])[0])
+        try:
+            ev = evaluate(p, u)
+        except InfeasibleCandidateError:
+            assert grid == math.inf
+            with pytest.raises(InfeasibleCandidateError):
+                objective_split(p, u)
+            infeasible += 1
+            continue
+        d = float(ev.residual @ ev.residual)
+        exploit, explore = objective_split(p, u)
+        assert abs(d - (exploit + explore)) < 1e-10 * max(1.0, d)
+        assert d == pytest.approx(grid, rel=1e-12, abs=1e-12)
+        assert ev.residual.shape == ev.jacobian.shape == (n + 1,)
+        clamped += predict_output(p, u) == 0.0
+        checked += 1
+    assert clamped >= 5
+    assert infeasible < checked
+
+
+def test_overflowed_members_are_infeasible(spec):
+    # members overflowed by a diverging update give inf/nan on every route;
+    # the float path must report that as an infeasible candidate, never as
+    # a Python ZeroDivisionError or OverflowError
+    members = [[-0.05, 5.2e47, 1.8e47], [-2.4e67, -1.5e66, -5.2e65], [-0.05, 3.5e89, 1.2e89]]
+    p = make_problem(members, rates=[0.1, 0.5, 0.9], v=88.0, spec=spec)
+    us = np.linspace(p.vehicle.u_min, p.vehicle.u_max, 21)
+    for u in us:
+        with pytest.raises(InfeasibleCandidateError):
+            evaluate(p, float(u))
+    assert np.isinf(objective_grid(p, us)).all()
+    # a curvature floor so small that th0**2 underflows to 0 in the Jacobian
+    tiny = dataclasses.replace(spec, curvature_floor=1e-200)
+    p = make_problem([[-1e-170, 1e-171, 0.0], [-1e-170, 2e-171, 0.0]], v=10.0, spec=tiny)
+    assert evaluate(p, 300.0, with_jacobian=False).residual.shape == (3,)
+    with pytest.raises(InfeasibleCandidateError):
+        evaluate(p, 300.0)
