@@ -5,13 +5,11 @@ from .baselines import EscConfig, EscState, GradDceeConfig, esc_init, esc_step, 
 from .config import ScenarioConfig, default_config, load_config, scenario_from_dict
 from .core import (
     DceeProblem,
-    ResidualEval,
     evaluate,
     jacobian_fd,
     objective,
     objective_grid,
     objective_split,
-    predict_output,
     residual_fn,
     standstill_input,
 )
@@ -26,16 +24,12 @@ from .diagnostics import (
 from .ensemble import (
     CHANGE_LIMIT,
     NOISE_VAR_FLOOR,
-    ConditionStats,
     Ensemble,
     SharedCovariance,
     change_test,
     condition_stats,
-    ensemble_mean,
     init_ensemble,
     measured_update,
-    predicted_reward,
-    predicted_update,
 )
 from .errors import (
     ConfigurationError,
@@ -55,7 +49,6 @@ from .reward import (
     is_admissible,
     make_true_params,
     optimal_condition,
-    optimal_condition_jacobian,
 )
 from .solver import GnConfig, GnReport, controller_step, gn_step, scp_step, solve
 

@@ -39,10 +39,10 @@ def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
     veh = p.vehicle
     u_prev = min(max(float(u_prev), veh.u_min, standstill_input(veh, p.v)), veh.u_max)
     try:
-        ev = evaluate(p, u_prev, with_jacobian=True)
+        F, J = evaluate(p, u_prev, with_jacobian=True)
     except InfeasibleCandidateError:
         return u_prev
-    grad = 2.0 * float(ev.jacobian @ ev.residual)
+    grad = 2.0 * float(J @ F)
     u = u_prev - cfg.gain * grad
     return min(max(u, veh.u_min), veh.u_max)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, condition_stats, predicted_update
-from .errors import CurvatureViolationError, InfeasibleCandidateError, InvalidInputError
+from .ensemble import Ensemble
+from .errors import InfeasibleCandidateError, InvalidInputError
 from .plant import VehicleParams, drag_force
 from .reward import QuadraticRewardSpec
 
@@ -28,29 +28,6 @@ class DceeProblem:
     reward: QuadraticRewardSpec
     ensemble: Ensemble
     v: float
-
-
-@dataclass(frozen=True)
-class ResidualEval:
-    """Residual stack (and optionally its Jacobian) at one candidate input."""
-
-    residual: np.ndarray          # ((n+1),)
-    jacobian: np.ndarray | None   # ((n+1),), dF/du
-
-
-def predict_output(p: DceeProblem, u: float) -> float:
-    """One-step output prediction under the nominal (zero-disturbance) model.
-
-    The candidate input is deliberately not clamped here; input bounds are
-    the solver's job.  Smooth in u as long as the predicted speed stays
-    above zero.
-    """
-    u = float(u)
-    if not math.isfinite(u):
-        raise InvalidInputError(f"candidate input must be finite, got {u}")
-    veh = p.vehicle
-    accel = (u - drag_force(veh, p.v)) / veh.mass
-    return max(0.0, p.v + veh.dt * accel)
 
 
 def standstill_input(vehicle: VehicleParams, v: float) -> float:
@@ -194,50 +171,77 @@ def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool):
     return F, J
 
 
-def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True) -> ResidualEval:
-    """Residual stack F(u) and, when requested, its analytic Jacobian dF/du.
+def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
+    """Residual stack F(u) and, when requested, its analytic Jacobian dF/du,
+    as the pair (F, J) with J None otherwise.
 
     The Jacobian chains the nominal plant sensitivity dy/du = dt/mass (0
     where the predicted speed clamps at standstill) through the predicted
     member update (product rule over the basis and the innovation) and the
     derivative of the optimal-speed map.
 
-    This is the solver's per-iteration hot path, so the predicted update and
-    the condition statistics are fused into one loop over the members
-    instead of going through the ensemble-module functions; objective_split
-    keeps the unfused route, which is what makes the decomposition identity
-    a genuine cross-check.  With about ten members, numpy's per-call cost
-    would outweigh the arithmetic, so the loop runs on Python floats: one
-    pass for the residual and a second for the Jacobian.  Its means add in
-    np.mean's order, so the results are those of the same formulas
-    evaluated on numpy arrays, bit for bit.
+    This is the solver's hot path, fused into one loop over the members on
+    Python floats (with about ten members numpy's per-call cost would
+    outweigh the arithmetic): one pass for F, a second for J, with means
+    added in np.mean's order.  objective_split and objective_grid share the
+    unfused vectorized route, _objective_terms, so the decomposition
+    identity is a genuine cross-check.
     """
-    F, J = _eval_prepared(_Prepared(p), u, with_jacobian)
-    return ResidualEval(residual=F, jacobian=J)
+    return _eval_prepared(_Prepared(p), u, with_jacobian)
 
 
 def objective(p: DceeProblem, u: float) -> float:
     """Squared residual norm D(u)."""
-    f = evaluate(p, u, with_jacobian=False).residual
+    f, _ = evaluate(p, u, with_jacobian=False)
     return float(f @ f)
+
+
+def _objective_terms(p: DceeProblem, us):
+    """(exploit, explore, feasible) arrays over the candidate inputs us.
+
+    Per candidate: predict the output, update the members with the
+    ensemble-mean reward in place of the measurement (unprojected, so smooth
+    in u), then exploit = (output - mean optimal speed)^2 and explore = the
+    variance (1/n) of the optimal speeds.  Feasible means finite, with every
+    predicted member past the curvature floor; other rows are meaningless.
+    """
+    us = np.asarray(us, dtype=float)
+    veh = p.vehicle
+    spec = p.reward
+    members = p.ensemble.members
+    n = len(members)
+    # the logged split columns keep their bytes only in this order: BLAS
+    # products for innovations and variance (einsum rounds otherwise), sum/n
+    with np.errstate(all="ignore"):
+        y = np.maximum(0.0, p.v + veh.dt * ((us - drag_force(veh, p.v)) / veh.mass))
+        z = y / spec.v_scale
+        psi = np.empty((z.size, 3))                                              # (G, 3)
+        psi[:, 0], psi[:, 1], psi[:, 2] = z * z, z, 1.0
+        innov = psi @ members.T - (psi @ (members.sum(axis=0) / n))[:, None]     # (G, n)
+        th = members - (p.ensemble.rates * innov)[:, :, None] * psi[:, None, :]  # (G, n, 3)
+        t0 = th[:, :, 0]
+        gam = spec.v_scale * (-th[:, :, 1] / (2.0 * t0))
+        gmean = gam.sum(axis=1) / n
+        dev = gam - gmean[:, None]
+        explore = (dev[:, None, :] @ dev[:, :, None])[:, 0, 0] / n
+        exploit = (y - gmean) ** 2
+    feasible = np.isfinite(us) & (t0.max(axis=1) <= -spec.curvature_floor)
+    return exploit, explore, feasible
 
 
 def objective_split(p: DceeProblem, u: float) -> tuple[float, float]:
     """(exploitation, exploration) terms computed from the ensemble
     statistics directly, not from the stacked residual, so the identity
     objective == exploit + explore is a genuine cross-check."""
-    spec = p.reward
-    y = predict_output(p, u)
-    e_hat = predicted_update(p.ensemble, spec, y)
-    try:
-        stats = condition_stats(e_hat, spec)
-    except CurvatureViolationError as exc:
+    u = float(u)
+    if not math.isfinite(u):
+        raise InvalidInputError(f"candidate input must be finite, got {u}")
+    exploit, explore, feasible = _objective_terms(p, [u])
+    if not feasible[0]:
         raise InfeasibleCandidateError(
             f"candidate u={u} drives a predicted member outside the admissible region"
-        ) from exc
-    exploit = (y - stats.mean) ** 2
-    explore = stats.covariance
-    return float(exploit), float(explore)
+        )
+    return float(exploit[0]), float(explore[0])
 
 
 def objective_grid(p: DceeProblem, us) -> np.ndarray:
@@ -246,26 +250,8 @@ def objective_grid(p: DceeProblem, us) -> np.ndarray:
     Infeasible candidates evaluate to +inf, which is how grid-search oracles
     and line searches treat them.
     """
-    us = np.asarray(us, dtype=float)
-    veh = p.vehicle
-    spec = p.reward
-    e = p.ensemble
-    y = np.maximum(0.0, p.v + veh.dt * (us - drag_force(veh, p.v)) / veh.mass)
-    z = y / spec.v_scale
-    psi = np.stack([z * z, z, np.ones_like(z)], axis=1)          # (G, 3)
-    r_hat = psi @ e.members.mean(axis=0)                          # (G,)
-    pred = psi @ e.members.T                                      # (G, n)
-    innov = pred - r_hat[:, None]
-    th = e.members[None, :, :] - (e.rates[None, :] * innov)[:, :, None] * psi[:, None, :]
-    t0 = th[:, :, 0]
-    feasible = np.all(t0 <= -spec.curvature_floor, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gam = spec.v_scale * (-th[:, :, 1] / (2.0 * t0))
-    gam_mean = gam.mean(axis=1)
-    dev = gam - gam_mean[:, None]
-    out = (y - gam_mean) ** 2 + (dev * dev).mean(axis=1)
-    out[~feasible] = np.inf
-    return out
+    exploit, explore, feasible = _objective_terms(p, us)
+    return np.where(feasible, exploit + explore, np.inf)
 
 
 def residual_fn(p: DceeProblem):

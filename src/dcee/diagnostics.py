@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import DceeProblem, _as_residual_only, evaluate, jacobian_fd, standstill_input
+from .core import (DceeProblem, _as_residual_only, evaluate, jacobian_fd, objective,
+                   objective_split, standstill_input)
 from .ensemble import Ensemble
 from .errors import InfeasibleCandidateError, InvalidInputError, RateUndefinedError
 from .plant import VehicleParams
@@ -62,7 +63,7 @@ def ggn_split(target, u: float, h: float | None = None) -> HessianSplit:
     if h is None:
         h = 1e-4 * (1.0 + abs(u))
     if isinstance(target, DceeProblem):
-        J = evaluate(target, u, with_jacobian=True).jacobian
+        _, J = evaluate(target, u, with_jacobian=True)
     else:
         out = target(u)
         if not (isinstance(out, tuple) and len(out) == 2):
@@ -169,8 +170,6 @@ def derivative_audit(p: DceeProblem, samples: int, seed: int) -> AuditReport:
     """
     if samples < 1:
         raise InvalidInputError("samples must be at least 1")
-    from .core import objective, objective_split  # local to avoid cycle at import
-
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     max_jac = 0.0
@@ -184,7 +183,7 @@ def derivative_audit(p: DceeProblem, samples: int, seed: int) -> AuditReport:
             skipped += 1
             continue
         try:
-            ev = evaluate(prob, u, with_jacobian=True)
+            F, J = evaluate(prob, u, with_jacobian=True)
             J_fd = jacobian_fd(prob, u, h)
             L = _half_objective_fn(prob)
             g_fd = (L(u + h) - L(u - h)) / (2.0 * h)
@@ -193,10 +192,9 @@ def derivative_audit(p: DceeProblem, samples: int, seed: int) -> AuditReport:
         except InfeasibleCandidateError:
             skipped += 1
             continue
-        J = ev.jacobian
         jac_scale = max(np.abs(J).max(), 1e-300)
         max_jac = max(max_jac, float(np.abs(J_fd - J).max() / jac_scale))
-        g = float(J @ ev.residual)
+        g = float(J @ F)
         g_scale = max(abs(g), abs(g_fd), 1e-10)
         max_grad = max(max_grad, abs(g_fd - g) / g_scale)
         max_split = max(max_split, abs(d - (exploit + explore)))

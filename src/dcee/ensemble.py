@@ -1,14 +1,9 @@
 """Multi-estimator belief over the reward parameters.
 
-A bank of estimators is updated online from measured rewards (with an
-admissibility projection) and, separately, by the candidate-input-induced
-predicted update used inside the control objective (no projection there, so
-that map stays smooth in the candidate input).
-
-The measured update is covariance-weighted (recursive least squares) with
-one SharedCovariance for the whole bank, and a change test on the
-innovations re-opens that covariance after the environment switches.  The
-predicted update uses each member's own staggered rate.
+The bank learns from measured rewards by recursive least squares with one
+SharedCovariance, a change test that re-opens it after the environment
+switches, and an admissibility projection.  The predicted update inside the
+control objective, at each member's own staggered rate, is in core.
 """
 from __future__ import annotations
 
@@ -18,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError
-from .reward import QuadraticRewardSpec, basis, eval_reward
+from .reward import QuadraticRewardSpec, basis
 
 
 # Two-sided CUSUM change test on the normalized innovation of the mean
@@ -68,20 +63,6 @@ class Ensemble:
         return self.members.shape[0]
 
 
-@dataclass(frozen=True)
-class ConditionStats:
-    """Ensemble statistics of the predicted optimal speed.
-
-    covariance is the scalar sample variance (1/n normalization); the
-    operating condition is one-dimensional in this problem, so the
-    covariance matrix collapses to its trace.
-    """
-
-    mean: float
-    deviations: np.ndarray  # (n,)
-    covariance: float
-
-
 def init_ensemble(
     spec: QuadraticRewardSpec,
     prior_mean,
@@ -124,11 +105,6 @@ def init_ensemble(
     return Ensemble(members=members, rates=rates, covariance=covariance)
 
 
-def ensemble_mean(e: Ensemble) -> np.ndarray:
-    """Arithmetic mean of the member parameter vectors."""
-    return e.members.mean(axis=0)
-
-
 def change_test(cusum_hi: float, cusum_lo: float, nu: float) -> tuple[float, float, bool]:
     """One step of the two-sided CUSUM on a normalized innovation nu.
 
@@ -151,11 +127,12 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     without a covariance raises InvalidInputError.  Before the step, the
     mean member's innovation, normalized by its predicted standard
     deviation, feeds change_test; an alarm adds the prior covariance to P,
-    so the belief can move again after the environment switched.  A member pushed past the curvature floor is
-    moved back along P's first column, the correction closest in the P^-1
-    metric: a plain clamp of theta[0] alone would lower that member's reward
-    at the speeds already measured, and the predicted update would then push
-    it straight back past the floor for every candidate input.
+    so the belief can move again after the environment switched.  A member
+    pushed past the curvature floor is moved back along P's first column,
+    the correction closest in the P^-1 metric: a plain clamp of theta[0]
+    alone would lower that member's reward at the speeds already measured,
+    and the predicted update would then push it straight back past the floor
+    for every candidate input.
     """
     if not math.isfinite(float(reward_meas)):
         raise InvalidInputError(f"measured reward must be finite, got {reward_meas}")
@@ -191,35 +168,11 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     return Ensemble(members=members, rates=e.rates, covariance=cov)
 
 
-def predicted_reward(e: Ensemble, spec: QuadraticRewardSpec, y_pred: float) -> float:
-    """Reward the ensemble mean assigns to a predicted output."""
-    return eval_reward(spec, ensemble_mean(e), y_pred)
-
-
-def predicted_update(e: Ensemble, spec: QuadraticRewardSpec, y_pred: float) -> Ensemble:
-    """Member update induced by a candidate output, using the ensemble-mean
-    reward in place of the unavailable measurement.
-
-    No projection is applied: this map must stay smooth in y_pred for the
-    residual Jacobian.  Inadmissible results surface later, when statistics
-    of the optimal condition are requested.
-    """
-    psi = basis(spec, y_pred)
-    r_hat = predicted_reward(e, spec, y_pred)
-    innovations = e.members @ psi - r_hat
-    members = e.members - (e.rates * innovations)[:, None] * psi[None, :]
-    return Ensemble(members=members, rates=e.rates)
-
-
-def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> ConditionStats:
-    """Mean, deviations, and sample variance of the members' optimal speeds."""
+def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:
+    """Mean of the members' optimal speeds: the believed optimal speed."""
     t0 = e.members[:, 0]
     if np.any(t0 > -spec.curvature_floor):
         raise CurvatureViolationError(
             "ensemble member violates the curvature floor; optimal condition undefined"
         )
-    gammas = spec.v_scale * (-e.members[:, 1] / (2.0 * t0))
-    mean = float(gammas.mean())
-    deviations = gammas - mean
-    covariance = float(deviations @ deviations) / e.n_members
-    return ConditionStats(mean=mean, deviations=deviations, covariance=covariance)
+    return float((spec.v_scale * (-e.members[:, 1] / (2.0 * t0))).mean())

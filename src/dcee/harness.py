@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,20 +27,6 @@ from .plant import active_segment, measure, plant_step
 from .reward import optimal_condition
 from .solver import GnConfig, SolverHealth, controller_step, solve
 
-CSV_COLUMNS = (
-    "t",
-    "v",
-    "u",
-    "v_star_true",
-    "gamma_mean_est",
-    "exploit",
-    "explore",
-    "reward_meas",
-    "iterations",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
-
-
 @dataclass(frozen=True)
 class StepRecord:
     t: float
@@ -52,6 +38,10 @@ class StepRecord:
     explore: float
     reward_meas: float
     iterations: int
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(StepRecord))
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass
@@ -131,7 +121,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
 
     def select(k, t, seg, r_meas, problem, u_prev):
         nonlocal esc_state
-        stats = condition_stats(problem.ensemble, spec)
+        gamma_mean = condition_stats(problem.ensemble, spec)
         if ctype == "numerical_dcee":
             u, report = controller_step(problem, u_prev, cfg.controller.solver)
             health.add(report)
@@ -159,7 +149,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
                 v=problem.v,
                 u=u,
                 v_star_true=optimal_condition(spec, seg.theta_true),
-                gamma_mean_est=stats.mean,
+                gamma_mean_est=gamma_mean,
                 exploit=exploit,
                 explore=explore,
                 reward_meas=r_meas,
@@ -222,8 +212,8 @@ def export(result: RunResult, path, fmt: str):
         if fmt == "csv":
             lines = [CSV_HEADER]
             for r in result.records:
-                fields = [_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]]
-                lines.append(",".join(fields + [str(r.iterations)]))
+                cells = [_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]]
+                lines.append(",".join(cells + [str(r.iterations)]))
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join(lines) + "\n")
         else:
@@ -260,7 +250,7 @@ def _fd_jacobian_fn(problem: DceeProblem):
     """Residual/Jacobian callback with the Jacobian by central differences."""
 
     def fn(u: float):
-        F = evaluate(problem, u, with_jacobian=False).residual
+        F, _ = evaluate(problem, u, with_jacobian=False)
         J = jacobian_fd(problem, u, fd_step(problem.vehicle, u))
         return F, J
 
@@ -277,7 +267,7 @@ def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
     t_start = time.perf_counter_ns()
 
     def L(u):
-        f = evaluate(problem, u, with_jacobian=False).residual
+        f, _ = evaluate(problem, u, with_jacobian=False)
         return 0.5 * float(f @ f)
 
     u = min(max(float(u_init), cfg.u_min), cfg.u_max)

@@ -83,17 +83,6 @@ def optimal_condition(spec: QuadraticRewardSpec, theta) -> float:
     return float(spec.v_scale * (-theta[1] / (2.0 * theta[0])))
 
 
-def optimal_condition_jacobian(spec: QuadraticRewardSpec, theta) -> np.ndarray:
-    """Row vector d(optimal speed)/d(theta), shape (1, 3)."""
-    theta = _check_theta(theta)
-    if not is_admissible(spec, theta):
-        raise CurvatureViolationError(
-            f"theta[0] = {theta[0]} violates theta[0] <= {-spec.curvature_floor}"
-        )
-    t0, t1 = theta[0], theta[1]
-    return spec.v_scale * np.array([[t1 / (2.0 * t0 * t0), -1.0 / (2.0 * t0), 0.0]])
-
-
 def make_true_params(spec: QuadraticRewardSpec, w_z: float, v_star: float, c_r: float) -> np.ndarray:
     """Parameter vector of the peak-form reward c_r - w_z * (z - z_star)**2.
 

@@ -8,6 +8,7 @@ from dcee import (
     Ensemble,
     InfeasibleCandidateError,
     InvalidInputError,
+    QuadraticRewardSpec,
     drag_force,
     evaluate,
     jacobian_fd,
@@ -15,7 +16,6 @@ from dcee import (
     objective,
     objective_grid,
     objective_split,
-    predict_output,
     standstill_input,
 )
 from dcee.core import _mean
@@ -24,29 +24,82 @@ from dcee.diagnostics import fd_step, random_input, random_problem
 from conftest import make_problem
 
 
-def test_predict_output_equilibrium(vehicle):
-    p = make_problem([[-1.0, 1.5, 0.2]], v=22.0)
-    u_eq = drag_force(vehicle, 22.0)
-    assert predict_output(p, u_eq) == pytest.approx(22.0)
+def test_objective_terms_consensus_bank(vehicle):
+    # identical members stay identical under the predicted update, so there
+    # is nothing to explore at any input; dyadic parameters keep every mean
+    # exact, so this holds to the last bit
+    theta = [-1.0, 1.5, 0.25]
+    us = np.linspace(vehicle.u_min, vehicle.u_max, 41)
+    for n in (1, 5):
+        p = make_problem(np.tile(theta, (n, 1)), v=22.5)
+        for u in us:
+            assert objective_split(p, float(u))[1] == 0.0
 
 
-def test_predict_output_hand_value():
-    p = make_problem([[-1.0, 1.5, 0.2]], v=20.0)
-    assert predict_output(p, 1000.0) == pytest.approx(20.0 + (0.1 / 1500.0) * (1000.0 - 360.0))
-    assert predict_output(p, 1000.0) == predict_output(p, 1000.0)
+def test_objective_split_zero_at_consensus_equilibrium(vehicle):
+    # the input that balances drag at the members' optimal speed (22.5 m/s)
+    # predicts that speed again: nothing to exploit either
+    p = make_problem(np.tile([-1.0, 1.5, 0.25], (4, 1)), v=22.5)
+    assert objective_split(p, drag_force(vehicle, 22.5)) == (0.0, 0.0)
 
 
-def test_predict_output_rejects_non_finite():
+def test_objective_split_hand_values():
+    # two members at rate 0.1 (v_scale 1 m/s) and the input that predicts
+    # y = 0.5: the ensemble-mean reward there is 0.75 and the member rewards
+    # 0.25 and 1.25, so the predicted members are [-0.9875, 1.025, 0.05] and
+    # [-1.0125, 2.975, -0.05], with optimal speeds 41/79 and 119/81
+    spec = QuadraticRewardSpec(v_scale=1.0)
+    p = make_problem([[-1.0, 1.0, 0.0], [-1.0, 3.0, 0.0]], rates=[0.1, 0.1], v=0.5, spec=spec)
+    exploit, explore = objective_split(p, drag_force(p.vehicle, 0.5))
+    assert exploit == pytest.approx((6323.0 / 12798.0) ** 2, rel=1e-12)
+    assert explore == pytest.approx((6080.0 / 12798.0) ** 2, rel=1e-12)
+
+
+def test_objective_split_prediction_hand_value():
+    # from 20 m/s, 1000 N against 360 N of drag accelerates by
+    # (1000 - 360) / 1500 m/s^2 for dt = 0.1 s; a frozen singleton with
+    # optimal speed 22.5 m/s leaves only the gap to that prediction
+    p = make_problem([[-1.0, 1.5, 0.25]], rates=[1e-300], v=20.0)
+    exploit, explore = objective_split(p, 1000.0)
+    assert exploit == pytest.approx((20.0 + (0.1 / 1500.0) * (1000.0 - 360.0) - 22.5) ** 2, rel=1e-12)
+    assert explore == 0.0
+
+
+def test_objective_rejects_non_finite_input():
     p = make_problem([[-1.0, 1.5, 0.2]])
-    with pytest.raises(InvalidInputError):
-        predict_output(p, float("nan"))
+    for u in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError):
+            objective_split(p, u)
+        with pytest.raises(InvalidInputError):
+            evaluate(p, u)
+    grid = objective_grid(p, [math.nan, math.inf, -math.inf, 300.0])
+    assert np.isinf(grid[:3]).all() and np.isfinite(grid[3])
+
+
+def test_objective_grid_equals_split_sum():
+    # both are the one unfused formulation, evaluated on the same single
+    # candidate, so they agree to the last bit
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 200:
+        p = random_problem(rng)
+        if checked % 2:
+            p = dataclasses.replace(p, v=float(rng.uniform(0.0, 0.3)))
+        u = random_input(rng, p.vehicle)
+        try:
+            terms = objective_split(p, u)
+        except InfeasibleCandidateError:
+            assert objective_grid(p, [u])[0] == math.inf
+            continue
+        assert objective_grid(p, [u])[0] == sum(terms)
+        checked += 1
 
 
 def test_residual_zero_at_consensus_optimum(spec, vehicle):
     theta = make_true_params(spec, 1.0, 25.0, 1.0)
     p = make_problem(np.tile(theta, (4, 1)), v=25.0, spec=spec, vehicle=vehicle)
     u_eq = drag_force(vehicle, 25.0)
-    F = evaluate(p, u_eq).residual
+    F, _ = evaluate(p, u_eq)
     assert np.abs(F).max() < 1e-12
     assert objective(p, u_eq) < 1e-24
 
@@ -54,7 +107,7 @@ def test_residual_zero_at_consensus_optimum(spec, vehicle):
 def test_residual_singleton_has_zero_uncertainty_block(spec):
     theta = make_true_params(spec, 1.0, 18.0, 0.5)
     p = make_problem(theta[None, :], v=12.0, spec=spec)
-    F = evaluate(p, 500.0).residual
+    F, _ = evaluate(p, 500.0)
     assert F.shape == (2,)
     assert F[1] == 0.0
 
@@ -66,7 +119,7 @@ def test_residual_hand_values(spec):
     m2 = make_true_params(spec, 1.0, 20.0, 0.0)
     p = make_problem(np.stack([m1, m2]), rates=[1e-300, 1e-300], v=12.0)
     u = drag_force(p.vehicle, 12.0)  # predicted output 12, tiny rates freeze the update
-    F = evaluate(p, u).residual
+    F, _ = evaluate(p, u)
     assert F == pytest.approx([-3.0, -5.0 / math.sqrt(2.0), 5.0 / math.sqrt(2.0)])
     assert objective(p, u) == pytest.approx(34.0)
     exploit, explore = objective_split(p, u)
@@ -93,19 +146,18 @@ def test_objective_split_nonnegative_and_consistent():
 def test_residual_eval_norm_matches_objective():
     rng = np.random.default_rng(23)
     p = random_problem(rng)
-    ev = evaluate(p, 250.0)
-    assert float(ev.residual @ ev.residual) == pytest.approx(objective(p, 250.0), abs=1e-12)
-    assert ev.residual.shape == (p.ensemble.n_members + 1,)
-    assert ev.jacobian.shape == (p.ensemble.n_members + 1,)
+    F, J = evaluate(p, 250.0)
+    assert float(F @ F) == pytest.approx(objective(p, 250.0), abs=1e-12)
+    assert F.shape == J.shape == (p.ensemble.n_members + 1,)
 
 
 def test_jacobian_consensus_has_zero_uncertainty_rows(spec):
     theta = make_true_params(spec, 1.0, 22.0, 1.0)
     p = make_problem(np.tile(theta, (5, 1)), v=20.0, spec=spec)
-    J = evaluate(p, 300.0).jacobian
+    _, J = evaluate(p, 300.0)
     assert np.abs(J[1:]).max() == 0.0
     single = make_problem(theta[None, :], v=20.0, spec=spec)
-    J1 = evaluate(single, 300.0).jacobian
+    _, J1 = evaluate(single, 300.0)
     assert J1[1] == 0.0
 
 
@@ -118,7 +170,7 @@ def test_jacobian_matches_finite_differences():
         u = random_input(rng, p.vehicle)
         h = fd_step(p.vehicle, u)
         try:
-            J = evaluate(p, u).jacobian
+            _, J = evaluate(p, u)
             J_fd = jacobian_fd(p, u, h)
         except InfeasibleCandidateError:
             continue
@@ -132,8 +184,8 @@ def test_jacobian_vanishes_at_standstill():
     # it clamps: the residual no longer depends on u
     p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
     u = -4000.0
-    assert predict_output(p, u) == 0.0
-    J = evaluate(p, u).jacobian
+    assert u < standstill_input(p.vehicle, p.v)
+    _, J = evaluate(p, u)
     J_fd = jacobian_fd(p, u, fd_step(p.vehicle, u))
     assert np.array_equal(J, J_fd)
     assert not J.any()
@@ -142,15 +194,26 @@ def test_jacobian_vanishes_at_standstill():
 def test_standstill_input_is_the_edge_of_the_clamp():
     p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
     u_stop = standstill_input(p.vehicle, p.v)
-    assert predict_output(p, u_stop) == pytest.approx(0.0, abs=1e-12)
-    assert predict_output(p, u_stop - 1.0) == 0.0
-    assert predict_output(p, u_stop + 1.0) > 0.0
     # at the edge the Jacobian is the one-sided one from above
     h = fd_step(p.vehicle, u_stop)
-    J = evaluate(p, u_stop).jacobian
-    J_fwd = (evaluate(p, u_stop + h).residual - evaluate(p, u_stop).residual) / h
+    F, J = evaluate(p, u_stop)
+    J_fwd = (evaluate(p, u_stop + h)[0] - F) / h
     assert np.allclose(J, J_fwd, rtol=1e-4, atol=1e-12 * np.abs(J).max())
     assert J.any()
+
+
+def test_objective_flat_below_standstill():
+    # every input below standstill_input predicts speed 0, so the objective
+    # is flat there, and it leaves the flat at the edge
+    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    u_stop = standstill_input(p.vehicle, p.v)
+    us = np.concatenate([np.linspace(p.vehicle.u_min, u_stop - 1.0, 50), [u_stop, u_stop + 1.0]])
+    grid = objective_grid(p, us)
+    assert (grid[:50] == grid[0]).all()
+    assert grid[50] == pytest.approx(grid[0], rel=1e-9)
+    assert abs(grid[51] - grid[0]) > 1e-6 * grid[0]
+    for u in us[:50:7]:
+        assert objective_split(p, float(u)) == objective_split(p, float(us[0]))
 
 
 def test_gradient_identity():
@@ -162,12 +225,12 @@ def test_gradient_identity():
         u = random_input(rng, p.vehicle)
         h = fd_step(p.vehicle, u)
         try:
-            ev = evaluate(p, u)
+            F, J = evaluate(p, u)
             lp = 0.5 * objective(p, u + h)
             lm = 0.5 * objective(p, u - h)
         except InfeasibleCandidateError:
             continue
-        g = float(ev.jacobian @ ev.residual)
+        g = float(J @ F)
         g_fd = (lp - lm) / (2.0 * h)
         assert abs(g - g_fd) <= 1e-6 * max(abs(g), abs(g_fd), 1e-10)
         checked += 1
@@ -177,8 +240,7 @@ def test_linearized_objective_midpoint_convexity():
     # for a fixed linearization, du -> ||F + J du||^2 is convex
     rng = np.random.default_rng(26)
     p = random_problem(rng)
-    ev = evaluate(p, 500.0)
-    F, J = ev.residual, ev.jacobian
+    F, J = evaluate(p, 500.0)
 
     def q(du):
         r = F + J * du
@@ -298,19 +360,19 @@ def test_evaluate_agrees_with_split_and_grid(n):
         u = random_input(rng, p.vehicle) if checked % 3 else p.vehicle.u_min
         grid = float(objective_grid(p, [u])[0])
         try:
-            ev = evaluate(p, u)
+            F, J = evaluate(p, u)
         except InfeasibleCandidateError:
             assert grid == math.inf
             with pytest.raises(InfeasibleCandidateError):
                 objective_split(p, u)
             infeasible += 1
             continue
-        d = float(ev.residual @ ev.residual)
+        d = float(F @ F)
         exploit, explore = objective_split(p, u)
         assert abs(d - (exploit + explore)) < 1e-10 * max(1.0, d)
         assert d == pytest.approx(grid, rel=1e-12, abs=1e-12)
-        assert ev.residual.shape == ev.jacobian.shape == (n + 1,)
-        clamped += predict_output(p, u) == 0.0
+        assert F.shape == J.shape == (n + 1,)
+        clamped += u < standstill_input(p.vehicle, p.v)
         checked += 1
     assert clamped >= 5
     assert infeasible < checked
@@ -330,6 +392,7 @@ def test_overflowed_members_are_infeasible(spec):
     # a curvature floor so small that th0**2 underflows to 0 in the Jacobian
     tiny = dataclasses.replace(spec, curvature_floor=1e-200)
     p = make_problem([[-1e-170, 1e-171, 0.0], [-1e-170, 2e-171, 0.0]], v=10.0, spec=tiny)
-    assert evaluate(p, 300.0, with_jacobian=False).residual.shape == (3,)
+    F, J = evaluate(p, 300.0, with_jacobian=False)
+    assert F.shape == (3,) and J is None
     with pytest.raises(InfeasibleCandidateError):
         evaluate(p, 300.0)

@@ -6,19 +6,20 @@ from dcee import (
     NOISE_VAR_FLOOR,
     ConfigurationError,
     CurvatureViolationError,
+    DceeProblem,
     Ensemble,
     InvalidInputError,
     QuadraticRewardSpec,
     SharedCovariance,
+    VehicleParams,
     change_test,
     condition_stats,
-    ensemble_mean,
     eval_reward,
     init_ensemble,
     make_true_params,
     measured_update,
-    predicted_reward,
-    predicted_update,
+    objective_split,
+    optimal_condition,
 )
 
 
@@ -61,13 +62,6 @@ def test_init_rejects_empty():
         init_ensemble(spec, np.zeros(3), [0.0, 0.0, 0.0], 0, seed=1)
 
 
-def test_ensemble_mean_hand_values():
-    ens = Ensemble(members=np.array([[-1.0, 0.0, 0.0], [-3.0, 2.0, 0.0]]), rates=np.array([0.1, 0.1]))
-    assert np.allclose(ensemble_mean(ens), [-2.0, 1.0, 0.0])
-    single = consensus([-1.5, 2.0, 0.3], n=1)
-    assert np.allclose(ensemble_mean(single), [-1.5, 2.0, 0.3])
-
-
 def test_measured_update_requires_covariance():
     spec = QuadraticRewardSpec()
     ens = consensus([-1.0, 1.5, 0.2], n=3)
@@ -82,54 +76,20 @@ def test_measured_update_rejects_non_finite_reward():
         measured_update(ens, spec, 10.0, float("nan"))
 
 
-def test_predicted_reward_is_mean_reward():
-    spec = QuadraticRewardSpec(v_scale=1.0)
-    ens = Ensemble(members=np.array([[-1.0, 0.0, 0.0], [-3.0, 0.0, 0.0]]), rates=np.array([0.1, 0.1]))
-    assert predicted_reward(ens, spec, 1.0) == pytest.approx(-2.0)
-    theta = np.array([-1.0, 1.2, 0.4])
-    cons = consensus(theta)
-    assert predicted_reward(cons, spec, 0.7) == pytest.approx(eval_reward(spec, theta, 0.7))
-
-
-def test_predicted_update_consensus_fixed_point():
-    spec = QuadraticRewardSpec()
-    ens = consensus([-1.0, 1.4, 0.1], n=5)
-    out = predicted_update(ens, spec, 23.0)
-    assert np.allclose(out.members, ens.members)
-    single = consensus([-1.0, 1.4, 0.1], n=1)
-    out1 = predicted_update(single, spec, 23.0)
-    assert np.allclose(out1.members, single.members)
-
-
-def test_predicted_update_hand_value():
-    spec = QuadraticRewardSpec(v_scale=1.0)
-    ens = Ensemble(
-        members=np.array([[-1.0, 1.0, 0.0], [-1.0, 3.0, 0.0]]), rates=np.array([0.1, 0.1])
-    )
-    out = predicted_update(ens, spec, 0.5)
-    assert np.allclose(out.members[0], [-0.9875, 1.025, 0.05])
-
-
 def test_condition_stats_hand_values():
     spec = QuadraticRewardSpec(v_scale=30.0)
     # members engineered to have optimal speeds 10 and 20
     m1 = make_true_params(spec, 1.0, 10.0, 0.0)
     m2 = make_true_params(spec, 1.0, 20.0, 0.0)
     ens = Ensemble(members=np.stack([m1, m2]), rates=np.array([0.1, 0.1]))
-    stats = condition_stats(ens, spec)
-    assert stats.mean == pytest.approx(15.0)
-    assert np.allclose(stats.deviations, [-5.0, 5.0])
-    assert stats.covariance == pytest.approx(25.0)
+    assert condition_stats(ens, spec) == pytest.approx(15.0)
 
 
 def test_condition_stats_consensus_and_singleton():
     spec = QuadraticRewardSpec()
-    ens = consensus([-1.0, 1.4, 0.1], n=6)
-    stats = condition_stats(ens, spec)
-    assert np.allclose(stats.deviations, 0.0)
-    assert stats.covariance == 0.0
-    single = consensus([-1.0, 1.4, 0.1], n=1)
-    assert condition_stats(single, spec).covariance == 0.0
+    theta = [-1.0, 1.4, 0.1]
+    assert condition_stats(consensus(theta, n=6), spec) == pytest.approx(optimal_condition(spec, theta))
+    assert condition_stats(consensus(theta, n=1), spec) == optimal_condition(spec, theta)
 
 
 def test_condition_stats_rejects_inadmissible():
@@ -140,15 +100,21 @@ def test_condition_stats_rejects_inadmissible():
 
 
 def test_deviation_centering_and_trace_identity():
+    # the believed optimal speed is the mean of the members' optimal speeds,
+    # and with the predicted update frozen (rates 1e-300) the exploration
+    # term is their variance about that mean
     spec = QuadraticRewardSpec()
     rng = np.random.default_rng(8)
     for _ in range(50):
         n = int(rng.integers(1, 12))
         prior = make_true_params(spec, rng.uniform(0.3, 2.0), rng.uniform(2, 50), rng.uniform(-1, 1))
         ens = init_ensemble(spec, prior, rng.uniform(0, 0.4, 3), n, seed=int(rng.integers(1e6)))
-        stats = condition_stats(ens, spec)
-        assert abs(stats.deviations.sum()) < 1e-12 * max(1.0, np.abs(stats.deviations).max() * n)
-        assert abs(stats.covariance - (stats.deviations**2).mean()) < 1e-12 * max(1.0, stats.covariance)
+        gammas = np.array([optimal_condition(spec, m) for m in ens.members])
+        mean = condition_stats(ens, spec)
+        assert abs(mean - gammas.mean()) <= 1e-12 * abs(mean)
+        frozen = DceeProblem(VehicleParams(), spec, Ensemble(ens.members, np.full(n, 1e-300)), v=mean)
+        explore = objective_split(frozen, 300.0)[1]
+        assert abs(explore - ((gammas - mean) ** 2).mean()) < 1e-12 * max(1.0, explore)
 
 
 def test_measured_update_contracts_on_scripted_sweep():
@@ -163,18 +129,13 @@ def test_measured_update_contracts_on_scripted_sweep():
     for k, v in enumerate(sweep):
         ens = measured_update(ens, spec, v, eval_reward(spec, theta_star, v))
         if (k + 1) % 100 == 0:
-            errs.append(np.linalg.norm(ensemble_mean(ens) - theta_star))
+            errs.append(np.linalg.norm(ens.members.mean(axis=0) - theta_star))
     # strictly decreasing across 100-step windows and a net reduction; the
     # rank-one updates leave the weakly excited parameter direction slow, so
     # the trend, not a deep contraction, is the contract here
     assert all(a > b for a, b in zip(errs, errs[1:]))
-    start = np.linalg.norm(
-        ensemble_mean(
-            init_ensemble(spec, prior, [0.3, 0.3, 0.3], 10, seed=924, eta_lo=0.005, eta_hi=0.05)
-        )
-        - theta_star
-    )
-    assert errs[-1] < start
+    start = init_ensemble(spec, prior, [0.3, 0.3, 0.3], 10, seed=924, eta_lo=0.005, eta_hi=0.05)
+    assert errs[-1] < np.linalg.norm(start.members.mean(axis=0) - theta_star)
 
 
 def with_covariance(members, P, noise_var, rate=0.1):

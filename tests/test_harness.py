@@ -82,7 +82,7 @@ def test_newton_reference_fails_at_a_slope_without_curvature(monkeypatch):
 
     def fake_evaluate(problem, u, with_jacobian=True):
         bump = 1.0 if u0 + 0.5 * hg < u < u0 + 2.0 * hg else 0.0
-        return types.SimpleNamespace(residual=np.array([bump]))
+        return np.array([bump]), None
 
     monkeypatch.setattr(harness, "evaluate", fake_evaluate)
     problem = types.SimpleNamespace(vehicle=vehicle)

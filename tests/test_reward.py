@@ -12,7 +12,6 @@ from dcee import (
     is_admissible,
     make_true_params,
     optimal_condition,
-    optimal_condition_jacobian,
 )
 
 
@@ -58,37 +57,6 @@ def test_optimal_condition_requires_admissible_theta():
         optimal_condition(spec, [0.0, 1.0, 0.0])
     with pytest.raises(CurvatureViolationError):
         optimal_condition(spec, [-0.01, 1.0, 0.0])
-
-
-def test_optimal_condition_jacobian_hand_values():
-    assert np.allclose(
-        optimal_condition_jacobian(QuadraticRewardSpec(v_scale=1.0), [-1.0, 1.0, 0.0]),
-        [[0.5, 0.5, 0.0]],
-    )
-    assert np.allclose(
-        optimal_condition_jacobian(QuadraticRewardSpec(v_scale=30.0), [-1.0, 0.0, 0.0]),
-        [[0.0, 15.0, 0.0]],
-    )
-    assert np.allclose(
-        optimal_condition_jacobian(QuadraticRewardSpec(v_scale=1.0), [-2.0, 1.0, 0.0]),
-        [[1 / 8, 1 / 4, 0.0]],
-    )
-
-
-def test_optimal_condition_jacobian_matches_finite_differences():
-    spec = QuadraticRewardSpec()
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        theta = make_true_params(spec, rng.uniform(0.2, 2.0), rng.uniform(1.0, 50.0), rng.uniform(-1, 1))
-        an = optimal_condition_jacobian(spec, theta)[0]
-        fd = np.empty(3)
-        for i in range(3):
-            h = 1e-6 * (1.0 + abs(theta[i]))
-            tp, tm = theta.copy(), theta.copy()
-            tp[i] += h
-            tm[i] -= h
-            fd[i] = (optimal_condition(spec, tp) - optimal_condition(spec, tm)) / (2.0 * h)
-        assert np.abs(fd - an).max() <= 1e-8 * max(1.0, np.abs(an).max())
 
 
 def test_make_true_params_hand_values():

@@ -77,7 +77,7 @@ def test_solve_takes_gn_step():
     interior = 0
     while checked < 40:
         p = random_problem(rng)
-        p = dataclasses.replace(p, v=condition_stats(p.ensemble, p.reward).mean)
+        p = dataclasses.replace(p, v=condition_stats(p.ensemble, p.reward))
         u0 = random_input(rng, p.vehicle)
         fun = residual_fn(p)
         cfg = GnConfig(max_iters=1, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
@@ -222,7 +222,7 @@ def test_solve_matches_grid_oracle_at_interior_minima():
     solved = interior = 0
     while solved < 40:
         p = random_problem(rng)
-        p = dataclasses.replace(p, v=condition_stats(p.ensemble, p.reward).mean)
+        p = dataclasses.replace(p, v=condition_stats(p.ensemble, p.reward))
         u0 = random_input(rng, p.vehicle)
         cfg = GnConfig(max_iters=60, tol=1e-10, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
         try:
