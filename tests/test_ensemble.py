@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from dcee import (
     VehicleParams,
     change_test,
     condition_stats,
+    drag_force,
     eval_reward,
     init_ensemble,
     make_true_params,
@@ -74,6 +77,36 @@ def test_measured_update_rejects_non_finite_reward():
     ens = with_covariance(np.tile([-1.0, 1.0, 0.0], (4, 1)), np.eye(3), 1e-4)
     with pytest.raises(InvalidInputError):
         measured_update(ens, spec, 10.0, float("nan"))
+
+
+def split_at_speed(members, y=0.5):
+    # objective_split at the input that predicts speed y (v_scale 1 m/s, rate 0.1)
+    spec = QuadraticRewardSpec(v_scale=1.0)
+    vehicle = VehicleParams()
+    ens = Ensemble(members=np.asarray(members, float), rates=np.full(len(members), 0.1))
+    return objective_split(DceeProblem(vehicle, spec, ens, v=y), drag_force(vehicle, y)), spec
+
+
+def test_predicted_reward_is_mean_reward():
+    # the pseudo-measurement is the ensemble-mean reward: at y = 0.5 the
+    # members reward 0.25, 0.75 and 1.25, so the middle member, whose own
+    # reward is the mean, keeps its optimal speed 1 while the outer two move
+    # to 41/79 and 119/81
+    (exploit, explore), _ = split_at_speed([[-1.0, 1.0, 0.0], [-1.0, 2.0, 0.0], [-1.0, 3.0, 0.0]])
+    gammas = [Fraction(41, 79), Fraction(1), Fraction(119, 81)]
+    mean = sum(gammas) / 3
+    assert exploit == pytest.approx(float((mean - Fraction(1, 2)) ** 2), rel=1e-12)
+    assert explore == pytest.approx(float(sum((g - mean) ** 2 for g in gammas) / 3), rel=1e-12)
+
+
+def test_predicted_update_hand_value():
+    # rate 0.1 times the gap to the mean reward (0.75) along psi(0.5) =
+    # [0.25, 0.5, 1] moves the members to [-0.9875, 1.025, 0.05] and
+    # [-1.0125, 2.975, -0.05]; the split is built from their optimal speeds
+    (exploit, explore), spec = split_at_speed([[-1.0, 1.0, 0.0], [-1.0, 3.0, 0.0]])
+    gammas = np.array([optimal_condition(spec, m) for m in ([-0.9875, 1.025, 0.05], [-1.0125, 2.975, -0.05])])
+    assert exploit == pytest.approx((gammas.mean() - 0.5) ** 2, rel=1e-12)
+    assert explore == pytest.approx(((gammas - gammas.mean()) ** 2).mean(), rel=1e-12)
 
 
 def test_condition_stats_hand_values():
