@@ -25,6 +25,7 @@ from .ensemble import (
     CHANGE_LIMIT,
     NOISE_VAR_FLOOR,
     Ensemble,
+    EnsembleSettings,
     SharedCovariance,
     change_test,
     condition_stats,

@@ -47,11 +47,6 @@ class CriterionResult:
         return f"[{status}] criterion {self.index} ({self.name}): {self.detail}"
 
 
-def _template_problem():
-    rng = np.random.default_rng(0)
-    return random_problem(rng)
-
-
 @functools.lru_cache(maxsize=None)
 def _noise_free_run():
     d = default_config()
@@ -67,7 +62,8 @@ def _noisy_run(controller: str):
 
 
 def criterion_1_derivative_audit() -> CriterionResult:
-    report = derivative_audit(_template_problem(), samples=100, seed=AUDIT_SEED)
+    cfg = scenario_from_dict({})
+    report = derivative_audit(cfg.vehicle, cfg.reward, samples=100, seed=AUDIT_SEED)
     ok = (
         report.max_jacobian_rel_err < 1e-6
         and report.max_gradient_rel_err < 1e-6
@@ -210,12 +206,10 @@ def criterion_7_local_rate() -> CriterionResult:
     d["noise"]["sigma_reward"] = 0.0
     d["schedule"] = [{"t_start": 0.0, "v_star": 25.0, "w_z": 1.0, "disturbance_force": 0.0}]
     d["horizon_s"] = 300.0
-    res = run_closed_loop(scenario_from_dict(d))
+    scenario = scenario_from_dict(d)
+    res = run_closed_loop(scenario)
     prob = res.final_problem
-    cfg = scenario_from_dict(d).controller.solver
-    probe_cfg = GnConfig(
-        max_iters=12, tol=1e-15, damping=cfg.damping, u_min=cfg.u_min, u_max=cfg.u_max
-    )
+    probe_cfg = replace(scenario.controller.solver, max_iters=12, tol=1e-15)
     u_star, report = solve(residual_fn(prob), res.final_u + 200.0, probe_cfg)
     tail = report.step_norms[-3:]
     monotone = len(tail) == 3 and tail[0] > tail[1] > tail[2]
@@ -234,8 +228,8 @@ def criterion_8_performance() -> CriterionResult:
     d["horizon_s"] = 90.0
     cfg = scenario_from_dict(d)
     # warm up the numpy code paths so one-time costs stay out of the max
-    _ = bench_solver(scenario_from_dict({**d, "horizon_s": 1.0}), repetitions=1, agreement_stride=10**9)
-    bench = bench_solver(cfg, repetitions=1, agreement_stride=10**9)
+    _ = bench_solver(scenario_from_dict({**d, "horizon_s": 1.0}), agreement_stride=10**9)
+    bench = bench_solver(cfg, agreement_stride=10**9)
     t = bench["timing"]
     mean_ns = t["analytic_gn"]["mean_ns"]
     max_ns = t["analytic_gn"]["max_ns"]

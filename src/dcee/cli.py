@@ -6,11 +6,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .acceptance import run_all
-from .config import CONTROLLER_TYPES, load_config, scenario_from_dict
-from .diagnostics import derivative_audit, random_problem
+from .config import load_config, scenario_from_dict
+from .diagnostics import derivative_audit
 from .errors import DceeError
 from .harness import bench_solver, export, run_closed_loop
 
@@ -71,18 +69,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = _resolve_config(args)
-    controllers = [c.strip() for c in args.controllers.split(",") if c.strip()]
-    for c in controllers:
-        if c not in CONTROLLER_TYPES:
-            raise DceeError(f"unknown controller {c!r}; choose from {CONTROLLER_TYPES}")
-    results = {}
-    for controller in controllers:
-        raw = dict(cfg.raw)
-        raw["controller"] = dict(raw["controller"], type=controller)
-        results[controller] = run_closed_loop(scenario_from_dict(raw))
+    # every controller's config is built, and so checked, before any runs
+    configs = {}
+    for controller in filter(None, (c.strip() for c in args.controllers.split(","))):
+        raw = dict(cfg.raw, controller=dict(cfg.raw["controller"], type=controller))
+        configs[controller] = scenario_from_dict(raw)
     out = _ensure_out(args)
     summary = {}
-    for controller, result in results.items():
+    for controller, ccfg in configs.items():
+        result = run_closed_loop(ccfg)
         _print_metrics(f"compare[{controller}]", result)
         summary[controller] = {
             "metrics": result.metrics,
@@ -100,7 +95,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _resolve_config(args)
-    report = bench_solver(cfg, repetitions=args.reps)
+    report = bench_solver(cfg)
     for name, stats in report["timing"].items():
         print(
             f"bench[{name}]: mean {stats['mean_ns']/1e6:.4f} ms  "
@@ -121,9 +116,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = _resolve_config(args)
-    rng = np.random.default_rng(cfg.ensemble.seed)
-    template = random_problem(rng, vehicle=cfg.vehicle, reward=cfg.reward)
-    report = derivative_audit(template, samples=args.samples, seed=cfg.noise.seed)
+    report = derivative_audit(cfg.vehicle, cfg.reward, samples=args.samples, seed=cfg.noise.seed)
     payload = report.as_dict()
     payload["passed"] = report.passed
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -165,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", parents=[scenario],
                              help="time the solver against internal references")
-    p_bench.add_argument("--reps", type=int, default=1)
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_audit = sub.add_parser("audit", parents=[scenario],

@@ -10,10 +10,10 @@ import copy
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from .baselines import EscConfig, GradDceeConfig
+from .ensemble import EnsembleSettings
 from .errors import ConfigurationError
 from .plant import EnvSegment, NoiseSpec, VehicleParams
 from .reward import QuadraticRewardSpec, make_true_params
@@ -72,16 +72,6 @@ DEFAULTS: dict = {
 
 
 @dataclass(frozen=True)
-class EnsembleSettings:
-    n_members: int
-    eta_lo: float
-    eta_hi: float
-    prior: np.ndarray
-    spread: np.ndarray
-    seed: int
-
-
-@dataclass(frozen=True)
 class ControllerSettings:
     type: str
     solver: GnConfig
@@ -111,6 +101,17 @@ def default_config() -> dict:
     return copy.deepcopy(DEFAULTS)
 
 
+def _number(value, where: str):
+    """value, or the float that a string reads as, if that is a finite number."""
+    try:
+        value = value if isinstance(value, (int, float)) else float(value)
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"config key {where} must be a finite number, got {value!r}")
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -121,6 +122,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigurationError(f"config key {where} must be a mapping")
             out[key] = _merge(base[key], value, where)
+        elif isinstance(base[key], (int, float)):
+            out[key] = _number(value, where)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -163,36 +166,33 @@ def scenario_from_dict(overrides: dict) -> ScenarioConfig:
     segments = []
     prev_start = -math.inf
     for idx, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"schedule entry {idx} must be a mapping")
         extra = set(entry) - {"t_start", "v_star", "w_z", "disturbance_force"}
         if extra:
             raise ConfigurationError(f"unknown schedule keys in entry {idx}: {sorted(extra)}")
         if "t_start" not in entry or "v_star" not in entry:
             raise ConfigurationError(f"schedule entry {idx} needs t_start and v_star")
-        t_start = float(entry["t_start"])
+        num = {key: float(_number(value, f"schedule[{idx}].{key}")) for key, value in entry.items()}
+        t_start = num["t_start"]
         if idx == 0 and t_start != 0.0:
             raise ConfigurationError("first schedule entry must start at t = 0")
         if t_start <= prev_start:
             raise ConfigurationError("schedule t_start values must be strictly increasing")
         prev_start = t_start
-        w_z = float(entry.get("w_z", default_w_z))
-        theta = make_true_params(reward, w_z, float(entry["v_star"]), c_r)
-        segments.append(
-            EnvSegment(
-                t_start=t_start,
-                theta_true=theta,
-                disturbance_force=float(entry.get("disturbance_force", 0.0)),
-            )
-        )
+        theta = make_true_params(reward, num.get("w_z", default_w_z), num["v_star"], c_r)
+        force = num.get("disturbance_force", 0.0)
+        segments.append(EnvSegment(t_start=t_start, theta_true=theta, disturbance_force=force))
 
     horizon_s = float(raw["horizon_s"])
-    if horizon_s <= 0.0:
+    if not (horizon_s > 0.0):
         raise ConfigurationError("horizon_s must be positive")
     steps = horizon_s / vehicle.dt
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
         raise ConfigurationError("vehicle dt must divide horizon_s into whole steps")
 
     v0 = float(raw["v0"])
-    if not (math.isfinite(v0) and v0 >= 0.0):
+    if not (v0 >= 0.0):
         raise ConfigurationError("v0 must be a nonnegative speed")
 
     ctrl = raw["controller"]
@@ -201,43 +201,28 @@ def scenario_from_dict(overrides: dict) -> ScenarioConfig:
         raise ConfigurationError(
             f"controller type must be one of {CONTROLLER_TYPES}, got {ctype!r}"
         )
-    try:
-        solver = GnConfig(
+    controller = ControllerSettings(
+        type=ctype,
+        solver=GnConfig(
             max_iters=int(ctrl["solver"]["max_iters"]),
             tol=float(ctrl["solver"]["tol"]),
             damping=float(ctrl["solver"]["damping"]),
             u_min=vehicle.u_min,
             u_max=vehicle.u_max,
-        )
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid solver settings: {exc}") from exc
-    controller = ControllerSettings(
-        type=ctype,
-        solver=solver,
+        ),
         grad=GradDceeConfig(gain=float(ctrl["grad"]["gain"])),
         esc=EscConfig(**{k: float(v) for k, v in ctrl["esc"].items()}),
     )
 
     ens = raw["ensemble"]
-    n_members = int(ens["N"])
-    if n_members < 1:
-        raise ConfigurationError("ensemble N must be at least 1")
-    prior = make_true_params(
-        reward, float(ens["prior"]["w_z"]), float(ens["prior"]["v_star"]), float(ens["prior"]["c_r"])
-    )
-    spread = np.asarray(ens["spread"], dtype=float)
-    if spread.shape != (3,) or np.any(spread < 0.0):
-        raise ConfigurationError("ensemble spread must be three nonnegative numbers")
-    eta_lo = float(ens["eta_lo"])
-    eta_hi = float(ens["eta_hi"])
-    if not (0.0 < eta_lo <= eta_hi):
-        raise ConfigurationError("need 0 < eta_lo <= eta_hi")
     ensemble = EnsembleSettings(
-        n_members=n_members,
-        eta_lo=eta_lo,
-        eta_hi=eta_hi,
-        prior=prior,
-        spread=spread,
+        n_members=int(ens["N"]),
+        eta_lo=float(ens["eta_lo"]),
+        eta_hi=float(ens["eta_hi"]),
+        prior=make_true_params(
+            reward, float(ens["prior"]["w_z"]), float(ens["prior"]["v_star"]), float(ens["prior"]["c_r"])
+        ),
+        spread=ens["spread"],
         seed=int(ens["seed"]),
     )
 

@@ -142,12 +142,13 @@ def random_input(rng: np.random.Generator, vehicle: VehicleParams) -> float:
     return float(rng.uniform(vehicle.u_min, vehicle.u_max))
 
 
-def _audit_instance(rng: np.random.Generator, p: DceeProblem, k: int):
+def _audit_instance(rng: np.random.Generator, vehicle: VehicleParams,
+                    reward: QuadraticRewardSpec, k: int):
     """The k-th audit instance, cycling through the edges the solver can
     reach: the speed is a cruising one or a standstill one (v in [0, 0.5],
     where low inputs clamp the predicted speed to 0), and the input is
     interior or at a bound."""
-    prob = random_problem(rng, vehicle=p.vehicle, reward=p.reward)
+    prob = random_problem(rng, vehicle=vehicle, reward=reward)
     if k % 2:
         prob = replace(prob, v=float(rng.uniform(0.0, 0.5)))
     veh = prob.vehicle
@@ -158,9 +159,11 @@ def _audit_instance(rng: np.random.Generator, p: DceeProblem, k: int):
     return prob, u
 
 
-def derivative_audit(p: DceeProblem, samples: int, seed: int) -> AuditReport:
+def derivative_audit(vehicle: VehicleParams, reward: QuadraticRewardSpec,
+                     samples: int, seed: int) -> AuditReport:
     """Randomized check of the analytic Jacobian, the gradient identity
-    grad(0.5*||F||^2) = J'F, and the exploitation/exploration decomposition.
+    grad(0.5*||F||^2) = J'F, and the exploitation/exploration decomposition,
+    on random problems with the given vehicle and reward.
 
     Three in four instances sit at an edge: a standstill speed, an input at
     a bound, or both (see _audit_instance).  Instances that hit the
@@ -177,7 +180,7 @@ def derivative_audit(p: DceeProblem, samples: int, seed: int) -> AuditReport:
     max_split = 0.0
     skipped = 0
     for k in range(samples):
-        prob, u = _audit_instance(rng, p, k)
+        prob, u = _audit_instance(rng, vehicle, reward, k)
         h = fd_step(prob.vehicle, u)
         if u - h < standstill_input(prob.vehicle, prob.v) < u + h:
             skipped += 1

@@ -63,39 +63,48 @@ class Ensemble:
         return self.members.shape[0]
 
 
-def init_ensemble(
-    spec: QuadraticRewardSpec,
-    prior_mean,
-    spread,
-    n_members: int,
-    seed: int,
-    eta_lo: float = 0.05,
-    eta_hi: float = 0.5,
-    noise_sigma: float = 0.0,
-) -> Ensemble:
-    """Draw members uniformly in prior_mean +/- spread and project each to
-    admissibility; predicted-update rates are log-spaced on [eta_lo, eta_hi].
+@dataclass(frozen=True)
+class EnsembleSettings:
+    """The initial bank: n_members drawn uniformly in prior +/- spread with
+    the given seed, predicted-update rates log-spaced on [eta_lo, eta_hi]."""
+
+    n_members: int
+    eta_lo: float
+    eta_hi: float
+    prior: np.ndarray   # (3,)
+    spread: np.ndarray  # (3,)
+    seed: int
+
+    def __post_init__(self):
+        try:
+            spread = np.asarray(self.spread, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"ensemble spread must be numbers: {exc}") from exc
+        object.__setattr__(self, "spread", spread)
+        if self.n_members < 1:
+            raise ConfigurationError("ensemble N must be at least 1")
+        if np.shape(self.prior) != (3,) or spread.shape != (3,):
+            raise ConfigurationError("ensemble prior and spread must have shape (3,)")
+        if not np.all(np.isfinite(spread) & (spread >= 0.0)):
+            raise ConfigurationError("ensemble spread must be three nonnegative numbers")
+        if not (0.0 < self.eta_lo <= self.eta_hi):
+            raise ConfigurationError("need 0 < eta_lo <= eta_hi")
+
+
+def init_ensemble(spec: QuadraticRewardSpec, settings: EnsembleSettings, noise_sigma: float) -> Ensemble:
+    """Draw the members of settings and project each to admissibility.
 
     The bank carries a SharedCovariance with prior covariance
     diag(spread**2) and measurement variance
     max(noise_sigma**2, NOISE_VAR_FLOOR).
     """
-    if n_members < 1:
-        raise ConfigurationError("ensemble needs at least one member")
-    prior_mean = np.asarray(prior_mean, dtype=float)
-    spread = np.asarray(spread, dtype=float)
-    if prior_mean.shape != (3,) or spread.shape != (3,):
-        raise ConfigurationError("prior_mean and spread must have shape (3,)")
-    if np.any(spread < 0.0):
-        raise ConfigurationError("spread entries must be nonnegative")
-    if not (0.0 < eta_lo <= eta_hi):
-        raise ConfigurationError("need 0 < eta_lo <= eta_hi")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise ConfigurationError("noise_sigma must be a nonnegative number")
-    rng = np.random.default_rng(seed)
-    members = prior_mean + rng.uniform(-1.0, 1.0, size=(n_members, 3)) * spread
+    rng = np.random.default_rng(settings.seed)
+    spread = settings.spread
+    members = settings.prior + rng.uniform(-1.0, 1.0, size=(settings.n_members, 3)) * spread
     members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
-    rates = np.geomspace(eta_lo, eta_hi, n_members)
+    rates = np.geomspace(settings.eta_lo, settings.eta_hi, settings.n_members)
     prior_cov = np.diag(spread * spread)
     covariance = SharedCovariance(
         matrix=prior_cov,
@@ -171,7 +180,7 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
 def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:
     """Mean of the members' optimal speeds: the believed optimal speed."""
     t0 = e.members[:, 0]
-    if np.any(t0 > -spec.curvature_floor):
+    if not np.all(t0 <= -spec.curvature_floor):
         raise CurvatureViolationError(
             "ensemble member violates the curvature floor; optimal condition undefined"
         )

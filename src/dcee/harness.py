@@ -78,17 +78,7 @@ def _drive(cfg: ScenarioConfig, select):
     """
     vehicle = cfg.vehicle
     spec = cfg.reward
-    ens_cfg = cfg.ensemble
-    ens = init_ensemble(
-        spec,
-        ens_cfg.prior,
-        ens_cfg.spread,
-        ens_cfg.n_members,
-        ens_cfg.seed,
-        eta_lo=ens_cfg.eta_lo,
-        eta_hi=ens_cfg.eta_hi,
-        noise_sigma=cfg.noise.sigma_reward,
-    )
+    ens = init_ensemble(spec, cfg.ensemble, cfg.noise.sigma_reward)
     v = cfg.v0
     u = 0.0
     problem = None
@@ -122,21 +112,18 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
     def select(k, t, seg, r_meas, problem, u_prev):
         nonlocal esc_state
         gamma_mean = condition_stats(problem.ensemble, spec)
+        t0 = time.perf_counter_ns()
         if ctype == "numerical_dcee":
             u, report = controller_step(problem, u_prev, cfg.controller.solver)
-            health.add(report)
-            elapsed = report.solve_time_ns
-            iterations = report.iterations
         elif ctype == "grad_dcee":
-            t0 = time.perf_counter_ns()
             u = grad_dcee_step(problem, u_prev, cfg.controller.grad)
-            elapsed = time.perf_counter_ns() - t0
-            iterations = 1
         else:
-            t0 = time.perf_counter_ns()
             u, esc_state = esc_step(esc_state, cfg.controller.esc, r_meas, problem.v, vehicle, vehicle.dt)
-            elapsed = time.perf_counter_ns() - t0
-            iterations = 0
+        wall_times.append(time.perf_counter_ns() - t0)
+        iterations = 1 if ctype == "grad_dcee" else 0
+        if ctype == "numerical_dcee":
+            health.add(report)
+            iterations = report.iterations
 
         try:
             exploit, explore = objective_split(problem, u)
@@ -156,7 +143,6 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
                 iterations=iterations,
             )
         )
-        wall_times.append(elapsed)
         return u
 
     problem, u = _drive(cfg, select)
@@ -262,9 +248,8 @@ def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
     differences of the half objective; scalar input only.  The damping is
     relative to the curvature and escalates as in solve, so both take
     like steps.  A zero difference curvature where the gradient is nonzero
-    gives no step to take and counts as a failure.  Returns (u, iterations,
-    solve_time_ns) or raises SolverFailureError."""
-    t_start = time.perf_counter_ns()
+    gives no step to take and counts as a failure.  Returns u or raises
+    SolverFailureError."""
 
     def L(u):
         f, _ = evaluate(problem, u, with_jacobian=False)
@@ -275,7 +260,6 @@ def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
         val = L(u)
     except InfeasibleCandidateError as exc:
         raise SolverFailureError("initial point infeasible") from exc
-    iterations = 0
     for _ in range(cfg.max_iters):
         hg = fd_step(problem.vehicle, u)
         hh = 1e-4 * (1.0 + abs(u))
@@ -310,52 +294,48 @@ def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
         step = abs(u_new - u)
         stop = step / (1.0 + abs(u))
         u, val = u_new, val_new
-        iterations += 1
         if stop <= cfg.tol:
             break
-    return u, iterations, time.perf_counter_ns() - t_start
+    return u
 
 
-def bench_solver(
-    cfg: ScenarioConfig,
-    repetitions: int = 1,
-    agreement_stride: int = 10,
-    reference_max_iters: int = 60,
-) -> dict:
+def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     """Time the production solver against two internal references on the
     identical per-step problems of the closed loop.
 
     The loop itself is always driven by the production (analytic-Jacobian)
     controller; the references solve each snapshot from the same warm start
-    with the same settings.  Every agreement_stride steps all three are also
-    re-solved to convergence (reference_max_iters budget) and the relative
-    spread of the reached objectives is tracked.  The health counts of the
-    production solves are reported under "solver".
+    with the same settings.  Each is timed around its call, so the analytic
+    time includes controller_step's preparation.  Every agreement_stride
+    steps all three are also re-solved to convergence (60 iterations at
+    most) and the relative spread of the reached objectives is tracked.
+    The health counts of the production solves are reported under "solver".
     """
-    if repetitions < 1:
-        raise InvalidInputError("repetitions must be at least 1")
     gncfg = cfg.controller.solver
-    ref_cfg = replace(gncfg, max_iters=reference_max_iters)
+    ref_cfg = replace(gncfg, max_iters=60)
     times = {"analytic_gn": [], "fd_jacobian_gn": [], "fd_hessian_newton": []}
     health = SolverHealth()
     agreement_max_rel = 0.0
     agreement_checks = 0
     reference_failures = 0
 
+    def timed(name, fn, *args):
+        t0 = time.perf_counter_ns()
+        out = fn(*args)
+        times[name].append(time.perf_counter_ns() - t0)
+        return out
+
     def select(k, t, seg, r_meas, problem, u_prev):
         nonlocal agreement_max_rel, agreement_checks, reference_failures
-        u, report = controller_step(problem, u_prev, gncfg)
-        times["analytic_gn"].append(report.solve_time_ns)
+        u, report = timed("analytic_gn", controller_step, problem, u_prev, gncfg)
         health.add(report)
 
         try:
-            _, rep_fd = solve(_fd_jacobian_fn(problem), u_prev, gncfg)
-            times["fd_jacobian_gn"].append(rep_fd.solve_time_ns)
+            timed("fd_jacobian_gn", solve, _fd_jacobian_fn(problem), u_prev, gncfg)
         except SolverFailureError:
             reference_failures += 1
         try:
-            _, _, t_newton = _newton_fd_solve(problem, u_prev, gncfg)
-            times["fd_hessian_newton"].append(t_newton)
+            timed("fd_hessian_newton", _newton_fd_solve, problem, u_prev, gncfg)
         except SolverFailureError:
             reference_failures += 1
 
@@ -363,7 +343,7 @@ def bench_solver(
             try:
                 u_a, _ = solve(residual_fn(problem), u_prev, ref_cfg)
                 u_b, _ = solve(_fd_jacobian_fn(problem), u_prev, ref_cfg)
-                u_c, _, _ = _newton_fd_solve(problem, u_prev, ref_cfg)
+                u_c = _newton_fd_solve(problem, u_prev, ref_cfg)
                 objs = [objective(problem, uu) for uu in (u_a, u_b, u_c)]
                 spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
                 agreement_max_rel = max(agreement_max_rel, spread_rel)
@@ -372,9 +352,7 @@ def bench_solver(
                 reference_failures += 1
         return u
 
-    for _ in range(repetitions):
-        _drive(cfg, select)
-
+    _drive(cfg, select)
     summary = {name: _timing_summary(vals) for name, vals in times.items()}
     mean_gn = summary["analytic_gn"]["mean_ns"]
     speedup = {
@@ -388,6 +366,4 @@ def bench_solver(
         "agreement_checks": agreement_checks,
         "reference_failures": reference_failures,
         "solver": health.as_dict(),
-        "steps_per_repetition": cfg.n_steps,
-        "repetitions": repetitions,
     }

@@ -30,7 +30,7 @@ class VehicleParams:
             raise ConfigurationError("mass and dt must be positive")
         if not (self.u_min < self.u_max):
             raise ConfigurationError("u_min must be below u_max")
-        if self.c0 < 0.0 or self.c1 < 0.0 or self.c2 < 0.0:
+        if not (self.c0 >= 0.0 and self.c1 >= 0.0 and self.c2 >= 0.0):
             raise ConfigurationError("drag coefficients must be nonnegative")
 
 
@@ -50,7 +50,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_reward < 0.0:
+        if not (self.sigma_reward >= 0.0):
             raise ConfigurationError("sigma_reward must be nonnegative")
         if self.seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer")

@@ -12,13 +12,12 @@ squares on the stacked linearized residual, an independent cross-check.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import DceeProblem, residual_fn, standstill_input
-from .errors import InfeasibleCandidateError, SolverFailureError
+from .errors import ConfigurationError, InfeasibleCandidateError, SolverFailureError
 from .plant import drag_force
 
 # Relative slack when judging whether a trial step decreased the objective;
@@ -50,23 +49,20 @@ class GnConfig:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ConfigurationError("solver max_iters must be at least 1")
         if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
-        if self.damping < 0.0:
-            raise ValueError("damping must be nonnegative")
+            raise ConfigurationError("solver tol must be positive")
+        if not (self.damping >= 0.0):
+            raise ConfigurationError("solver damping must be nonnegative")
 
 
 @dataclass
 class GnReport:
-    """Per-solve trace: one entry of step_norms per accepted step, one entry
-    of objective_trace per iterate (including the initial point)."""
+    """Per-solve trace: one entry of step_norms per accepted step."""
 
     iterations: int = 0
     step_norms: list = field(default_factory=list)
-    objective_trace: list = field(default_factory=list)
     converged: bool = False
-    solve_time_ns: int = 0
     fallback: bool = False
     damping_escalations: int = 0
 
@@ -139,17 +135,14 @@ def solve(fun, u_init: float, cfg: GnConfig):
     Returns (u, report).  Raises SolverFailureError (carrying the partial
     report) when no acceptable step exists after damping escalation.
     """
-    t0 = time.perf_counter_ns()
     u_min, u_max = cfg.u_min, cfg.u_max
     u = min(max(float(u_init), u_min), u_max)
     report = GnReport()
     try:
         F, J = fun(u)
     except InfeasibleCandidateError as exc:
-        report.solve_time_ns = time.perf_counter_ns() - t0
         raise SolverFailureError("initial point infeasible", report) from exc
     obj = float(F @ F)
-    report.objective_trace.append(obj)
 
     for _ in range(cfg.max_iters):
         jtj = float(J @ J)
@@ -170,7 +163,6 @@ def solve(fun, u_init: float, cfg: GnConfig):
             lam = max(10.0 * lam, 1.0)
             report.damping_escalations += 1
         if not accepted:
-            report.solve_time_ns = time.perf_counter_ns() - t0
             raise SolverFailureError(
                 "no acceptable step after damping escalation", report
             )
@@ -181,12 +173,10 @@ def solve(fun, u_init: float, cfg: GnConfig):
         stop = step_norm / (1.0 + abs(u))
         stalled = obj_new >= obj
         u, F, J, obj = u_new, F_new, J_new, obj_new
-        report.objective_trace.append(obj)
         if stop <= cfg.tol or stalled:
             report.converged = True
             break
 
-    report.solve_time_ns = time.perf_counter_ns() - t0
     return u, report
 
 

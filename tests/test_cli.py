@@ -70,6 +70,14 @@ def test_run_requires_config(cfg_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bad", ["horizon_s: .nan\n", "schedule: [5]\n"])
+def test_run_rejects_malformed_config(tmp_path, capsys, bad):
+    path = tmp_path / "bad.yaml"
+    path.write_text(bad, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_import_loads_no_scipy():
     # a fresh interpreter, importing the same dcee as this test session
     src = os.path.dirname(os.path.dirname(dcee.__file__))
@@ -101,7 +109,7 @@ def test_compare_rejects_unknown_controller(cfg_path):
 
 def test_bench(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "bench")
-    rc = main(["bench", cfg_path, "--reps", "1", "--out", out])
+    rc = main(["bench", cfg_path, "--out", out])
     assert rc == 0
     assert "bench[analytic_gn]" in capsys.readouterr().out
     with open(os.path.join(out, "bench.json"), "r", encoding="utf-8") as fh:

@@ -83,6 +83,28 @@ def test_ensemble_settings():
         scenario_from_dict({"ensemble": {"spread": [0.1, 0.1]}})
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"schedule": [5]},
+        {"ensemble": {"N": "ten"}},
+        {"vehicle": {"mass": "heavy"}},
+        {"noise": {"seed": None}},
+        {"horizon_s": float("nan")},
+        {"horizon_s": float("inf")},
+        {"vehicle": {"c0": float("nan")}},
+        {"ensemble": {"spread": [0.3, float("nan"), 0.3]}},
+        {"schedule": [{"t_start": 0.0, "v_star": 20.0, "disturbance_force": float("nan")}]},
+        {"controller": {"solver": {"damping": float("nan")}}},
+        {"controller": {"solver": {"max_iters": "x"}}},
+        {"reward": {"c_r": float("nan")}},
+    ],
+)
+def test_malformed_values_rejected(overrides):
+    with pytest.raises(ConfigurationError):
+        scenario_from_dict(overrides)
+
+
 def test_load_config_from_yaml(tmp_path):
     path = tmp_path / "scen.yaml"
     with open(path, "w", encoding="utf-8") as fh:

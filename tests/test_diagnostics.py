@@ -3,7 +3,9 @@ import pytest
 
 from dcee import (
     GnConfig,
+    QuadraticRewardSpec,
     RateUndefinedError,
+    VehicleParams,
     contraction_rate,
     derivative_audit,
     exact_hessian_fd,
@@ -105,10 +107,8 @@ def test_contraction_rate_small_at_converged_operating_point():
 
 
 def test_derivative_audit_deterministic_and_clean():
-    rng = np.random.default_rng(35)
-    p = random_problem(rng)
-    a = derivative_audit(p, samples=40, seed=77)
-    b = derivative_audit(p, samples=40, seed=77)
+    a = derivative_audit(VehicleParams(), QuadraticRewardSpec(), samples=40, seed=77)
+    b = derivative_audit(VehicleParams(), QuadraticRewardSpec(), samples=40, seed=77)
     assert a.max_jacobian_rel_err == b.max_jacobian_rel_err
     assert a.max_gradient_rel_err == b.max_gradient_rel_err
     assert a.skipped == b.skipped
@@ -139,7 +139,7 @@ def test_derivative_audit_reaches_standstill_and_bounds(monkeypatch):
         return F, J
 
     monkeypatch.setattr(diagnostics, "evaluate", spy)
-    report = derivative_audit(random_problem(np.random.default_rng(35)), samples=100, seed=711)
+    report = derivative_audit(VehicleParams(), QuadraticRewardSpec(), samples=100, seed=711)
     assert report.passed
     clamped = [J for prob, u, J in seen if u < standstill_input(prob.vehicle, prob.v)]
     assert len(clamped) >= 5

@@ -10,6 +10,7 @@ from dcee import (
     CurvatureViolationError,
     DceeProblem,
     Ensemble,
+    EnsembleSettings,
     InvalidInputError,
     QuadraticRewardSpec,
     SharedCovariance,
@@ -26,6 +27,10 @@ from dcee import (
 )
 
 
+def settings(prior, spread, n, seed, eta_lo=0.005, eta_hi=0.05):
+    return EnsembleSettings(n_members=n, eta_lo=eta_lo, eta_hi=eta_hi, prior=prior, spread=spread, seed=seed)
+
+
 def consensus(theta, n=4, rate=0.1):
     theta = np.asarray(theta, float)
     return Ensemble(members=np.tile(theta, (n, 1)), rates=np.full(n, rate))
@@ -34,35 +39,53 @@ def consensus(theta, n=4, rate=0.1):
 def test_init_zero_spread_gives_prior():
     spec = QuadraticRewardSpec()
     prior = make_true_params(spec, 1.0, 20.0, 0.5)
-    ens = init_ensemble(spec, prior, [0.0, 0.0, 0.0], 5, seed=1)
+    ens = init_ensemble(spec, settings(prior, [0.0, 0.0, 0.0], 5, seed=1), 0.0)
     assert np.allclose(ens.members, prior)
 
 
 def test_init_singleton_rate():
     spec = QuadraticRewardSpec()
     prior = make_true_params(spec, 1.0, 20.0, 0.5)
-    ens = init_ensemble(spec, prior, [0.1, 0.1, 0.1], 1, seed=1, eta_lo=0.02, eta_hi=0.4)
+    ens = init_ensemble(spec, settings(prior, [0.1, 0.1, 0.1], 1, seed=1, eta_lo=0.02, eta_hi=0.4), 0.0)
     assert ens.n_members == 1
     assert ens.rates[0] == pytest.approx(0.02)
 
 
 def test_init_projects_to_admissibility():
     spec = QuadraticRewardSpec()
-    ens = init_ensemble(spec, np.array([1.0, 0.5, 0.0]), [0.3, 0.3, 0.3], 8, seed=2)
+    ens = init_ensemble(spec, settings(np.array([1.0, 0.5, 0.0]), [0.3, 0.3, 0.3], 8, seed=2), 0.0)
     assert np.all(ens.members[:, 0] == -spec.curvature_floor)
 
 
 def test_init_rates_log_spaced():
     spec = QuadraticRewardSpec()
     prior = make_true_params(spec, 1.0, 20.0, 0.5)
-    ens = init_ensemble(spec, prior, [0.0, 0.0, 0.0], 4, seed=3, eta_lo=0.01, eta_hi=0.08)
+    ens = init_ensemble(spec, settings(prior, [0.0, 0.0, 0.0], 4, seed=3, eta_lo=0.01, eta_hi=0.08), 0.0)
     assert np.allclose(ens.rates, np.geomspace(0.01, 0.08, 4))
 
 
 def test_init_rejects_empty():
     spec = QuadraticRewardSpec()
     with pytest.raises(ConfigurationError):
-        init_ensemble(spec, np.zeros(3), [0.0, 0.0, 0.0], 0, seed=1)
+        init_ensemble(spec, settings(np.zeros(3), [0.0, 0.0, 0.0], 0, seed=1), 0.0)
+
+
+def test_ensemble_settings_validation():
+    prior = np.zeros(3)
+    bad = [
+        dict(n=0),
+        dict(eta_lo=0.5, eta_hi=0.1),
+        dict(eta_lo=float("nan")),
+        dict(eta_hi=float("nan")),
+        dict(spread=[0.1, 0.1]),
+        dict(spread=[0.1, -0.1, 0.1]),
+        dict(spread=[0.1, float("nan"), 0.1]),
+        dict(spread=["wide", 0.1, 0.1]),
+    ]
+    for kwargs in bad:
+        args = {"prior": prior, "spread": [0.1, 0.1, 0.1], "n": 3, "seed": 1, **kwargs}
+        with pytest.raises(ConfigurationError):
+            settings(**args)
 
 
 def test_measured_update_requires_covariance():
@@ -130,6 +153,10 @@ def test_condition_stats_rejects_inadmissible():
     ens = Ensemble(members=np.array([[-0.01, 1.0, 0.0]]), rates=np.array([0.1]))
     with pytest.raises(CurvatureViolationError):
         condition_stats(ens, spec)
+    # a NaN curvature is no admissible member either
+    ens = Ensemble(members=np.array([[np.nan, 1.0, 0.0], [-1.0, 1.0, 0.0]]), rates=np.array([0.1, 0.1]))
+    with pytest.raises(CurvatureViolationError):
+        condition_stats(ens, spec)
 
 
 def test_deviation_centering_and_trace_identity():
@@ -141,7 +168,7 @@ def test_deviation_centering_and_trace_identity():
     for _ in range(50):
         n = int(rng.integers(1, 12))
         prior = make_true_params(spec, rng.uniform(0.3, 2.0), rng.uniform(2, 50), rng.uniform(-1, 1))
-        ens = init_ensemble(spec, prior, rng.uniform(0, 0.4, 3), n, seed=int(rng.integers(1e6)))
+        ens = init_ensemble(spec, settings(prior, rng.uniform(0, 0.4, 3), n, seed=int(rng.integers(1e6))), 0.0)
         gammas = np.array([optimal_condition(spec, m) for m in ens.members])
         mean = condition_stats(ens, spec)
         assert abs(mean - gammas.mean()) <= 1e-12 * abs(mean)
@@ -156,7 +183,7 @@ def test_measured_update_contracts_on_scripted_sweep():
     spec = QuadraticRewardSpec()
     theta_star = make_true_params(spec, 1.0, 25.0, 1.0)
     prior = make_true_params(spec, 0.8, 15.0, 0.5)
-    ens = init_ensemble(spec, prior, [0.3, 0.3, 0.3], 10, seed=924, eta_lo=0.005, eta_hi=0.05)
+    ens = init_ensemble(spec, settings(prior, [0.3, 0.3, 0.3], 10, seed=924), 0.0)
     sweep = 15.0 + 10.0 * np.sin(0.05 * np.arange(500))
     errs = []
     for k, v in enumerate(sweep):
@@ -167,7 +194,7 @@ def test_measured_update_contracts_on_scripted_sweep():
     # rank-one updates leave the weakly excited parameter direction slow, so
     # the trend, not a deep contraction, is the contract here
     assert all(a > b for a, b in zip(errs, errs[1:]))
-    start = init_ensemble(spec, prior, [0.3, 0.3, 0.3], 10, seed=924, eta_lo=0.005, eta_hi=0.05)
+    start = init_ensemble(spec, settings(prior, [0.3, 0.3, 0.3], 10, seed=924), 0.0)
     assert errs[-1] < np.linalg.norm(start.members.mean(axis=0) - theta_star)
 
 
@@ -184,16 +211,16 @@ def with_covariance(members, P, noise_var, rate=0.1):
 def test_init_with_noise_sigma_derives_covariance():
     spec = QuadraticRewardSpec()
     prior = make_true_params(spec, 1.0, 20.0, 0.5)
-    ens = init_ensemble(spec, prior, [0.1, 0.2, 0.3], 4, seed=1, noise_sigma=0.02)
+    ens = init_ensemble(spec, settings(prior, [0.1, 0.2, 0.3], 4, seed=1), 0.02)
     cov = ens.covariance
     assert np.allclose(cov.matrix, np.diag([0.01, 0.04, 0.09]))
     assert np.array_equal(cov.prior, cov.matrix)
     assert cov.noise_var == pytest.approx(4e-4)
     assert (cov.cusum_hi, cov.cusum_lo, cov.resets) == (0.0, 0.0, 0)
-    exact = init_ensemble(spec, prior, [0.1, 0.2, 0.3], 4, seed=1, noise_sigma=0.0)
+    exact = init_ensemble(spec, settings(prior, [0.1, 0.2, 0.3], 4, seed=1), 0.0)
     assert exact.covariance.noise_var == NOISE_VAR_FLOOR
     with pytest.raises(ConfigurationError):
-        init_ensemble(spec, prior, [0.1, 0.2, 0.3], 4, seed=1, noise_sigma=float("nan"))
+        init_ensemble(spec, settings(prior, [0.1, 0.2, 0.3], 4, seed=1), float("nan"))
 
 
 def test_covariance_update_hand_value():

@@ -229,8 +229,7 @@ def test_bench_solver_structure_and_ordering():
     d = default_config()
     d["horizon_s"] = 20.0
     cfg = scenario_from_dict(d)
-    report = bench_solver(cfg, repetitions=1, agreement_stride=50, reference_max_iters=60)
-    assert report["steps_per_repetition"] == cfg.n_steps
+    report = bench_solver(cfg, agreement_stride=50)
     t = report["timing"]
     assert set(t) == {"analytic_gn", "fd_jacobian_gn", "fd_hessian_newton"}
     # analytic derivative beats the finite-difference Hessian reference
@@ -240,9 +239,3 @@ def test_bench_solver_structure_and_ordering():
     assert report["agreement_checks"] >= 4
     assert report["agreement_max_rel"] < 1e-6
     assert report["solver"]["solves"] == cfg.n_steps
-
-
-def test_bench_solver_rejects_zero_reps():
-    cfg = short_cfg()
-    with pytest.raises(InvalidInputError):
-        bench_solver(cfg, repetitions=0)
