@@ -144,9 +144,7 @@ def criterion_4_global_quality() -> CriterionResult:
         if solved % 2:
             prob = replace(prob, v=condition_stats(prob.ensemble, prob.reward))
         u0 = random_input(rng, prob.vehicle)
-        cfg = GnConfig(
-            max_iters=60, tol=1e-10, damping=1e-8, u_min=prob.vehicle.u_min, u_max=prob.vehicle.u_max
-        )
+        cfg = GnConfig(max_iters=60, tol=1e-10, u_min=prob.vehicle.u_min, u_max=prob.vehicle.u_max)
         try:
             u_star, _ = solve(residual_fn(prob), u0, cfg)
             obj_gn = objective(prob, u_star)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import yaml
 
@@ -21,26 +21,12 @@ from .solver import GnConfig
 
 CONTROLLER_TYPES = ("numerical_dcee", "grad_dcee", "esc")
 
+# Each section with a settings type takes its defaults from that type; the
+# solver box is the vehicle's input range, so it is not a solver key.
 DEFAULTS: dict = {
-    "vehicle": {
-        "mass": 1500.0,
-        "dt": 0.1,
-        "c0": 100.0,
-        "c1": 5.0,
-        "c2": 0.4,
-        "u_min": -5000.0,
-        "u_max": 5000.0,
-    },
-    "reward": {
-        "v_scale": 30.0,
-        "w_z": 1.0,
-        "c_r": 1.0,
-        "curvature_floor": 0.05,
-    },
-    "noise": {
-        "sigma_reward": 0.01,
-        "seed": 20260811,
-    },
+    "vehicle": asdict(VehicleParams()),
+    "reward": {**asdict(QuadraticRewardSpec()), "w_z": 1.0, "c_r": 1.0},
+    "noise": asdict(NoiseSpec()),
     "schedule": [
         {"t_start": 0.0, "v_star": 25.0, "w_z": 1.0, "disturbance_force": 0.0},
         {"t_start": 300.0, "v_star": 20.0, "w_z": 1.0, "disturbance_force": 200.0},
@@ -50,15 +36,9 @@ DEFAULTS: dict = {
     "v0": 5.0,
     "controller": {
         "type": "numerical_dcee",
-        "solver": {"max_iters": 10, "tol": 1.0e-6, "damping": 1.0e-8},
-        "grad": {"gain": 2.1e8},
-        "esc": {
-            "dither_amp": 1.0,
-            "dither_freq": 0.8,
-            "integrator_gain": 60.0,
-            "highpass_cutoff": 0.1,
-            "speed_loop_gain": 800.0,
-        },
+        "solver": {k: v for k, v in asdict(GnConfig()).items() if k not in ("u_min", "u_max")},
+        "grad": asdict(GradDceeConfig()),
+        "esc": asdict(EscConfig()),
     },
     "ensemble": {
         "N": 10,
@@ -101,29 +81,44 @@ def default_config() -> dict:
     return copy.deepcopy(DEFAULTS)
 
 
-def _number(value, where: str):
-    """value, or the float that a string reads as, if that is a finite number."""
+def _number(value, default, where: str):
+    """value as a number of default's type: a finite float, or for an int
+    default a whole number, kept exact.  A string counts as the number it
+    reads as; a bool is not a number."""
     try:
-        value = value if isinstance(value, (int, float)) else float(value)
-        if math.isfinite(value):
-            return value
+        if isinstance(value, bool):
+            raise TypeError
+        if isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                value = float(value)
+        if isinstance(default, float):
+            value = float(value)
+            if math.isfinite(value):
+                return value
+        elif value == int(value):
+            return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigurationError(f"config key {where} must be a finite number, got {value!r}")
+    kind = "finite number" if isinstance(default, float) else "whole number"
+    raise ConfigurationError(f"config key {where} must be a {kind}, got {value!r}")
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override, path: str = "") -> dict:
+    """override merged over base: unknown keys are rejected, and a value whose
+    default is a number is loaded as that number's type."""
+    if not isinstance(override, dict):
+        raise ConfigurationError(f"config key {path or 'root'} must be a mapping")
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else str(key)
         if key not in base:
             raise ConfigurationError(f"unknown config key: {where}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigurationError(f"config key {where} must be a mapping")
             out[key] = _merge(base[key], value, where)
         elif isinstance(base[key], (int, float)):
-            out[key] = _number(value, where)
+            out[key] = _number(value, base[key], where)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -148,82 +143,60 @@ def load_config(path) -> ScenarioConfig:
 def scenario_from_dict(overrides: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a (possibly partial) dict."""
     raw = _merge(DEFAULTS, overrides)
-
-    vehicle = VehicleParams(**{k: float(v) for k, v in raw["vehicle"].items()})
     rw = raw["reward"]
-    reward = QuadraticRewardSpec(
-        v_scale=float(rw["v_scale"]), curvature_floor=float(rw["curvature_floor"])
-    )
-    default_w_z = float(rw["w_z"])
-    c_r = float(rw["c_r"])
-    noise = NoiseSpec(
-        sigma_reward=float(raw["noise"]["sigma_reward"]), seed=int(raw["noise"]["seed"])
-    )
+    vehicle = VehicleParams(**raw["vehicle"])
+    reward = QuadraticRewardSpec(v_scale=rw["v_scale"], curvature_floor=rw["curvature_floor"])
+    noise = NoiseSpec(**raw["noise"])
 
     entries = raw["schedule"]
     if not isinstance(entries, list) or not entries:
         raise ConfigurationError("schedule must be a nonempty list")
+    entry_default = {"t_start": 0.0, "v_star": 0.0, "w_z": rw["w_z"], "disturbance_force": 0.0}
     segments = []
     prev_start = -math.inf
     for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigurationError(f"schedule entry {idx} must be a mapping")
-        extra = set(entry) - {"t_start", "v_star", "w_z", "disturbance_force"}
-        if extra:
-            raise ConfigurationError(f"unknown schedule keys in entry {idx}: {sorted(extra)}")
-        if "t_start" not in entry or "v_star" not in entry:
-            raise ConfigurationError(f"schedule entry {idx} needs t_start and v_star")
-        num = {key: float(_number(value, f"schedule[{idx}].{key}")) for key, value in entry.items()}
-        t_start = num["t_start"]
+        where = f"schedule[{idx}]"
+        if isinstance(entry, dict) and not {"t_start", "v_star"} <= set(entry):
+            raise ConfigurationError(f"{where} needs t_start and v_star")
+        entry = _merge(entry_default, entry, where)
+        t_start = entry["t_start"]
         if idx == 0 and t_start != 0.0:
             raise ConfigurationError("first schedule entry must start at t = 0")
         if t_start <= prev_start:
             raise ConfigurationError("schedule t_start values must be strictly increasing")
         prev_start = t_start
-        theta = make_true_params(reward, num.get("w_z", default_w_z), num["v_star"], c_r)
-        force = num.get("disturbance_force", 0.0)
-        segments.append(EnvSegment(t_start=t_start, theta_true=theta, disturbance_force=force))
+        theta = make_true_params(reward, entry["w_z"], entry["v_star"], rw["c_r"])
+        segments.append(EnvSegment(t_start, theta, entry["disturbance_force"]))
 
-    horizon_s = float(raw["horizon_s"])
+    horizon_s = raw["horizon_s"]
     if not (horizon_s > 0.0):
         raise ConfigurationError("horizon_s must be positive")
     steps = horizon_s / vehicle.dt
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
         raise ConfigurationError("vehicle dt must divide horizon_s into whole steps")
-
-    v0 = float(raw["v0"])
-    if not (v0 >= 0.0):
+    if not (raw["v0"] >= 0.0):
         raise ConfigurationError("v0 must be a nonnegative speed")
 
     ctrl = raw["controller"]
-    ctype = str(ctrl["type"])
-    if ctype not in CONTROLLER_TYPES:
+    if ctrl["type"] not in CONTROLLER_TYPES:
         raise ConfigurationError(
-            f"controller type must be one of {CONTROLLER_TYPES}, got {ctype!r}"
+            f"controller type must be one of {CONTROLLER_TYPES}, got {ctrl['type']!r}"
         )
     controller = ControllerSettings(
-        type=ctype,
-        solver=GnConfig(
-            max_iters=int(ctrl["solver"]["max_iters"]),
-            tol=float(ctrl["solver"]["tol"]),
-            damping=float(ctrl["solver"]["damping"]),
-            u_min=vehicle.u_min,
-            u_max=vehicle.u_max,
-        ),
-        grad=GradDceeConfig(gain=float(ctrl["grad"]["gain"])),
-        esc=EscConfig(**{k: float(v) for k, v in ctrl["esc"].items()}),
+        type=ctrl["type"],
+        solver=GnConfig(**ctrl["solver"], u_min=vehicle.u_min, u_max=vehicle.u_max),
+        grad=GradDceeConfig(**ctrl["grad"]),
+        esc=EscConfig(**ctrl["esc"]),
     )
 
     ens = raw["ensemble"]
     ensemble = EnsembleSettings(
-        n_members=int(ens["N"]),
-        eta_lo=float(ens["eta_lo"]),
-        eta_hi=float(ens["eta_hi"]),
-        prior=make_true_params(
-            reward, float(ens["prior"]["w_z"]), float(ens["prior"]["v_star"]), float(ens["prior"]["c_r"])
-        ),
+        n_members=ens["N"],
+        eta_lo=ens["eta_lo"],
+        eta_hi=ens["eta_hi"],
+        prior=make_true_params(reward, **ens["prior"]),
         spread=ens["spread"],
-        seed=int(ens["seed"]),
+        seed=ens["seed"],
     )
 
     return ScenarioConfig(
@@ -232,7 +205,7 @@ def scenario_from_dict(overrides: dict) -> ScenarioConfig:
         noise=noise,
         schedule=tuple(segments),
         horizon_s=horizon_s,
-        v0=v0,
+        v0=raw["v0"],
         controller=controller,
         ensemble=ensemble,
         raw=raw,

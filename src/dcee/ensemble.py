@@ -89,6 +89,8 @@ class EnsembleSettings:
             raise ConfigurationError("ensemble spread must be three nonnegative numbers")
         if not (0.0 < self.eta_lo <= self.eta_hi):
             raise ConfigurationError("need 0 < eta_lo <= eta_hi")
+        if self.seed < 0:
+            raise ConfigurationError("ensemble seed must be a nonnegative integer")
 
 
 def init_ensemble(spec: QuadraticRewardSpec, settings: EnsembleSettings, noise_sigma: float) -> Ensemble:

@@ -67,6 +67,14 @@ def _timing_summary(times_ns) -> dict:
     }
 
 
+def _timed(times: list, fn, *args):
+    """fn(*args), with its wall time in ns appended to times."""
+    t0 = time.perf_counter_ns()
+    out = fn(*args)
+    times.append(time.perf_counter_ns() - t0)
+    return out
+
+
 def _drive(cfg: ScenarioConfig, select):
     """Step the configured closed loop through its horizon: measure, learn,
     select, apply.
@@ -112,18 +120,19 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
     def select(k, t, seg, r_meas, problem, u_prev):
         nonlocal esc_state
         gamma_mean = condition_stats(problem.ensemble, spec)
-        t0 = time.perf_counter_ns()
+        # each controller is looked up as a module global at every call, so a
+        # wrapper set on this module sees each selection
         if ctype == "numerical_dcee":
-            u, report = controller_step(problem, u_prev, cfg.controller.solver)
-        elif ctype == "grad_dcee":
-            u = grad_dcee_step(problem, u_prev, cfg.controller.grad)
-        else:
-            u, esc_state = esc_step(esc_state, cfg.controller.esc, r_meas, problem.v, vehicle, vehicle.dt)
-        wall_times.append(time.perf_counter_ns() - t0)
-        iterations = 1 if ctype == "grad_dcee" else 0
-        if ctype == "numerical_dcee":
+            u, report = _timed(wall_times, controller_step, problem, u_prev, cfg.controller.solver)
             health.add(report)
             iterations = report.iterations
+        elif ctype == "grad_dcee":
+            u = _timed(wall_times, grad_dcee_step, problem, u_prev, cfg.controller.grad)
+            iterations = 1
+        else:
+            u, esc_state = _timed(wall_times, esc_step, esc_state, cfg.controller.esc, r_meas,
+                                  problem.v, vehicle, vehicle.dt)
+            iterations = 0
 
         try:
             exploit, explore = objective_split(problem, u)
@@ -319,23 +328,17 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     agreement_checks = 0
     reference_failures = 0
 
-    def timed(name, fn, *args):
-        t0 = time.perf_counter_ns()
-        out = fn(*args)
-        times[name].append(time.perf_counter_ns() - t0)
-        return out
-
     def select(k, t, seg, r_meas, problem, u_prev):
         nonlocal agreement_max_rel, agreement_checks, reference_failures
-        u, report = timed("analytic_gn", controller_step, problem, u_prev, gncfg)
+        u, report = _timed(times["analytic_gn"], controller_step, problem, u_prev, gncfg)
         health.add(report)
 
         try:
-            timed("fd_jacobian_gn", solve, _fd_jacobian_fn(problem), u_prev, gncfg)
+            _timed(times["fd_jacobian_gn"], solve, _fd_jacobian_fn(problem), u_prev, gncfg)
         except SolverFailureError:
             reference_failures += 1
         try:
-            timed("fd_hessian_newton", _newton_fd_solve, problem, u_prev, gncfg)
+            _timed(times["fd_hessian_newton"], _newton_fd_solve, problem, u_prev, gncfg)
         except SolverFailureError:
             reference_failures += 1
 

@@ -41,13 +41,13 @@ class EnvSegment:
 
     t_start: float
     theta_true: np.ndarray
-    disturbance_force: float = 0.0
+    disturbance_force: float
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     sigma_reward: float = 0.01
-    seed: int = 0
+    seed: int = 20260811
 
     def __post_init__(self):
         if not (self.sigma_reward >= 0.0):

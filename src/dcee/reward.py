@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureViolationError, InvalidInputError
+from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError
 
 N_THETA = 3
 
@@ -31,9 +31,9 @@ class QuadraticRewardSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.v_scale) and self.v_scale > 0.0):
-            raise InvalidInputError(f"v_scale must be positive and finite, got {self.v_scale}")
+            raise ConfigurationError(f"v_scale must be positive and finite, got {self.v_scale}")
         if not (math.isfinite(self.curvature_floor) and self.curvature_floor > 0.0):
-            raise InvalidInputError(
+            raise ConfigurationError(
                 f"curvature_floor must be positive and finite, got {self.curvature_floor}"
             )
 

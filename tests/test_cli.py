@@ -70,7 +70,7 @@ def test_run_requires_config(cfg_path):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("bad", ["horizon_s: .nan\n", "schedule: [5]\n"])
+@pytest.mark.parametrize("bad", ["horizon_s: .nan\n", "schedule: [5]\n", "ensemble: {seed: -1}\n"])
 def test_run_rejects_malformed_config(tmp_path, capsys, bad):
     path = tmp_path / "bad.yaml"
     path.write_text(bad, encoding="utf-8")

@@ -98,11 +98,28 @@ def test_ensemble_settings():
         {"controller": {"solver": {"damping": float("nan")}}},
         {"controller": {"solver": {"max_iters": "x"}}},
         {"reward": {"c_r": float("nan")}},
+        {"ensemble": {"N": 2.5}},
+        {"noise": {"seed": 1.5}},
+        {"controller": {"solver": {"max_iters": 3.7}}},
+        {"noise": {"seed": True}},
+        {"vehicle": {"mass": True}},
+        {"ensemble": {"seed": -1}},
+        {"reward": {"v_scale": -1}},
     ],
 )
 def test_malformed_values_rejected(overrides):
     with pytest.raises(ConfigurationError):
         scenario_from_dict(overrides)
+
+
+def test_whole_numbers_load_as_int():
+    for max_iters in (4.0, "4"):
+        cfg = scenario_from_dict({"controller": {"solver": {"max_iters": max_iters}}})
+        for value in (cfg.controller.solver.max_iters, cfg.raw["controller"]["solver"]["max_iters"]):
+            assert type(value) is int and value == 4
+    for seed in (2**60 + 1, str(2**60 + 1)):
+        cfg = scenario_from_dict({"noise": {"seed": seed}})
+        assert cfg.noise.seed == cfg.raw["noise"]["seed"] == 2**60 + 1
 
 
 def test_load_config_from_yaml(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcee import (
+    ConfigurationError,
     CurvatureViolationError,
     InvalidInputError,
     QuadraticRewardSpec,
@@ -104,8 +105,8 @@ def test_projection_and_admissibility():
 
 
 def test_spec_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError):
         QuadraticRewardSpec(v_scale=0.0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError):
         QuadraticRewardSpec(curvature_floor=-1.0)
     assert math.isfinite(QuadraticRewardSpec().v_scale)
