@@ -14,7 +14,7 @@ import yaml
 
 from .baselines import EscConfig, GradDceeConfig
 from .ensemble import EnsembleSettings
-from .errors import ConfigurationError
+from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError
 from .plant import EnvSegment, NoiseSpec, VehicleParams
 from .reward import QuadraticRewardSpec, make_true_params
 from .solver import GnConfig
@@ -105,6 +105,15 @@ def _number(value, default, where: str):
     raise ConfigurationError(f"config key {where} must be a {kind}, got {value!r}")
 
 
+def _peak_params(reward: QuadraticRewardSpec, where: str, w_z, v_star, c_r):
+    """make_true_params, with a value it rejects reported as a
+    ConfigurationError that names where it came from."""
+    try:
+        return make_true_params(reward, w_z, v_star, c_r)
+    except (InvalidInputError, CurvatureViolationError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
+
+
 def _merge(base: dict, override, path: str = "") -> dict:
     """override merged over base: unknown keys are rejected, and a value whose
     default is a number is loaded as that number's type."""
@@ -165,7 +174,7 @@ def scenario_from_dict(overrides: dict) -> ScenarioConfig:
         if t_start <= prev_start:
             raise ConfigurationError("schedule t_start values must be strictly increasing")
         prev_start = t_start
-        theta = make_true_params(reward, entry["w_z"], entry["v_star"], rw["c_r"])
+        theta = _peak_params(reward, where, entry["w_z"], entry["v_star"], rw["c_r"])
         segments.append(EnvSegment(t_start, theta, entry["disturbance_force"]))
 
     horizon_s = raw["horizon_s"]
@@ -194,7 +203,7 @@ def scenario_from_dict(overrides: dict) -> ScenarioConfig:
         n_members=ens["N"],
         eta_lo=ens["eta_lo"],
         eta_hi=ens["eta_hi"],
-        prior=make_true_params(reward, **ens["prior"]),
+        prior=_peak_params(reward, "ensemble.prior", **ens["prior"]),
         spread=ens["spread"],
         seed=ens["seed"],
     )

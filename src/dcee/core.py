@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble
+from .ensemble import Ensemble, _mean
 from .errors import InfeasibleCandidateError, InvalidInputError
 from .plant import VehicleParams, drag_force
 from .reward import QuadraticRewardSpec
@@ -35,36 +35,6 @@ def standstill_input(vehicle: VehicleParams, v: float) -> float:
     standstill: every smaller input predicts speed 0, so the residual is
     flat there and its Jacobian is 0."""
     return drag_force(vehicle, v) - v * vehicle.mass / vehicle.dt
-
-
-def _pairwise_sum(a: list) -> float:
-    """Sum a list of floats in numpy's pairwise order (numpy's
-    pairwise_sum): fewer than 8 entries in order; up to 128 in 8 running
-    partial sums combined as a tree, then the tail in order; longer lists
-    as two halves split at a multiple of 8."""
-    n = len(a)
-    if n < 8:
-        res = 0.0
-        for x in a:
-            res += x
-        return res
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    head = n - n % 8
-    r = a[:8]
-    for i in range(8, head, 8):
-        r = [ri + x for ri, x in zip(r, a[i:i + 8])]
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in a[head:]:
-        res += x
-    return res
-
-
-def _mean(a: list) -> float:
-    """np.mean of a list of floats, bit for bit: numpy adds the pairwise sum
-    to its identity 0.0, then divides by the count."""
-    return (0.0 + _pairwise_sum(a)) / len(a)
 
 
 class _Prepared:

@@ -31,6 +31,36 @@ CHANGE_LIMIT = 8.0
 NOISE_VAR_FLOOR = 1e-6
 
 
+def _pairwise_sum(a: list) -> float:
+    """Sum a list of floats in numpy's pairwise order (numpy's
+    pairwise_sum): fewer than 8 entries in order; up to 128 in 8 running
+    partial sums combined as a tree, then the tail in order; longer lists
+    as two halves split at a multiple of 8."""
+    n = len(a)
+    if n < 8:
+        res = 0.0
+        for x in a:
+            res += x
+        return res
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    head = n - n % 8
+    r = a[:8]
+    for i in range(8, head, 8):
+        r = [ri + x for ri, x in zip(r, a[i:i + 8])]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in a[head:]:
+        res += x
+    return res
+
+
+def _mean(a: list) -> float:
+    """np.mean of a list of floats, bit for bit: numpy adds the pairwise sum
+    to its identity 0.0, then divides by the count."""
+    return (0.0 + _pairwise_sum(a)) / len(a)
+
+
 @dataclass(frozen=True)
 class SharedCovariance:
     """Parameter covariance of the covariance-weighted measured update.
@@ -155,7 +185,8 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     P = cov.matrix
     p_psi = P @ psi
     s = float(psi @ p_psi) + cov.noise_var
-    nu = -float(innovations.sum()) / (e.n_members * math.sqrt(s))
+    # numpy's sum adds the pairwise sum to its identity 0.0
+    nu = -(0.0 + _pairwise_sum(innovations.tolist())) / (e.n_members * math.sqrt(s))
     hi, lo, fired = change_test(cov.cusum_hi, cov.cusum_lo, nu)
     if fired:
         P = P + cov.prior
@@ -164,9 +195,15 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     gain = p_psi / s
     members = e.members - innovations[:, None] * gain[None, :]
     P = P - gain[:, None] * p_psi
-    if members[:, 0].max() > -spec.curvature_floor:
-        excess = np.maximum(members[:, 0] + spec.curvature_floor, 0.0)
-        members -= excess[:, None] * (P[0] / P[0, 0])[None, :]
+    floor = spec.curvature_floor
+    t0s = members[:, 0].tolist()
+    if any(t0 > -floor for t0 in t0s):
+        # a bank holding an overflowed (NaN) member is clamped but not
+        # projected: bit for bit what a NaN-propagating max test gives
+        if not any(map(math.isnan, t0s)):
+            excess = np.maximum(members[:, 0] + floor, 0.0)
+            members -= excess[:, None] * (P[0] / P[0, 0])[None, :]
+        members[:, 0] = np.minimum(members[:, 0], -floor)
     cov = SharedCovariance(
         matrix=P,
         prior=cov.prior,
@@ -175,15 +212,18 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
         cusum_lo=lo,
         resets=cov.resets + fired,
     )
-    members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
     return Ensemble(members=members, rates=e.rates, covariance=cov)
 
 
 def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:
     """Mean of the members' optimal speeds: the believed optimal speed."""
-    t0 = e.members[:, 0]
-    if not np.all(t0 <= -spec.curvature_floor):
-        raise CurvatureViolationError(
-            "ensemble member violates the curvature floor; optimal condition undefined"
-        )
-    return float((spec.v_scale * (-e.members[:, 1] / (2.0 * t0))).mean())
+    floor = spec.curvature_floor
+    s = spec.v_scale
+    speeds = []
+    for t0, t1, _ in e.members.tolist():
+        if not t0 <= -floor:
+            raise CurvatureViolationError(
+                "ensemble member violates the curvature floor; optimal condition undefined"
+            )
+        speeds.append(s * (-t1 / (2.0 * t0)))
+    return _mean(speeds)

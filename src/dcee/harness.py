@@ -22,10 +22,15 @@ from .config import ScenarioConfig
 from .core import DceeProblem, evaluate, jacobian_fd, objective, objective_split, residual_fn
 from .diagnostics import fd_step
 from .ensemble import condition_stats, init_ensemble, measured_update
-from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
+from .errors import ConfigurationError, InfeasibleCandidateError, InvalidInputError, SolverFailureError
 from .plant import active_segment, measure, plant_step
 from .reward import optimal_condition
 from .solver import GnConfig, SolverHealth, controller_step, solve
+
+# compute_metrics' e_v_tail averages |v - v*| over this many seconds at the
+# end of the run: unlike e_v, one sample, it does not hinge on the last step
+TAIL_WINDOW_S = 30.0
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -168,23 +173,51 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
 
 
 def compute_metrics(records, schedule, spec) -> dict:
-    """Terminal speed error, accumulated absolute speed error, and cumulative
-    regret against the true per-segment parameters."""
+    """Terminal speed error e_v, its mean e_v_tail over the last
+    TAIL_WINDOW_S seconds of record time (all records if they span less),
+    accumulated absolute speed error, and cumulative regret against the true
+    per-segment parameters, each a float.
+
+    Each record's segment is the one active_segment finds.  Records come in
+    time order, so the lookup walks the schedule alongside them, and each
+    segment's optimal speed is computed once.
+    """
     if not records:
         raise InvalidInputError("cannot compute metrics of an empty record list")
+    if not schedule:
+        raise ConfigurationError("environment schedule is empty")
+    t_tail = records[-1].t - TAIL_WINDOW_S
     iae = 0.0
     regret = 0.0
+    tail = 0.0
+    n_tail = 0
+    i = 0
+    active = None
+    t_prev = -math.inf
     for rec in records:
-        seg = active_segment(schedule, rec.t)
-        v_star = optimal_condition(spec, seg.theta_true)
+        t = rec.t
+        if not t >= t_prev:
+            # out of time order: look up from the first segment again
+            i = 0
+        t_prev = t
+        while i + 1 < len(schedule) and schedule[i + 1].t_start <= t:
+            i += 1
+        if i != active:
+            active = i
+            theta = schedule[i].theta_true
+            v_star = optimal_condition(spec, theta)
+            zs = v_star / spec.v_scale
+            t0 = float(theta[0])
         e_v = abs(rec.v - v_star)  # the terminal error once the loop ends
         iae += e_v
+        if t > t_tail:
+            tail += e_v
+            n_tail += 1
         z = rec.v / spec.v_scale
-        zs = v_star / spec.v_scale
-        t0 = seg.theta_true[0]
         # R(theta*, v*) - R(theta*, v) = -theta0 * (z - z*)^2 for the peak form
         regret += -t0 * (z - zs) ** 2
-    return {"e_v": e_v, "iae_v": iae, "regret": regret}
+    e_v_tail = tail / n_tail if n_tail else math.nan
+    return {"e_v": e_v, "e_v_tail": e_v_tail, "iae_v": iae, "regret": regret}
 
 
 def _fmt(x: float) -> str:

@@ -87,9 +87,29 @@ def measure(
     y = float(v)
     r = eval_reward(spec, segment.theta_true, y)
     if noise.sigma_reward > 0.0:
-        eps = np.random.default_rng([noise.seed, k]).standard_normal()
-        r += noise.sigma_reward * float(eps)
+        r += noise.sigma_reward * _standard_normal(noise.seed, k)
     return y, r
+
+
+def _standard_normal(seed: int, k: int) -> float:
+    """default_rng([seed, k]).standard_normal(), bit for bit.
+
+    SeedSequence reads each integer of a list as its little-endian 32-bit
+    words (0 as [0]) and pools them in order.  Handed that pool as a uint32
+    array, it skips coercing the list one integer at a time.  Anything but
+    two nonnegative ints goes to default_rng, which coerces or rejects it.
+    """
+    words = []
+    for n in (seed, k):
+        if type(n) is not int or n < 0:
+            return float(np.random.default_rng([seed, k]).standard_normal())
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+        while n:
+            words.append(n & 0xFFFFFFFF)
+            n >>= 32
+    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return float(np.random.Generator(np.random.PCG64(entropy)).standard_normal())
 
 
 def active_segment(schedule, t: float) -> EnvSegment:

@@ -49,7 +49,7 @@ def _check_theta(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (N_THETA,):
         raise InvalidInputError(f"theta must have shape ({N_THETA},), got {theta.shape}")
-    if not np.all(np.isfinite(theta)):
+    if not all(map(math.isfinite, theta.tolist())):
         raise InvalidInputError("theta entries must be finite")
     return theta
 
@@ -75,12 +75,12 @@ def is_admissible(spec: QuadraticRewardSpec, theta) -> bool:
 
 def optimal_condition(spec: QuadraticRewardSpec, theta) -> float:
     """Speed maximizing the reward: v_scale * (-theta[1] / (2 * theta[0]))."""
-    theta = _check_theta(theta)
+    theta = _check_theta(theta).tolist()
     if not is_admissible(spec, theta):
         raise CurvatureViolationError(
             f"theta[0] = {theta[0]} violates theta[0] <= {-spec.curvature_floor}"
         )
-    return float(spec.v_scale * (-theta[1] / (2.0 * theta[0])))
+    return spec.v_scale * (-theta[1] / (2.0 * theta[0]))
 
 
 def make_true_params(spec: QuadraticRewardSpec, w_z: float, v_star: float, c_r: float) -> np.ndarray:

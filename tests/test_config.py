@@ -105,11 +105,26 @@ def test_ensemble_settings():
         {"vehicle": {"mass": True}},
         {"ensemble": {"seed": -1}},
         {"reward": {"v_scale": -1}},
+        {"schedule": [{"t_start": 0.0, "v_star": 70.0}]},
+        {"ensemble": {"prior": {"w_z": 0.01}}},
     ],
 )
 def test_malformed_values_rejected(overrides):
     with pytest.raises(ConfigurationError):
         scenario_from_dict(overrides)
+
+
+def test_rejected_peak_parameters_name_their_key():
+    schedule = [{"t_start": 0.0, "v_star": 20.0}, {"t_start": 100.0, "v_star": 70.0}]
+    with pytest.raises(ConfigurationError, match=r"^schedule\[1\]: v_star = 70.0 outside"):
+        scenario_from_dict({"schedule": schedule})
+    schedule[1] = {"t_start": 100.0, "v_star": 20.0, "w_z": 0.0}
+    with pytest.raises(ConfigurationError, match=r"^schedule\[1\]: w_z = 0.0 is below the curvature floor"):
+        scenario_from_dict({"schedule": schedule})
+    with pytest.raises(ConfigurationError, match=r"^ensemble\.prior: w_z = 0.01 is below the curvature floor"):
+        scenario_from_dict({"ensemble": {"prior": {"w_z": 0.01}}})
+    with pytest.raises(ConfigurationError, match=r"^ensemble\.prior: v_star = -1.0 outside"):
+        scenario_from_dict({"ensemble": {"prior": {"v_star": -1.0}}})
 
 
 def test_whole_numbers_load_as_int():

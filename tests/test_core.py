@@ -18,7 +18,7 @@ from dcee import (
     objective_split,
     standstill_input,
 )
-from dcee.core import _mean
+from dcee.ensemble import _mean
 from dcee.diagnostics import fd_step, random_input, random_problem
 
 from conftest import make_problem

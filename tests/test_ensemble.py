@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from dcee import (
     QuadraticRewardSpec,
     SharedCovariance,
     VehicleParams,
+    basis,
     change_test,
     condition_stats,
     drag_force,
@@ -323,3 +325,117 @@ def test_change_test_quiet_on_pure_noise():
         ens = measured_update(ens, spec, y, eval_reward(spec, theta, y) + sigma * eps)
     assert ens.covariance.resets == 0
     assert np.allclose(ens.members, theta, atol=0.05)
+
+
+def numpy_condition_stats(e, spec):
+    """condition_stats as one numpy expression, the oracle of its float loop."""
+    t0 = e.members[:, 0]
+    if not np.all(t0 <= -spec.curvature_floor):
+        raise CurvatureViolationError("inadmissible member")
+    return float((spec.v_scale * (-e.members[:, 1] / (2.0 * t0))).mean())
+
+
+def test_condition_stats_matches_numpy_expression_bitwise():
+    rng = np.random.default_rng(53)
+    for spec in (QuadraticRewardSpec(), QuadraticRewardSpec(v_scale=17.3, curvature_floor=0.2)):
+        for n in list(range(1, 21)) + [40, 129]:
+            for _ in range(20):
+                members = np.column_stack([
+                    -spec.curvature_floor - rng.exponential(1.0, n),
+                    rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n),
+                    rng.standard_normal(n),
+                ])
+                # one member exactly at the floor is admissible
+                members[rng.integers(n), 0] = -spec.curvature_floor
+                ens = Ensemble(members=members, rates=np.full(n, 0.1))
+                got = condition_stats(ens, spec)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(numpy_condition_stats(ens, spec)).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.0499, 0.0, np.inf])
+def test_condition_stats_rejects_each_bad_member(bad):
+    spec = QuadraticRewardSpec()
+    for pos in range(4):
+        members = np.tile([-1.0, 1.0, 0.0], (4, 1))
+        members[pos, 0] = bad
+        ens = Ensemble(members=members, rates=np.full(4, 0.1))
+        with pytest.raises(CurvatureViolationError, match="violates the curvature floor"):
+            condition_stats(ens, spec)
+
+
+def numpy_measured_update(e, spec, y, reward_meas):
+    """measured_update's body on numpy arrays, reductions included: the oracle
+    of the version that sums and tests on floats.  Also returns whether the
+    change test fired and whether the projection ran."""
+    cov = e.covariance
+    psi = basis(spec, y)
+    innovations = e.members @ psi - float(reward_meas)
+    P = cov.matrix
+    p_psi = P @ psi
+    s = float(psi @ p_psi) + cov.noise_var
+    nu = -float(innovations.sum()) / (e.n_members * math.sqrt(s))
+    hi, lo, fired = change_test(cov.cusum_hi, cov.cusum_lo, nu)
+    if fired:
+        P = P + cov.prior
+        p_psi = P @ psi
+        s = float(psi @ p_psi) + cov.noise_var
+    gain = p_psi / s
+    members = e.members - innovations[:, None] * gain[None, :]
+    P = P - gain[:, None] * p_psi
+    projected = bool(members[:, 0].max() > -spec.curvature_floor)
+    if projected:
+        excess = np.maximum(members[:, 0] + spec.curvature_floor, 0.0)
+        members -= excess[:, None] * (P[0] / P[0, 0])[None, :]
+    members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
+    return members, P, (hi, lo, cov.resets + fired), fired, projected
+
+
+def assert_same_update(got, want):
+    members, P, (hi, lo, resets), _, _ = want
+    assert got.members.tobytes() == members.tobytes()
+    assert got.covariance.matrix.tobytes() == P.tobytes()
+    assert np.float64(got.covariance.cusum_hi).tobytes() == np.float64(hi).tobytes()
+    assert np.float64(got.covariance.cusum_lo).tobytes() == np.float64(lo).tobytes()
+    assert got.covariance.resets == resets
+
+
+def test_measured_update_matches_numpy_body_bitwise():
+    # banks near the curvature floor with a wide spread, swept over speeds
+    # through an environment switch: every branch (plain step, change alarm,
+    # projection) is taken, and each result is the numpy body's bit for bit
+    spec = QuadraticRewardSpec()
+    rng = np.random.default_rng(61)
+    taken = {"plain": 0, "fired": 0, "projected": 0}
+    for trial in range(6):
+        w_z = (0.06, 0.3, 1.0)[trial % 3]
+        prior = make_true_params(spec, w_z, 15.0, 0.5)
+        sigma = (0.0, 0.01)[trial % 2]
+        ens = init_ensemble(spec, settings(prior, [1.0, 1.0, 1.0], 10, seed=trial), sigma)
+        for k in range(400):
+            theta = make_true_params(spec, 0.08, 25.0, 1.0) if k < 200 else make_true_params(spec, 0.5, 10.0, -1.0)
+            y = float(rng.uniform(0.0, 40.0))
+            r = eval_reward(spec, theta, y) + sigma * float(rng.standard_normal())
+            want = numpy_measured_update(ens, spec, y, r)
+            ens = measured_update(ens, spec, y, r)
+            assert_same_update(ens, want)
+            _, _, _, fired, projected = want
+            taken["fired"] += fired
+            taken["projected"] += projected
+            taken["plain"] += not (fired or projected)
+    assert all(count > 0 for count in taken.values()), taken
+
+
+def test_measured_update_with_nan_member_matches_numpy_body():
+    # an overflowed member makes numpy's max NaN, which skipped the
+    # projection; the admissible clamp still applied to the others
+    spec = QuadraticRewardSpec()
+    members = np.array([[np.nan, 1.0, 0.0], [0.5, 1.0, 0.0], [-1.0, 2.0, 0.5]])
+    cov = SharedCovariance(matrix=np.eye(3), prior=np.eye(3), noise_var=1e-4)
+    ens = Ensemble(members=members, rates=np.full(3, 0.1), covariance=cov)
+    want = numpy_measured_update(ens, spec, 20.0, 0.3)
+    got = measured_update(ens, spec, 20.0, 0.3)
+    assert not want[4]
+    assert got.members[1, 0] == -spec.curvature_floor
+    np.testing.assert_array_equal(got.members, want[0])
+    assert got.covariance.matrix.tobytes() == want[1].tobytes()

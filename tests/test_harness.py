@@ -9,10 +9,12 @@ from dcee import (
     GnConfig,
     InvalidInputError,
     SolverFailureError,
+    active_segment,
     bench_solver,
     compute_metrics,
     default_config,
     export,
+    optimal_condition,
     parse_csv,
     run_closed_loop,
     scenario_from_dict,
@@ -144,16 +146,64 @@ def test_metrics_hand_values(spec):
 
     perfect = [rec(0.1 * k, 25.0) for k in range(100)]
     m = compute_metrics(perfect, schedule, spec)
-    assert m == {"e_v": 0.0, "iae_v": 0.0, "regret": 0.0}
+    assert m == {"e_v": 0.0, "e_v_tail": 0.0, "iae_v": 0.0, "regret": 0.0}
 
     off = [rec(0.1 * k, 24.5) for k in range(100)]
     m = compute_metrics(off, schedule, spec)
     assert m["iae_v"] == pytest.approx(50.0)
     assert m["e_v"] == pytest.approx(0.5)
+    assert m["e_v_tail"] == pytest.approx(0.5)
+
+    # the tail window holds the records strictly later than 30 s before the last
+    step = [rec(float(k), 22.0 if k > 69 else 26.0) for k in range(100)]
+    m = compute_metrics(step, schedule, spec)
+    assert m["e_v_tail"] == 3.0
+    assert m["iae_v"] == 70 * 1.0 + 30 * 3.0
 
     off3 = [rec(0.1 * k, 22.0) for k in range(100)]
     m = compute_metrics(off3, schedule, spec)
     assert m["regret"] == pytest.approx(100 * (3.0 / 30.0) ** 2)
+
+
+def per_record_metrics(records, schedule, spec):
+    """compute_metrics' sums with the segment looked up at every record:
+    the oracle of its walk along the schedule."""
+    iae = 0.0
+    regret = 0.0
+    for r in records:
+        seg = active_segment(schedule, r.t)
+        v_star = optimal_condition(spec, seg.theta_true)
+        e_v = abs(r.v - v_star)
+        iae += e_v
+        regret += -seg.theta_true[0] * (r.v / spec.v_scale - v_star / spec.v_scale) ** 2
+    return {"e_v": e_v, "iae_v": iae, "regret": regret}
+
+
+def test_metrics_equal_per_record_lookup_bitwise():
+    res = run_closed_loop(short_cfg(horizon_s=900.0, controller={"type": "esc"}))
+    cfg = scenario_from_dict(res.config)
+    records = res.records
+    rng = np.random.default_rng(71)
+    # time order, reversed, and shuffled: the walk restarts where time goes back
+    for recs in (records, records[::-1], [records[i] for i in rng.permutation(len(records))]):
+        got = compute_metrics(recs, cfg.schedule, cfg.reward)
+        want = per_record_metrics(recs, cfg.schedule, cfg.reward)
+        for key, value in want.items():
+            assert type(got[key]) is float
+            assert np.float64(got[key]).tobytes() == np.float64(value).tobytes(), key
+    assert type(res.metrics["e_v_tail"]) is float
+
+
+@pytest.mark.parametrize("horizon_s", [12.0, 45.0])
+def test_e_v_tail_is_mean_speed_error_over_last_window(horizon_s):
+    res = run_closed_loop(short_cfg(horizon_s=horizon_s))
+    t = np.array([r.t for r in res.records])
+    err = np.abs(np.array([r.v - r.v_star_true for r in res.records]))
+    tail = err[t > t[-1] - harness.TAIL_WINDOW_S]
+    # 30 s at dt = 0.1 s, or the whole run when it is shorter
+    assert tail.size == min(len(res.records), 300)
+    assert res.metrics["e_v_tail"] == pytest.approx(tail.mean(), rel=1e-12)
+    assert res.metrics["e_v"] == err[-1]
 
 
 def test_metrics_empty_records(spec):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dcee import (
     measure,
     plant_step,
 )
+from dcee.plant import _standard_normal
 
 
 def seg(theta=None, t_start=0.0, disturbance=0.0):
@@ -98,6 +101,37 @@ def test_measure_deterministic_per_step():
     assert a == b
     c = measure(spec, 21.0, s, noise, 5)
     assert c != a
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**60 + 1, 2**64 + 5)
+STEPS = (0, 1, 4, 8999, 2**31, 2**32, 2**40 + 3)
+
+
+def test_measure_draws_the_default_rng_stream():
+    # the replay contract: the noise at step k is the first standard normal
+    # of default_rng([seed, k]), bit for bit, whatever the seed's word count
+    spec = QuadraticRewardSpec()
+    s = seg()
+    clean = eval_reward(spec, s.theta_true, 21.0)
+    for seed in SEEDS:
+        noise = NoiseSpec(sigma_reward=0.05, seed=seed)
+        for k in STEPS:
+            eps = float(np.random.default_rng([seed, k]).standard_normal())
+            y, r = measure(spec, 21.0, s, noise, k)
+            assert y == 21.0
+            assert np.float64(r).tobytes() == np.float64(clean + 0.05 * eps).tobytes()
+
+
+def test_noise_draw_defers_other_integers_to_default_rng():
+    # numpy integers and bools take default_rng's own coercion; a negative
+    # step is rejected as default_rng rejects it
+    for seed, k in ((np.int64(7), 3), (True, 5), (7, np.uint32(3)), (np.uint64(2**63), 2**33)):
+        want = float(np.random.default_rng([seed, k]).standard_normal())
+        assert _standard_normal(seed, k) == want
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng([7, -1])
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        _standard_normal(7, -1)
 
 
 def test_measure_noise_statistics():

@@ -44,6 +44,33 @@ def test_eval_reward_dimension_mismatch():
         eval_reward(QuadraticRewardSpec(), [1.0, 2.0], 1.0)
 
 
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ([-1.0, 2.0], r"shape \(3,\), got \(2,\)"),
+        ([[-1.0, 2.0, 0.0]], r"shape \(3,\), got \(1, 3\)"),
+        ([-1.0, math.nan, 0.0], "entries must be finite"),
+        ([-1.0, 1.0, math.inf], "entries must be finite"),
+        ([-math.inf, 1.0, 0.0], "entries must be finite"),
+    ],
+)
+def test_theta_checks_shape_and_finiteness(theta, message):
+    spec = QuadraticRewardSpec()
+    for fn in (lambda: eval_reward(spec, theta, 20.0), lambda: optimal_condition(spec, theta)):
+        with pytest.raises(InvalidInputError, match=message):
+            fn()
+
+
+def test_optimal_condition_is_a_float_of_the_numpy_formula():
+    rng = np.random.default_rng(67)
+    spec = QuadraticRewardSpec(v_scale=23.7)
+    for _ in range(500):
+        theta = np.array([-0.05 - rng.exponential(), rng.standard_normal(), rng.standard_normal()])
+        got = optimal_condition(spec, theta)
+        assert type(got) is float
+        assert got == float(spec.v_scale * (-theta[1] / (2.0 * theta[0])))
+
+
 def test_optimal_condition_hand_values():
     assert optimal_condition(QuadraticRewardSpec(v_scale=30.0), [-1.0, 1.0, 0.0]) == pytest.approx(15.0)
     assert optimal_condition(QuadraticRewardSpec(v_scale=30.0), [-1.0, 0.0, 5.0]) == pytest.approx(0.0)
