@@ -22,7 +22,7 @@ from .config import ScenarioConfig
 from .core import DceeProblem, evaluate, jacobian_fd, objective, objective_split, residual_fn
 from .diagnostics import fd_step
 from .ensemble import condition_stats, init_ensemble, measured_update
-from .errors import ConfigurationError, InfeasibleCandidateError, InvalidInputError, SolverFailureError
+from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
 from .plant import active_segment, measure, plant_step
 from .reward import optimal_condition
 from .solver import GnConfig, SolverHealth, controller_step, solve
@@ -178,45 +178,34 @@ def compute_metrics(records, schedule, spec) -> dict:
     accumulated absolute speed error, and cumulative regret against the true
     per-segment parameters, each a float.
 
-    Each record's segment is the one active_segment finds.  Records come in
-    time order, so the lookup walks the schedule alongside them, and each
-    segment's optimal speed is computed once.
+    A segment's optimal speed is computed again only when the segment
+    changes from one record to the next.
     """
     if not records:
         raise InvalidInputError("cannot compute metrics of an empty record list")
-    if not schedule:
-        raise ConfigurationError("environment schedule is empty")
     t_tail = records[-1].t - TAIL_WINDOW_S
     iae = 0.0
     regret = 0.0
     tail = 0.0
     n_tail = 0
-    i = 0
     active = None
-    t_prev = -math.inf
     for rec in records:
-        t = rec.t
-        if not t >= t_prev:
-            # out of time order: look up from the first segment again
-            i = 0
-        t_prev = t
-        while i + 1 < len(schedule) and schedule[i + 1].t_start <= t:
-            i += 1
-        if i != active:
-            active = i
-            theta = schedule[i].theta_true
-            v_star = optimal_condition(spec, theta)
+        seg = active_segment(schedule, rec.t)
+        if seg is not active:
+            active = seg
+            v_star = optimal_condition(spec, seg.theta_true)
             zs = v_star / spec.v_scale
-            t0 = float(theta[0])
+            t0 = float(seg.theta_true[0])
         e_v = abs(rec.v - v_star)  # the terminal error once the loop ends
         iae += e_v
-        if t > t_tail:
+        if rec.t > t_tail:
             tail += e_v
             n_tail += 1
         z = rec.v / spec.v_scale
         # R(theta*, v*) - R(theta*, v) = -theta0 * (z - z*)^2 for the peak form
         regret += -t0 * (z - zs) ** 2
-    e_v_tail = tail / n_tail if n_tail else math.nan
+    # record times are finite, so the last record is in the window: n_tail >= 1
+    e_v_tail = tail / n_tail
     return {"e_v": e_v, "e_v_tail": e_v_tail, "iae_v": iae, "regret": regret}
 
 

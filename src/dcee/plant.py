@@ -7,6 +7,7 @@ v+ = max(0, v + (dt/mass) * (u - c0 - c1*v - c2*v**2 - disturbance)).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +97,13 @@ def _standard_normal(seed: int, k: int) -> float:
 
     SeedSequence reads each integer of a list as its little-endian 32-bit
     words (0 as [0]) and pools them in order.  Handed that pool as a uint32
-    array, it skips coercing the list one integer at a time.  Anything but
-    two nonnegative ints goes to default_rng, which coerces or rejects it.
+    array, it skips coercing the list one integer at a time.
     """
     words = []
     for n in (seed, k):
-        if type(n) is not int or n < 0:
-            return float(np.random.default_rng([seed, k]).standard_normal())
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
         words.append(n & 0xFFFFFFFF)
         n >>= 32
         while n:

@@ -166,8 +166,8 @@ def test_metrics_hand_values(spec):
 
 
 def per_record_metrics(records, schedule, spec):
-    """compute_metrics' sums with the segment looked up at every record:
-    the oracle of its walk along the schedule."""
+    """compute_metrics' sums with the optimal speed recomputed at every
+    record: the oracle of its once-per-segment caching."""
     iae = 0.0
     regret = 0.0
     for r in records:
@@ -184,7 +184,7 @@ def test_metrics_equal_per_record_lookup_bitwise():
     cfg = scenario_from_dict(res.config)
     records = res.records
     rng = np.random.default_rng(71)
-    # time order, reversed, and shuffled: the walk restarts where time goes back
+    # time order, reversed, and shuffled: a segment may be entered many times
     for recs in (records, records[::-1], [records[i] for i in rng.permutation(len(records))]):
         got = compute_metrics(recs, cfg.schedule, cfg.reward)
         want = per_record_metrics(recs, cfg.schedule, cfg.reward)

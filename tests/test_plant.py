@@ -122,12 +122,17 @@ def test_measure_draws_the_default_rng_stream():
             assert np.float64(r).tobytes() == np.float64(clean + 0.05 * eps).tobytes()
 
 
-def test_noise_draw_defers_other_integers_to_default_rng():
-    # numpy integers and bools take default_rng's own coercion; a negative
-    # step is rejected as default_rng rejects it
+def test_noise_draw_takes_any_integer_as_default_rng_does():
+    # numpy integers and bools draw default_rng's stream for their value; a
+    # negative step or a float is rejected with default_rng's error type
     for seed, k in ((np.int64(7), 3), (True, 5), (7, np.uint32(3)), (np.uint64(2**63), 2**33)):
         want = float(np.random.default_rng([seed, k]).standard_normal())
         assert _standard_normal(seed, k) == want
+    for seed, k, exc in ((7, -1, ValueError), (-3, 2, ValueError), (7, 1.5, TypeError)):
+        with pytest.raises(exc):
+            np.random.default_rng([seed, k])
+        with pytest.raises(exc):
+            _standard_normal(seed, k)
     with pytest.raises(ValueError) as want:
         np.random.default_rng([7, -1])
     with pytest.raises(ValueError, match=re.escape(str(want.value))):
