@@ -41,7 +41,8 @@ def _print_solver_health(tag, health: dict):
         print(
             f"{tag}: {health['converged']}/{health['solves']} solves converged, "
             f"{health['escalations']} escalations, {health['fallbacks']} fallbacks, "
-            f"iteration histogram {health['iteration_histogram']}"
+            f"iteration histogram {health['iteration_histogram']}, explore share max "
+            f"{health['explore_share_max']:.3g}, {health['explore_active']} solves above 1e-3"
         )
 
 
@@ -101,6 +102,11 @@ def _cmd_bench(args) -> int:
             f"bench[{name}]: mean {stats['mean_ns']/1e6:.4f} ms  "
             f"p99 {stats['p99_ns']/1e6:.4f} ms  max {stats['max_ns']/1e6:.4f} ms"
         )
+    gn = report["timing"]["analytic_gn"]
+    print(
+        f"bench[analytic_gn]: thread CPU p99 {gn['cpu_p99_ns']/1e3:.1f} us  "
+        f"max {gn['cpu_max_ns']/1e3:.1f} us (the paper reports a maximum of 83 us)"
+    )
     for name, ratio in report["speedup_vs_analytic"].items():
         print(f"bench[speedup]: {name} / analytic_gn = {ratio:.2f}x")
     print(

@@ -277,14 +277,22 @@ def _fd_jacobian_fn(problem: DceeProblem):
 def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
     """Damped Newton reference with gradient and Hessian from central
     differences of the half objective; scalar input only.  The damping is
-    relative to the curvature and escalates as in solve, so both take
-    like steps.  A zero difference curvature where the gradient is nonzero
+    relative to the curvature and escalates as in solve, and each iterate is
+    judged by its own next step as in solve, so both take like steps and
+    stop alike.  A zero difference curvature where the gradient is nonzero
     gives no step to take and counts as a failure.  Returns u or raises
     SolverFailureError."""
 
     def L(u):
         f, _ = evaluate(problem, u, with_jacobian=False)
         return 0.5 * float(f @ f)
+
+    def step(u, g, H, lam):
+        # a negative difference curvature is used by magnitude, so the step
+        # still descends; a flat objective gives a zero step
+        denom = abs(H) * (1.0 + lam)
+        du = -g / denom if denom > 0.0 else 0.0
+        return min(max(u + du, cfg.u_min), cfg.u_max)
 
     u = min(max(float(u_init), cfg.u_min), cfg.u_max)
     try:
@@ -304,29 +312,22 @@ def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
         if H == 0.0 and g != 0.0:
             raise SolverFailureError("newton reference has zero curvature at a slope")
         lam = cfg.damping
-        accepted = False
+        u_new = step(u, g, H, lam)
+        if abs(u_new - u) <= cfg.tol * (1.0 + abs(u)):
+            break
         for _attempt in range(6):
-            # a negative difference curvature is used by magnitude, so the
-            # step still descends; a flat objective gives a zero step
-            denom = abs(H) * (1.0 + lam)
-            du = -g / denom if denom > 0.0 else 0.0
-            u_new = min(max(u + du, cfg.u_min), cfg.u_max)
             try:
                 val_new = L(u_new)
             except InfeasibleCandidateError:
                 pass
             else:
                 if val_new <= val * (1.0 + 1e-12) + 1e-15:
-                    accepted = True
                     break
             lam = max(10.0 * lam, 1.0)
-        if not accepted:
+            u_new = step(u, g, H, lam)
+        else:
             raise SolverFailureError("newton reference found no acceptable step")
-        step = abs(u_new - u)
-        stop = step / (1.0 + abs(u))
         u, val = u_new, val_new
-        if stop <= cfg.tol:
-            break
     return u
 
 
@@ -337,7 +338,10 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     The loop itself is always driven by the production (analytic-Jacobian)
     controller; the references solve each snapshot from the same warm start
     with the same settings.  Each is timed around its call, so the analytic
-    time includes controller_step's preparation.  Every agreement_stride
+    time includes controller_step's preparation; the analytic solves are
+    also timed on the thread's CPU clock, which a descheduled process does
+    not advance, and its p99 and max go into their timing entry as
+    cpu_p99_ns and cpu_max_ns.  Every agreement_stride
     steps all three are also re-solved to convergence (60 iterations at
     most) and the relative spread of the reached objectives is tracked.
     The health counts of the production solves are reported under "solver".
@@ -345,6 +349,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     gncfg = cfg.controller.solver
     ref_cfg = replace(gncfg, max_iters=60)
     times = {"analytic_gn": [], "fd_jacobian_gn": [], "fd_hessian_newton": []}
+    cpu_times = []
     health = SolverHealth()
     agreement_max_rel = 0.0
     agreement_checks = 0
@@ -352,7 +357,9 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
 
     def select(k, t, seg, r_meas, problem, u_prev):
         nonlocal agreement_max_rel, agreement_checks, reference_failures
+        cpu0 = time.thread_time_ns()
         u, report = _timed(times["analytic_gn"], controller_step, problem, u_prev, gncfg)
+        cpu_times.append(time.thread_time_ns() - cpu0)
         health.add(report)
 
         try:
@@ -379,6 +386,8 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
 
     _drive(cfg, select)
     summary = {name: _timing_summary(vals) for name, vals in times.items()}
+    cpu = _timing_summary(cpu_times)
+    summary["analytic_gn"].update(cpu_p99_ns=cpu["p99_ns"], cpu_max_ns=cpu["max_ns"])
     mean_gn = summary["analytic_gn"]["mean_ns"]
     speedup = {
         name: (summary[name]["mean_ns"] / mean_gn if mean_gn > 0 else math.inf)

@@ -27,6 +27,14 @@ _ACCEPT_ATOL = 1e-15
 
 _MAX_ESCALATIONS = 5
 
+# a solve whose explore share exceeds this counts as one where the
+# exploration term acts (SolverHealth.explore_active)
+_EXPLORE_ACTIVE_SHARE = 1e-3
+
+# points of the grid over the input box that an infeasible start is replaced
+# from; the box is 10 kN wide by default, so they lie about 312 N apart
+_START_GRID_POINTS = 33
+
 
 @dataclass(frozen=True)
 class GnConfig:
@@ -36,9 +44,11 @@ class GnConfig:
     the step is -(J'F) / (J'J (1 + damping)), so it means the same whatever
     the units of the input.  When a step is rejected (infeasible trial point
     or objective increase) it escalates to max(10 damping, 1), and the five
-    retries shorten the step by about 1e4.  A solve ends as converged when
-    |du| / (1 + |u|) meets tol or when an accepted step leaves the
-    objective unchanged or higher, i.e. at the rounding floor.
+    retries shorten the step by about 1e4.  A solve ends as converged at an
+    iterate u whose own next step du, clamped to the box, meets
+    |du| <= tol (1 + |u|), before evaluating it, or when an accepted step
+    leaves the objective unchanged or higher, i.e. at the rounding floor.
+    max_iters bounds the accepted steps.
     """
 
     max_iters: int = 10
@@ -58,31 +68,45 @@ class GnConfig:
 
 @dataclass
 class GnReport:
-    """Per-solve trace: one entry of step_norms per accepted step."""
+    """Per-solve trace: one entry of step_norms per accepted step.
+
+    explore_share is the exploration term's share of the objective at the
+    returned input, (F@F - F[0]**2) / F@F (0 where the objective is 0); it
+    stays NaN when the solve fails and the step falls back.
+    """
 
     iterations: int = 0
     step_norms: list = field(default_factory=list)
     converged: bool = False
     fallback: bool = False
     damping_escalations: int = 0
+    explore_share: float = math.nan
 
 
 @dataclass
 class SolverHealth:
     """Running counts over the solves of one run; histogram[k] is the number
-    of solves that took k iterations."""
+    of solves that took k iterations.  explore_share_max is the largest
+    explore share of a solve that did not fall back, and explore_active
+    counts the solves whose share exceeds 1e-3."""
 
     solves: int = 0
     converged: int = 0
     escalations: int = 0
     fallbacks: int = 0
     histogram: list = field(default_factory=list)
+    explore_share_max: float = 0.0
+    explore_active: int = 0
 
     def add(self, report: GnReport) -> None:
         self.solves += 1
         self.converged += report.converged
         self.escalations += report.damping_escalations
         self.fallbacks += report.fallback
+        share = report.explore_share  # NaN on a fallback fails both tests
+        if share > self.explore_share_max:
+            self.explore_share_max = share
+        self.explore_active += share > _EXPLORE_ACTIVE_SHARE
         k = report.iterations
         if k >= len(self.histogram):
             self.histogram.extend([0] * (k + 1 - len(self.histogram)))
@@ -96,6 +120,8 @@ class SolverHealth:
             "iteration_histogram": list(self.histogram),
             "escalations": self.escalations,
             "fallbacks": self.fallbacks,
+            "explore_share_max": self.explore_share_max,
+            "explore_active": self.explore_active,
         }
 
 
@@ -121,19 +147,41 @@ def scp_step(F, J, damping: float) -> float:
     return float(sol[0])
 
 
+def _feasible_start(fun, cfg: GnConfig):
+    """(u, F, J) at the point of least F@F among the feasible points of a
+    coarse grid over the input box, or None when none is feasible."""
+    best = None
+    for u in np.linspace(cfg.u_min, cfg.u_max, _START_GRID_POINTS).tolist():
+        try:
+            F, J = fun(u)
+        except InfeasibleCandidateError:
+            continue
+        obj = float(F @ F)
+        if best is None or obj < best[0]:
+            best = (obj, u, F, J)
+    return None if best is None else best[1:]
+
+
 def solve(fun, u_init: float, cfg: GnConfig):
     """Run the damped Gauss-Newton iteration from u_init.
 
     fun maps an input u to (residual, jacobian), both of shape (m,), and may
-    raise InfeasibleCandidateError.  Each trial step is gn_step's.  Iterates
-    are clamped to the input box after each step; the stopping measure is
-    |du| / (1 + |u|) evaluated with the effective (post-clamp) step, so
-    saturation at a bound terminates.  An accepted step that leaves the
-    objective unchanged or higher also ends the solve as converged: the
-    iterate sits at the rounding floor, and further steps only cycle there.
+    raise InfeasibleCandidateError.  An infeasible u_init is replaced by the
+    feasible point of least objective on a coarse grid over the input box.
+    Each trial step is gn_step's, and iterates are clamped to the input box.
+
+    Every iterate, the start included, is judged by its own next step: when
+    |clamp(u + gn_step(J'F, J'J, damping)) - u| <= tol (1 + |u|), computed
+    from the F and J already in hand, the solve returns u as converged
+    without evaluating that step, so saturation at a bound also terminates.
+    An accepted step that leaves the objective unchanged or higher also ends
+    the solve as converged: the iterate sits at the rounding floor, and
+    further steps only cycle there.  After max_iters accepted steps the last
+    iterate is judged once more and returned either way.
 
     Returns (u, report).  Raises SolverFailureError (carrying the partial
-    report) when no acceptable step exists after damping escalation.
+    report) when no start is feasible or no acceptable step exists after
+    damping escalation.
     """
     u_min, u_max = cfg.u_min, cfg.u_max
     u = min(max(float(u_init), u_min), u_max)
@@ -141,16 +189,23 @@ def solve(fun, u_init: float, cfg: GnConfig):
     try:
         F, J = fun(u)
     except InfeasibleCandidateError as exc:
-        raise SolverFailureError("initial point infeasible", report) from exc
+        start = _feasible_start(fun, cfg)
+        if start is None:
+            raise SolverFailureError("initial point infeasible", report) from exc
+        u, F, J = start
     obj = float(F @ F)
 
-    for _ in range(cfg.max_iters):
+    while True:
         jtj = float(J @ J)
         jtf = float(J @ F)
         lam = cfg.damping
-        accepted = False
+        u_new = min(max(u + gn_step(jtf, jtj, lam), u_min), u_max)
+        if abs(u_new - u) <= cfg.tol * (1.0 + abs(u)):
+            report.converged = True
+            break
+        if report.iterations == cfg.max_iters:
+            break
         for _attempt in range(_MAX_ESCALATIONS + 1):
-            u_new = min(max(u + gn_step(jtf, jtj, lam), u_min), u_max)
             try:
                 F_new, J_new = fun(u_new)
             except InfeasibleCandidateError:
@@ -158,25 +213,24 @@ def solve(fun, u_init: float, cfg: GnConfig):
             else:
                 obj_new = float(F_new @ F_new)
                 if obj_new <= obj * (1.0 + _ACCEPT_RTOL) + _ACCEPT_ATOL:
-                    accepted = True
                     break
             lam = max(10.0 * lam, 1.0)
             report.damping_escalations += 1
-        if not accepted:
+            u_new = min(max(u + gn_step(jtf, jtj, lam), u_min), u_max)
+        else:
             raise SolverFailureError(
                 "no acceptable step after damping escalation", report
             )
 
-        step_norm = abs(u_new - u)
         report.iterations += 1
-        report.step_norms.append(step_norm)
-        stop = step_norm / (1.0 + abs(u))
+        report.step_norms.append(abs(u_new - u))
         stalled = obj_new >= obj
         u, F, J, obj = u_new, F_new, J_new, obj_new
-        if stop <= cfg.tol or stalled:
+        if stalled:
             report.converged = True
             break
 
+    report.explore_share = (obj - float(F[0]) ** 2) / obj if obj > 0.0 else 0.0
     return u, report
 
 

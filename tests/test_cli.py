@@ -111,7 +111,9 @@ def test_bench(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "bench")
     rc = main(["bench", cfg_path, "--out", out])
     assert rc == 0
-    assert "bench[analytic_gn]" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "bench[analytic_gn]" in printed
+    assert "thread CPU p99" in printed and "explore share max" in printed
     with open(os.path.join(out, "bench.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     assert "timing" in payload and "speedup_vs_analytic" in payload

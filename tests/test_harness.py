@@ -289,3 +289,7 @@ def test_bench_solver_structure_and_ordering():
     assert report["agreement_checks"] >= 4
     assert report["agreement_max_rel"] < 1e-6
     assert report["solver"]["solves"] == cfg.n_steps
+    # the analytic solves' thread CPU time: positive, and the max bounds the p99
+    gn = t["analytic_gn"]
+    assert 0.0 < gn["cpu_p99_ns"] <= gn["cpu_max_ns"]
+    assert {"explore_share_max", "explore_active"} <= set(report["solver"])

@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import dcee.core
+import dcee.harness
 import dcee.solver
 from dcee import (
     ConfigurationError,
@@ -19,6 +21,7 @@ from dcee import (
     gn_step,
     objective,
     objective_grid,
+    objective_split,
     residual_fn,
     run_closed_loop,
     scenario_from_dict,
@@ -27,6 +30,7 @@ from dcee import (
     standstill_input,
 )
 from dcee.diagnostics import random_input, random_problem
+from dcee.solver import GnReport, SolverHealth
 
 
 def test_gn_step_hand_value():
@@ -98,7 +102,8 @@ def test_solve_takes_gn_step():
 
 
 def test_solve_stationary_start():
-    # an affine residual with zero gradient at the start point
+    # an affine residual with zero gradient at the start point: the start's
+    # own step is 0, so the solve returns it without evaluating a step
     a = np.array([1.0, -2.0])
 
     def fun(u):
@@ -106,22 +111,30 @@ def test_solve_stationary_start():
 
     cfg = GnConfig(max_iters=10, tol=1e-6, damping=0.0, u_min=-100.0, u_max=100.0)
     u, rep = solve(fun, 5.0, cfg)
-    assert u == pytest.approx(5.0)
-    assert rep.iterations == 1
+    assert u == 5.0
+    assert rep.iterations == 0
+    assert rep.step_norms == []
     assert rep.converged
-    assert rep.step_norms[0] < 1e-10
+    assert rep.explore_share == 0.0  # a zero objective has no share to split
 
 
 def test_solve_affine_residual_one_step():
+    # the exact step reaches the root, whose own step is 0: one step, judged
+    # converged even with max_iters 1, since the last iterate is judged too
     a = np.array([0.5, 2.0, -1.0])
 
     def fun(u):
         return a * (u - 3.0), a
 
-    cfg = GnConfig(max_iters=10, tol=1e-12, damping=0.0, u_min=-100.0, u_max=100.0)
+    cfg = GnConfig(max_iters=1, tol=1e-12, damping=0.0, u_min=-100.0, u_max=100.0)
     u, rep = solve(fun, -50.0, cfg)
     assert u == pytest.approx(3.0, abs=1e-9)
-    assert rep.iterations <= 2  # exact step, then a zero step that meets tol
+    assert rep.iterations == 1
+    assert rep.converged
+    # a damped iteration that needs more steps than max_iters is not
+    _, rep = solve(fun, -50.0, dataclasses.replace(cfg, damping=3.0))
+    assert rep.iterations == 1
+    assert not rep.converged
 
 
 def test_solve_respects_bounds():
@@ -136,16 +149,69 @@ def test_solve_respects_bounds():
     assert rep.converged  # effective step collapses at the bound
 
 
-def test_solve_tol_infinite_returns_after_first_step():
+def test_solve_tol_infinite_returns_the_start():
+    # every step meets an infinite tol, the start's own step included
     a = np.array([1.0, 1.0])
 
     def fun(u):
         return a * (u - 2.0), a
 
     cfg = GnConfig(max_iters=10, tol=float("inf"), damping=0.0, u_min=-100.0, u_max=100.0)
-    _, rep = solve(fun, 0.0, cfg)
-    assert rep.iterations == 1
+    u, rep = solve(fun, 0.0, cfg)
+    assert u == 0.0
+    assert rep.iterations == 0
     assert rep.converged
+
+
+def test_solve_replaces_an_infeasible_start_from_the_grid():
+    # infeasible below 0: the start moves to the grid point of least
+    # objective, 3125 (the box's 33 points lie 312.5 apart), which an
+    # infinite tol returns as it is; a finite tol then steps to the root
+    a = np.array([1.0, -1.0])
+    calls = []
+
+    def fun(u):
+        calls.append(u)
+        if u < 0.0:
+            raise InfeasibleCandidateError("synthetic")
+        return a * (u - 3000.0), a
+
+    cfg = GnConfig(tol=float("inf"), damping=0.0, u_min=-5000.0, u_max=5000.0)
+    u, rep = solve(fun, -100.0, cfg)
+    assert u == 3125.0
+    assert rep.converged and rep.iterations == 0
+    assert calls[0] == -100.0
+    assert calls[1:] == np.linspace(-5000.0, 5000.0, 33).tolist()
+    u, rep = solve(fun, -100.0, dataclasses.replace(cfg, tol=1e-9))
+    assert u == 3000.0
+    assert rep.iterations == 1
+
+
+def _wide_bank_config(**overrides):
+    # staggered rates 0.1-0.9 and spread 1 on exact measurements: a wide
+    # belief whose predicted update is infeasible for part of the box
+    d = default_config()
+    d["ensemble"].update(eta_lo=0.1, eta_hi=0.9, spread=[1.0, 1.0, 1.0])
+    d["noise"]["sigma_reward"] = 0.0
+    d.update(overrides)
+    return scenario_from_dict(d)
+
+
+def test_controller_step_starts_the_wide_bank_from_a_feasible_input():
+    # step 0 of the wide bank (5 m/s, warm start 0 N): the warm start is
+    # infeasible, but half the box is not; the solve must start there
+    # instead of falling back to holding 0 N
+    cfg = _wide_bank_config(horizon_s=0.1)
+    p = run_closed_loop(cfg).final_problem
+    assert p.v == 5.0
+    with pytest.raises(InfeasibleCandidateError):
+        residual_fn(p)(0.0)
+    u, rep = controller_step(p, 0.0, cfg.controller.solver)
+    assert not rep.fallback
+    assert rep.converged
+    us = np.arange(p.vehicle.u_min, p.vehicle.u_max + 0.25, 0.5)
+    grid_min = float(objective_grid(p, us).min())
+    assert objective(p, u) <= grid_min * (1.0 + 1e-9)
 
 
 def test_escalation_backtracks_from_infeasible_full_step():
@@ -326,6 +392,7 @@ def test_controller_step_falls_back_on_non_finite_residual():
     assert u == p.vehicle.u_max
     assert rep.fallback
     assert rep.iterations == 0
+    assert math.isnan(rep.explore_share)
 
 
 def test_controller_step_falls_back_on_non_finite_warm_start():
@@ -430,3 +497,100 @@ def test_q_linear_tail_of_damped_iteration():
     assert tail[0] > tail[1] > tail[2]
     assert tail[1] / tail[0] == pytest.approx(0.75, rel=1e-6)
     assert tail[2] / tail[1] == pytest.approx(0.75, rel=1e-6)
+
+
+_SOLVE_RUNS = {
+    "default": lambda: scenario_from_dict({**default_config(), "horizon_s": 60.0}),
+    "noise_free": lambda: scenario_from_dict(
+        {**default_config(), "horizon_s": 60.0, "noise": {"sigma_reward": 0.0}}
+    ),
+    # its first warm start is infeasible, so the grid start is exercised
+    "wide_bank": lambda: _wide_bank_config(horizon_s=60.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _solves_of_run(name):
+    """(config, result, [(problem, u, report)] of every controller_step call,
+    residual evaluations) of one 60 s closed loop."""
+    cfg = _SOLVE_RUNS[name]()
+    solves = []
+    evaluations = 0
+    real_step, real_residual_fn = dcee.harness.controller_step, dcee.solver.residual_fn
+
+    def recording_step(p, u_prev, gncfg):
+        u, rep = real_step(p, u_prev, gncfg)
+        solves.append((p, u, rep))
+        return u, rep
+
+    def counting_residual_fn(p):
+        inner = real_residual_fn(p)
+
+        def fn(u):
+            nonlocal evaluations
+            evaluations += 1
+            return inner(u)
+
+        return fn
+
+    dcee.harness.controller_step, dcee.solver.residual_fn = recording_step, counting_residual_fn
+    try:
+        res = run_closed_loop(cfg)
+    finally:
+        dcee.harness.controller_step, dcee.solver.residual_fn = real_step, real_residual_fn
+    return cfg, res, solves, evaluations
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVE_RUNS))
+def test_closed_loop_solves_return_where_the_next_step_meets_tol(name):
+    # the stop rule, checked with the independent least-squares step: one
+    # more iteration from the returned input would move it by at most
+    # tol (1 + |u|).  A solve that ends on the stall rule would be exempt,
+    # but none of these does.  The slack covers the rounding by which
+    # scp_step and gn_step differ
+    cfg, _, solves, _ = _solves_of_run(name)
+    gncfg = cfg.controller.solver
+    checked = 0
+    for p, u, rep in solves:
+        if rep.fallback:
+            continue
+        assert rep.converged
+        F, J = residual_fn(p)(u)
+        du = scp_step(F, J, gncfg.damping * float(J @ J))
+        u_next = min(max(u + du, gncfg.u_min), gncfg.u_max)
+        assert abs(u_next - u) <= gncfg.tol * (1.0 + abs(u)) * (1.0 + 1e-9)
+        checked += 1
+    assert checked == len(solves) == cfg.n_steps
+
+
+def test_default_run_takes_at_most_two_evaluations_per_solve():
+    # the warm start, one per accepted step and one per rejected trial; the
+    # evaluation that would only confirm a converged step is not made
+    _, res, _, evaluations = _solves_of_run("default")
+    health = res.solver
+    iterations = sum(k * n for k, n in enumerate(health.histogram))
+    assert evaluations == health.solves + iterations + health.escalations
+    assert evaluations <= 2.0 * health.solves
+
+
+@pytest.mark.parametrize("name", ["default", "noise_free"])
+def test_explore_share_splits_the_objective_as_objective_split_does(name):
+    _, res, solves, _ = _solves_of_run(name)
+    shares = []
+    for p, u, rep in solves:
+        _, explore = objective_split(p, u)
+        assert abs(rep.explore_share * objective(p, u) - explore) <= 1e-10
+        shares.append(rep.explore_share)
+    health = res.solver.as_dict()
+    assert health["explore_share_max"] == max(shares)
+    assert health["explore_active"] == sum(s > 1e-3 for s in shares)
+
+
+def test_solver_health_counts_explore_shares_of_solves_that_did_not_fall_back():
+    health = SolverHealth()
+    for share in (2e-3, math.nan, 1e-4, 0.5, 1e-3):
+        health.add(GnReport(explore_share=share))
+    assert health.solves == 5
+    assert health.explore_share_max == 0.5
+    assert health.explore_active == 2
+    assert SolverHealth().as_dict()["explore_share_max"] == 0.0
