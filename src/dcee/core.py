@@ -5,6 +5,12 @@ ensemble update; the stacked residual collects the exploitation mismatch
 (predicted output minus mean predicted optimal speed) and the scaled
 deviations of the member predictions.  The control objective is the squared
 norm of that residual, so its exploitation/exploration split is exact.
+
+Two routes compute it.  evaluate, the solver's, fuses F and its Jacobian
+into one pass over the members on Python floats.  objective_split and
+objective_grid share a second, unfused one that computes the split from the
+ensemble statistics, on one float candidate or an array of them alike, and
+so checks the first independently.
 """
 from __future__ import annotations
 
@@ -154,8 +160,8 @@ def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
     Python floats (with about ten members numpy's per-call cost would
     outweigh the arithmetic): one pass for F, a second for J, with means
     added in np.mean's order.  objective_split and objective_grid share the
-    unfused vectorized route, _objective_terms, so the decomposition
-    identity is a genuine cross-check.
+    unfused route, _objective_terms, which has no code in common with this
+    one, so the decomposition identity is a genuine cross-check.
     """
     return _eval_prepared(_Prepared(p), u, with_jacobian)
 
@@ -166,37 +172,55 @@ def objective(p: DceeProblem, u: float) -> float:
     return float(f @ f)
 
 
-def _objective_terms(p: DceeProblem, us):
-    """(exploit, explore, feasible) arrays over the candidate inputs us.
+def _objective_terms(p: DceeProblem, u, feasible):
+    """(exploit, explore, feasible) at the candidate input u, a float or an
+    array of them, with feasible the caller's verdict on u itself.
 
-    Per candidate: predict the output, update the members with the
+    One loop over the members on whatever u is, so a float and an array run
+    the same operations in the same order and agree bit for bit.  Per
+    candidate: predict the output, update the members with the
     ensemble-mean reward in place of the measurement (unprojected, so smooth
     in u), then exploit = (output - mean optimal speed)^2 and explore = the
-    variance (1/n) of the optimal speeds.  Feasible means finite, with every
-    predicted member past the curvature floor; other rows are meaningless.
+    variance (1/n) of the optimal speeds.  Feasible means every predicted
+    member past the curvature floor; the terms of an infeasible candidate
+    are meaningless.
     """
-    us = np.asarray(us, dtype=float)
     veh = p.vehicle
-    spec = p.reward
-    members = p.ensemble.members
-    n = len(members)
-    # the logged split columns keep their bytes only in this order: BLAS
-    # products for innovations and variance (einsum rounds otherwise), sum/n
+    s = p.reward.v_scale
+    neg_half_s = -0.5 * s
+    neg_floor = -p.reward.curvature_floor
+    rows = p.ensemble.members.tolist()
+    n = len(rows)
+    sum0 = sum1 = sum2 = 0.0
+    for a, b, c in rows:
+        sum0 += a
+        sum1 += b
+        sum2 += c
     with np.errstate(all="ignore"):
-        y = np.maximum(0.0, p.v + veh.dt * ((us - drag_force(veh, p.v)) / veh.mass))
-        z = y / spec.v_scale
-        psi = np.empty((z.size, 3))                                              # (G, 3)
-        psi[:, 0], psi[:, 1], psi[:, 2] = z * z, z, 1.0
-        innov = psi @ members.T - (psi @ (members.sum(axis=0) / n))[:, None]     # (G, n)
-        th = members - (p.ensemble.rates * innov)[:, :, None] * psi[:, None, :]  # (G, n, 3)
-        t0 = th[:, :, 0]
-        gam = spec.v_scale * (-th[:, :, 1] / (2.0 * t0))
-        gmean = gam.sum(axis=1) / n
-        dev = gam - gmean[:, None]
-        explore = (dev[:, None, :] @ dev[:, :, None])[:, 0, 0] / n
-        exploit = (y - gmean) ** 2
-    feasible = np.isfinite(us) & (t0.max(axis=1) <= -spec.curvature_floor)
-    return exploit, explore, feasible
+        y = p.v + veh.dt * ((u - drag_force(veh, p.v)) / veh.mass)
+        y = 0.5 * (y + abs(y))  # max(y, 0) for a float and an array alike
+        z = y / s
+        psi0 = z * z
+        r_hat = sum0 / n * psi0 + sum1 / n * z + sum2 / n
+        gams = []
+        gsum = 0.0
+        try:
+            for (a, b, c), rate in zip(rows, p.ensemble.rates.tolist()):
+                gain = rate * (a * psi0 + b * z + c - r_hat)
+                t0 = a - gain * psi0
+                feasible &= t0 <= neg_floor
+                gam = (b - gain * z) / t0 * neg_half_s
+                gams.append(gam)
+                gsum += gam
+        except ZeroDivisionError:  # only a float t0 of 0 raises, and 0 is past the floor
+            return math.nan, math.nan, False
+        gmean = gsum / n
+        var = 0.0
+        for gam in gams:
+            dev = gam - gmean
+            var += dev * dev
+        dy = y - gmean
+        return dy * dy, var / n, feasible
 
 
 def objective_split(p: DceeProblem, u: float) -> tuple[float, float]:
@@ -206,12 +230,12 @@ def objective_split(p: DceeProblem, u: float) -> tuple[float, float]:
     u = float(u)
     if not math.isfinite(u):
         raise InvalidInputError(f"candidate input must be finite, got {u}")
-    exploit, explore, feasible = _objective_terms(p, [u])
-    if not feasible[0]:
+    exploit, explore, feasible = _objective_terms(p, u, True)
+    if not feasible:
         raise InfeasibleCandidateError(
             f"candidate u={u} drives a predicted member outside the admissible region"
         )
-    return float(exploit[0]), float(explore[0])
+    return exploit, explore
 
 
 def objective_grid(p: DceeProblem, us) -> np.ndarray:
@@ -220,7 +244,8 @@ def objective_grid(p: DceeProblem, us) -> np.ndarray:
     Infeasible candidates evaluate to +inf, which is how grid-search oracles
     and line searches treat them.
     """
-    exploit, explore, feasible = _objective_terms(p, us)
+    us = np.asarray(us, dtype=float)
+    exploit, explore, feasible = _objective_terms(p, us, np.isfinite(us))
     return np.where(feasible, exploit + explore, np.inf)
 
 

@@ -77,22 +77,27 @@ def test_objective_rejects_non_finite_input():
 
 
 def test_objective_grid_equals_split_sum():
-    # both are the one unfused formulation, evaluated on the same single
-    # candidate, so they agree to the last bit
+    # both run the one unfused loop over the members, the split on a float
+    # and the grid on an array, so each grid entry is the split's sum to the
+    # last bit, and inf exactly where the split finds the input infeasible;
+    # half the problems start near standstill, where low inputs clamp
     rng = np.random.default_rng(31)
-    checked = 0
-    while checked < 200:
+    feasible = infeasible = 0
+    for k in range(200):
         p = random_problem(rng)
-        if checked % 2:
+        if k % 2:
             p = dataclasses.replace(p, v=float(rng.uniform(0.0, 0.3)))
-        u = random_input(rng, p.vehicle)
-        try:
-            terms = objective_split(p, u)
-        except InfeasibleCandidateError:
-            assert objective_grid(p, [u])[0] == math.inf
-            continue
-        assert objective_grid(p, [u])[0] == sum(terms)
-        checked += 1
+        us = np.linspace(p.vehicle.u_min, p.vehicle.u_max, 101)
+        for u, d in zip(us.tolist(), objective_grid(p, us).tolist()):
+            try:
+                exploit, explore = objective_split(p, u)
+            except InfeasibleCandidateError:
+                assert d == math.inf
+                infeasible += 1
+                continue
+            assert d == exploit + explore
+            feasible += 1
+    assert feasible > infeasible > 0
 
 
 def test_residual_zero_at_consensus_optimum(spec, vehicle):
@@ -370,6 +375,8 @@ def test_evaluate_agrees_with_split_and_grid(n):
         d = float(F @ F)
         exploit, explore = objective_split(p, u)
         assert abs(d - (exploit + explore)) < 1e-10 * max(1.0, d)
+        assert abs(exploit - F[0] ** 2) < 1e-10 * max(1.0, d)
+        assert abs(explore - F[1:] @ F[1:]) < 1e-10 * max(1.0, d)
         assert d == pytest.approx(grid, rel=1e-12, abs=1e-12)
         assert F.shape == J.shape == (n + 1,)
         clamped += u < standstill_input(p.vehicle, p.v)
@@ -388,7 +395,23 @@ def test_overflowed_members_are_infeasible(spec):
     for u in us:
         with pytest.raises(InfeasibleCandidateError):
             evaluate(p, float(u))
+        with pytest.raises(InfeasibleCandidateError):
+            objective_split(p, float(u))
     assert np.isinf(objective_grid(p, us)).all()
+    # one NaN member leaves no candidate feasible on either split route
+    p = make_problem([[-1.0, 1.5, 0.25], [math.nan, 1.0, 0.0], [-0.5, 1.0, 0.1]], spec=spec)
+    for u in us:
+        with pytest.raises(InfeasibleCandidateError):
+            objective_split(p, float(u))
+    assert np.isinf(objective_grid(p, us)).all()
+    # a member of zero curvature at a clamped input: t0 is exactly 0, which
+    # a float divides by only with a ZeroDivisionError
+    p = make_problem([[-1.0, 1.5, 0.25], [0.0, 1.0, 0.0]], v=0.1, spec=spec)
+    u = p.vehicle.u_min
+    assert u < standstill_input(p.vehicle, p.v)
+    with pytest.raises(InfeasibleCandidateError):
+        objective_split(p, u)
+    assert objective_grid(p, [u])[0] == math.inf
     # a curvature floor so small that th0**2 underflows to 0 in the Jacobian
     tiny = dataclasses.replace(spec, curvature_floor=1e-200)
     p = make_problem([[-1e-170, 1e-171, 0.0], [-1e-170, 2e-171, 0.0]], v=10.0, spec=tiny)

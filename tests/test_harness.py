@@ -82,14 +82,14 @@ def test_newton_reference_fails_at_a_slope_without_curvature(monkeypatch):
     hg = fd_step(vehicle, u0)
     assert 2.0 * hg < 1e-4 * (1.0 + u0)
 
-    def fake_evaluate(problem, u, with_jacobian=True):
-        bump = 1.0 if u0 + 0.5 * hg < u < u0 + 2.0 * hg else 0.0
-        return np.array([bump]), None
+    def bumped_residual(u):
+        return np.array([1.0 if u0 + 0.5 * hg < u < u0 + 2.0 * hg else 0.0])
 
-    monkeypatch.setattr(harness, "evaluate", fake_evaluate)
+    # the reference prepares its residual once per solve through this name
+    monkeypatch.setattr(harness, "_as_residual_only", lambda problem: bumped_residual)
     problem = types.SimpleNamespace(vehicle=vehicle)
     gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
-    with pytest.raises(SolverFailureError):
+    with pytest.raises(SolverFailureError, match="zero curvature at a slope"):
         harness._newton_fd_solve(problem, u0, gncfg)
 
 
