@@ -51,6 +51,6 @@ from .reward import (
     make_true_params,
     optimal_condition,
 )
-from .solver import GnConfig, GnReport, controller_step, gn_step, scp_step, solve
+from .solver import GnConfig, GnReport, controller_step, gn_step, gn_terms, scp_step, solve
 
 __version__ = "0.1.0"

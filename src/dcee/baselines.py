@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DceeProblem, evaluate, standstill_input
+from .core import DceeProblem, residual_fn, standstill_input
 from .errors import ConfigurationError, InfeasibleCandidateError
 from .plant import VehicleParams, drag_force
 
@@ -31,7 +31,7 @@ class GradDceeConfig:
 def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
     """One explicit gradient step u - gain * grad(D)(u), clamped to bounds.
 
-    grad(D) = 2 J'F from the shared residual pipeline.  As in
+    grad(D) = 2 J'F, from the same callback the Gauss-Newton solve uses.  As in
     controller_step, a u_prev below standstill_input is lifted to it, where
     the gradient does not vanish.  If the evaluation is infeasible the
     (lifted) input is held.
@@ -39,10 +39,10 @@ def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
     veh = p.vehicle
     u_prev = min(max(float(u_prev), veh.u_min, standstill_input(veh, p.v)), veh.u_max)
     try:
-        F, J = evaluate(p, u_prev, with_jacobian=True)
+        _, jtf, _, _ = residual_fn(p)(u_prev)
     except InfeasibleCandidateError:
         return u_prev
-    grad = 2.0 * float(J @ F)
+    grad = 2.0 * jtf
     u = u_prev - cfg.gain * grad
     return min(max(u, veh.u_min), veh.u_max)
 

@@ -6,11 +6,13 @@ ensemble update; the stacked residual collects the exploitation mismatch
 deviations of the member predictions.  The control objective is the squared
 norm of that residual, so its exploitation/exploration split is exact.
 
-Two routes compute it.  evaluate, the solver's, fuses F and its Jacobian
-into one pass over the members on Python floats.  objective_split and
-objective_grid share a second, unfused one that computes the split from the
-ensemble statistics, on one float candidate or an array of them alike, and
-so checks the first independently.
+Two routes compute it.  The first fuses F and its Jacobian into one pass
+over the members on Python floats, _eval_prepared.  evaluate builds the
+arrays F and J from that pass; the solver's callback, residual_fn, reduces
+it to the scalars F'F, J'F, J'J and F[0]**2, all a one-input Gauss-Newton
+step needs.  objective_split and objective_grid share a second, unfused
+route that computes the split from the ensemble statistics, on one float
+candidate or an array of them alike, and so checks the first independently.
 """
 from __future__ import annotations
 
@@ -79,7 +81,10 @@ class _Prepared:
 
 
 def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool):
-    """(F, J) at u as arrays, with J None unless requested."""
+    """The member pass at u: (f0, gam, gmean, j0, dgam, dmean), where gam
+    are the updated members' optimal speeds, gmean their mean and
+    f0 = y - gmean the exploitation residual; j0, dgam and dmean are their
+    derivatives in u, all None unless with_jacobian."""
     u = float(u)
     if not math.isfinite(u):
         raise InvalidInputError(f"candidate input must be finite, got {u}")
@@ -100,22 +105,36 @@ def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool):
     r_hat = mean0 * psi0 + mean1 * z + mean2
     neg_floor = -prep.floor
     scale = -0.5 * s
+    gam = []
+    dgam = None
+    if with_jacobian:
+        dgam = []
+        dpsi0 = 2.0 * y / (s * s)
+        dpsi1 = 1.0 / s
+        k = 0.5 * s * dy_du
     # predicted member update theta - rate * innovation * psi, and each
-    # updated member's optimal speed
-    innov, th0, th1, gam = [], [], [], []
-    for a, b, c, rate in zip(prep.m0, prep.m1, prep.m2, prep.rates):
-        e = a * psi0 + b * z + c - r_hat
-        gain = rate * e
-        t0 = a - gain * psi0
-        if t0 > neg_floor:
-            raise InfeasibleCandidateError(
-                f"candidate u={u} drives a predicted member outside the admissible region"
-            )
-        t1 = b - gain * z
-        innov.append(e)
-        th0.append(t0)
-        th1.append(t1)
-        gam.append(t1 / t0 * scale)
+    # updated member's optimal speed; with the Jacobian, d(gam)/du =
+    # -(s/2) dy/du (dth1 th0 - th1 dth0) / th0^2, with the minus signs of
+    # the update direction folded in
+    try:
+        for a, b, c, d0, d1, rate in zip(prep.m0, prep.m1, prep.m2, prep.d0, prep.d1,
+                                         prep.rates):
+            e = a * psi0 + b * z + c - r_hat
+            gain = rate * e
+            t0 = a - gain * psi0
+            if t0 > neg_floor:
+                raise InfeasibleCandidateError(
+                    f"candidate u={u} drives a predicted member outside the admissible region"
+                )
+            t1 = b - gain * z
+            gam.append(t1 / t0 * scale)
+            if with_jacobian:
+                de = d0 * dpsi0 + d1 * dpsi1
+                dt0 = (dpsi0 * e + psi0 * de) * rate
+                dt1 = (dpsi1 * e + z * de) * rate
+                dgam.append((dt1 * t0 - t1 * dt0) / (t0 * t0) * k)
+    except ZeroDivisionError:  # th0**2 underflows below a floor of about 1e-154
+        raise InfeasibleCandidateError(f"candidate u={u}: predicted curvature underflows") from None
     gmean = _mean(gam)
     if not math.isfinite(gmean):
         # overflowing members give inf/nan here; to the solver that is one
@@ -123,28 +142,38 @@ def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool):
         raise InfeasibleCandidateError(
             f"candidate u={u} gives a non-finite predicted optimal speed"
         )
+    if not with_jacobian:
+        return y - gmean, gam, gmean, None, None, None
+    dmean = _mean(dgam)
+    return y - gmean, gam, gmean, dy_du - dmean, dgam, dmean
+
+
+def _residual_arrays(prep: _Prepared, u: float, with_jacobian: bool):
+    """(F, J) at u as arrays, with J None unless requested."""
+    f0, gam, gmean, j0, dgam, dmean = _eval_prepared(prep, u, with_jacobian)
     w = prep.inv_sqrt_n
-    F = np.array([y - gmean] + [(g - gmean) * w for g in gam])
+    F = np.array([f0] + [(g - gmean) * w for g in gam])
     if not with_jacobian:
         return F, None
+    return F, np.array([j0] + [(g - dmean) * w for g in dgam])
 
-    dpsi0 = 2.0 * y / (s * s)
-    dpsi1 = 1.0 / s
-    k = 0.5 * s * dy_du
-    # d(gam)/du = -(s/2) dy/du (dth1 th0 - th1 dth0) / th0^2, with the minus
-    # signs of the update direction folded in
-    dgam = []
-    try:
-        for e, t0, t1, d0, d1, rate in zip(innov, th0, th1, prep.d0, prep.d1, prep.rates):
-            de = d0 * dpsi0 + d1 * dpsi1
-            dt0 = (dpsi0 * e + psi0 * de) * rate
-            dt1 = (dpsi1 * e + z * de) * rate
-            dgam.append((dt1 * t0 - t1 * dt0) / (t0 * t0) * k)
-    except ZeroDivisionError:  # th0**2 underflows below a floor of about 1e-154
-        raise InfeasibleCandidateError(f"candidate u={u}: predicted curvature underflows") from None
-    dmean = _mean(dgam)
-    J = np.array([dy_du - dmean] + [(g - dmean) * w for g in dgam])
-    return F, J
+
+def _gn_terms(prep: _Prepared, u: float):
+    """(F'F, J'F, J'J, F[0]**2) at u.  F[1:] and J[1:] are the members'
+    optimal speeds and their derivatives less their means, over sqrt(n), so
+    their share of each product is a sum of deviation products over n; in
+    F'F that share is the variance of the optimal speeds, the explore term."""
+    f0, gam, gmean, j0, dgam, dmean = _eval_prepared(prep, u, True)
+    ff = jf = jj = 0.0
+    for g, dg in zip(gam, dgam):
+        g -= gmean
+        dg -= dmean
+        ff += g * g
+        jf += dg * g
+        jj += dg * dg
+    n = len(gam)
+    exploit = f0 * f0
+    return exploit + ff / n, j0 * f0 + jf / n, j0 * j0 + jj / n, exploit
 
 
 def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
@@ -156,14 +185,17 @@ def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
     member update (product rule over the basis and the innovation) and the
     derivative of the optimal-speed map.
 
-    This is the solver's hot path, fused into one loop over the members on
-    Python floats (with about ten members numpy's per-call cost would
-    outweigh the arithmetic): one pass for F, a second for J, with means
-    added in np.mean's order.  objective_split and objective_grid share the
-    unfused route, _objective_terms, which has no code in common with this
-    one, so the decomposition identity is a genuine cross-check.
+    One loop over the members on Python floats (with about ten members
+    numpy's per-call cost would outweigh the arithmetic) computes F and,
+    when requested, J, with means added in np.mean's order, so F and J are
+    bit for bit those of the same formulas on arrays.  The solver's
+    callback (residual_fn) takes the same pass and reduces it to the four
+    scalars of a one-input Gauss-Newton step instead of building arrays.
+    objective_split and objective_grid share the unfused route,
+    _objective_terms, which has no code in common with this one, so the
+    decomposition identity is a genuine cross-check.
     """
-    return _eval_prepared(_Prepared(p), u, with_jacobian)
+    return _residual_arrays(_Prepared(p), u, with_jacobian)
 
 
 def objective(p: DceeProblem, u: float) -> float:
@@ -183,9 +215,12 @@ def _objective_terms(p: DceeProblem, u, feasible):
     in u), then exploit = (output - mean optimal speed)^2 and explore = the
     variance (1/n) of the optimal speeds.  Feasible means every predicted
     member past the curvature floor; the terms of an infeasible candidate
-    are meaningless.
+    are meaningless.  On Python floats nothing here warns; a caller passing
+    an array silences numpy's floating-point warnings, which infeasible
+    candidates raise.
     """
     veh = p.vehicle
+    v = float(p.v)
     s = p.reward.v_scale
     neg_half_s = -0.5 * s
     neg_floor = -p.reward.curvature_floor
@@ -196,31 +231,30 @@ def _objective_terms(p: DceeProblem, u, feasible):
         sum0 += a
         sum1 += b
         sum2 += c
-    with np.errstate(all="ignore"):
-        y = p.v + veh.dt * ((u - drag_force(veh, p.v)) / veh.mass)
-        y = 0.5 * (y + abs(y))  # max(y, 0) for a float and an array alike
-        z = y / s
-        psi0 = z * z
-        r_hat = sum0 / n * psi0 + sum1 / n * z + sum2 / n
-        gams = []
-        gsum = 0.0
-        try:
-            for (a, b, c), rate in zip(rows, p.ensemble.rates.tolist()):
-                gain = rate * (a * psi0 + b * z + c - r_hat)
-                t0 = a - gain * psi0
-                feasible &= t0 <= neg_floor
-                gam = (b - gain * z) / t0 * neg_half_s
-                gams.append(gam)
-                gsum += gam
-        except ZeroDivisionError:  # only a float t0 of 0 raises, and 0 is past the floor
-            return math.nan, math.nan, False
-        gmean = gsum / n
-        var = 0.0
-        for gam in gams:
-            dev = gam - gmean
-            var += dev * dev
-        dy = y - gmean
-        return dy * dy, var / n, feasible
+    y = v + veh.dt * ((u - drag_force(veh, v)) / veh.mass)
+    y = 0.5 * (y + abs(y))  # max(y, 0) for a float and an array alike
+    z = y / s
+    psi0 = z * z
+    r_hat = sum0 / n * psi0 + sum1 / n * z + sum2 / n
+    gams = []
+    gsum = 0.0
+    try:
+        for (a, b, c), rate in zip(rows, p.ensemble.rates.tolist()):
+            gain = rate * (a * psi0 + b * z + c - r_hat)
+            t0 = a - gain * psi0
+            feasible &= t0 <= neg_floor
+            gam = (b - gain * z) / t0 * neg_half_s
+            gams.append(gam)
+            gsum += gam
+    except ZeroDivisionError:  # only a float t0 of 0 raises, and 0 is past the floor
+        return math.nan, math.nan, False
+    gmean = gsum / n
+    var = 0.0
+    for gam in gams:
+        dev = gam - gmean
+        var += dev * dev
+    dy = y - gmean
+    return dy * dy, var / n, feasible
 
 
 def objective_split(p: DceeProblem, u: float) -> tuple[float, float]:
@@ -245,20 +279,24 @@ def objective_grid(p: DceeProblem, us) -> np.ndarray:
     and line searches treat them.
     """
     us = np.asarray(us, dtype=float)
-    exploit, explore, feasible = _objective_terms(p, us, np.isfinite(us))
-    return np.where(feasible, exploit + explore, np.inf)
+    # infeasible candidates may divide by 0 or overflow; they end as +inf
+    with np.errstate(all="ignore"):
+        exploit, explore, feasible = _objective_terms(p, us, np.isfinite(us))
+        return np.where(feasible, exploit + explore, np.inf)
 
 
 def residual_fn(p: DceeProblem):
-    """Adapter for the inner solver: u -> (F, J).
+    """Adapter for the inner solver: u -> (F'F, J'F, J'J, F[0]**2).
 
+    With one input these four numbers are all a Gauss-Newton step and its
+    accept test need (see solver.solve), so no residual arrays are built.
     Prepares the problem-invariant quantities once, so repeated evaluations
     inside one solve stay cheap.
     """
     prep = _Prepared(p)
 
     def fn(u: float):
-        return _eval_prepared(prep, u, True)
+        return _gn_terms(prep, u)
 
     return fn
 
@@ -269,12 +307,17 @@ def _as_residual_only(target):
         prep = _Prepared(target)
 
         def fn(u: float):
-            return _eval_prepared(prep, u, False)[0]
+            return _residual_arrays(prep, u, False)[0]
         return fn
     if callable(target):
         def fn(u: float):
             out = target(u)
-            return out[0] if isinstance(out, tuple) else out
+            if not isinstance(out, tuple):
+                return out
+            if len(out) != 2:
+                # a solve callback's four scalars would pass for a residual
+                raise InvalidInputError("callable target must return F or (F, J)")
+            return out[0]
         return fn
     raise InvalidInputError(f"expected a DceeProblem or callable, got {type(target)!r}")
 

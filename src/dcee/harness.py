@@ -26,7 +26,7 @@ from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
 from .plant import active_segment, measure, plant_step
 from .reward import optimal_condition
-from .solver import GnConfig, SolverHealth, controller_step, solve
+from .solver import GnConfig, SolverHealth, controller_step, gn_terms, solve
 
 # compute_metrics' e_v_tail averages |v - v*| over this many seconds at the
 # end of the run: unlike e_v, one sample, it does not hinge on the last step
@@ -265,12 +265,12 @@ def parse_csv(path) -> list:
 
 
 def _fd_jacobian_fn(problem: DceeProblem):
-    """Residual/Jacobian callback with the Jacobian by central differences,
-    on a residual prepared once, as residual_fn prepares it."""
+    """Solve callback with the Jacobian by central differences, on a
+    residual prepared once, as residual_fn prepares it."""
     residual = _as_residual_only(problem)
 
     def fn(u: float):
-        return residual(u), jacobian_fd(residual, u, fd_step(problem.vehicle, u))
+        return gn_terms(residual(u), jacobian_fd(residual, u, fd_step(problem.vehicle, u)))
 
     return fn
 

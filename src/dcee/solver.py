@@ -6,8 +6,11 @@ subproblem *is* the Gauss-Newton step, so the curvature J'J is nonnegative
 and only first derivatives are ever needed.
 
 The input is a scalar, so J is a vector, J'J a number, and the step one
-division: ``gn_step``.  ``scp_step`` computes the same step by least
-squares on the stacked linearized residual, an independent cross-check.
+division: ``gn_step``.  A step and its accept test then need only three
+numbers, F'F, J'F and J'J, so the solve callback returns those (and F[0]**2
+for the explore share) rather than F and J; ``gn_terms`` makes them from
+arrays.  ``scp_step`` computes the same step by least squares on the stacked
+linearized residual, an independent cross-check.
 """
 from __future__ import annotations
 
@@ -71,7 +74,7 @@ class GnReport:
     """Per-solve trace: one entry of step_norms per accepted step.
 
     explore_share is the exploration term's share of the objective at the
-    returned input, (F@F - F[0]**2) / F@F (0 where the objective is 0); it
+    returned input, (F'F - F[0]**2) / F'F (0 where the objective is 0); it
     stays NaN when the solve fails and the step falls back.
     """
 
@@ -147,32 +150,43 @@ def scp_step(F, J, damping: float) -> float:
     return float(sol[0])
 
 
+def gn_terms(F, J) -> tuple:
+    """(F'F, J'F, J'J, F[0]**2) of a residual F and Jacobian J given as
+    arrays: what a solve callback returns (see solve)."""
+    F = np.asarray(F, dtype=float)
+    J = np.asarray(J, dtype=float)
+    return float(F @ F), float(J @ F), float(J @ J), float(F[0]) ** 2
+
+
 def _feasible_start(fun, cfg: GnConfig):
-    """(u, F, J) at the point of least F@F among the feasible points of a
+    """(u, terms) at the point of least F'F among the feasible points of a
     coarse grid over the input box, or None when none is feasible."""
     best = None
     for u in np.linspace(cfg.u_min, cfg.u_max, _START_GRID_POINTS).tolist():
         try:
-            F, J = fun(u)
+            terms = fun(u)
         except InfeasibleCandidateError:
             continue
-        obj = float(F @ F)
-        if best is None or obj < best[0]:
-            best = (obj, u, F, J)
-    return None if best is None else best[1:]
+        if best is None or terms[0] < best[1][0]:
+            best = (u, terms)
+    return best
 
 
 def solve(fun, u_init: float, cfg: GnConfig):
     """Run the damped Gauss-Newton iteration from u_init.
 
-    fun maps an input u to (residual, jacobian), both of shape (m,), and may
-    raise InfeasibleCandidateError.  An infeasible u_init is replaced by the
-    feasible point of least objective on a coarse grid over the input box.
-    Each trial step is gn_step's, and iterates are clamped to the input box.
+    fun maps an input u to the four floats (F'F, J'F, J'J, F[0]**2) of the
+    residual F and its Jacobian J = dF/du there (residual_fn's callback, or
+    gn_terms of arrays), and may raise InfeasibleCandidateError.  With one
+    input they are all a step and its accept test need: F'F is the
+    objective, J'F and J'J give the step, and F[0]**2 is the objective's
+    exploitation part.  An infeasible u_init is replaced by the feasible
+    point of least objective on a coarse grid over the input box.  Each
+    trial step is gn_step's, and iterates are clamped to the input box.
 
     Every iterate, the start included, is judged by its own next step: when
     |clamp(u + gn_step(J'F, J'J, damping)) - u| <= tol (1 + |u|), computed
-    from the F and J already in hand, the solve returns u as converged
+    from the terms already in hand, the solve returns u as converged
     without evaluating that step, so saturation at a bound also terminates.
     An accepted step that leaves the objective unchanged or higher also ends
     the solve as converged: the iterate sits at the rounding floor, and
@@ -187,17 +201,14 @@ def solve(fun, u_init: float, cfg: GnConfig):
     u = min(max(float(u_init), u_min), u_max)
     report = GnReport()
     try:
-        F, J = fun(u)
+        obj, jtf, jtj, exploit = fun(u)
     except InfeasibleCandidateError as exc:
         start = _feasible_start(fun, cfg)
         if start is None:
             raise SolverFailureError("initial point infeasible", report) from exc
-        u, F, J = start
-    obj = float(F @ F)
+        u, (obj, jtf, jtj, exploit) = start
 
     while True:
-        jtj = float(J @ J)
-        jtf = float(J @ F)
         lam = cfg.damping
         u_new = min(max(u + gn_step(jtf, jtj, lam), u_min), u_max)
         if abs(u_new - u) <= cfg.tol * (1.0 + abs(u)):
@@ -207,12 +218,11 @@ def solve(fun, u_init: float, cfg: GnConfig):
             break
         for _attempt in range(_MAX_ESCALATIONS + 1):
             try:
-                F_new, J_new = fun(u_new)
+                terms = fun(u_new)
             except InfeasibleCandidateError:
                 pass
             else:
-                obj_new = float(F_new @ F_new)
-                if obj_new <= obj * (1.0 + _ACCEPT_RTOL) + _ACCEPT_ATOL:
+                if terms[0] <= obj * (1.0 + _ACCEPT_RTOL) + _ACCEPT_ATOL:
                     break
             lam = max(10.0 * lam, 1.0)
             report.damping_escalations += 1
@@ -224,13 +234,14 @@ def solve(fun, u_init: float, cfg: GnConfig):
 
         report.iterations += 1
         report.step_norms.append(abs(u_new - u))
-        stalled = obj_new >= obj
-        u, F, J, obj = u_new, F_new, J_new, obj_new
+        stalled = terms[0] >= obj
+        u = u_new
+        obj, jtf, jtj, exploit = terms
         if stalled:
             report.converged = True
             break
 
-    report.explore_share = (obj - float(F[0]) ** 2) / obj if obj > 0.0 else 0.0
+    report.explore_share = (obj - exploit) / obj if obj > 0.0 else 0.0
     return u, report
 
 
@@ -247,14 +258,15 @@ def controller_step(p: DceeProblem, u_prev: float, cfg: GnConfig):
     input that holds the current speed against drag.
     """
     u_prev = float(u_prev)
-    report = GnReport()
+    report = None
     if math.isfinite(u_prev):
         try:
             return solve(residual_fn(p), max(u_prev, standstill_input(p.vehicle, p.v)), cfg)
         except SolverFailureError as exc:
-            report = exc.report or report
+            report = exc.report
         u_held = u_prev
     else:
         u_held = drag_force(p.vehicle, p.v)
+    report = report or GnReport()
     report.fallback = True
     return min(max(u_held, cfg.u_min), cfg.u_max), report

@@ -16,6 +16,7 @@ from dcee import (
     objective,
     objective_grid,
     objective_split,
+    residual_fn,
     standstill_input,
 )
 from dcee.ensemble import _mean
@@ -130,6 +131,27 @@ def test_residual_hand_values(spec):
     exploit, explore = objective_split(p, u)
     assert exploit == pytest.approx(9.0)
     assert explore == pytest.approx(25.0)
+
+
+def test_objective_split_takes_a_numpy_scalar_speed_as_a_float(spec):
+    # only objective_grid's array route silences numpy's warnings, so a
+    # numpy scalar speed must not carry numpy arithmetic into the float
+    # route: optimal speeds that overflow when squared give inf, not a
+    # RuntimeWarning, and every result is the float speed's to the bit
+    p = make_problem([[-0.05, 1e160, 0.0], [-1.0, 1.5, 0.25]], rates=[1e-300, 1e-300],
+                     v=np.float64(20.0), spec=spec)
+    exploit, explore = objective_split(p, 300.0)
+    assert type(exploit) is float and explore == math.inf
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        p = random_problem(rng)
+        u = random_input(rng, p.vehicle)
+        try:
+            want = objective_split(p, u)
+        except InfeasibleCandidateError:
+            continue
+        got = objective_split(dataclasses.replace(p, v=np.float64(p.v)), u)
+        assert all(type(x) is float for x in got) and got == want
 
 
 def test_objective_split_nonnegative_and_consistent():
@@ -286,6 +308,14 @@ def test_jacobian_fd_affine_exact():
 
     J = jacobian_fd(affine, 3.0, h=1e-3)
     assert np.abs(J - a).max() < 1e-12
+
+
+def test_fd_oracles_refuse_a_solve_callback():
+    # residual_fn's callback returns four scalars, not a residual; taking
+    # its first, F'F, for F would difference the objective instead
+    p = random_problem(np.random.default_rng(34))
+    with pytest.raises(InvalidInputError):
+        jacobian_fd(residual_fn(p), 300.0, h=1.0)
 
 
 def test_jacobian_fd_second_order_convergence():

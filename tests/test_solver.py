@@ -13,12 +13,15 @@ from dcee import (
     Ensemble,
     GnConfig,
     InfeasibleCandidateError,
+    InvalidInputError,
     SolverFailureError,
     condition_stats,
     controller_step,
     default_config,
     drag_force,
+    evaluate,
     gn_step,
+    gn_terms,
     objective,
     objective_grid,
     objective_split,
@@ -31,6 +34,8 @@ from dcee import (
 )
 from dcee.diagnostics import random_input, random_problem
 from dcee.solver import GnReport, SolverHealth
+
+from conftest import make_problem
 
 
 def test_gn_step_hand_value():
@@ -87,14 +92,14 @@ def test_solve_takes_gn_step():
         fun = residual_fn(p)
         cfg = GnConfig(max_iters=1, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
         try:
-            F, J = fun(u0)
+            _, jtf, jtj, _ = fun(u0)
             u, rep = solve(fun, u0, cfg)
         except (InfeasibleCandidateError, SolverFailureError):
             continue
         lam = cfg.damping
         for _ in range(rep.damping_escalations):
             lam = max(10.0 * lam, 1.0)
-        target = u0 + gn_step(float(J @ F), float(J @ J), lam)
+        target = u0 + gn_step(jtf, jtj, lam)
         assert u == min(max(target, cfg.u_min), cfg.u_max)
         interior += cfg.u_min < target < cfg.u_max
         checked += 1
@@ -107,7 +112,7 @@ def test_solve_stationary_start():
     a = np.array([1.0, -2.0])
 
     def fun(u):
-        return a * (u - 5.0), a
+        return gn_terms(a * (u - 5.0), a)
 
     cfg = GnConfig(max_iters=10, tol=1e-6, damping=0.0, u_min=-100.0, u_max=100.0)
     u, rep = solve(fun, 5.0, cfg)
@@ -124,7 +129,7 @@ def test_solve_affine_residual_one_step():
     a = np.array([0.5, 2.0, -1.0])
 
     def fun(u):
-        return a * (u - 3.0), a
+        return gn_terms(a * (u - 3.0), a)
 
     cfg = GnConfig(max_iters=1, tol=1e-12, damping=0.0, u_min=-100.0, u_max=100.0)
     u, rep = solve(fun, -50.0, cfg)
@@ -141,7 +146,7 @@ def test_solve_respects_bounds():
     a = np.array([1.0])
 
     def fun(u):
-        return a * (u - 50.0), a
+        return gn_terms(a * (u - 50.0), a)
 
     cfg = GnConfig(max_iters=5, tol=1e-9, damping=0.0, u_min=-10.0, u_max=10.0)
     u, rep = solve(fun, 0.0, cfg)
@@ -154,7 +159,7 @@ def test_solve_tol_infinite_returns_the_start():
     a = np.array([1.0, 1.0])
 
     def fun(u):
-        return a * (u - 2.0), a
+        return gn_terms(a * (u - 2.0), a)
 
     cfg = GnConfig(max_iters=10, tol=float("inf"), damping=0.0, u_min=-100.0, u_max=100.0)
     u, rep = solve(fun, 0.0, cfg)
@@ -174,7 +179,7 @@ def test_solve_replaces_an_infeasible_start_from_the_grid():
         calls.append(u)
         if u < 0.0:
             raise InfeasibleCandidateError("synthetic")
-        return a * (u - 3000.0), a
+        return gn_terms(a * (u - 3000.0), a)
 
     cfg = GnConfig(tol=float("inf"), damping=0.0, u_min=-5000.0, u_max=5000.0)
     u, rep = solve(fun, -100.0, cfg)
@@ -222,16 +227,14 @@ def test_escalation_backtracks_from_infeasible_full_step():
     def fun(u):
         if u > 4.0:
             raise InfeasibleCandidateError("synthetic")
-        return a * (u - 10.0), a
+        return gn_terms(a * (u - 10.0), a)
 
     cfg = GnConfig(max_iters=1, tol=1e-12, u_min=-100.0, u_max=100.0)
     u, rep = solve(fun, 0.0, cfg)
     assert 0.0 < u <= 4.0
     assert rep.damping_escalations >= 1
     assert rep.iterations == 1
-    F0, _ = fun(0.0)
-    F1, _ = fun(u)
-    assert F1 @ F1 < F0 @ F0
+    assert fun(u)[0] < fun(0.0)[0]
 
 
 def test_solve_started_at_fixed_point_stops_converged():
@@ -321,10 +324,10 @@ def test_solve_descends_at_non_stationary_points():
         u0 = random_input(rng, p.vehicle)
         fun = residual_fn(p)
         try:
-            F, J = fun(u0)
+            _, jtf, _, _ = fun(u0)
         except InfeasibleCandidateError:
             continue
-        if abs(J @ F) <= 1e-8:
+        if abs(jtf) <= 1e-8:
             continue
         cfg = GnConfig(max_iters=1, tol=1e-12, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
         try:
@@ -462,7 +465,7 @@ def test_controller_step_lifts_warm_start_out_of_standstill():
     cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
     u_stop = standstill_input(p.vehicle, p.v)
     assert -4000.0 < u_stop
-    assert residual_fn(p)(u_stop)[1].any()
+    assert residual_fn(p)(u_stop)[2] > 0.0  # J'J: the Jacobian is not 0
     u, rep = controller_step(p, -4000.0, cfg)
     assert u > u_stop
     assert rep.iterations >= 1
@@ -488,7 +491,7 @@ def test_q_linear_tail_of_damped_iteration():
     a = np.array([0.3, -0.4])
 
     def fun(u):
-        return a * (u - 2.0), a
+        return gn_terms(a * (u - 2.0), a)
 
     cfg = GnConfig(max_iters=10, tol=1e-15, damping=3.0, u_min=-100.0, u_max=100.0)
     _, rep = solve(fun, 10.0, cfg)
@@ -555,12 +558,79 @@ def test_closed_loop_solves_return_where_the_next_step_meets_tol(name):
         if rep.fallback:
             continue
         assert rep.converged
-        F, J = residual_fn(p)(u)
+        F, J = evaluate(p, u)
         du = scp_step(F, J, gncfg.damping * float(J @ J))
         u_next = min(max(u + du, gncfg.u_min), gncfg.u_max)
         assert abs(u_next - u) <= gncfg.tol * (1.0 + abs(u)) * (1.0 + 1e-9)
         checked += 1
     assert checked == len(solves) == cfg.n_steps
+
+
+def _check_callback_against_evaluate(p, u):
+    """residual_fn's (F'F, J'F, J'J, F[0]**2) at u against the same terms
+    of evaluate's arrays; where evaluate raises, the callback must raise the
+    same error.  Returns whether u was feasible."""
+    try:
+        F, J = evaluate(p, u)
+    except (InfeasibleCandidateError, InvalidInputError) as exc:
+        with pytest.raises(type(exc)):
+            residual_fn(p)(u)
+        return False
+    got = residual_fn(p)(u)
+    want = (float(F @ F), float(J @ F), float(J @ J), float(F[0]) ** 2)
+    assert all(type(x) is float for x in got)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (u, got, want)
+    return True
+
+
+def test_callback_terms_match_evaluate_on_random_problems():
+    # random snapshots at random inputs, and at standstill speeds around the
+    # input below which the prediction clamps, where J is 0 or one-sided
+    rng = np.random.default_rng(31)
+    feasible = 0
+    for k in range(200):
+        p = random_problem(rng)
+        if k % 2:
+            p = dataclasses.replace(p, v=float(rng.uniform(0.0, 0.3)))
+            u_stop = standstill_input(p.vehicle, p.v)
+            us = [math.nextafter(u_stop, -math.inf), u_stop, math.nextafter(u_stop, math.inf),
+                  u_stop - 1.0, u_stop + 1.0]
+        else:
+            us = [random_input(rng, p.vehicle) for _ in range(3)]
+        feasible += sum(_check_callback_against_evaluate(p, u) for u in us)
+    assert feasible >= 500
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVE_RUNS))
+def test_callback_terms_match_evaluate_on_closed_loop_inputs(name):
+    # the snapshots of a closed loop at the inputs its solves returned
+    _, _, solves, _ = _solves_of_run(name)
+    assert all(_check_callback_against_evaluate(p, u) for p, u, _ in solves[::5])
+
+
+def test_callback_raises_where_evaluate_raises(spec):
+    us = np.linspace(-5000.0, 5000.0, 11).tolist()
+    # an overflowed bank: every candidate is infeasible
+    p = make_problem([[-0.05, 5.2e47, 1.8e47], [-2.4e67, -1.5e66, -5.2e65],
+                      [-0.05, 3.5e89, 1.2e89]], rates=[0.1, 0.5, 0.9], v=88.0, spec=spec)
+    assert not any(_check_callback_against_evaluate(p, u) for u in us)
+    # a NaN member gives a NaN mean optimal speed
+    p = make_problem([[-1.0, 1.5, 0.25], [math.nan, 1.0, 0.0], [-0.5, 1.0, 0.1]], spec=spec)
+    assert not any(_check_callback_against_evaluate(p, u) for u in us)
+    # a member of zero curvature, left at 0 by an input that clamps
+    p = make_problem([[-1.0, 1.5, 0.25], [0.0, 1.0, 0.0]], v=0.1, spec=spec)
+    assert not _check_callback_against_evaluate(p, p.vehicle.u_min)
+    # th0**2 underflows in the Jacobian
+    tiny = dataclasses.replace(spec, curvature_floor=1e-200)
+    p = make_problem([[-1e-170, 1e-171, 0.0], [-1e-170, 2e-171, 0.0]], v=10.0, spec=tiny)
+    assert not _check_callback_against_evaluate(p, 300.0)
+    # a non-finite input
+    p = random_problem(np.random.default_rng(32))
+    for u in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError):
+            residual_fn(p)(u)
+        assert not _check_callback_against_evaluate(p, u)
 
 
 def test_default_run_takes_at_most_two_evaluations_per_solve():
