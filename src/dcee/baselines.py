@@ -33,11 +33,16 @@ def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
 
     grad(D) = 2 J'F, from the same callback the Gauss-Newton solve uses.  As in
     controller_step, a u_prev below standstill_input is lifted to it, where
-    the gradient does not vanish.  If the evaluation is infeasible the
-    (lifted) input is held.
+    the gradient does not vanish, and a non-finite u_prev, which gives no
+    point to step from, gives the input that holds the current speed
+    against drag, clamped to the bounds.  If the evaluation is infeasible
+    the (lifted) input is held.
     """
     veh = p.vehicle
-    u_prev = min(max(float(u_prev), veh.u_min, standstill_input(veh, p.v)), veh.u_max)
+    u_prev = float(u_prev)
+    if not math.isfinite(u_prev):
+        return min(max(drag_force(veh, p.v), veh.u_min), veh.u_max)
+    u_prev = min(max(u_prev, veh.u_min, standstill_input(veh, p.v)), veh.u_max)
     try:
         _, jtf, _, _ = residual_fn(p)(u_prev)
     except InfeasibleCandidateError:

@@ -41,7 +41,8 @@ def _print_solver_health(tag, health: dict):
         print(
             f"{tag}: {health['converged']}/{health['solves']} solves converged, "
             f"{health['escalations']} escalations, {health['fallbacks']} fallbacks, "
-            f"iteration histogram {health['iteration_histogram']}, explore share max "
+            f"iteration histogram {health['iteration_histogram']}, "
+            f"{health['evaluations']} evaluations, explore share max "
             f"{health['explore_share_max']:.3g}, {health['explore_active']} solves above 1e-3"
         )
 
@@ -113,6 +114,12 @@ def _cmd_bench(args) -> int:
         f"bench[agreement]: max relative objective spread {report['agreement_max_rel']:.2e} "
         f"over {report['agreement_checks']} checks"
     )
+    if report["explore_shift_checks"]:
+        print(
+            f"bench[exploration]: |u - u_exploit| max {report['explore_shift_max_n']:.4g} N  "
+            f"median {report['explore_shift_median_n']:.4g} N "
+            f"over {report['explore_shift_checks']} checks"
+        )
     _print_solver_health("bench[analytic_gn]", report["solver"])
     out = _ensure_out(args)
     if out:

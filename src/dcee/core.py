@@ -8,15 +8,17 @@ norm of that residual, so its exploitation/exploration split is exact.
 
 Two routes compute it.  The first fuses F and its Jacobian into one pass
 over the members on Python floats, _eval_prepared.  evaluate builds the
-arrays F and J from that pass; the solver's callback, residual_fn, reduces
-it to the scalars F'F, J'F, J'J and F[0]**2, all a one-input Gauss-Newton
-step needs.  objective_split and objective_grid share a second, unfused
+arrays F and J from the members' values that pass collects; the solver's
+callback, residual_fn, takes the scalars F'F, J'F, J'J and F[0]**2, all a
+one-input Gauss-Newton step needs, from running sums the pass keeps
+instead.  objective_split and objective_grid share a second, unfused
 route that computes the split from the ensemble statistics, on one float
 candidate or an array of them alike, and so checks the first independently.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,9 @@ from .ensemble import Ensemble, _mean
 from .errors import InfeasibleCandidateError, InvalidInputError
 from .plant import VehicleParams, drag_force
 from .reward import QuadraticRewardSpec
+
+# the smallest curvature magnitude whose square is a normal float
+_MIN_CURVATURE = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -51,40 +56,53 @@ class _Prepared:
     The inner solver evaluates the same DceeProblem many times per control
     period; everything that does not depend on the candidate input is
     computed once here, as Python floats and lists (see evaluate).
+    neg_floor_jac is the curvature floor of an evaluation with the
+    Jacobian: no less than sqrt of the smallest normal float, so the
+    derivative never divides by a curvature whose square underflows.
     """
 
-    __slots__ = ("v", "m0", "m1", "m2", "d0", "d1", "rates", "mean",
-                 "drag", "dy_du", "u_stop", "s", "floor", "inv_sqrt_n")
+    __slots__ = ("v", "m0", "m1", "m2", "rates", "mean", "n",
+                 "drag", "dy_du", "u_stop", "s", "neg_floor", "neg_floor_jac",
+                 "inv_sqrt_n")
 
     def __init__(self, p: DceeProblem):
-        self.m0, self.m1, self.m2 = p.ensemble.members.T.tolist()
+        m0, m1, m2 = self.m0, self.m1, self.m2 = p.ensemble.members.T.tolist()
         self.rates = p.ensemble.rates.tolist()
-        n = len(self.m0)
-        # members.mean(axis=0) sums each column in order, starting from 0.0
-        mean = []
-        for col in (self.m0, self.m1, self.m2):
-            acc = 0.0
-            for x in col:
-                acc += x
-            mean.append(acc / n)
-        self.mean = mean
-        self.d0 = [x - mean[0] for x in self.m0]
-        self.d1 = [x - mean[1] for x in self.m1]
+        n = self.n = len(m0)
+        # through Python 3.11 sum adds each column in order from 0, as
+        # members.mean(axis=0) does; later versions compensate the sum
+        self.mean = (sum(m0) / n, sum(m1) / n, sum(m2) / n)
         veh = p.vehicle
         self.v = p.v
         self.drag = drag_force(veh, p.v)
         self.dy_du = veh.dt / veh.mass
         self.u_stop = standstill_input(veh, p.v)
         self.s = p.reward.v_scale
-        self.floor = p.reward.curvature_floor
+        self.neg_floor = -p.reward.curvature_floor
+        self.neg_floor_jac = min(self.neg_floor, -_MIN_CURVATURE)
         self.inv_sqrt_n = 1.0 / math.sqrt(n)
 
 
-def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool):
-    """The member pass at u: (f0, gam, gmean, j0, dgam, dmean), where gam
-    are the updated members' optimal speeds, gmean their mean and
-    f0 = y - gmean the exploitation residual; j0, dgam and dmean are their
-    derivatives in u, all None unless with_jacobian."""
+def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
+    """The one pass over the members at u.
+
+    Without lists it returns the solve callback's (F'F, J'F, J'J, F[0]**2).
+    Given the list gam it appends each updated member's optimal speed g to
+    it instead and returns (f0, gmean, j0, dmean), where gmean is the mean
+    of g, f0 = y - gmean the exploitation residual, and j0 and dmean are
+    their derivatives in u; these are computed, and each member's
+    dg = d(g)/du appended to dgam, only when dgam is given too, else j0 and
+    dmean are None.  The collected values are averaged in np.mean's order,
+    so F and J are bit for bit those of the same formulas on arrays.
+
+    The callback keeps running sums of g and dg instead, less their first
+    member's values (shifted data, so the deviations from the means come
+    out of the sums without cancelling digits when the members agree
+    closely), and in units that leave the factors common to all members to
+    the end.  F[1:] and J[1:] are the deviations over sqrt(n), so their
+    share of each product is a sum of deviation products over n; in F'F
+    that share is the variance of the optimal speeds, the explore term.
+    """
     u = float(u)
     if not math.isfinite(u):
         raise InvalidInputError(f"candidate input must be finite, got {u}")
@@ -100,80 +118,84 @@ def _eval_prepared(prep: _Prepared, u: float, with_jacobian: bool):
         y = max(prep.v + dy_du * (u - prep.drag), 0.0)
     s = prep.s
     z = y / s
+    z2 = 2.0 * z
     psi0 = z * z
     mean0, mean1, mean2 = prep.mean
     r_hat = mean0 * psi0 + mean1 * z + mean2
-    neg_floor = -prep.floor
+    with_jacobian = gam is None or dgam is not None
+    neg_floor = prep.neg_floor_jac if with_jacobian else prep.neg_floor
     scale = -0.5 * s
-    gam = []
-    dgam = None
-    if with_jacobian:
-        dgam = []
-        dpsi0 = 2.0 * y / (s * s)
-        dpsi1 = 1.0 / s
-        k = 0.5 * s * dy_du
-    # predicted member update theta - rate * innovation * psi, and each
-    # updated member's optimal speed; with the Jacobian, d(gam)/du =
-    # -(s/2) dy/du (dth1 th0 - th1 dth0) / th0^2, with the minus signs of
-    # the update direction folded in
-    try:
-        for a, b, c, d0, d1, rate in zip(prep.m0, prep.m1, prep.m2, prep.d0, prep.d1,
-                                         prep.rates):
-            e = a * psi0 + b * z + c - r_hat
-            gain = rate * e
-            t0 = a - gain * psi0
-            if t0 > neg_floor:
-                raise InfeasibleCandidateError(
-                    f"candidate u={u} drives a predicted member outside the admissible region"
-                )
-            t1 = b - gain * z
-            gam.append(t1 / t0 * scale)
-            if with_jacobian:
-                de = d0 * dpsi0 + d1 * dpsi1
-                dt0 = (dpsi0 * e + psi0 * de) * rate
-                dt1 = (dpsi1 * e + z * de) * rate
-                dgam.append((dt1 * t0 - t1 * dt0) / (t0 * t0) * k)
-    except ZeroDivisionError:  # th0**2 underflows below a floor of about 1e-154
-        raise InfeasibleCandidateError(f"candidate u={u}: predicted curvature underflows") from None
-    gmean = _mean(gam)
+    k = 0.5 * dy_du
+    cq = cr = 0.0
+    first = True
+    sq = sr = sqq = sqr = srr = 0.0
+    # predicted member update theta - rate * e * psi, with e the member's
+    # reward innovation, and each updated member's optimal speed
+    # g = -(s/2) q for q = t1 / t0.  With the Jacobian, psi' = (2z, 1) / s
+    # and h = e + z (2z d0 + d1), with d0 and d1 the member's deviations
+    # from the means of the first two parameters, give t1' = rate h / s and
+    # t0' = rate z (e + h) / s, so dg = -(s/2) dy/du (t1' t0 - t1 t0') / t0^2,
+    # with the minus signs of the update direction folded in, is k r for
+    # r = rate (h - q z (e + h)) / t0 and k = dy/du / 2.  The callback sums
+    # q and r; the factors -(s/2) and k apply to the sums
+    for a, b, c, rate in zip(prep.m0, prep.m1, prep.m2, prep.rates):
+        e = a * psi0 + b * z + c - r_hat
+        gain = rate * e
+        t0 = a - gain * psi0
+        if t0 > neg_floor:
+            raise InfeasibleCandidateError(
+                f"candidate u={u} drives a predicted member outside the admissible region"
+            )
+        q = (b - gain * z) / t0
+        if with_jacobian:
+            h = e + z * (z2 * (a - mean0) + (b - mean1))
+            r = rate * (h - q * z * (e + h)) / t0
+        if gam is not None:
+            gam.append(q * scale)
+            if dgam is not None:
+                dgam.append(k * r)
+            continue
+        if first:
+            cq, cr = q, r
+            first = False
+        q -= cq
+        r -= cr
+        sq += q
+        sr += r
+        sqq += q * q
+        sqr += q * r
+        srr += r * r
+    n = prep.n
+    gmean = _mean(gam) if gam is not None else scale * (cq + sq / n)
     if not math.isfinite(gmean):
         # overflowing members give inf/nan here; to the solver that is one
         # more candidate it must not accept
         raise InfeasibleCandidateError(
             f"candidate u={u} gives a non-finite predicted optimal speed"
         )
-    if not with_jacobian:
-        return y - gmean, gam, gmean, None, None, None
-    dmean = _mean(dgam)
-    return y - gmean, gam, gmean, dy_du - dmean, dgam, dmean
+    f0 = y - gmean
+    if gam is not None:
+        if dgam is None:
+            return f0, gmean, None, None
+        dmean = _mean(dgam)
+        return f0, gmean, dy_du - dmean, dmean
+    j0 = dy_du - k * (cr + sr / n)
+    exploit = f0 * f0
+    return (exploit + scale * scale * (sqq - sq * sq / n) / n,
+            j0 * f0 + scale * k * (sqr - sq * sr / n) / n,
+            j0 * j0 + k * k * (srr - sr * sr / n) / n, exploit)
 
 
 def _residual_arrays(prep: _Prepared, u: float, with_jacobian: bool):
     """(F, J) at u as arrays, with J None unless requested."""
-    f0, gam, gmean, j0, dgam, dmean = _eval_prepared(prep, u, with_jacobian)
+    gam = []
+    dgam = [] if with_jacobian else None
+    f0, gmean, j0, dmean = _eval_prepared(prep, u, gam, dgam)
     w = prep.inv_sqrt_n
     F = np.array([f0] + [(g - gmean) * w for g in gam])
     if not with_jacobian:
         return F, None
     return F, np.array([j0] + [(g - dmean) * w for g in dgam])
-
-
-def _gn_terms(prep: _Prepared, u: float):
-    """(F'F, J'F, J'J, F[0]**2) at u.  F[1:] and J[1:] are the members'
-    optimal speeds and their derivatives less their means, over sqrt(n), so
-    their share of each product is a sum of deviation products over n; in
-    F'F that share is the variance of the optimal speeds, the explore term."""
-    f0, gam, gmean, j0, dgam, dmean = _eval_prepared(prep, u, True)
-    ff = jf = jj = 0.0
-    for g, dg in zip(gam, dgam):
-        g -= gmean
-        dg -= dmean
-        ff += g * g
-        jf += dg * g
-        jj += dg * dg
-    n = len(gam)
-    exploit = f0 * f0
-    return exploit + ff / n, j0 * f0 + jf / n, j0 * j0 + jj / n, exploit
 
 
 def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
@@ -189,8 +211,9 @@ def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
     numpy's per-call cost would outweigh the arithmetic) computes F and,
     when requested, J, with means added in np.mean's order, so F and J are
     bit for bit those of the same formulas on arrays.  The solver's
-    callback (residual_fn) takes the same pass and reduces it to the four
-    scalars of a one-input Gauss-Newton step instead of building arrays.
+    callback (residual_fn) takes the same pass and keeps running sums in
+    it instead, which give the four scalars of a one-input Gauss-Newton
+    step without collecting the members' values.
     objective_split and objective_grid share the unfused route,
     _objective_terms, which has no code in common with this one, so the
     decomposition identity is a genuine cross-check.
@@ -296,7 +319,7 @@ def residual_fn(p: DceeProblem):
     prep = _Prepared(p)
 
     def fn(u: float):
-        return _gn_terms(prep, u)
+        return _eval_prepared(prep, u)
 
     return fn
 

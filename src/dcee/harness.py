@@ -19,8 +19,8 @@ import numpy as np
 
 from .baselines import esc_init, esc_step, grad_dcee_step
 from .config import ScenarioConfig
-from .core import (DceeProblem, _as_residual_only, jacobian_fd, objective, objective_split,
-                   residual_fn)
+from .core import (DceeProblem, _as_residual_only, _Prepared, _residual_arrays, jacobian_fd,
+                   objective, objective_split, residual_fn)
 from .diagnostics import fd_step
 from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
@@ -275,6 +275,18 @@ def _fd_jacobian_fn(problem: DceeProblem):
     return fn
 
 
+def _exploit_only_fn(problem: DceeProblem):
+    """Solve callback of the exploitation residual F[0] alone: the input a
+    controller that ignores what the bank would learn from it would pick."""
+    prep = _Prepared(problem)
+
+    def fn(u: float):
+        F, J = _residual_arrays(prep, u, True)
+        return gn_terms(F[:1], J[:1])
+
+    return fn
+
+
 def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
     """Damped Newton reference with gradient and Hessian from central
     differences of the half objective; scalar input only.  The damping is
@@ -347,6 +359,11 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     cpu_p99_ns and cpu_max_ns.  Every agreement_stride
     steps all three are also re-solved to convergence (60 iterations at
     most) and the relative spread of the reached objectives is tracked.
+    At the same steps the exploitation residual F[0] alone is solved from
+    the same warm start; the max and median distance |u - u_exploit|, in
+    N, of the full objective's solution from that one say how far
+    exploration moves the input (None without a check); a failed
+    exploit-only solve counts as a reference failure.
     The health counts of the production solves are reported under "solver".
     """
     gncfg = cfg.controller.solver
@@ -357,6 +374,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     agreement_max_rel = 0.0
     agreement_checks = 0
     reference_failures = 0
+    explore_shifts = []
 
     def select(k, t, seg, r_meas, problem, u_prev):
         nonlocal agreement_max_rel, agreement_checks, reference_failures
@@ -386,6 +404,8 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
                 spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
                 agreement_max_rel = max(agreement_max_rel, spread_rel)
                 agreement_checks += 1
+                u_x, _ = solve(_exploit_only_fn(problem), u_prev, ref_cfg)
+                explore_shifts.append(abs(u_a - u_x))
             except SolverFailureError:
                 reference_failures += 1
         return u
@@ -404,6 +424,9 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         "speedup_vs_analytic": speedup,
         "agreement_max_rel": agreement_max_rel,
         "agreement_checks": agreement_checks,
+        "explore_shift_max_n": max(explore_shifts) if explore_shifts else None,
+        "explore_shift_median_n": float(np.median(explore_shifts)) if explore_shifts else None,
+        "explore_shift_checks": len(explore_shifts),
         "reference_failures": reference_failures,
         "solver": health.as_dict(),
     }

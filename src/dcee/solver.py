@@ -75,10 +75,12 @@ class GnReport:
 
     explore_share is the exploration term's share of the objective at the
     returned input, (F'F - F[0]**2) / F'F (0 where the objective is 0); it
-    stays NaN when the solve fails and the step falls back.
+    stays NaN when the solve fails and the step falls back.  evaluations
+    counts the callback's calls, those of the grid start included.
     """
 
     iterations: int = 0
+    evaluations: int = 0
     step_norms: list = field(default_factory=list)
     converged: bool = False
     fallback: bool = False
@@ -89,11 +91,13 @@ class GnReport:
 @dataclass
 class SolverHealth:
     """Running counts over the solves of one run; histogram[k] is the number
-    of solves that took k iterations.  explore_share_max is the largest
-    explore share of a solve that did not fall back, and explore_active
-    counts the solves whose share exceeds 1e-3."""
+    of solves that took k iterations and evaluations sums the solves'
+    callback calls.  explore_share_max is the largest explore share of a
+    solve that did not fall back, and explore_active counts the solves
+    whose share exceeds 1e-3."""
 
     solves: int = 0
+    evaluations: int = 0
     converged: int = 0
     escalations: int = 0
     fallbacks: int = 0
@@ -103,6 +107,7 @@ class SolverHealth:
 
     def add(self, report: GnReport) -> None:
         self.solves += 1
+        self.evaluations += report.evaluations
         self.converged += report.converged
         self.escalations += report.damping_escalations
         self.fallbacks += report.fallback
@@ -121,6 +126,7 @@ class SolverHealth:
             "converged": self.converged,
             "converged_frac": self.converged / self.solves if self.solves else None,
             "iteration_histogram": list(self.histogram),
+            "evaluations": self.evaluations,
             "escalations": self.escalations,
             "fallbacks": self.fallbacks,
             "explore_share_max": self.explore_share_max,
@@ -158,11 +164,13 @@ def gn_terms(F, J) -> tuple:
     return float(F @ F), float(J @ F), float(J @ J), float(F[0]) ** 2
 
 
-def _feasible_start(fun, cfg: GnConfig):
+def _feasible_start(fun, cfg: GnConfig, report: GnReport):
     """(u, terms) at the point of least F'F among the feasible points of a
-    coarse grid over the input box, or None when none is feasible."""
+    coarse grid over the input box, or None when none is feasible; each
+    point tried counts in report.evaluations."""
     best = None
     for u in np.linspace(cfg.u_min, cfg.u_max, _START_GRID_POINTS).tolist():
+        report.evaluations += 1
         try:
             terms = fun(u)
         except InfeasibleCandidateError:
@@ -199,11 +207,11 @@ def solve(fun, u_init: float, cfg: GnConfig):
     """
     u_min, u_max = cfg.u_min, cfg.u_max
     u = min(max(float(u_init), u_min), u_max)
-    report = GnReport()
+    report = GnReport(evaluations=1)
     try:
         obj, jtf, jtj, exploit = fun(u)
     except InfeasibleCandidateError as exc:
-        start = _feasible_start(fun, cfg)
+        start = _feasible_start(fun, cfg, report)
         if start is None:
             raise SolverFailureError("initial point infeasible", report) from exc
         u, (obj, jtf, jtj, exploit) = start
@@ -217,6 +225,7 @@ def solve(fun, u_init: float, cfg: GnConfig):
         if report.iterations == cfg.max_iters:
             break
         for _attempt in range(_MAX_ESCALATIONS + 1):
+            report.evaluations += 1
             try:
                 terms = fun(u_new)
             except InfeasibleCandidateError:

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from dcee import (
     EnvSegment,
     EscConfig,
+    GnConfig,
     GradDceeConfig,
     NoiseSpec,
     QuadraticRewardSpec,
     VehicleParams,
+    controller_step,
     drag_force,
     esc_init,
     esc_step,
@@ -73,6 +77,18 @@ def test_grad_step_holds_on_infeasible(spec):
     p = make_problem(members, rates=[0.5, 0.5], v=55.0, spec=spec)
     # evaluation at this held input is infeasible: the input is returned as is
     assert grad_dcee_step(p, 5000.0, GradDceeConfig()) == 5000.0
+
+
+def test_grad_step_holds_drag_on_non_finite_warm_start():
+    # no finite input to step from: hold the speed against drag, as
+    # controller_step's fallback does, rather than raise or brake fully
+    p = make_problem([[-1.0, 1.5, 0.25], [-0.8, 1.2, 0.2]], v=20.0)
+    gncfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
+    assert drag_force(p.vehicle, 20.0) == pytest.approx(360.0)
+    for u_prev in (math.nan, math.inf, -math.inf):
+        u = grad_dcee_step(p, u_prev, GradDceeConfig())
+        assert u == drag_force(p.vehicle, 20.0)
+        assert u == controller_step(p, u_prev, gncfg)[0]
 
 
 def test_grad_step_clamps_to_bounds():

@@ -114,9 +114,12 @@ def test_bench(cfg_path, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "bench[analytic_gn]" in printed
     assert "thread CPU p99" in printed and "explore share max" in printed
+    assert "bench[exploration]: |u - u_exploit| max" in printed and " evaluations" in printed
     with open(os.path.join(out, "bench.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     assert "timing" in payload and "speedup_vs_analytic" in payload
+    assert payload["explore_shift_checks"] == payload["agreement_checks"]
+    assert payload["solver"]["evaluations"] >= payload["solver"]["solves"]
 
 
 def test_audit(cfg_path, tmp_path, capsys):

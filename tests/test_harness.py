@@ -7,21 +7,25 @@ import pytest
 
 from dcee import (
     GnConfig,
+    InfeasibleCandidateError,
     InvalidInputError,
     SolverFailureError,
     active_segment,
     bench_solver,
     compute_metrics,
     default_config,
+    drag_force,
     export,
     optimal_condition,
+    objective_split,
     parse_csv,
     run_closed_loop,
     scenario_from_dict,
+    solve,
 )
 from dcee import harness
-from dcee.diagnostics import fd_step
-from dcee.harness import CSV_HEADER, StepRecord
+from dcee.diagnostics import fd_step, random_problem
+from dcee.harness import CSV_HEADER, StepRecord, _exploit_only_fn
 
 
 def short_cfg(**overrides):
@@ -292,4 +296,37 @@ def test_bench_solver_structure_and_ordering():
     # the analytic solves' thread CPU time: positive, and the max bounds the p99
     gn = t["analytic_gn"]
     assert 0.0 < gn["cpu_p99_ns"] <= gn["cpu_max_ns"]
-    assert {"explore_share_max", "explore_active"} <= set(report["solver"])
+    assert {"explore_share_max", "explore_active", "evaluations"} <= set(report["solver"])
+
+
+def test_bench_solver_reports_how_far_exploration_moves_the_input():
+    d = default_config()
+    d["horizon_s"] = 20.0
+    report = bench_solver(scenario_from_dict(d), agreement_stride=50)
+    assert report["explore_shift_checks"] == report["agreement_checks"] >= 4
+    assert 0.0 <= report["explore_shift_median_n"] <= report["explore_shift_max_n"]
+    assert math.isfinite(report["explore_shift_max_n"])
+
+
+def test_exploit_only_solve_minimizes_the_exploitation_term():
+    # the exploit-only callback is F[0] alone: its solve reaches the least
+    # exploitation term of objective_split over a fine grid of the box
+    rng = np.random.default_rng(34)
+    cfg = GnConfig(max_iters=60)
+    solved = 0
+    for _ in range(20):
+        p = random_problem(rng)
+        try:
+            u, rep = solve(_exploit_only_fn(p), drag_force(p.vehicle, p.v), cfg)
+        except SolverFailureError:  # no feasible point on the start grid
+            continue
+        assert rep.converged
+        solved += 1
+        best = math.inf
+        for uu in np.linspace(cfg.u_min, cfg.u_max, 401).tolist():
+            try:
+                best = min(best, objective_split(p, uu)[0])
+            except InfeasibleCandidateError:
+                pass
+        assert objective_split(p, u)[0] <= best + 1e-9
+    assert solved >= 10

@@ -31,6 +31,7 @@ from dcee import (
     scp_step,
     solve,
     standstill_input,
+    VehicleParams,
 )
 from dcee.diagnostics import random_input, random_problem
 from dcee.solver import GnReport, SolverHealth
@@ -187,6 +188,7 @@ def test_solve_replaces_an_infeasible_start_from_the_grid():
     assert rep.converged and rep.iterations == 0
     assert calls[0] == -100.0
     assert calls[1:] == np.linspace(-5000.0, 5000.0, 33).tolist()
+    assert rep.evaluations == len(calls) == 34
     u, rep = solve(fun, -100.0, dataclasses.replace(cfg, tol=1e-9))
     assert u == 3000.0
     assert rep.iterations == 1
@@ -202,7 +204,7 @@ def _wide_bank_config(**overrides):
     return scenario_from_dict(d)
 
 
-def test_controller_step_starts_the_wide_bank_from_a_feasible_input():
+def test_controller_step_starts_the_wide_bank_from_a_feasible_input(monkeypatch):
     # step 0 of the wide bank (5 m/s, warm start 0 N): the warm start is
     # infeasible, but half the box is not; the solve must start there
     # instead of falling back to holding 0 N
@@ -211,9 +213,23 @@ def test_controller_step_starts_the_wide_bank_from_a_feasible_input():
     assert p.v == 5.0
     with pytest.raises(InfeasibleCandidateError):
         residual_fn(p)(0.0)
+    calls = []
+
+    def counting_residual_fn(q):
+        inner = residual_fn(q)
+
+        def fn(u):
+            calls.append(u)
+            return inner(u)
+
+        return fn
+
+    monkeypatch.setattr(dcee.solver, "residual_fn", counting_residual_fn)
     u, rep = controller_step(p, 0.0, cfg.controller.solver)
     assert not rep.fallback
     assert rep.converged
+    # the warm start, the 33 grid points, then one per step and per retry
+    assert rep.evaluations == len(calls) == 1 + 33 + rep.iterations + rep.damping_escalations
     us = np.arange(p.vehicle.u_min, p.vehicle.u_max + 0.25, 0.5)
     grid_min = float(objective_grid(p, us).min())
     assert objective(p, u) <= grid_min * (1.0 + 1e-9)
@@ -609,6 +625,48 @@ def test_callback_terms_match_evaluate_on_closed_loop_inputs(name):
     assert all(_check_callback_against_evaluate(p, u) for p, u, _ in solves[::5])
 
 
+def _bank_around(p, rng, rel_spread, outlier=None, shift=None):
+    """p with its bank replaced: n members scattered about p's mean member
+    by rel_spread of each component, the first moved to outlier times the
+    mean, and the linear and constant terms scaled by shift and shift**2,
+    which scales the optimal speeds by shift."""
+    center = p.ensemble.members.mean(axis=0)
+    if shift is not None:
+        center = center * [1.0, shift, shift * shift]
+    n = len(p.ensemble.rates)
+    members = center * (1.0 + rel_spread * rng.uniform(-1.0, 1.0, size=(n, 3)))
+    if outlier is not None:
+        members[0] = center * outlier
+    members[:, 0] = np.minimum(members[:, 0], -p.reward.curvature_floor)
+    return dataclasses.replace(p, ensemble=Ensemble(members, p.ensemble.rates))
+
+
+@pytest.mark.parametrize("bank", ["collapsed", "outlier_first", "large_speeds"])
+def test_callback_terms_match_evaluate_on_hard_banks(bank):
+    # the callback's sums are shifted by the first member's values; these
+    # banks are where that is hardest: members that agree to 1e-9 of their
+    # mean, as after long runs, a first member (the shift point) far from
+    # the others, and optimal speeds of about 700 m/s spread by 1e-6 of that
+    rng = np.random.default_rng(33)
+    feasible = 0
+    for _ in range(60):
+        p = random_problem(rng)
+        if bank == "collapsed":
+            p = _bank_around(p, rng, 1e-9)
+        elif bank == "outlier_first":
+            p = _bank_around(p, rng, 0.05, outlier=[0.3, 4.0, 4.0])
+        else:
+            p = _bank_around(p, rng, 1e-6, shift=30.0)
+            # cruising near them without drag, so the explore part, not the
+            # exploit part, is most of each sum and sets the tolerance
+            gam = -0.5 * p.reward.v_scale * p.ensemble.members[:, 1] / p.ensemble.members[:, 0]
+            p = dataclasses.replace(p, vehicle=VehicleParams(c0=0.0, c1=0.0, c2=0.0),
+                                    v=float(gam.mean()))
+        us = [random_input(rng, p.vehicle) for _ in range(4)]
+        feasible += sum(_check_callback_against_evaluate(p, u) for u in us)
+    assert feasible >= 100
+
+
 def test_callback_raises_where_evaluate_raises(spec):
     us = np.linspace(-5000.0, 5000.0, 11).tolist()
     # an overflowed bank: every candidate is infeasible
@@ -641,6 +699,7 @@ def test_default_run_takes_at_most_two_evaluations_per_solve():
     iterations = sum(k * n for k, n in enumerate(health.histogram))
     assert evaluations == health.solves + iterations + health.escalations
     assert evaluations <= 2.0 * health.solves
+    assert health.evaluations == evaluations
 
 
 @pytest.mark.parametrize("name", ["default", "noise_free"])
@@ -664,3 +723,10 @@ def test_solver_health_counts_explore_shares_of_solves_that_did_not_fall_back():
     assert health.explore_share_max == 0.5
     assert health.explore_active == 2
     assert SolverHealth().as_dict()["explore_share_max"] == 0.0
+
+
+def test_solver_health_sums_evaluations():
+    health = SolverHealth()
+    for evaluations in (1, 2, 36):
+        health.add(GnReport(evaluations=evaluations))
+    assert health.as_dict()["evaluations"] == 39
