@@ -56,15 +56,17 @@ def exact_hessian_fd(target, u: float, h: float) -> float:
 def ggn_split(target, u: float, h: float | None = None) -> HessianSplit:
     """Split the exact (finite-difference) curvature into J'J and the rest.
 
-    The default Hessian step is 1e-4 * (1 + |u|); second differences lose
-    more precision than first, so the step is coarser than the Jacobian's.
+    The default Hessian step is fd_hessian_step on a DceeProblem and
+    1e-4 * (1 + |u|) on a bare callable, which has no input range.
     """
     u = float(u)
-    if h is None:
-        h = 1e-4 * (1.0 + abs(u))
     if isinstance(target, DceeProblem):
         _, J = evaluate(target, u, with_jacobian=True)
+        if h is None:
+            h = fd_hessian_step(target.vehicle, u)
     else:
+        if h is None:
+            h = 1e-4 * (1.0 + abs(u))
         out = target(u)
         if not (isinstance(out, tuple) and len(out) == 2):
             raise InvalidInputError("callable target must return (residual, jacobian)")
@@ -115,6 +117,18 @@ def fd_step(vehicle: VehicleParams, u: float) -> float:
     central differences rounding-dominated near u = 0.
     """
     return 1e-6 * ((vehicle.u_max - vehicle.u_min) + abs(u))
+
+
+def fd_hessian_step(vehicle: VehicleParams, u: float) -> float:
+    """Scale-aware second-derivative step: 100 fd_step, 1e-4 of (input
+    range + |u|).
+
+    A second difference of the half objective L divides rounding of L by
+    the squared step, so it needs a coarser step than a first difference;
+    at the default run's first step a 1e-4 N step leaves the difference
+    curvature about 640 times J'J, rounding alone.
+    """
+    return 100.0 * fd_step(vehicle, u)
 
 
 def random_problem(rng: np.random.Generator,

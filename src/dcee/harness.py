@@ -19,14 +19,14 @@ import numpy as np
 
 from .baselines import esc_init, esc_step, grad_dcee_step
 from .config import ScenarioConfig
-from .core import (DceeProblem, _as_residual_only, _Prepared, _residual_arrays, jacobian_fd,
+from .core import (DceeProblem, _as_residual_only, _eval_prepared, _Prepared, jacobian_fd,
                    objective, objective_split, residual_fn)
-from .diagnostics import fd_step
+from .diagnostics import fd_hessian_step, fd_step
 from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
 from .plant import active_segment, measure, plant_step
 from .reward import optimal_condition
-from .solver import GnConfig, SolverHealth, controller_step, gn_terms, solve
+from .solver import SolverHealth, controller_step, gn_terms, solve
 
 # compute_metrics' e_v_tail averages |v - v*| over this many seconds at the
 # end of the run: unlike e_v, one sample, it does not hinge on the last step
@@ -281,84 +281,63 @@ def _exploit_only_fn(problem: DceeProblem):
     prep = _Prepared(problem)
 
     def fn(u: float):
-        F, J = _residual_arrays(prep, u, True)
-        return gn_terms(F[:1], J[:1])
+        f0, _, j0, _ = _eval_prepared(prep, u, [], [])
+        return f0 * f0, j0 * f0, j0 * j0, f0 * f0
 
     return fn
 
 
-def _newton_fd_solve(problem: DceeProblem, u_init: float, cfg: GnConfig):
-    """Damped Newton reference with gradient and Hessian from central
-    differences of the half objective; scalar input only.  The damping is
-    relative to the curvature and escalates as in solve, and each iterate is
-    judged by its own next step as in solve, so both take like steps and
-    stop alike.  A zero difference curvature where the gradient is nonzero
-    gives no step to take and counts as a failure.  Returns u or raises
-    SolverFailureError.  The residual is prepared once per solve, as
-    controller_step prepares it."""
+def _fd_hessian_fn(problem: DceeProblem):
+    """Solve callback of a damped Newton reference: (F'F, g, |H|, F[0]**2),
+    with the gradient g and curvature H of L = 0.5 F'F by central
+    differences in the places of J'F and J'J; an H < 0 is used by magnitude,
+    so the step still descends.  Each call evaluates F at u and L at
+    u +- fd_step and u +- fd_hessian_step.  An infeasible stencil point, or
+    H = 0 where g is not, gives no step and raises SolverFailureError.  The
+    residual is prepared once, as residual_fn prepares it."""
     residual = _as_residual_only(problem)
 
     def L(u):
         f = residual(u)
         return 0.5 * float(f @ f)
 
-    def step(u, g, H, lam):
-        # a negative difference curvature is used by magnitude, so the step
-        # still descends; a flat objective gives a zero step
-        denom = abs(H) * (1.0 + lam)
-        du = -g / denom if denom > 0.0 else 0.0
-        return min(max(u + du, cfg.u_min), cfg.u_max)
-
-    u = min(max(float(u_init), cfg.u_min), cfg.u_max)
-    try:
-        val = L(u)
-    except InfeasibleCandidateError as exc:
-        raise SolverFailureError("initial point infeasible") from exc
-    for _ in range(cfg.max_iters):
+    def fn(u: float):
+        f = residual(u)
         hg = fd_step(problem.vehicle, u)
-        hh = 1e-4 * (1.0 + abs(u))
+        hh = fd_hessian_step(problem.vehicle, u)
         try:
             lp, lm = L(u + hg), L(u - hg)
             hp, hm = L(u + hh), L(u - hh)
         except InfeasibleCandidateError as exc:
             raise SolverFailureError("stencil point infeasible") from exc
+        obj = float(f @ f)  # 2 L(u)
         g = (lp - lm) / (2.0 * hg)
-        H = (hp - 2.0 * val + hm) / (hh * hh)
+        H = (hp - obj + hm) / (hh * hh)
         if H == 0.0 and g != 0.0:
             raise SolverFailureError("newton reference has zero curvature at a slope")
-        lam = cfg.damping
-        u_new = step(u, g, H, lam)
-        if abs(u_new - u) <= cfg.tol * (1.0 + abs(u)):
-            break
-        for _attempt in range(6):
-            try:
-                val_new = L(u_new)
-            except InfeasibleCandidateError:
-                pass
-            else:
-                if val_new <= val * (1.0 + 1e-12) + 1e-15:
-                    break
-            lam = max(10.0 * lam, 1.0)
-            u_new = step(u, g, H, lam)
-        else:
-            raise SolverFailureError("newton reference found no acceptable step")
-        u, val = u_new, val_new
-    return u
+        return obj, g, abs(H), float(f[0]) ** 2
+
+    return fn
+
+
+# bench's references: each name's callback builder, run by solve as
+# residual_fn's callback is
+_REFERENCES = {"fd_jacobian_gn": _fd_jacobian_fn, "fd_hessian_newton": _fd_hessian_fn}
 
 
 def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
-    """Time the production solver against two internal references on the
-    identical per-step problems of the closed loop.
+    """Time the production solver against the _REFERENCES on the identical
+    per-step problems of the closed loop.
 
     The loop itself is always driven by the production (analytic-Jacobian)
-    controller; the references solve each snapshot from the same warm start
-    with the same settings.  Each is timed around its call, so the analytic
-    time includes controller_step's preparation; the analytic solves are
-    also timed on the thread's CPU clock, which a descheduled process does
-    not advance, and its p99 and max go into their timing entry as
-    cpu_p99_ns and cpu_max_ns.  Every agreement_stride
-    steps all three are also re-solved to convergence (60 iterations at
-    most) and the relative spread of the reached objectives is tracked.
+    controller; solve runs each reference's callback on each snapshot from
+    the same warm start with the same settings.  Each is timed around its
+    call, so the analytic time includes controller_step's preparation; the
+    analytic solves are also timed on the thread's CPU clock, which a
+    descheduled process does not advance, and its p99 and max go into their
+    timing entry as cpu_p99_ns and cpu_max_ns.  Every agreement_stride steps
+    all three are also re-solved to convergence (60 iterations at most) and
+    the relative spread of the reached objectives is tracked.
     At the same steps the exploitation residual F[0] alone is solved from
     the same warm start; the max and median distance |u - u_exploit|, in
     N, of the full objective's solution from that one say how far
@@ -368,7 +347,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     """
     gncfg = cfg.controller.solver
     ref_cfg = replace(gncfg, max_iters=60)
-    times = {"analytic_gn": [], "fd_jacobian_gn": [], "fd_hessian_newton": []}
+    times = {"analytic_gn": [], **{name: [] for name in _REFERENCES}}
     cpu_times = []
     health = SolverHealth()
     agreement_max_rel = 0.0
@@ -383,29 +362,24 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         cpu_times.append(time.thread_time_ns() - cpu0)
         health.add(report)
 
-        try:
-            # the callback is built inside the timed call, so its preparation
-            # counts as controller_step's does
-            _timed(times["fd_jacobian_gn"],
-                   lambda: solve(_fd_jacobian_fn(problem), u_prev, gncfg))
-        except SolverFailureError:
-            reference_failures += 1
-        try:
-            _timed(times["fd_hessian_newton"], _newton_fd_solve, problem, u_prev, gncfg)
-        except SolverFailureError:
-            reference_failures += 1
+        for name, make_fn in _REFERENCES.items():
+            try:
+                # the callback is built inside the timed call, so its
+                # preparation counts as controller_step's does
+                _timed(times[name], lambda: solve(make_fn(problem), u_prev, gncfg))
+            except SolverFailureError:
+                reference_failures += 1
 
         if k % agreement_stride == 0:
             try:
-                u_a, _ = solve(residual_fn(problem), u_prev, ref_cfg)
-                u_b, _ = solve(_fd_jacobian_fn(problem), u_prev, ref_cfg)
-                u_c = _newton_fd_solve(problem, u_prev, ref_cfg)
-                objs = [objective(problem, uu) for uu in (u_a, u_b, u_c)]
+                us = [solve(make_fn(problem), u_prev, ref_cfg)[0]
+                      for make_fn in (residual_fn, *_REFERENCES.values())]
+                objs = [objective(problem, uu) for uu in us]
                 spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
                 agreement_max_rel = max(agreement_max_rel, spread_rel)
                 agreement_checks += 1
                 u_x, _ = solve(_exploit_only_fn(problem), u_prev, ref_cfg)
-                explore_shifts.append(abs(u_a - u_x))
+                explore_shifts.append(abs(us[0] - u_x))
             except SolverFailureError:
                 reference_failures += 1
         return u
@@ -417,7 +391,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     mean_gn = summary["analytic_gn"]["mean_ns"]
     speedup = {
         name: (summary[name]["mean_ns"] / mean_gn if mean_gn > 0 else math.inf)
-        for name in ("fd_jacobian_gn", "fd_hessian_newton")
+        for name in _REFERENCES
     }
     return {
         "timing": summary,

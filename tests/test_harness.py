@@ -19,12 +19,13 @@ from dcee import (
     optimal_condition,
     objective_split,
     parse_csv,
+    residual_fn,
     run_closed_loop,
     scenario_from_dict,
     solve,
 )
 from dcee import harness
-from dcee.diagnostics import fd_step, random_problem
+from dcee.diagnostics import fd_hessian_step, fd_step, random_problem
 from dcee.harness import CSV_HEADER, StepRecord, _exploit_only_fn
 
 
@@ -84,7 +85,7 @@ def test_newton_reference_fails_at_a_slope_without_curvature(monkeypatch):
     vehicle = cfg.vehicle
     u0 = 1000.0
     hg = fd_step(vehicle, u0)
-    assert 2.0 * hg < 1e-4 * (1.0 + u0)
+    assert 2.0 * hg < fd_hessian_step(vehicle, u0)
 
     def bumped_residual(u):
         return np.array([1.0 if u0 + 0.5 * hg < u < u0 + 2.0 * hg else 0.0])
@@ -94,7 +95,39 @@ def test_newton_reference_fails_at_a_slope_without_curvature(monkeypatch):
     problem = types.SimpleNamespace(vehicle=vehicle)
     gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
     with pytest.raises(SolverFailureError, match="zero curvature at a slope"):
-        harness._newton_fd_solve(problem, u0, gncfg)
+        solve(harness._fd_hessian_fn(problem), u0, gncfg)
+
+
+def test_newton_reference_fails_on_an_infeasible_stencil_point(monkeypatch):
+    # u itself is feasible but the curvature stencil reaches past the edge
+    # of the feasible region: no step can be formed there, so the reference
+    # fails; an infeasible u is rejected as any callback rejects it
+    cfg = short_cfg()
+    vehicle = cfg.vehicle
+    u0 = 1000.0
+    edge = u0 + 0.5 * fd_hessian_step(vehicle, u0)
+
+    def edged_residual(u):
+        if u > edge:
+            raise InfeasibleCandidateError(f"u={u} past the edge")
+        return np.array([1e-3 * u])
+
+    monkeypatch.setattr(harness, "_as_residual_only", lambda problem: edged_residual)
+    fn = harness._fd_hessian_fn(types.SimpleNamespace(vehicle=vehicle))
+    gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
+    with pytest.raises(SolverFailureError, match="stencil point infeasible"):
+        solve(fn, u0, gncfg)
+    with pytest.raises(InfeasibleCandidateError):
+        fn(2.0 * edge)
+
+
+def test_newton_reference_resolves_the_curvature_at_the_first_step():
+    # at the default run's first snapshot (5 m/s, warm start 0 N) the half
+    # objective is about 97 while its curvature J'J is about 4e-9: a step
+    # too fine leaves the second difference rounding noise
+    problem, _ = harness._drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
+    _, _, H, _ = harness._fd_hessian_fn(problem)(0.0)
+    assert H == pytest.approx(residual_fn(problem)(0.0)[2], rel=0.01)
 
 
 def test_run_deterministic():
