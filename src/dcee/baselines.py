@@ -44,7 +44,7 @@ def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
         return min(max(drag_force(veh, p.v), veh.u_min), veh.u_max)
     u_prev = min(max(u_prev, veh.u_min, standstill_input(veh, p.v)), veh.u_max)
     try:
-        _, jtf, _, _ = residual_fn(p)(u_prev)
+        _, jtf, _ = residual_fn(p)(u_prev)
     except InfeasibleCandidateError:
         return u_prev
     grad = 2.0 * jtf

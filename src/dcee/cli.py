@@ -42,8 +42,7 @@ def _print_solver_health(tag, health: dict):
             f"{tag}: {health['converged']}/{health['solves']} solves converged, "
             f"{health['escalations']} escalations, {health['fallbacks']} fallbacks, "
             f"iteration histogram {health['iteration_histogram']}, "
-            f"{health['evaluations']} evaluations, explore share max "
-            f"{health['explore_share_max']:.3g}, {health['explore_active']} solves above 1e-3"
+            f"{health['evaluations']} evaluations"
         )
 
 

@@ -9,7 +9,7 @@ norm of that residual, so its exploitation/exploration split is exact.
 Two routes compute it.  The first fuses F and its Jacobian into one pass
 over the members on Python floats, _eval_prepared.  evaluate builds the
 arrays F and J from the members' values that pass collects; the solver's
-callback, residual_fn, takes the scalars F'F, J'F, J'J and F[0]**2, all a
+callback, residual_fn, takes the scalars F'F, J'F and J'J, all a
 one-input Gauss-Newton step needs, from running sums the pass keeps
 instead.  objective_split and objective_grid share a second, unfused
 route that computes the split from the ensemble statistics, on one float
@@ -86,7 +86,7 @@ class _Prepared:
 def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
     """The one pass over the members at u.
 
-    Without lists it returns the solve callback's (F'F, J'F, J'J, F[0]**2).
+    Without lists it returns the solve callback's (F'F, J'F, J'J).
     Given the list gam it appends each updated member's optimal speed g to
     it instead and returns (f0, gmean, j0, dmean), where gmean is the mean
     of g, f0 = y - gmean the exploitation residual, and j0 and dmean are
@@ -180,10 +180,9 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
         dmean = _mean(dgam)
         return f0, gmean, dy_du - dmean, dmean
     j0 = dy_du - k * (cr + sr / n)
-    exploit = f0 * f0
-    return (exploit + scale * scale * (sqq - sq * sq / n) / n,
+    return (f0 * f0 + scale * scale * (sqq - sq * sq / n) / n,
             j0 * f0 + scale * k * (sqr - sq * sr / n) / n,
-            j0 * j0 + k * k * (srr - sr * sr / n) / n, exploit)
+            j0 * j0 + k * k * (srr - sr * sr / n) / n)
 
 
 def _residual_arrays(prep: _Prepared, u: float, with_jacobian: bool):
@@ -212,7 +211,7 @@ def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
     when requested, J, with means added in np.mean's order, so F and J are
     bit for bit those of the same formulas on arrays.  The solver's
     callback (residual_fn) takes the same pass and keeps running sums in
-    it instead, which give the four scalars of a one-input Gauss-Newton
+    it instead, which give the three scalars of a one-input Gauss-Newton
     step without collecting the members' values.
     objective_split and objective_grid share the unfused route,
     _objective_terms, which has no code in common with this one, so the
@@ -309,9 +308,9 @@ def objective_grid(p: DceeProblem, us) -> np.ndarray:
 
 
 def residual_fn(p: DceeProblem):
-    """Adapter for the inner solver: u -> (F'F, J'F, J'J, F[0]**2).
+    """Adapter for the inner solver: u -> (F'F, J'F, J'J).
 
-    With one input these four numbers are all a Gauss-Newton step and its
+    With one input these three numbers are all a Gauss-Newton step and its
     accept test need (see solver.solve), so no residual arrays are built.
     Prepares the problem-invariant quantities once, so repeated evaluations
     inside one solve stay cheap.
@@ -338,7 +337,7 @@ def _as_residual_only(target):
             if not isinstance(out, tuple):
                 return out
             if len(out) != 2:
-                # a solve callback's four scalars would pass for a residual
+                # a solve callback's three scalars would pass for a residual
                 raise InvalidInputError("callable target must return F or (F, J)")
             return out[0]
         return fn

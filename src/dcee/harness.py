@@ -210,10 +210,6 @@ def compute_metrics(records, schedule, spec) -> dict:
     return {"e_v": e_v, "e_v_tail": e_v_tail, "iae_v": iae, "regret": regret}
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def export(result: RunResult, path, fmt: str):
     """Write a RunResult to disk.
 
@@ -230,7 +226,7 @@ def export(result: RunResult, path, fmt: str):
         if fmt == "csv":
             lines = [CSV_HEADER]
             for r in result.records:
-                cells = [_fmt(getattr(r, name)) for name in CSV_COLUMNS[:-1]]
+                cells = [f"{getattr(r, name):.17g}" for name in CSV_COLUMNS[:-1]]
                 lines.append(",".join(cells + [str(r.iterations)]))
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join(lines) + "\n")
@@ -250,17 +246,24 @@ def export(result: RunResult, path, fmt: str):
 
 
 def parse_csv(path) -> list:
-    """Read back an exported CSV into StepRecord values."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
+    """Read back an exported CSV into StepRecord values.  An unreadable
+    file, a wrong header or a row that is not a record raises
+    InvalidInputError naming the path or the row."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read CSV {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise InvalidInputError(f"{path} does not start with the expected header")
     records = []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise InvalidInputError(f"malformed CSV row: {ln!r}")
-        records.append(StepRecord(*map(float, parts[:-1]), iterations=int(parts[-1])))
+        *cells, iterations = ln.split(",")
+        try:
+            # a wrong cell count is a TypeError, a cell that does not parse a ValueError
+            records.append(StepRecord(*map(float, cells), iterations=int(iterations)))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed CSV row: {ln!r}") from exc
     return records
 
 
@@ -282,19 +285,19 @@ def _exploit_only_fn(problem: DceeProblem):
 
     def fn(u: float):
         f0, _, j0, _ = _eval_prepared(prep, u, [], [])
-        return f0 * f0, j0 * f0, j0 * j0, f0 * f0
+        return f0 * f0, j0 * f0, j0 * j0
 
     return fn
 
 
 def _fd_hessian_fn(problem: DceeProblem):
-    """Solve callback of a damped Newton reference: (F'F, g, |H|, F[0]**2),
-    with the gradient g and curvature H of L = 0.5 F'F by central
-    differences in the places of J'F and J'J; an H < 0 is used by magnitude,
-    so the step still descends.  Each call evaluates F at u and L at
-    u +- fd_step and u +- fd_hessian_step.  An infeasible stencil point, or
-    H = 0 where g is not, gives no step and raises SolverFailureError.  The
-    residual is prepared once, as residual_fn prepares it."""
+    """Solve callback of a damped Newton reference: (F'F, g, |H|), with the
+    gradient g and curvature H of L = 0.5 F'F by central differences in the
+    places of J'F and J'J; an H < 0 is used by magnitude, so the step still
+    descends.  Each call evaluates F at u and L at u +- fd_step and
+    u +- fd_hessian_step.  An infeasible stencil point, or H = 0 where g is
+    not, gives no step and raises SolverFailureError.  The residual is
+    prepared once, as residual_fn prepares it."""
     residual = _as_residual_only(problem)
 
     def L(u):
@@ -315,7 +318,7 @@ def _fd_hessian_fn(problem: DceeProblem):
         H = (hp - obj + hm) / (hh * hh)
         if H == 0.0 and g != 0.0:
             raise SolverFailureError("newton reference has zero curvature at a slope")
-        return obj, g, abs(H), float(f[0]) ** 2
+        return obj, g, abs(H)
 
     return fn
 

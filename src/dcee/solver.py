@@ -7,10 +7,10 @@ and only first derivatives are ever needed.
 
 The input is a scalar, so J is a vector, J'J a number, and the step one
 division: ``gn_step``.  A step and its accept test then need only three
-numbers, F'F, J'F and J'J, so the solve callback returns those (and F[0]**2
-for the explore share) rather than F and J; ``gn_terms`` makes them from
-arrays.  ``scp_step`` computes the same step by least squares on the stacked
-linearized residual, an independent cross-check.
+numbers, F'F, J'F and J'J, so the solve callback returns those rather
+than F and J; ``gn_terms`` makes them from arrays.  ``scp_step`` computes
+the same step by least squares on the stacked linearized residual, an
+independent cross-check.
 """
 from __future__ import annotations
 
@@ -29,10 +29,6 @@ _ACCEPT_RTOL = 1e-12
 _ACCEPT_ATOL = 1e-15
 
 _MAX_ESCALATIONS = 5
-
-# a solve whose explore share exceeds this counts as one where the
-# exploration term acts (SolverHealth.explore_active)
-_EXPLORE_ACTIVE_SHARE = 1e-3
 
 # points of the grid over the input box that an infeasible start is replaced
 # from; the box is 10 kN wide by default, so they lie about 312 N apart
@@ -71,13 +67,8 @@ class GnConfig:
 
 @dataclass
 class GnReport:
-    """Per-solve trace: one entry of step_norms per accepted step.
-
-    explore_share is the exploration term's share of the objective at the
-    returned input, (F'F - F[0]**2) / F'F (0 where the objective is 0); it
-    stays NaN when the solve fails and the step falls back.  evaluations
-    counts the callback's calls, those of the grid start included.
-    """
+    """Per-solve trace: one entry of step_norms per accepted step, and in
+    evaluations the callback's calls, those of the grid start included."""
 
     iterations: int = 0
     evaluations: int = 0
@@ -85,16 +76,13 @@ class GnReport:
     converged: bool = False
     fallback: bool = False
     damping_escalations: int = 0
-    explore_share: float = math.nan
 
 
 @dataclass
 class SolverHealth:
     """Running counts over the solves of one run; histogram[k] is the number
     of solves that took k iterations and evaluations sums the solves'
-    callback calls.  explore_share_max is the largest explore share of a
-    solve that did not fall back, and explore_active counts the solves
-    whose share exceeds 1e-3."""
+    callback calls."""
 
     solves: int = 0
     evaluations: int = 0
@@ -102,8 +90,6 @@ class SolverHealth:
     escalations: int = 0
     fallbacks: int = 0
     histogram: list = field(default_factory=list)
-    explore_share_max: float = 0.0
-    explore_active: int = 0
 
     def add(self, report: GnReport) -> None:
         self.solves += 1
@@ -111,10 +97,6 @@ class SolverHealth:
         self.converged += report.converged
         self.escalations += report.damping_escalations
         self.fallbacks += report.fallback
-        share = report.explore_share  # NaN on a fallback fails both tests
-        if share > self.explore_share_max:
-            self.explore_share_max = share
-        self.explore_active += share > _EXPLORE_ACTIVE_SHARE
         k = report.iterations
         if k >= len(self.histogram):
             self.histogram.extend([0] * (k + 1 - len(self.histogram)))
@@ -129,8 +111,6 @@ class SolverHealth:
             "evaluations": self.evaluations,
             "escalations": self.escalations,
             "fallbacks": self.fallbacks,
-            "explore_share_max": self.explore_share_max,
-            "explore_active": self.explore_active,
         }
 
 
@@ -157,11 +137,11 @@ def scp_step(F, J, damping: float) -> float:
 
 
 def gn_terms(F, J) -> tuple:
-    """(F'F, J'F, J'J, F[0]**2) of a residual F and Jacobian J given as
-    arrays: what a solve callback returns (see solve)."""
+    """(F'F, J'F, J'J) of a residual F and Jacobian J given as arrays:
+    what a solve callback returns (see solve)."""
     F = np.asarray(F, dtype=float)
     J = np.asarray(J, dtype=float)
-    return float(F @ F), float(J @ F), float(J @ J), float(F[0]) ** 2
+    return float(F @ F), float(J @ F), float(J @ J)
 
 
 def _feasible_start(fun, cfg: GnConfig, report: GnReport):
@@ -183,12 +163,11 @@ def _feasible_start(fun, cfg: GnConfig, report: GnReport):
 def solve(fun, u_init: float, cfg: GnConfig):
     """Run the damped Gauss-Newton iteration from u_init.
 
-    fun maps an input u to the four floats (F'F, J'F, J'J, F[0]**2) of the
-    residual F and its Jacobian J = dF/du there (residual_fn's callback, or
-    gn_terms of arrays), and may raise InfeasibleCandidateError.  With one
-    input they are all a step and its accept test need: F'F is the
-    objective, J'F and J'J give the step, and F[0]**2 is the objective's
-    exploitation part.  An infeasible u_init is replaced by the feasible
+    fun maps an input u to the three floats (F'F, J'F, J'J) of the residual
+    F and its Jacobian J = dF/du there (residual_fn's callback, or gn_terms
+    of arrays), and may raise InfeasibleCandidateError.  With one input they
+    are all a step and its accept test need: F'F is the objective, and J'F
+    and J'J give the step.  An infeasible u_init is replaced by the feasible
     point of least objective on a coarse grid over the input box.  Each
     trial step is gn_step's, and iterates are clamped to the input box.
 
@@ -209,12 +188,12 @@ def solve(fun, u_init: float, cfg: GnConfig):
     u = min(max(float(u_init), u_min), u_max)
     report = GnReport(evaluations=1)
     try:
-        obj, jtf, jtj, exploit = fun(u)
+        obj, jtf, jtj = fun(u)
     except InfeasibleCandidateError as exc:
         start = _feasible_start(fun, cfg, report)
         if start is None:
             raise SolverFailureError("initial point infeasible", report) from exc
-        u, (obj, jtf, jtj, exploit) = start
+        u, (obj, jtf, jtj) = start
 
     while True:
         lam = cfg.damping
@@ -245,12 +224,11 @@ def solve(fun, u_init: float, cfg: GnConfig):
         report.step_norms.append(abs(u_new - u))
         stalled = terms[0] >= obj
         u = u_new
-        obj, jtf, jtj, exploit = terms
+        obj, jtf, jtj = terms
         if stalled:
             report.converged = True
             break
 
-    report.explore_share = (obj - exploit) / obj if obj > 0.0 else 0.0
     return u, report
 
 

@@ -113,7 +113,7 @@ def test_bench(cfg_path, tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "bench[analytic_gn]" in printed
-    assert "thread CPU p99" in printed and "explore share max" in printed
+    assert "thread CPU p99" in printed
     assert "bench[exploration]: |u - u_exploit| max" in printed and " evaluations" in printed
     with open(os.path.join(out, "bench.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)

@@ -311,7 +311,7 @@ def test_jacobian_fd_affine_exact():
 
 
 def test_fd_oracles_refuse_a_solve_callback():
-    # residual_fn's callback returns four scalars, not a residual; taking
+    # residual_fn's callback returns three scalars, not a residual; taking
     # its first, F'F, for F would difference the objective instead
     p = random_problem(np.random.default_rng(34))
     with pytest.raises(InvalidInputError):

@@ -24,7 +24,6 @@ from dcee import (
     gn_terms,
     objective,
     objective_grid,
-    objective_split,
     residual_fn,
     run_closed_loop,
     scenario_from_dict,
@@ -93,7 +92,7 @@ def test_solve_takes_gn_step():
         fun = residual_fn(p)
         cfg = GnConfig(max_iters=1, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
         try:
-            _, jtf, jtj, _ = fun(u0)
+            _, jtf, jtj = fun(u0)
             u, rep = solve(fun, u0, cfg)
         except (InfeasibleCandidateError, SolverFailureError):
             continue
@@ -121,7 +120,6 @@ def test_solve_stationary_start():
     assert rep.iterations == 0
     assert rep.step_norms == []
     assert rep.converged
-    assert rep.explore_share == 0.0  # a zero objective has no share to split
 
 
 def test_solve_affine_residual_one_step():
@@ -340,7 +338,7 @@ def test_solve_descends_at_non_stationary_points():
         u0 = random_input(rng, p.vehicle)
         fun = residual_fn(p)
         try:
-            _, jtf, _, _ = fun(u0)
+            _, jtf, _ = fun(u0)
         except InfeasibleCandidateError:
             continue
         if abs(jtf) <= 1e-8:
@@ -411,7 +409,6 @@ def test_controller_step_falls_back_on_non_finite_residual():
     assert u == p.vehicle.u_max
     assert rep.fallback
     assert rep.iterations == 0
-    assert math.isnan(rep.explore_share)
 
 
 def test_controller_step_falls_back_on_non_finite_warm_start():
@@ -583,7 +580,7 @@ def test_closed_loop_solves_return_where_the_next_step_meets_tol(name):
 
 
 def _check_callback_against_evaluate(p, u):
-    """residual_fn's (F'F, J'F, J'J, F[0]**2) at u against the same terms
+    """residual_fn's (F'F, J'F, J'J) at u against the same terms
     of evaluate's arrays; where evaluate raises, the callback must raise the
     same error.  Returns whether u was feasible."""
     try:
@@ -593,8 +590,8 @@ def _check_callback_against_evaluate(p, u):
             residual_fn(p)(u)
         return False
     got = residual_fn(p)(u)
-    want = (float(F @ F), float(J @ F), float(J @ J), float(F[0]) ** 2)
-    assert all(type(x) is float for x in got)
+    want = (float(F @ F), float(J @ F), float(J @ J))
+    assert len(got) == 3 and all(type(x) is float for x in got)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (u, got, want)
     return True
@@ -700,29 +697,6 @@ def test_default_run_takes_at_most_two_evaluations_per_solve():
     assert evaluations == health.solves + iterations + health.escalations
     assert evaluations <= 2.0 * health.solves
     assert health.evaluations == evaluations
-
-
-@pytest.mark.parametrize("name", ["default", "noise_free"])
-def test_explore_share_splits_the_objective_as_objective_split_does(name):
-    _, res, solves, _ = _solves_of_run(name)
-    shares = []
-    for p, u, rep in solves:
-        _, explore = objective_split(p, u)
-        assert abs(rep.explore_share * objective(p, u) - explore) <= 1e-10
-        shares.append(rep.explore_share)
-    health = res.solver.as_dict()
-    assert health["explore_share_max"] == max(shares)
-    assert health["explore_active"] == sum(s > 1e-3 for s in shares)
-
-
-def test_solver_health_counts_explore_shares_of_solves_that_did_not_fall_back():
-    health = SolverHealth()
-    for share in (2e-3, math.nan, 1e-4, 0.5, 1e-3):
-        health.add(GnReport(explore_share=share))
-    assert health.solves == 5
-    assert health.explore_share_max == 0.5
-    assert health.explore_active == 2
-    assert SolverHealth().as_dict()["explore_share_max"] == 0.0
 
 
 def test_solver_health_sums_evaluations():

@@ -1,13 +1,17 @@
-"""No linter ships with this project, so this test does the one check it
+"""No linter ships with this project, so this test does the two checks one
 would matter most for after a deletion: a name a module imports and never
-uses."""
+uses, and a private module-level name that nothing reads any more."""
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dcee"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dcee"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# besides the package itself, the code that may read its private names: its
+# tests, and the benchmark that drives it
+READERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -24,12 +28,74 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _private_definitions(tree) -> dict:
+    """{name: line} of the module-level _names a module defines by
+    assignment, def or class; dunders are not private."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def _references(tree) -> set:
+    """Every name a module reads: as a name, an attribute, an imported name,
+    or a string (monkeypatch.setattr takes the name as one)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def unused_private_names(definers: dict, readers: list) -> list:
+    """(module, line, name) of each private module-level name defined in the
+    sources that definers maps module names to, and read by none of them or
+    of the reader sources."""
+    trees = {module: ast.parse(source) for module, source in definers.items()}
+    refs = set()
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        refs |= _references(tree)
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for name, line in _private_definitions(tree).items() if name not in refs)
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         (1, "math"), (2, "path")]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
 
 
+def test_detects_an_unused_private_name():
+    source = ("_A = 1\n_B: int = 2\n_C = 3\ndef _f(): return _B\nclass _G: pass\n"
+              "__all__ = []\nPUBLIC = 4\ndef _h(): pass\n")
+    readers = ["import m\nm._G\nfrom m import _C\n", "setattr(m, '_h', None)\n"]
+    assert unused_private_names({"m.py": source}, readers) == [
+        ("m.py", 1, "_A"), ("m.py", 4, "_f")]
+    assert unused_private_names({"m.py": source}, ["m._A, m._f"]) == [
+        ("m.py", 3, "_C"), ("m.py", 5, "_G"), ("m.py", 8, "_h")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_reads_every_private_name_it_defines():
+    definers = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8") for p in READERS]
+    assert unused_private_names(definers, readers) == []
