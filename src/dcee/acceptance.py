@@ -27,7 +27,7 @@ from .diagnostics import (
     random_problem,
 )
 from .ensemble import condition_stats
-from .errors import InfeasibleCandidateError
+from .errors import InfeasibleCandidateError, SolverFailureError
 from .harness import bench_solver, run_closed_loop
 from .solver import GnConfig, gn_step, scp_step, solve
 
@@ -148,7 +148,7 @@ def criterion_4_global_quality() -> CriterionResult:
         try:
             u_star, _ = solve(residual_fn(prob), u0, cfg)
             obj_gn = objective(prob, u_star)
-        except Exception:
+        except SolverFailureError:
             continue
         us = np.arange(prob.vehicle.u_min, prob.vehicle.u_max + 0.25, 0.5)
         grid_min = float(objective_grid(prob, us).min())

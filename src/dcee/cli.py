@@ -9,7 +9,7 @@ import sys
 from .acceptance import run_all
 from .config import load_config, scenario_from_dict
 from .diagnostics import derivative_audit
-from .errors import DceeError
+from .errors import ConfigurationError, DceeError
 from .harness import bench_solver, export, run_closed_loop
 
 
@@ -75,6 +75,8 @@ def _cmd_compare(args) -> int:
     for controller in filter(None, (c.strip() for c in args.controllers.split(","))):
         raw = dict(cfg.raw, controller=dict(cfg.raw["controller"], type=controller))
         configs[controller] = scenario_from_dict(raw)
+    if not configs:
+        raise ConfigurationError(f"--controllers names no controller: {args.controllers!r}")
     out = _ensure_out(args)
     summary = {}
     for controller, ccfg in configs.items():

@@ -7,13 +7,14 @@ deviations of the member predictions.  The control objective is the squared
 norm of that residual, so its exploitation/exploration split is exact.
 
 Two routes compute it.  The first fuses F and its Jacobian into one pass
-over the members on Python floats, _eval_prepared.  evaluate builds the
-arrays F and J from the members' values that pass collects; the solver's
-callback, residual_fn, takes the scalars F'F, J'F and J'J, all a
-one-input Gauss-Newton step needs, from running sums the pass keeps
-instead.  objective_split and objective_grid share a second, unfused
-route that computes the split from the ensemble statistics, on one float
-candidate or an array of them alike, and so checks the first independently.
+over the members on Python floats, _eval_prepared, which keeps running
+sums of the members' values.  The solver's callback, residual_fn, takes
+the scalars F'F, J'F and J'J, all a one-input Gauss-Newton step needs,
+from those sums; evaluate builds the arrays F and J from the values the
+pass also collects, about the means of the same sums.  objective_split
+and objective_grid share a second, unfused route that computes the split
+from the ensemble statistics, on one float candidate or an array of them
+alike, and so checks the first independently.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble, _mean
+from .ensemble import Ensemble
 from .errors import InfeasibleCandidateError, InvalidInputError
 from .plant import VehicleParams, drag_force
 from .reward import QuadraticRewardSpec
@@ -69,8 +70,8 @@ class _Prepared:
         m0, m1, m2 = self.m0, self.m1, self.m2 = p.ensemble.members.T.tolist()
         self.rates = p.ensemble.rates.tolist()
         n = self.n = len(m0)
-        # through Python 3.11 sum adds each column in order from 0, as
-        # members.mean(axis=0) does; later versions compensate the sum
+        # Python's sum is compensated from 3.12 on, so the last bit of these
+        # means may depend on the interpreter version
         self.mean = (sum(m0) / n, sum(m1) / n, sum(m2) / n)
         veh = p.vehicle
         self.v = p.v
@@ -87,21 +88,22 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
     """The one pass over the members at u.
 
     Without lists it returns the solve callback's (F'F, J'F, J'J).
-    Given the list gam it appends each updated member's optimal speed g to
-    it instead and returns (f0, gmean, j0, dmean), where gmean is the mean
-    of g, f0 = y - gmean the exploitation residual, and j0 and dmean are
-    their derivatives in u; these are computed, and each member's
-    dg = d(g)/du appended to dgam, only when dgam is given too, else j0 and
-    dmean are None.  The collected values are averaged in np.mean's order,
-    so F and J are bit for bit those of the same formulas on arrays.
+    Given the list gam it also appends each updated member's optimal speed
+    g to it and returns (f0, gmean, j0, dmean), where gmean is the mean of
+    g, f0 = y - gmean the exploitation residual, and j0 and dmean are their
+    derivatives in u; these are computed, and each member's dg = d(g)/du
+    appended to dgam, only when dgam is given too, else j0 and dmean are
+    None.
 
-    The callback keeps running sums of g and dg instead, less their first
+    Every mode keeps the same running sums of g and dg, less their first
     member's values (shifted data, so the deviations from the means come
     out of the sums without cancelling digits when the members agree
     closely), and in units that leave the factors common to all members to
-    the end.  F[1:] and J[1:] are the deviations over sqrt(n), so their
-    share of each product is a sum of deviation products over n; in F'F
-    that share is the variance of the optimal speeds, the explore term.
+    the end; the means come from these sums, so evaluate's F[0] and J[0]
+    are the callback's own.  F[1:] and J[1:] are the deviations over
+    sqrt(n), so their share of each product is a sum of deviation products
+    over n; in F'F that share is the variance of the optimal speeds, the
+    explore term.
     """
     u = float(u)
     if not math.isfinite(u):
@@ -126,7 +128,7 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
     neg_floor = prep.neg_floor_jac if with_jacobian else prep.neg_floor
     scale = -0.5 * s
     k = 0.5 * dy_du
-    cq = cr = 0.0
+    cq = cr = r = 0.0
     first = True
     sq = sr = sqq = sqr = srr = 0.0
     # predicted member update theta - rate * e * psi, with e the member's
@@ -136,8 +138,9 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
     # from the means of the first two parameters, give t1' = rate h / s and
     # t0' = rate z (e + h) / s, so dg = -(s/2) dy/du (t1' t0 - t1 t0') / t0^2,
     # with the minus signs of the update direction folded in, is k r for
-    # r = rate (h - q z (e + h)) / t0 and k = dy/du / 2.  The callback sums
-    # q and r; the factors -(s/2) and k apply to the sums
+    # r = rate (h - q z (e + h)) / t0 and k = dy/du / 2.  The pass sums q
+    # and r (r stays 0 without the Jacobian); the factors -(s/2) and k
+    # apply to the sums
     for a, b, c, rate in zip(prep.m0, prep.m1, prep.m2, prep.rates):
         e = a * psi0 + b * z + c - r_hat
         gain = rate * e
@@ -154,7 +157,6 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
             gam.append(q * scale)
             if dgam is not None:
                 dgam.append(k * r)
-            continue
         if first:
             cq, cr = q, r
             first = False
@@ -166,7 +168,7 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
         sqr += q * r
         srr += r * r
     n = prep.n
-    gmean = _mean(gam) if gam is not None else scale * (cq + sq / n)
+    gmean = scale * (cq + sq / n)
     if not math.isfinite(gmean):
         # overflowing members give inf/nan here; to the solver that is one
         # more candidate it must not accept
@@ -174,12 +176,12 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
             f"candidate u={u} gives a non-finite predicted optimal speed"
         )
     f0 = y - gmean
+    dmean = k * (cr + sr / n)
+    j0 = dy_du - dmean
     if gam is not None:
         if dgam is None:
             return f0, gmean, None, None
-        dmean = _mean(dgam)
-        return f0, gmean, dy_du - dmean, dmean
-    j0 = dy_du - k * (cr + sr / n)
+        return f0, gmean, j0, dmean
     return (f0 * f0 + scale * scale * (sqq - sq * sq / n) / n,
             j0 * f0 + scale * k * (sqr - sq * sr / n) / n,
             j0 * j0 + k * k * (srr - sr * sr / n) / n)
@@ -208,11 +210,10 @@ def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
 
     One loop over the members on Python floats (with about ten members
     numpy's per-call cost would outweigh the arithmetic) computes F and,
-    when requested, J, with means added in np.mean's order, so F and J are
-    bit for bit those of the same formulas on arrays.  The solver's
-    callback (residual_fn) takes the same pass and keeps running sums in
-    it instead, which give the three scalars of a one-input Gauss-Newton
-    step without collecting the members' values.
+    when requested, J.  It is the pass the solver's callback (residual_fn)
+    takes, with the same running sums and so the same means; the callback
+    reduces them to the three scalars of a one-input Gauss-Newton step
+    without collecting the members' values.
     objective_split and objective_grid share the unfused route,
     _objective_terms, which has no code in common with this one, so the
     decomposition identity is a genuine cross-check.

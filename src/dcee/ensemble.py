@@ -31,36 +31,6 @@ CHANGE_LIMIT = 8.0
 NOISE_VAR_FLOOR = 1e-6
 
 
-def _pairwise_sum(a: list) -> float:
-    """Sum a list of floats in numpy's pairwise order (numpy's
-    pairwise_sum): fewer than 8 entries in order; up to 128 in 8 running
-    partial sums combined as a tree, then the tail in order; longer lists
-    as two halves split at a multiple of 8."""
-    n = len(a)
-    if n < 8:
-        res = 0.0
-        for x in a:
-            res += x
-        return res
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    head = n - n % 8
-    r = a[:8]
-    for i in range(8, head, 8):
-        r = [ri + x for ri, x in zip(r, a[i:i + 8])]
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in a[head:]:
-        res += x
-    return res
-
-
-def _mean(a: list) -> float:
-    """np.mean of a list of floats, bit for bit: numpy adds the pairwise sum
-    to its identity 0.0, then divides by the count."""
-    return (0.0 + _pairwise_sum(a)) / len(a)
-
-
 @dataclass(frozen=True)
 class SharedCovariance:
     """Parameter covariance of the covariance-weighted measured update.
@@ -185,8 +155,7 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     P = cov.matrix
     p_psi = P @ psi
     s = float(psi @ p_psi) + cov.noise_var
-    # numpy's sum adds the pairwise sum to its identity 0.0
-    nu = -(0.0 + _pairwise_sum(innovations.tolist())) / (e.n_members * math.sqrt(s))
+    nu = -sum(innovations.tolist()) / (e.n_members * math.sqrt(s))
     hi, lo, fired = change_test(cov.cusum_hi, cov.cusum_lo, nu)
     if fired:
         P = P + cov.prior
@@ -226,4 +195,4 @@ def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:
                 "ensemble member violates the curvature floor; optimal condition undefined"
             )
         speeds.append(s * (-t1 / (2.0 * t0)))
-    return _mean(speeds)
+    return sum(speeds) / len(speeds)

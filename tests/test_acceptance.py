@@ -9,6 +9,7 @@ both baselines and less tracking error than extremum seeking.
 """
 import pytest
 
+from dcee import acceptance
 from dcee.acceptance import ALL_CRITERIA
 
 
@@ -18,3 +19,24 @@ def test_criterion(criterion):
     print()
     print(result.line())
     assert result.passed, result.detail
+
+
+class _Runaway(BaseException):
+    """Stops a criterion that keeps retrying past every failure."""
+
+
+def test_criterion_4_surfaces_unexpected_solver_errors(monkeypatch):
+    # only SolverFailureError skips an instance; any other error from solve
+    # is a regression the criterion must raise, not retry forever
+    calls = []
+
+    def broken_solve(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 200:
+            raise _Runaway
+        raise TypeError("broken solve")
+
+    monkeypatch.setattr(acceptance, "solve", broken_solve)
+    with pytest.raises(TypeError, match="broken solve"):
+        acceptance.criterion_4_global_quality()
+    assert len(calls) == 1

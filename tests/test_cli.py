@@ -107,6 +107,13 @@ def test_compare_rejects_unknown_controller(cfg_path):
     assert main(["compare", cfg_path, "--controllers", "numerical_dcee,banana"]) == 2
 
 
+def test_compare_rejects_empty_controller_list(cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["compare", cfg_path, "--controllers", " , ", "--out", out]) == 2
+    assert "names no controller" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_bench(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "bench")
     rc = main(["bench", cfg_path, "--out", out])

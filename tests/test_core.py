@@ -19,7 +19,6 @@ from dcee import (
     residual_fn,
     standstill_input,
 )
-from dcee.ensemble import _mean
 from dcee.diagnostics import fd_step, random_input, random_problem
 
 from conftest import make_problem
@@ -364,18 +363,6 @@ def test_objective_grid_marks_infeasible(spec):
     us = np.array([0.0, 5000.0])
     grid = objective_grid(p, us)
     assert np.isinf(grid[1])
-
-
-def test_mean_matches_numpy_bitwise():
-    # the residual's means run on Python floats; they must round exactly as
-    # np.mean does (pairwise summation), or trajectories drift from it
-    rng = np.random.default_rng(29)
-    for n in list(range(1, 41)) + [129, 300]:
-        for _ in range(50):
-            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, size=n)
-            assert np.float64(_mean(x.tolist())).tobytes() == x.mean().tobytes()
-    zeros = np.full(10, -0.0)
-    assert np.float64(_mean(zeros.tolist())).tobytes() == zeros.mean().tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 10, 17])
