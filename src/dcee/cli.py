@@ -9,7 +9,7 @@ import sys
 from .acceptance import run_all
 from .config import load_config, scenario_from_dict
 from .diagnostics import derivative_audit
-from .errors import ConfigurationError, DceeError
+from .errors import ConfigurationError, DceeError, InvalidInputError
 from .harness import bench_solver, export, run_closed_loop
 
 
@@ -23,16 +23,22 @@ def _resolve_config(args):
 
 
 def _ensure_out(args):
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+    try:
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot use --out {args.out}: {exc}") from exc
     return args.out
 
 
 def _write_json(out, name, payload):
     path = os.path.join(out, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
 
 
@@ -58,9 +64,9 @@ def _print_metrics(tag, result):
 
 def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
+    out = _ensure_out(args)
     result = run_closed_loop(cfg)
     _print_metrics(f"run[{cfg.controller.type}]", result)
-    out = _ensure_out(args)
     if out:
         path = os.path.join(out, f"run.{args.format}")
         export(result, path, args.format)
@@ -98,6 +104,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _resolve_config(args)
+    out = _ensure_out(args)
     report = bench_solver(cfg)
     for name, stats in report["timing"].items():
         print(
@@ -122,7 +129,6 @@ def _cmd_bench(args) -> int:
             f"over {report['explore_shift_checks']} checks"
         )
     _print_solver_health("bench[analytic_gn]", report["solver"])
-    out = _ensure_out(args)
     if out:
         _write_json(out, "bench.json", report)
     return 0
@@ -130,11 +136,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_audit(args) -> int:
     cfg = _resolve_config(args)
+    out = _ensure_out(args)
     report = derivative_audit(cfg.vehicle, cfg.reward, samples=args.samples, seed=cfg.noise.seed)
     payload = report.as_dict()
     payload["passed"] = report.passed
     print(json.dumps(payload, indent=2, sort_keys=True))
-    out = _ensure_out(args)
     if out:
         _write_json(out, "audit.json", payload)
     return 0 if report.passed else 1

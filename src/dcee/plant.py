@@ -6,8 +6,10 @@ v+ = max(0, v + (dt/mass) * (u - c0 - c1*v - c2*v**2 - disturbance)).
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,25 +94,67 @@ def measure(
     return y, r
 
 
-def _standard_normal(seed: int, k: int) -> float:
-    """default_rng([seed, k]).standard_normal(), bit for bit.
+# Steps per seed table.  It divides 2**32, so a block's steps share every
+# SeedSequence word but the low word of k.
+_BLOCK = 1024
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    SeedSequence reads each integer of a list as its little-endian 32-bit
-    words (0 as [0]) and pools them in order.  Handed that pool as a uint32
-    array, it skips coercing the list one integer at a time.
-    """
-    words = []
-    for n in (seed, k):
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(n & 0xFFFFFFFF)
-        n >>= 32
-        while n:
-            words.append(n & 0xFFFFFFFF)
-            n >>= 32
-    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return float(np.random.Generator(np.random.PCG64(entropy)).standard_normal())
+
+def _words(n: int) -> list:
+    """SeedSequence's little-endian 32-bit words of an integer (0 as [0])."""
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _standard_normal(seed: int, k: int) -> float:
+    """default_rng([seed, k]).standard_normal(), bit for bit: pcg64_set_seed
+    on k's words from its block's seed table (initstate, initseq, high word
+    first) gives inc = initseq << 1 | 1 and state = (inc + initstate) * MULT
+    + inc, mod 2**128; one reused PCG64 is set to them and draws."""
+    if operator.index(seed) < 0 or operator.index(k) < 0:
+        raise ValueError("expected non-negative integer")
+    seed, k = operator.index(seed), operator.index(k)
+    a, b, c, d = _seed_block(seed, k // _BLOCK)[k % _BLOCK].tolist()
+    inc = (c << 65 | d << 1 | 1) & _MASK128
+    state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+    gen = _generator(threading.get_ident())
+    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return float(gen.standard_normal())
+
+
+@functools.lru_cache(maxsize=8)
+def _generator(thread: int):
+    # per thread, built on first use: importing dcee loads no numpy.random
+    return np.random.Generator(np.random.PCG64(0))
+
+
+@functools.lru_cache(maxsize=2)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    """SeedSequence([seed, k]).generate_state(4, uint64) for the block's steps
+    k, one 32-byte row each: the hash constants do not depend on the data, so
+    mix_entropy and generate_state run on uint32 arrays, one lane per step."""
+    def hashmix(value):
+        nonlocal const
+        value, const = value ^ const, const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+
+    words = _words(seed) + _words(block * _BLOCK)
+    entropy = np.zeros((max(len(words), 4), _BLOCK), np.uint32)
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(_words(seed))] += np.arange(_BLOCK, dtype=np.uint32)  # k's low word
+    const, mult = 0x43B0D7E5, 0x931E8875
+    pool = [hashmix(row) for row in entropy[:4]]
+    # each pool word into every other, then each further word into all four
+    for src, row in enumerate(entropy):
+        for dst in range(4):
+            if dst != src:
+                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src] if src < 4 else row)
+                pool[dst] = mixed ^ mixed >> 16
+    const, mult = 0x8B51F9DD, 0x58F38DED
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]  # little-endian pairs
+    return np.stack([out[2 * j] | out[2 * j + 1] << 32 for j in range(4)], axis=1)
 
 
 def active_segment(schedule, t: float) -> EnvSegment:

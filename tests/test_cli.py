@@ -87,6 +87,33 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_and_config_load_no_numpy_random():
+    # the noise generator is built on the first draw, not at import
+    src = os.path.dirname(os.path.dirname(dcee.__file__))
+    config = os.path.join(os.path.dirname(src), "configs", "default.yaml")
+    code = f"import sys, dcee; dcee.config.load_config({config!r}); print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "bench", "audit"])
+def test_unusable_out_fails_before_any_work(cfg_path, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory", encoding="utf-8")
+    assert main([command, cfg_path, "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: cannot use --out")
+
+
+def test_unwritable_json_is_an_input_error(cfg_path, tmp_path, capsys):
+    out = tmp_path / "audit"
+    (out / "audit.json").mkdir(parents=True)
+    assert main(["audit", cfg_path, "--samples", "5", "--out", str(out)]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+
+
 def test_compare(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "cmp")
     rc = main(["compare", cfg_path, "--controllers", "numerical_dcee,esc", "--out", out])

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from dcee import (
     measure,
     plant_step,
 )
-from dcee.plant import _standard_normal
+from dcee.plant import _BLOCK, _standard_normal
 
 
 def seg(theta=None, t_start=0.0, disturbance=0.0):
@@ -137,6 +139,54 @@ def test_noise_draw_takes_any_integer_as_default_rng_does():
         np.random.default_rng([7, 1.5])
     with pytest.raises(TypeError):
         _standard_normal(7, 1.5)
+
+
+def _draws_default_rng(seed, k):
+    want = np.float64(np.random.default_rng([seed, k]).standard_normal())
+    return np.float64(_standard_normal(seed, k)).tobytes() == want.tobytes()
+
+
+def test_seed_table_draws_every_step_of_the_default_run():
+    seed = NoiseSpec().seed
+    assert all(_draws_default_rng(seed, k) for k in range(9000))
+
+
+def test_seed_table_at_block_edges_and_out_of_order():
+    edges = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2**32 - 1, 2**32, 2**32 + _BLOCK]
+    order = edges + edges[::-1] + [7 * _BLOCK + 5, 3, 7 * _BLOCK + 4, 2 * _BLOCK - 1, 0]
+    for seed in (5, 2**100 + 5):
+        assert all(_draws_default_rng(seed, k) for k in order)
+
+
+def test_seed_table_with_more_seeds_interleaved_than_it_caches():
+    seeds = (NoiseSpec().seed, 0, 2**32 + 3, 2**64 + 5)
+    assert all(_draws_default_rng(seed, k) for k in range(0, 3 * _BLOCK, 97) for seed in seeds)
+
+
+def test_seed_table_draws_from_many_threads_at_once():
+    # each thread sets and draws its own generator: one shared generator
+    # could be set by a thread between another thread's state set and its
+    # draw (with the GIL a switch there is rare enough that a shared
+    # generator passes this too; a free-threaded build can interleave there)
+    seeds = range(6)
+    got = {seed: [] for seed in seeds}
+
+    def draw(seed):
+        got[seed] = [_standard_normal(seed, k) for k in range(400)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed in seeds:
+        assert got[seed] == [float(np.random.default_rng([seed, k]).standard_normal()) for k in range(400)]
 
 
 def test_measure_noise_statistics():
