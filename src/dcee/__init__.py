@@ -6,7 +6,6 @@ from .config import ScenarioConfig, default_config, load_config, scenario_from_d
 from .core import (
     DceeProblem,
     evaluate,
-    jacobian_fd,
     objective,
     objective_grid,
     objective_split,
@@ -20,6 +19,7 @@ from .diagnostics import (
     derivative_audit,
     exact_hessian_fd,
     ggn_split,
+    jacobian_fd,
 )
 from .ensemble import (
     CHANGE_LIMIT,

@@ -10,7 +10,7 @@ from .acceptance import run_all
 from .config import load_config, scenario_from_dict
 from .diagnostics import derivative_audit
 from .errors import ConfigurationError, DceeError, InvalidInputError
-from .harness import bench_solver, export, run_closed_loop
+from .harness import bench_solver, export, run_closed_loop, write_json
 
 
 def _resolve_config(args):
@@ -29,17 +29,6 @@ def _ensure_out(args):
     except OSError as exc:
         raise InvalidInputError(f"cannot use --out {args.out}: {exc}") from exc
     return args.out
-
-
-def _write_json(out, name, payload):
-    path = os.path.join(out, name)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
-    print(f"wrote {path}")
 
 
 def _print_solver_health(tag, health: dict):
@@ -68,8 +57,7 @@ def _cmd_run(args) -> int:
     result = run_closed_loop(cfg)
     _print_metrics(f"run[{cfg.controller.type}]", result)
     if out:
-        path = os.path.join(out, f"run.{args.format}")
-        export(result, path, args.format)
+        path = export(result, os.path.join(out, f"run.{args.format}"), args.format)
         print(f"wrote {path}")
     return 0
 
@@ -88,17 +76,12 @@ def _cmd_compare(args) -> int:
     for controller, ccfg in configs.items():
         result = run_closed_loop(ccfg)
         _print_metrics(f"compare[{controller}]", result)
-        summary[controller] = {
-            "metrics": result.metrics,
-            "timing": result.timing,
-            "solver": result.solver.as_dict(),
-        }
+        summary[controller] = result.summary()
         if out:
-            path = os.path.join(out, f"compare_{controller}.csv")
-            export(result, path, "csv")
+            path = export(result, os.path.join(out, f"compare_{controller}.csv"), "csv")
             print(f"wrote {path}")
     if out:
-        _write_json(out, "compare_summary.json", summary)
+        print(f"wrote {write_json(os.path.join(out, 'compare_summary.json'), summary)}")
     return 0
 
 
@@ -130,7 +113,7 @@ def _cmd_bench(args) -> int:
         )
     _print_solver_health("bench[analytic_gn]", report["solver"])
     if out:
-        _write_json(out, "bench.json", report)
+        print(f"wrote {write_json(os.path.join(out, 'bench.json'), report)}")
     return 0
 
 
@@ -142,7 +125,7 @@ def _cmd_audit(args) -> int:
     payload["passed"] = report.passed
     print(json.dumps(payload, indent=2, sort_keys=True))
     if out:
-        _write_json(out, "audit.json", payload)
+        print(f"wrote {write_json(os.path.join(out, 'audit.json'), payload)}")
     return 0 if report.passed else 1
 
 

@@ -324,8 +324,9 @@ def residual_fn(p: DceeProblem):
     return fn
 
 
-def _as_residual_only(target):
-    """Normalize a DceeProblem or a residual callable to u -> F."""
+def as_residual_only(target):
+    """Normalize a DceeProblem, prepared once here, or a residual callable
+    returning F or (F, J) to u -> F."""
     if isinstance(target, DceeProblem):
         prep = _Prepared(target)
 
@@ -343,15 +344,3 @@ def _as_residual_only(target):
             return out[0]
         return fn
     raise InvalidInputError(f"expected a DceeProblem or callable, got {type(target)!r}")
-
-
-def jacobian_fd(target, u: float, h: float) -> np.ndarray:
-    """Central-difference Jacobian dF/du of the residual map with step h.
-
-    Verification oracle for the analytic Jacobian; target may be a
-    DceeProblem or any callable returning the residual (or (F, J)).
-    """
-    if not (h > 0.0):
-        raise InvalidInputError(f"finite-difference step must be positive, got {h}")
-    fn = _as_residual_only(target)
-    return (fn(u + h) - fn(u - h)) / (2.0 * h)

@@ -4,7 +4,8 @@ The production solver only ever touches first derivatives; the exact Hessian
 appears here exclusively as a finite-difference test oracle, used to split
 the curvature into the Gauss-Newton part J'J and the neglected second-order
 remainder, and to bound the local contraction rate of the full-step
-iteration.
+iteration.  Every finite difference of the residual is formed here, by
+_central, including those of REFERENCES, the solve callbacks bench times.
 """
 from __future__ import annotations
 
@@ -13,12 +14,14 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import (DceeProblem, _as_residual_only, evaluate, jacobian_fd, objective,
-                   objective_split, standstill_input)
+from .core import (DceeProblem, as_residual_only, evaluate, objective, objective_split,
+                   standstill_input)
 from .ensemble import Ensemble
-from .errors import InfeasibleCandidateError, InvalidInputError, RateUndefinedError
+from .errors import (InfeasibleCandidateError, InvalidInputError, RateUndefinedError,
+                     SolverFailureError)
 from .plant import VehicleParams
 from .reward import QuadraticRewardSpec, make_true_params
+from .solver import gn_terms
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,8 @@ class HessianSplit:
 
 
 def _half_objective_fn(target):
-    fn = _as_residual_only(target)
+    """u -> 0.5 ||F(u)||^2, on the residual as_residual_only makes of target."""
+    fn = as_residual_only(target)
 
     def L(u: float) -> float:
         f = fn(u)
@@ -41,16 +45,34 @@ def _half_objective_fn(target):
     return L
 
 
+def _central(fn, u: float, h: float, at_u: float | None = None):
+    """The central first difference (fn(u + h) - fn(u - h)) / 2h, of an
+    array or a float fn alike, or given at_u = fn(u) the central second
+    difference (fn(u + h) - 2 at_u + fn(u - h)) / h^2."""
+    if not (h > 0.0):
+        raise InvalidInputError(f"finite-difference step must be positive, got {h}")
+    if at_u is None:
+        return (fn(u + h) - fn(u - h)) / (2.0 * h)
+    return (fn(u + h) - 2.0 * at_u + fn(u - h)) / (h * h)
+
+
+def jacobian_fd(target, u: float, h: float) -> np.ndarray:
+    """Central-difference Jacobian dF/du of the residual map with step h.
+
+    Verification oracle for the analytic Jacobian; target may be a
+    DceeProblem or any callable returning the residual (or (F, J)).
+    """
+    return _central(as_residual_only(target), u, h)
+
+
 def exact_hessian_fd(target, u: float, h: float) -> float:
     """Central second difference of 0.5 * ||F(u)||^2.
 
     target may be a DceeProblem or a residual callable.  Infeasible stencil
     points propagate as InfeasibleCandidateError.
     """
-    if not (h > 0.0):
-        raise InvalidInputError(f"finite-difference step must be positive, got {h}")
     L = _half_objective_fn(target)
-    return (L(u + h) - 2.0 * L(u) + L(u - h)) / (h * h)
+    return _central(L, u, h, L(u))
 
 
 def ggn_split(target, u: float, h: float | None = None) -> HessianSplit:
@@ -131,6 +153,47 @@ def fd_hessian_step(vehicle: VehicleParams, u: float) -> float:
     return 100.0 * fd_step(vehicle, u)
 
 
+def _fd_jacobian_fn(problem: DceeProblem):
+    """Solve callback with the Jacobian by central differences: three
+    evaluations per call of a residual prepared once, as residual_fn
+    prepares it."""
+    residual = as_residual_only(problem)
+
+    def fn(u: float):
+        return gn_terms(residual(u), jacobian_fd(residual, u, fd_step(problem.vehicle, u)))
+
+    return fn
+
+
+def _fd_hessian_fn(problem: DceeProblem):
+    """Solve callback of a damped Newton reference: (F'F, g, |H|), with the
+    gradient g and curvature H of L = 0.5 F'F by central differences in the
+    places of J'F and J'J; an H < 0 is used by magnitude, so the step still
+    descends.  Each call evaluates L at u, u +- fd_step and
+    u +- fd_hessian_step, on a residual prepared once.  An infeasible
+    stencil point, or H = 0 where g is not, gives no step and raises
+    SolverFailureError."""
+    L = _half_objective_fn(problem)
+
+    def fn(u: float):
+        l0 = L(u)
+        try:
+            g = _central(L, u, fd_step(problem.vehicle, u))
+            H = _central(L, u, fd_hessian_step(problem.vehicle, u), l0)
+        except InfeasibleCandidateError as exc:
+            raise SolverFailureError("stencil point infeasible") from exc
+        if H == 0.0 and g != 0.0:
+            raise SolverFailureError("newton reference has zero curvature at a slope")
+        return 2.0 * l0, g, abs(H)
+
+    return fn
+
+
+# bench's references, by name: each builds a solve callback from a
+# DceeProblem, as residual_fn builds the analytic one
+REFERENCES = {"fd_jacobian_gn": _fd_jacobian_fn, "fd_hessian_newton": _fd_hessian_fn}
+
+
 def random_problem(rng: np.random.Generator,
                    vehicle: VehicleParams | None = None,
                    reward: QuadraticRewardSpec | None = None) -> DceeProblem:
@@ -202,8 +265,7 @@ def derivative_audit(vehicle: VehicleParams, reward: QuadraticRewardSpec,
         try:
             F, J = evaluate(prob, u, with_jacobian=True)
             J_fd = jacobian_fd(prob, u, h)
-            L = _half_objective_fn(prob)
-            g_fd = (L(u + h) - L(u - h)) / (2.0 * h)
+            g_fd = _central(_half_objective_fn(prob), u, h)
             exploit, explore = objective_split(prob, u)
             d = objective(prob, u)
         except InfeasibleCandidateError:

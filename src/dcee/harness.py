@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -19,9 +20,8 @@ import numpy as np
 
 from .baselines import esc_init, esc_step, grad_dcee_step
 from .config import ScenarioConfig
-from .core import (DceeProblem, _as_residual_only, _eval_prepared, _Prepared, jacobian_fd,
-                   objective, objective_split, residual_fn)
-from .diagnostics import fd_hessian_step, fd_step
+from .core import DceeProblem, evaluate, objective, objective_split, residual_fn
+from .diagnostics import REFERENCES
 from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
 from .plant import active_segment, measure, plant_step
@@ -60,6 +60,10 @@ class RunResult:
     final_u: float = 0.0
     # counts over the GN solves; empty for the baseline controllers
     solver: SolverHealth = field(default_factory=SolverHealth)
+
+    def summary(self) -> dict:
+        """The metrics, timing summary and solver health counts."""
+        return {"metrics": self.metrics, "timing": self.timing, "solver": self.solver.as_dict()}
 
 
 def _timing_summary(times_ns) -> dict:
@@ -210,39 +214,40 @@ def compute_metrics(records, schedule, spec) -> dict:
     return {"e_v": e_v, "e_v_tail": e_v_tail, "iae_v": iae, "regret": regret}
 
 
+def _write_text(path, text: str) -> str:
+    """Write text to path; an OSError raises InvalidInputError."""
+    path = str(path)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
+def write_json(path, payload) -> str:
+    """Write payload as JSON: sorted keys, indent 2, a final newline."""
+    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def export(result: RunResult, path, fmt: str):
     """Write a RunResult to disk.
 
     csv: one row per record with the exact column set CSV_COLUMNS.
-    json: metrics, timing summary, solver health counts, and the full
-    config echo (no records).
+    json: the summary (metrics, timing summary, solver health counts) and
+    the full config echo (no records).
     """
     if fmt not in ("csv", "json"):
         raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")
     if not result.records:
         raise InvalidInputError("refusing to export an empty RunResult")
-    path = str(path)
-    try:
-        if fmt == "csv":
-            lines = [CSV_HEADER]
-            for r in result.records:
-                cells = [f"{getattr(r, name):.17g}" for name in CSV_COLUMNS[:-1]]
-                lines.append(",".join(cells + [str(r.iterations)]))
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(lines) + "\n")
-        else:
-            payload = {
-                "config": result.config,
-                "metrics": result.metrics,
-                "timing": result.timing,
-                "solver": result.solver.as_dict(),
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write {fmt} export to {path}: {exc}") from exc
-    return path
+    if fmt == "json":
+        return write_json(path, {"config": result.config, **result.summary()})
+    lines = [CSV_HEADER]
+    for r in result.records:
+        cells = [f"{getattr(r, name):.17g}" for name in CSV_COLUMNS[:-1]]
+        lines.append(",".join(cells + [str(r.iterations)]))
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def parse_csv(path) -> list:
@@ -267,70 +272,20 @@ def parse_csv(path) -> list:
     return records
 
 
-def _fd_jacobian_fn(problem: DceeProblem):
-    """Solve callback with the Jacobian by central differences, on a
-    residual prepared once, as residual_fn prepares it."""
-    residual = _as_residual_only(problem)
-
-    def fn(u: float):
-        return gn_terms(residual(u), jacobian_fd(residual, u, fd_step(problem.vehicle, u)))
-
-    return fn
-
-
 def _exploit_only_fn(problem: DceeProblem):
     """Solve callback of the exploitation residual F[0] alone: the input a
     controller that ignores what the bank would learn from it would pick."""
-    prep = _Prepared(problem)
 
     def fn(u: float):
-        f0, _, j0, _ = _eval_prepared(prep, u, [], [])
-        return f0 * f0, j0 * f0, j0 * j0
+        F, J = evaluate(problem, u)
+        return gn_terms(F[:1], J[:1])
 
     return fn
-
-
-def _fd_hessian_fn(problem: DceeProblem):
-    """Solve callback of a damped Newton reference: (F'F, g, |H|), with the
-    gradient g and curvature H of L = 0.5 F'F by central differences in the
-    places of J'F and J'J; an H < 0 is used by magnitude, so the step still
-    descends.  Each call evaluates F at u and L at u +- fd_step and
-    u +- fd_hessian_step.  An infeasible stencil point, or H = 0 where g is
-    not, gives no step and raises SolverFailureError.  The residual is
-    prepared once, as residual_fn prepares it."""
-    residual = _as_residual_only(problem)
-
-    def L(u):
-        f = residual(u)
-        return 0.5 * float(f @ f)
-
-    def fn(u: float):
-        f = residual(u)
-        hg = fd_step(problem.vehicle, u)
-        hh = fd_hessian_step(problem.vehicle, u)
-        try:
-            lp, lm = L(u + hg), L(u - hg)
-            hp, hm = L(u + hh), L(u - hh)
-        except InfeasibleCandidateError as exc:
-            raise SolverFailureError("stencil point infeasible") from exc
-        obj = float(f @ f)  # 2 L(u)
-        g = (lp - lm) / (2.0 * hg)
-        H = (hp - obj + hm) / (hh * hh)
-        if H == 0.0 and g != 0.0:
-            raise SolverFailureError("newton reference has zero curvature at a slope")
-        return obj, g, abs(H)
-
-    return fn
-
-
-# bench's references: each name's callback builder, run by solve as
-# residual_fn's callback is
-_REFERENCES = {"fd_jacobian_gn": _fd_jacobian_fn, "fd_hessian_newton": _fd_hessian_fn}
 
 
 def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
-    """Time the production solver against the _REFERENCES on the identical
-    per-step problems of the closed loop.
+    """Time the production solver against diagnostics.REFERENCES on the
+    identical per-step problems of the closed loop.
 
     The loop itself is always driven by the production (analytic-Jacobian)
     controller; solve runs each reference's callback on each snapshot from
@@ -347,10 +302,14 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     exploration moves the input (None without a check); a failed
     exploit-only solve counts as a reference failure.
     The health counts of the production solves are reported under "solver".
+    agreement_stride must be a positive integer.
     """
+    if not isinstance(agreement_stride, numbers.Integral) or agreement_stride < 1:
+        raise InvalidInputError(
+            f"agreement_stride must be a positive integer, got {agreement_stride!r}")
     gncfg = cfg.controller.solver
     ref_cfg = replace(gncfg, max_iters=60)
-    times = {"analytic_gn": [], **{name: [] for name in _REFERENCES}}
+    times = {"analytic_gn": [], **{name: [] for name in REFERENCES}}
     cpu_times = []
     health = SolverHealth()
     agreement_max_rel = 0.0
@@ -365,7 +324,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         cpu_times.append(time.thread_time_ns() - cpu0)
         health.add(report)
 
-        for name, make_fn in _REFERENCES.items():
+        for name, make_fn in REFERENCES.items():
             try:
                 # the callback is built inside the timed call, so its
                 # preparation counts as controller_step's does
@@ -376,7 +335,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         if k % agreement_stride == 0:
             try:
                 us = [solve(make_fn(problem), u_prev, ref_cfg)[0]
-                      for make_fn in (residual_fn, *_REFERENCES.values())]
+                      for make_fn in (residual_fn, *REFERENCES.values())]
                 objs = [objective(problem, uu) for uu in us]
                 spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
                 agreement_max_rel = max(agreement_max_rel, spread_rel)
@@ -394,7 +353,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     mean_gn = summary["analytic_gn"]["mean_ns"]
     speedup = {
         name: (summary[name]["mean_ns"] / mean_gn if mean_gn > 0 else math.inf)
-        for name in _REFERENCES
+        for name in REFERENCES
     }
     return {
         "timing": summary,

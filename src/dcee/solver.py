@@ -15,6 +15,7 @@ independent cross-check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,8 @@ class GnConfig:
     iterate u whose own next step du, clamped to the box, meets
     |du| <= tol (1 + |u|), before evaluating it, or when an accepted step
     leaves the objective unchanged or higher, i.e. at the rounding floor.
-    max_iters bounds the accepted steps.
+    max_iters, an integer, bounds the accepted steps.  The box needs
+    finite u_min < u_max.
     """
 
     max_iters: int = 10
@@ -57,8 +59,11 @@ class GnConfig:
     u_max: float = 5000.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigurationError("solver max_iters must be at least 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ConfigurationError("solver max_iters must be an integer of at least 1")
+        if not (-math.inf < self.u_min < self.u_max < math.inf):
+            raise ConfigurationError(
+                f"solver box needs finite u_min < u_max, got [{self.u_min}, {self.u_max}]")
         if not (self.tol > 0.0):
             raise ConfigurationError("solver tol must be positive")
         if not (self.damping >= 0.0):

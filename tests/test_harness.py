@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dcee import (
+    DceeProblem,
     GnConfig,
     InfeasibleCandidateError,
     InvalidInputError,
@@ -26,8 +27,8 @@ from dcee import (
     scenario_from_dict,
     solve,
 )
-from dcee import harness
-from dcee.diagnostics import fd_hessian_step, fd_step, random_problem
+from dcee import diagnostics, harness
+from dcee.diagnostics import REFERENCES, fd_hessian_step, fd_step, random_problem
 from dcee.harness import CSV_COLUMNS, CSV_HEADER, StepRecord, _exploit_only_fn
 
 
@@ -93,11 +94,11 @@ def test_newton_reference_fails_at_a_slope_without_curvature(monkeypatch):
         return np.array([1.0 if u0 + 0.5 * hg < u < u0 + 2.0 * hg else 0.0])
 
     # the reference prepares its residual once per solve through this name
-    monkeypatch.setattr(harness, "_as_residual_only", lambda problem: bumped_residual)
+    monkeypatch.setattr(diagnostics, "as_residual_only", lambda problem: bumped_residual)
     problem = types.SimpleNamespace(vehicle=vehicle)
     gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
     with pytest.raises(SolverFailureError, match="zero curvature at a slope"):
-        solve(harness._fd_hessian_fn(problem), u0, gncfg)
+        solve(REFERENCES["fd_hessian_newton"](problem), u0, gncfg)
 
 
 def test_newton_reference_fails_on_an_infeasible_stencil_point(monkeypatch):
@@ -114,8 +115,8 @@ def test_newton_reference_fails_on_an_infeasible_stencil_point(monkeypatch):
             raise InfeasibleCandidateError(f"u={u} past the edge")
         return np.array([1e-3 * u])
 
-    monkeypatch.setattr(harness, "_as_residual_only", lambda problem: edged_residual)
-    fn = harness._fd_hessian_fn(types.SimpleNamespace(vehicle=vehicle))
+    monkeypatch.setattr(diagnostics, "as_residual_only", lambda problem: edged_residual)
+    fn = REFERENCES["fd_hessian_newton"](types.SimpleNamespace(vehicle=vehicle))
     gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
     with pytest.raises(SolverFailureError, match="stencil point infeasible"):
         solve(fn, u0, gncfg)
@@ -128,7 +129,7 @@ def test_newton_reference_resolves_the_curvature_at_the_first_step():
     # objective is about 97 while its curvature J'J is about 4e-9: a step
     # too fine leaves the second difference rounding noise
     problem, _ = harness._drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
-    _, _, H = harness._fd_hessian_fn(problem)(0.0)
+    _, _, H = REFERENCES["fd_hessian_newton"](problem)(0.0)
     assert H == pytest.approx(residual_fn(problem)(0.0)[2], rel=0.01)
 
 
@@ -136,10 +137,38 @@ def test_newton_reference_resolves_the_curvature_at_the_first_step():
 _CALLBACKS = {
     "residual_fn": residual_fn,
     "gn_terms_of_evaluate": lambda p: lambda u: gn_terms(*evaluate(p, u)),
-    "fd_jacobian": harness._fd_jacobian_fn,
-    "fd_hessian": harness._fd_hessian_fn,
+    "fd_jacobian": REFERENCES["fd_jacobian_gn"],
+    "fd_hessian": REFERENCES["fd_hessian_newton"],
     "exploit_only": _exploit_only_fn,
 }
+
+
+def test_references_prepare_once_and_evaluate_as_their_stencils_need(monkeypatch):
+    # one preparation per built callback, and per call the residual at u and
+    # at the stencil points: u +- h for the difference Jacobian, and for the
+    # Newton reference u +- fd_step and u +- fd_hessian_step
+    real = diagnostics.as_residual_only
+    counts = {"prepared": 0, "evaluated": 0}
+
+    def counting(target):
+        fn = real(target)
+        if not isinstance(target, DceeProblem):
+            return fn
+        counts["prepared"] += 1
+
+        def counted(u):
+            counts["evaluated"] += 1
+            return fn(u)
+        return counted
+
+    monkeypatch.setattr(diagnostics, "as_residual_only", counting)
+    problem, _ = harness._drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
+    for name, per_call in (("fd_jacobian_gn", 3), ("fd_hessian_newton", 5)):
+        counts.update(prepared=0, evaluated=0)
+        fn = REFERENCES[name](problem)
+        fn(300.0)
+        fn(310.0)
+        assert counts == {"prepared": 1, "evaluated": 2 * per_call}, name
 
 
 @pytest.mark.parametrize("name", sorted(_CALLBACKS))
@@ -336,6 +365,17 @@ def test_export_guards(tmp_path):
         export(res, "/nonexistent-dir/file.csv", "csv")
 
 
+def test_json_export_is_the_summary_and_config_in_one_format(tmp_path):
+    res = run_closed_loop(short_cfg(horizon_s=0.5))
+    path = tmp_path / "out.json"
+    assert export(res, path, "json") == str(path)
+    expected = json.dumps({"config": res.config, **res.summary()}, indent=2, sort_keys=True)
+    assert path.read_text(encoding="utf-8") == expected + "\n"
+    assert set(res.summary()) == {"metrics", "timing", "solver"}
+    with pytest.raises(InvalidInputError, match="cannot write"):
+        export(res, tmp_path / "missing-dir" / "out.json", "json")
+
+
 def test_seed_changes_trajectory():
     base = short_cfg()
     res_a = run_closed_loop(base)
@@ -364,6 +404,16 @@ def test_bench_solver_structure_and_ordering():
     gn = t["analytic_gn"]
     assert 0.0 < gn["cpu_p99_ns"] <= gn["cpu_max_ns"]
     assert "evaluations" in report["solver"]
+
+
+@pytest.mark.parametrize("stride", [0, -1, 2.5, "10", None])
+def test_bench_solver_rejects_a_bad_agreement_stride_before_any_work(monkeypatch, stride):
+    def no_work(*args):
+        raise AssertionError("bench_solver started the loop")
+
+    monkeypatch.setattr(harness, "_drive", no_work)
+    with pytest.raises(InvalidInputError, match="agreement_stride"):
+        bench_solver(short_cfg(), agreement_stride=stride)
 
 
 def test_bench_solver_reports_how_far_exploration_moves_the_input():

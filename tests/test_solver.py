@@ -497,6 +497,24 @@ def test_gn_config_validation():
         GnConfig(damping=float("nan"))
 
 
+@pytest.mark.parametrize("settings", [
+    {"u_min": float("nan")},
+    {"u_max": float("inf")},
+    {"u_min": -float("inf")},
+    {"u_min": 100.0, "u_max": -100.0},
+    {"u_min": 100.0, "u_max": 100.0},
+    {"max_iters": 2.5},
+    {"max_iters": 3.0},
+])
+def test_gn_config_rejects_a_bad_box_or_iteration_count(settings):
+    # a NaN u_min clamps nothing from below, so a solve may end far outside
+    # the box flagged as converged; a reversed box returns u_max; and the
+    # integer count of steps never equals a max_iters of 2.5, so it bounds
+    # nothing
+    with pytest.raises(ConfigurationError):
+        GnConfig(**settings)
+
+
 def test_q_linear_tail_of_damped_iteration():
     # when the damping is comparable to the curvature the iteration is a
     # geometric contraction: with damping 3 (relative to a'a) each step

@@ -1,6 +1,7 @@
-"""No linter ships with this project, so this test does the two checks one
-would matter most for after a deletion: a name a module imports and never
-uses, and a private module-level name that nothing reads any more."""
+"""No linter ships with this project, so this test does the checks one
+would matter most for after a deletion or a move: a name a module imports
+and never uses, a private module-level name that nothing reads any more,
+and a private name one package module imports from another."""
 import ast
 import pathlib
 
@@ -26,6 +27,23 @@ def unused_imports(source: str) -> list:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each _name a module imports from the package, by a
+    relative import or one from dcee; dunders are not private."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "dcee":
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append((node.lineno, name))
+    return found
 
 
 def _private_definitions(tree) -> dict:
@@ -90,9 +108,22 @@ def test_detects_an_unused_private_name():
         ("m.py", 3, "_C"), ("m.py", 5, "_G"), ("m.py", 8, "_h")]
 
 
+def test_detects_a_private_import_from_the_package():
+    source = ("from __future__ import annotations\nfrom .core import _Prepared, evaluate\n"
+              "from os import _exit\nfrom dcee.core import _eval_prepared\n"
+              "from . import __version__\nfrom .solver import (gn_terms,\n    _feasible_start)\n")
+    assert private_imports(source) == [(2, "_Prepared"), (4, "_eval_prepared"),
+                                       (6, "_feasible_start")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_package_reads_every_private_name_it_defines():
