@@ -276,11 +276,9 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(print_fn=print) -> list:
+def run_all() -> list:
     results = []
     for fn in ALL_CRITERIA:
-        result = fn()
-        results.append(result)
-        if print_fn is not None:
-            print_fn(result.line())
+        results.append(fn())
+        print(results[-1].line())
     return results

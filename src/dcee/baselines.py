@@ -76,7 +76,6 @@ class EscState:
     setpoint_hat: float
     lowpass_state: float
     k: int = 0
-    initialized: bool = False
 
 
 def esc_init(v0: float) -> EscState:
@@ -91,7 +90,6 @@ def esc_step(
     reward_meas: float,
     v: float,
     vehicle: VehicleParams,
-    dt: float,
 ) -> tuple[float, EscState]:
     """Classic single-dither scheme.
 
@@ -99,17 +97,17 @@ def esc_step(
     by the dither, and integrated into the setpoint estimate; an inner speed
     loop with drag feedforward tracks setpoint + dither.
     """
-    phase = cfg.dither_freq * state.k * dt
+    phase = cfg.dither_freq * state.k * vehicle.dt
     dither = math.sin(phase)
-    lp = reward_meas if not state.initialized else state.lowpass_state
-    lp = lp + dt * cfg.highpass_cutoff * (reward_meas - lp)
+    lp = reward_meas if state.k == 0 else state.lowpass_state
+    lp = lp + vehicle.dt * cfg.highpass_cutoff * (reward_meas - lp)
     hp = reward_meas - lp
     # demodulate against the dither as seen by the plant: the inner speed
     # loop lags the command by atan(omega * mass / K), so compensate the
     # reference phase accordingly
     lag = math.atan(cfg.dither_freq * vehicle.mass / cfg.speed_loop_gain)
     demod = math.sin(phase - lag)
-    setpoint = state.setpoint_hat + dt * cfg.integrator_gain * hp * demod
+    setpoint = state.setpoint_hat + vehicle.dt * cfg.integrator_gain * hp * demod
     # keep the estimate in a physically meaningful speed range; large climb
     # transients can otherwise leak through the washout and wind the
     # integrator into a stall at zero speed
@@ -117,5 +115,5 @@ def esc_step(
     v_cmd = setpoint + cfg.dither_amp * dither
     u = cfg.speed_loop_gain * (v_cmd - v) + drag_force(vehicle, v)
     u = min(max(u, vehicle.u_min), vehicle.u_max)
-    new_state = EscState(setpoint_hat=setpoint, lowpass_state=lp, k=state.k + 1, initialized=True)
+    new_state = EscState(setpoint_hat=setpoint, lowpass_state=lp, k=state.k + 1)
     return u, new_state

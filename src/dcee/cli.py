@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -10,7 +9,7 @@ from .acceptance import run_all
 from .config import load_config, scenario_from_dict
 from .diagnostics import derivative_audit
 from .errors import ConfigurationError, DceeError, InvalidInputError
-from .harness import bench_solver, export, run_closed_loop, write_json
+from .harness import bench_solver, export, json_text, run_closed_loop, write_json
 
 
 def _resolve_config(args):
@@ -123,14 +122,14 @@ def _cmd_audit(args) -> int:
     report = derivative_audit(cfg.vehicle, cfg.reward, samples=args.samples, seed=cfg.noise.seed)
     payload = report.as_dict()
     payload["passed"] = report.passed
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload), end="")
     if out:
         print(f"wrote {write_json(os.path.join(out, 'audit.json'), payload)}")
     return 0 if report.passed else 1
 
 
 def _cmd_check(args) -> int:
-    results = run_all(print)
+    results = run_all()
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 0 if not failed else 1

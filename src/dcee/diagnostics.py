@@ -75,20 +75,18 @@ def exact_hessian_fd(target, u: float, h: float) -> float:
     return _central(L, u, h, L(u))
 
 
-def ggn_split(target, u: float, h: float | None = None) -> HessianSplit:
+def ggn_split(target, u: float) -> HessianSplit:
     """Split the exact (finite-difference) curvature into J'J and the rest.
 
-    The default Hessian step is fd_hessian_step on a DceeProblem and
+    The Hessian step is fd_hessian_step on a DceeProblem and
     1e-4 * (1 + |u|) on a bare callable, which has no input range.
     """
     u = float(u)
     if isinstance(target, DceeProblem):
         _, J = evaluate(target, u, with_jacobian=True)
-        if h is None:
-            h = fd_hessian_step(target.vehicle, u)
+        h = fd_hessian_step(target.vehicle, u)
     else:
-        if h is None:
-            h = 1e-4 * (1.0 + abs(u))
+        h = 1e-4 * (1.0 + abs(u))
         out = target(u)
         if not (isinstance(out, tuple) and len(out) == 2):
             raise InvalidInputError("callable target must return (residual, jacobian)")

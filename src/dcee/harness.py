@@ -141,7 +141,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
             iterations = 1
         else:
             u, esc_state = _timed(wall_times, esc_step, esc_state, cfg.controller.esc, r_meas,
-                                  problem.v, vehicle, vehicle.dt)
+                                  problem.v, vehicle)
             iterations = 0
 
         try:
@@ -225,9 +225,14 @@ def _write_text(path, text: str) -> str:
     return path
 
 
+def json_text(payload) -> str:
+    """payload as JSON text: sorted keys, indent 2, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, payload) -> str:
-    """Write payload as JSON: sorted keys, indent 2, a final newline."""
-    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write json_text(payload) to path."""
+    return _write_text(path, json_text(payload))
 
 
 def export(result: RunResult, path, fmt: str):

@@ -9,8 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import threading
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -29,6 +28,8 @@ class VehicleParams:
     u_max: float = 5000.0   # N
 
     def __post_init__(self):
+        if not all(-math.inf < x < math.inf for x in astuple(self)):
+            raise ConfigurationError(f"vehicle parameters must be finite, got {self}")
         if not (self.mass > 0.0 and self.dt > 0.0):
             raise ConfigurationError("mass and dt must be positive")
         if not (self.u_min < self.u_max):
@@ -97,8 +98,6 @@ def measure(
 # Steps per seed table.  It divides 2**32, so a block's steps share every
 # SeedSequence word but the low word of k.
 _BLOCK = 1024
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _words(n: int) -> list:
@@ -107,26 +106,27 @@ def _words(n: int) -> list:
 
 
 def _standard_normal(seed: int, k: int) -> float:
-    """default_rng([seed, k]).standard_normal(), bit for bit: pcg64_set_seed
-    on k's words from its block's seed table (initstate, initseq, high word
-    first) gives inc = initseq << 1 | 1 and state = (inc + initstate) * MULT
-    + inc, mod 2**128; one reused PCG64 is set to them and draws."""
+    """default_rng([seed, k]).standard_normal(), bit for bit: a new PCG64
+    seeds itself from k's row of its block's seed table, which is the
+    generate_state(4, uint64) of SeedSequence([seed, k])."""
     if operator.index(seed) < 0 or operator.index(k) < 0:
         raise ValueError("expected non-negative integer")
     seed, k = operator.index(seed), operator.index(k)
-    a, b, c, d = _seed_block(seed, k // _BLOCK)[k % _BLOCK].tolist()
-    inc = (c << 65 | d << 1 | 1) & _MASK128
-    state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
-    gen = _generator(threading.get_ident())
-    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return float(gen.standard_normal())
+    row = _seed_block(seed, k // _BLOCK)[k % _BLOCK]
+    return float(np.random.Generator(np.random.PCG64(_row_seed()(row))).standard_normal())
 
 
-@functools.lru_cache(maxsize=8)
-def _generator(thread: int):
-    # per thread, built on first use: importing dcee loads no numpy.random
-    return np.random.Generator(np.random.PCG64(0))
+@functools.cache
+def _row_seed():
+    # defined on the first draw: importing dcee loads no numpy.random
+    class RowSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row  # PCG64 asks for (4, uint64) and reads the buffer raw
+
+    return RowSeed
 
 
 @functools.lru_cache(maxsize=2)
@@ -153,8 +153,8 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
                 mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src] if src < 4 else row)
                 pool[dst] = mixed ^ mixed >> 16
     const, mult = 0x8B51F9DD, 0x58F38DED
-    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]  # little-endian pairs
-    return np.stack([out[2 * j] | out[2 * j + 1] << 32 for j in range(4)], axis=1)
+    out = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    return out.astype("<u4").view("<u8").astype(np.uint64)  # generate_state's layout
 
 
 def active_segment(schedule, t: float) -> EnvSegment:

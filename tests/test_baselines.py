@@ -106,7 +106,7 @@ def _esc_loop(cfg, spec, veh, theta, v0, steps, sigma=0.0, seed=5):
     vs, sps = [], []
     for k in range(steps):
         _, r = measure(spec, v, seg, noise, k)
-        u, state = esc_step(state, cfg, r, v, veh, veh.dt)
+        u, state = esc_step(state, cfg, r, v, veh)
         v = plant_step(veh, v, u, seg)
         vs.append(v)
         sps.append(state.setpoint_hat)
@@ -169,9 +169,9 @@ def test_esc_state_advances():
     veh = VehicleParams()
     cfg = EscConfig()
     state = esc_init(10.0)
-    u, state2 = esc_step(state, cfg, 0.5, 10.0, veh, veh.dt)
+    u, state2 = esc_step(state, cfg, 0.5, 10.0, veh)
     assert state2.k == 1
-    assert state2.initialized
+    assert state2.lowpass_state == 0.5  # the washout latches onto the first reward
     assert veh.u_min <= u <= veh.u_max
 
 

@@ -163,3 +163,13 @@ def test_audit(cfg_path, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out.split("wrote")[0])
     assert payload["passed"] is True
     assert os.path.exists(os.path.join(out, "audit.json"))
+
+
+def test_audit_prints_the_bytes_it_writes(cfg_path, tmp_path, capsys):
+    # the printed report and audit.json come from one JSON formatter
+    out = str(tmp_path / "audit")
+    assert main(["audit", cfg_path, "--samples", "5", "--out", out]) == 0
+    path = os.path.join(out, "audit.json")
+    with open(path, "rb") as fh:
+        written = fh.read().decode("utf-8")
+    assert capsys.readouterr().out == written + f"wrote {path}\n"

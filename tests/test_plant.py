@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import threading
@@ -219,5 +220,9 @@ def test_vehicle_params_validation():
         VehicleParams(mass=-1.0)
     with pytest.raises(ConfigurationError):
         VehicleParams(u_min=10.0, u_max=-10.0)
+    for field in ("mass", "dt", "c0", "c1", "c2", "u_min", "u_max"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                VehicleParams(**{field: bad})
     with pytest.raises(ConfigurationError):
         NoiseSpec(sigma_reward=-0.1)
