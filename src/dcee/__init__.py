@@ -10,6 +10,7 @@ from .core import (
     objective_grid,
     objective_split,
     residual_fn,
+    residual_map,
     standstill_input,
 )
 from .diagnostics import (

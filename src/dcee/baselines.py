@@ -24,8 +24,8 @@ class GradDceeConfig:
     gain: float = 2.1e8
 
     def __post_init__(self):
-        if not (self.gain > 0.0):
-            raise ConfigurationError("gradient gain must be positive")
+        if not (0.0 < self.gain < math.inf):
+            raise ConfigurationError("gradient gain must be positive and finite")
 
 
 def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
@@ -67,8 +67,8 @@ class EscConfig:
     def __post_init__(self):
         for name in ("dither_amp", "dither_freq", "integrator_gain",
                      "highpass_cutoff", "speed_loop_gain"):
-            if not (getattr(self, name) > 0.0):
-                raise ConfigurationError(f"{name} must be positive")
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ConfigurationError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -187,21 +187,20 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
             j0 * j0 + k * k * (srr - sr * sr / n) / n)
 
 
-def _residual_arrays(prep: _Prepared, u: float, with_jacobian: bool):
-    """(F, J) at u as arrays, with J None unless requested."""
+def _residual_arrays(prep: _Prepared, u: float, dgam=None):
+    """F at u as an array or, given the empty list dgam, the pair (F, J)."""
     gam = []
-    dgam = [] if with_jacobian else None
     f0, gmean, j0, dmean = _eval_prepared(prep, u, gam, dgam)
     w = prep.inv_sqrt_n
     F = np.array([f0] + [(g - gmean) * w for g in gam])
-    if not with_jacobian:
-        return F, None
+    if dgam is None:
+        return F
     return F, np.array([j0] + [(g - dmean) * w for g in dgam])
 
 
-def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
-    """Residual stack F(u) and, when requested, its analytic Jacobian dF/du,
-    as the pair (F, J) with J None otherwise.
+def evaluate(p: DceeProblem, u: float):
+    """Residual stack F(u) and its analytic Jacobian dF/du, as the pair
+    (F, J).
 
     The Jacobian chains the nominal plant sensitivity dy/du = dt/mass (0
     where the predicted speed clamps at standstill) through the predicted
@@ -209,21 +208,33 @@ def evaluate(p: DceeProblem, u: float, with_jacobian: bool = True):
     derivative of the optimal-speed map.
 
     One loop over the members on Python floats (with about ten members
-    numpy's per-call cost would outweigh the arithmetic) computes F and,
-    when requested, J.  It is the pass the solver's callback (residual_fn)
-    takes, with the same running sums and so the same means; the callback
-    reduces them to the three scalars of a one-input Gauss-Newton step
-    without collecting the members' values.
+    numpy's per-call cost would outweigh the arithmetic) computes F and J.
+    It is the pass the solver's callback (residual_fn) takes, with the same
+    running sums and so the same means; the callback reduces them to the
+    three scalars of a one-input Gauss-Newton step without collecting the
+    members' values.
     objective_split and objective_grid share the unfused route,
     _objective_terms, which has no code in common with this one, so the
     decomposition identity is a genuine cross-check.
     """
-    return _residual_arrays(_Prepared(p), u, with_jacobian)
+    return _residual_arrays(_Prepared(p), u, [])
+
+
+def residual_map(p: DceeProblem):
+    """The residual alone, u -> F, with the problem prepared once: the map
+    the finite-difference oracles difference.  F is evaluate's, bit for
+    bit, wherever evaluate succeeds."""
+    prep = _Prepared(p)
+
+    def fn(u: float):
+        return _residual_arrays(prep, u)
+
+    return fn
 
 
 def objective(p: DceeProblem, u: float) -> float:
     """Squared residual norm D(u)."""
-    f, _ = evaluate(p, u, with_jacobian=False)
+    f = residual_map(p)(u)
     return float(f @ f)
 
 
@@ -322,25 +333,3 @@ def residual_fn(p: DceeProblem):
         return _eval_prepared(prep, u)
 
     return fn
-
-
-def as_residual_only(target):
-    """Normalize a DceeProblem, prepared once here, or a residual callable
-    returning F or (F, J) to u -> F."""
-    if isinstance(target, DceeProblem):
-        prep = _Prepared(target)
-
-        def fn(u: float):
-            return _residual_arrays(prep, u, False)[0]
-        return fn
-    if callable(target):
-        def fn(u: float):
-            out = target(u)
-            if not isinstance(out, tuple):
-                return out
-            if len(out) != 2:
-                # a solve callback's three scalars would pass for a residual
-                raise InvalidInputError("callable target must return F or (F, J)")
-            return out[0]
-        return fn
-    raise InvalidInputError(f"expected a DceeProblem or callable, got {type(target)!r}")

@@ -5,7 +5,8 @@ appears here exclusively as a finite-difference test oracle, used to split
 the curvature into the Gauss-Newton part J'J and the neglected second-order
 remainder, and to bound the local contraction rate of the full-step
 iteration.  Every finite difference of the residual is formed here, by
-_central, including those of REFERENCES, the solve callbacks bench times.
+_central, including those of fd_hessian_newton, the reference solve
+callback bench times.
 """
 from __future__ import annotations
 
@@ -14,14 +15,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import (DceeProblem, as_residual_only, evaluate, objective, objective_split,
+from .core import (DceeProblem, evaluate, objective, objective_split, residual_map,
                    standstill_input)
 from .ensemble import Ensemble
 from .errors import (InfeasibleCandidateError, InvalidInputError, RateUndefinedError,
                      SolverFailureError)
 from .plant import VehicleParams
 from .reward import QuadraticRewardSpec, make_true_params
-from .solver import gn_terms
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,8 @@ class HessianSplit:
     h_exact: float
 
 
-def _half_objective_fn(target):
-    """u -> 0.5 ||F(u)||^2, on the residual as_residual_only makes of target."""
-    fn = as_residual_only(target)
+def _half_objective_fn(fn):
+    """u -> 0.5 ||F(u)||^2 of the residual fn: u -> F."""
 
     def L(u: float) -> float:
         f = fn(u)
@@ -56,43 +55,28 @@ def _central(fn, u: float, h: float, at_u: float | None = None):
     return (fn(u + h) - 2.0 * at_u + fn(u - h)) / (h * h)
 
 
-def jacobian_fd(target, u: float, h: float) -> np.ndarray:
-    """Central-difference Jacobian dF/du of the residual map with step h.
-
-    Verification oracle for the analytic Jacobian; target may be a
-    DceeProblem or any callable returning the residual (or (F, J)).
-    """
-    return _central(as_residual_only(target), u, h)
+def jacobian_fd(fn, u: float, h: float) -> np.ndarray:
+    """Central-difference Jacobian dF/du of the residual fn: u -> F (see
+    core.residual_map) with step h; the verification oracle for the
+    analytic Jacobian."""
+    return _central(fn, u, h)
 
 
-def exact_hessian_fd(target, u: float, h: float) -> float:
-    """Central second difference of 0.5 * ||F(u)||^2.
-
-    target may be a DceeProblem or a residual callable.  Infeasible stencil
-    points propagate as InfeasibleCandidateError.
-    """
-    L = _half_objective_fn(target)
+def exact_hessian_fd(fn, u: float, h: float) -> float:
+    """Central second difference of 0.5 * ||F(u)||^2 for the residual
+    fn: u -> F.  Infeasible stencil points propagate as
+    InfeasibleCandidateError."""
+    L = _half_objective_fn(fn)
     return _central(L, u, h, L(u))
 
 
-def ggn_split(target, u: float) -> HessianSplit:
-    """Split the exact (finite-difference) curvature into J'J and the rest.
-
-    The Hessian step is fd_hessian_step on a DceeProblem and
-    1e-4 * (1 + |u|) on a bare callable, which has no input range.
-    """
+def ggn_split(p: DceeProblem, u: float) -> HessianSplit:
+    """Split the exact (finite-difference, step fd_hessian_step) curvature
+    into J'J and the rest."""
     u = float(u)
-    if isinstance(target, DceeProblem):
-        _, J = evaluate(target, u, with_jacobian=True)
-        h = fd_hessian_step(target.vehicle, u)
-    else:
-        h = 1e-4 * (1.0 + abs(u))
-        out = target(u)
-        if not (isinstance(out, tuple) and len(out) == 2):
-            raise InvalidInputError("callable target must return (residual, jacobian)")
-        J = np.asarray(out[1], dtype=float)
+    _, J = evaluate(p, u)
     b = float(J @ J)
-    h_exact = exact_hessian_fd(target, u, h)
+    h_exact = exact_hessian_fd(residual_map(p), u, fd_hessian_step(p.vehicle, u))
     return HessianSplit(b_ggn=b, e_ggn=h_exact - b, h_exact=h_exact)
 
 
@@ -151,27 +135,16 @@ def fd_hessian_step(vehicle: VehicleParams, u: float) -> float:
     return 100.0 * fd_step(vehicle, u)
 
 
-def _fd_jacobian_fn(problem: DceeProblem):
-    """Solve callback with the Jacobian by central differences: three
-    evaluations per call of a residual prepared once, as residual_fn
-    prepares it."""
-    residual = as_residual_only(problem)
-
-    def fn(u: float):
-        return gn_terms(residual(u), jacobian_fd(residual, u, fd_step(problem.vehicle, u)))
-
-    return fn
-
-
-def _fd_hessian_fn(problem: DceeProblem):
-    """Solve callback of a damped Newton reference: (F'F, g, |H|), with the
-    gradient g and curvature H of L = 0.5 F'F by central differences in the
-    places of J'F and J'J; an H < 0 is used by magnitude, so the step still
-    descends.  Each call evaluates L at u, u +- fd_step and
-    u +- fd_hessian_step, on a residual prepared once.  An infeasible
-    stencil point, or H = 0 where g is not, gives no step and raises
-    SolverFailureError."""
-    L = _half_objective_fn(problem)
+def fd_hessian_newton(problem: DceeProblem):
+    """bench's reference: the solve callback, built from a DceeProblem as
+    residual_fn builds the analytic one, of a damped Newton method:
+    (F'F, g, |H|), with the gradient g and curvature H of L = 0.5 F'F by
+    central differences in the places of J'F and J'J; an H < 0 is used by
+    magnitude, so the step still descends.  Each call evaluates L at u,
+    u +- fd_step and u +- fd_hessian_step, on a residual prepared once.  An
+    infeasible stencil point, or H = 0 where g is not, gives no step and
+    raises SolverFailureError."""
+    L = _half_objective_fn(residual_map(problem))
 
     def fn(u: float):
         l0 = L(u)
@@ -185,11 +158,6 @@ def _fd_hessian_fn(problem: DceeProblem):
         return 2.0 * l0, g, abs(H)
 
     return fn
-
-
-# bench's references, by name: each builds a solve callback from a
-# DceeProblem, as residual_fn builds the analytic one
-REFERENCES = {"fd_jacobian_gn": _fd_jacobian_fn, "fd_hessian_newton": _fd_hessian_fn}
 
 
 def random_problem(rng: np.random.Generator,
@@ -261,9 +229,10 @@ def derivative_audit(vehicle: VehicleParams, reward: QuadraticRewardSpec,
             skipped += 1
             continue
         try:
-            F, J = evaluate(prob, u, with_jacobian=True)
-            J_fd = jacobian_fd(prob, u, h)
-            g_fd = _central(_half_objective_fn(prob), u, h)
+            F, J = evaluate(prob, u)
+            residual = residual_map(prob)
+            J_fd = jacobian_fd(residual, u, h)
+            g_fd = _central(_half_objective_fn(residual), u, h)
             exploit, explore = objective_split(prob, u)
             d = objective(prob, u)
         except InfeasibleCandidateError:

@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import esc_init, esc_step, grad_dcee_step
 from .config import ScenarioConfig
 from .core import DceeProblem, evaluate, objective, objective_split, residual_fn
-from .diagnostics import REFERENCES
+from .diagnostics import fd_hessian_newton
 from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
 from .plant import active_segment, measure, plant_step
@@ -289,17 +289,18 @@ def _exploit_only_fn(problem: DceeProblem):
 
 
 def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
-    """Time the production solver against diagnostics.REFERENCES on the
-    identical per-step problems of the closed loop.
+    """Time the production solver against the finite-difference Newton
+    reference, diagnostics.fd_hessian_newton, on the identical per-step
+    problems of the closed loop.
 
     The loop itself is always driven by the production (analytic-Jacobian)
-    controller; solve runs each reference's callback on each snapshot from
+    controller; solve runs the reference's callback on each snapshot from
     the same warm start with the same settings.  Each is timed around its
     call, so the analytic time includes controller_step's preparation; the
     analytic solves are also timed on the thread's CPU clock, which a
     descheduled process does not advance, and its p99 and max go into their
     timing entry as cpu_p99_ns and cpu_max_ns.  Every agreement_stride steps
-    all three are also re-solved to convergence (60 iterations at most) and
+    both are also re-solved to convergence (60 iterations at most) and
     the relative spread of the reached objectives is tracked.
     At the same steps the exploitation residual F[0] alone is solved from
     the same warm start; the max and median distance |u - u_exploit|, in
@@ -314,7 +315,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
             f"agreement_stride must be a positive integer, got {agreement_stride!r}")
     gncfg = cfg.controller.solver
     ref_cfg = replace(gncfg, max_iters=60)
-    times = {"analytic_gn": [], **{name: [] for name in REFERENCES}}
+    times = {"analytic_gn": [], "fd_hessian_newton": []}
     cpu_times = []
     health = SolverHealth()
     agreement_max_rel = 0.0
@@ -329,18 +330,18 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         cpu_times.append(time.thread_time_ns() - cpu0)
         health.add(report)
 
-        for name, make_fn in REFERENCES.items():
-            try:
-                # the callback is built inside the timed call, so its
-                # preparation counts as controller_step's does
-                _timed(times[name], lambda: solve(make_fn(problem), u_prev, gncfg))
-            except SolverFailureError:
-                reference_failures += 1
+        try:
+            # the callback is built inside the timed call, so its
+            # preparation counts as controller_step's does
+            _timed(times["fd_hessian_newton"],
+                   lambda: solve(fd_hessian_newton(problem), u_prev, gncfg))
+        except SolverFailureError:
+            reference_failures += 1
 
         if k % agreement_stride == 0:
             try:
                 us = [solve(make_fn(problem), u_prev, ref_cfg)[0]
-                      for make_fn in (residual_fn, *REFERENCES.values())]
+                      for make_fn in (residual_fn, fd_hessian_newton)]
                 objs = [objective(problem, uu) for uu in us]
                 spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
                 agreement_max_rel = max(agreement_max_rel, spread_rel)
@@ -356,13 +357,10 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     cpu = _timing_summary(cpu_times)
     summary["analytic_gn"].update(cpu_p99_ns=cpu["p99_ns"], cpu_max_ns=cpu["max_ns"])
     mean_gn = summary["analytic_gn"]["mean_ns"]
-    speedup = {
-        name: (summary[name]["mean_ns"] / mean_gn if mean_gn > 0 else math.inf)
-        for name in REFERENCES
-    }
+    speedup = summary["fd_hessian_newton"]["mean_ns"] / mean_gn if mean_gn > 0 else math.inf
     return {
         "timing": summary,
-        "speedup_vs_analytic": speedup,
+        "speedup_vs_analytic": {"fd_hessian_newton": speedup},
         "agreement_max_rel": agreement_max_rel,
         "agreement_checks": agreement_checks,
         "explore_shift_max_n": max(explore_shifts) if explore_shifts else None,

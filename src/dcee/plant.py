@@ -54,8 +54,8 @@ class NoiseSpec:
     seed: int = 20260811
 
     def __post_init__(self):
-        if not (self.sigma_reward >= 0.0):
-            raise ConfigurationError("sigma_reward must be nonnegative")
+        if not (0.0 <= self.sigma_reward < math.inf):
+            raise ConfigurationError("sigma_reward must be nonnegative and finite")
         if self.seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer")
 

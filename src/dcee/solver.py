@@ -64,10 +64,10 @@ class GnConfig:
         if not (-math.inf < self.u_min < self.u_max < math.inf):
             raise ConfigurationError(
                 f"solver box needs finite u_min < u_max, got [{self.u_min}, {self.u_max}]")
-        if not (self.tol > 0.0):
-            raise ConfigurationError("solver tol must be positive")
-        if not (self.damping >= 0.0):
-            raise ConfigurationError("solver damping must be nonnegative")
+        if not (0.0 < self.tol < math.inf):
+            raise ConfigurationError("solver tol must be positive and finite")
+        if not (0.0 <= self.damping < math.inf):
+            raise ConfigurationError("solver damping must be nonnegative and finite")
 
 
 @dataclass

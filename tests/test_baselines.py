@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -176,7 +177,12 @@ def test_esc_state_advances():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        GradDceeConfig(gain=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            GradDceeConfig(gain=bad)
     with pytest.raises(ConfigurationError):
         EscConfig(dither_amp=-1.0)
+    for field in dataclasses.fields(EscConfig):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                EscConfig(**{field.name: bad})

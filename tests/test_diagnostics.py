@@ -24,7 +24,7 @@ def test_exact_hessian_synthetic_quadratic():
     a = 2.0
 
     def fun(u):
-        return np.array([np.sqrt(a) * u]), np.array([np.sqrt(a)])
+        return np.array([np.sqrt(a) * u])
 
     assert exact_hessian_fd(fun, 1.0, h=2e-4) == pytest.approx(a, abs=1e-6)
 
@@ -33,11 +33,10 @@ def test_exact_hessian_affine_residual_matches_gn_matrix():
     a = np.array([1.0, -0.5, 2.0])
 
     def fun(u):
-        return a * (u - 1.0) + np.array([0.1, 0.0, -0.2]), a
+        return a * (u - 1.0) + np.array([0.1, 0.0, -0.2])
 
-    split = ggn_split(fun, 4.0)
-    assert abs(split.e_ggn) < 1e-5 * (1.0 + split.b_ggn)
-    assert split.h_exact == pytest.approx(float(a @ a), rel=1e-6)
+    h_exact = exact_hessian_fd(fun, 4.0, h=5e-4)
+    assert h_exact == pytest.approx(float(a @ a), rel=1e-6)
 
 
 def test_ggn_split_consistency_by_construction():
@@ -133,8 +132,8 @@ def test_derivative_audit_reaches_standstill_and_bounds(monkeypatch):
     seen = []
     real_evaluate = diagnostics.evaluate
 
-    def spy(prob, u, with_jacobian=True):
-        F, J = real_evaluate(prob, u, with_jacobian)
+    def spy(prob, u):
+        F, J = real_evaluate(prob, u)
         seen.append((prob, u, J))
         return F, J
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dcee import (
-    DceeProblem,
     GnConfig,
     InfeasibleCandidateError,
     InvalidInputError,
@@ -28,7 +27,7 @@ from dcee import (
     solve,
 )
 from dcee import diagnostics, harness
-from dcee.diagnostics import REFERENCES, fd_hessian_step, fd_step, random_problem
+from dcee.diagnostics import fd_hessian_newton, fd_hessian_step, fd_step, random_problem
 from dcee.harness import CSV_COLUMNS, CSV_HEADER, StepRecord, _exploit_only_fn
 
 
@@ -94,11 +93,11 @@ def test_newton_reference_fails_at_a_slope_without_curvature(monkeypatch):
         return np.array([1.0 if u0 + 0.5 * hg < u < u0 + 2.0 * hg else 0.0])
 
     # the reference prepares its residual once per solve through this name
-    monkeypatch.setattr(diagnostics, "as_residual_only", lambda problem: bumped_residual)
+    monkeypatch.setattr(diagnostics, "residual_map", lambda problem: bumped_residual)
     problem = types.SimpleNamespace(vehicle=vehicle)
     gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
     with pytest.raises(SolverFailureError, match="zero curvature at a slope"):
-        solve(REFERENCES["fd_hessian_newton"](problem), u0, gncfg)
+        solve(fd_hessian_newton(problem), u0, gncfg)
 
 
 def test_newton_reference_fails_on_an_infeasible_stencil_point(monkeypatch):
@@ -115,8 +114,8 @@ def test_newton_reference_fails_on_an_infeasible_stencil_point(monkeypatch):
             raise InfeasibleCandidateError(f"u={u} past the edge")
         return np.array([1e-3 * u])
 
-    monkeypatch.setattr(diagnostics, "as_residual_only", lambda problem: edged_residual)
-    fn = REFERENCES["fd_hessian_newton"](types.SimpleNamespace(vehicle=vehicle))
+    monkeypatch.setattr(diagnostics, "residual_map", lambda problem: edged_residual)
+    fn = fd_hessian_newton(types.SimpleNamespace(vehicle=vehicle))
     gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
     with pytest.raises(SolverFailureError, match="stencil point infeasible"):
         solve(fn, u0, gncfg)
@@ -129,7 +128,7 @@ def test_newton_reference_resolves_the_curvature_at_the_first_step():
     # objective is about 97 while its curvature J'J is about 4e-9: a step
     # too fine leaves the second difference rounding noise
     problem, _ = harness._drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
-    _, _, H = REFERENCES["fd_hessian_newton"](problem)(0.0)
+    _, _, H = fd_hessian_newton(problem)(0.0)
     assert H == pytest.approx(residual_fn(problem)(0.0)[2], rel=0.01)
 
 
@@ -137,23 +136,19 @@ def test_newton_reference_resolves_the_curvature_at_the_first_step():
 _CALLBACKS = {
     "residual_fn": residual_fn,
     "gn_terms_of_evaluate": lambda p: lambda u: gn_terms(*evaluate(p, u)),
-    "fd_jacobian": REFERENCES["fd_jacobian_gn"],
-    "fd_hessian": REFERENCES["fd_hessian_newton"],
+    "fd_hessian": fd_hessian_newton,
     "exploit_only": _exploit_only_fn,
 }
 
 
 def test_references_prepare_once_and_evaluate_as_their_stencils_need(monkeypatch):
     # one preparation per built callback, and per call the residual at u and
-    # at the stencil points: u +- h for the difference Jacobian, and for the
-    # Newton reference u +- fd_step and u +- fd_hessian_step
-    real = diagnostics.as_residual_only
+    # at the stencil points u +- fd_step and u +- fd_hessian_step
+    real = diagnostics.residual_map
     counts = {"prepared": 0, "evaluated": 0}
 
-    def counting(target):
-        fn = real(target)
-        if not isinstance(target, DceeProblem):
-            return fn
+    def counting(problem):
+        fn = real(problem)
         counts["prepared"] += 1
 
         def counted(u):
@@ -161,14 +156,12 @@ def test_references_prepare_once_and_evaluate_as_their_stencils_need(monkeypatch
             return fn(u)
         return counted
 
-    monkeypatch.setattr(diagnostics, "as_residual_only", counting)
+    monkeypatch.setattr(diagnostics, "residual_map", counting)
     problem, _ = harness._drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
-    for name, per_call in (("fd_jacobian_gn", 3), ("fd_hessian_newton", 5)):
-        counts.update(prepared=0, evaluated=0)
-        fn = REFERENCES[name](problem)
-        fn(300.0)
-        fn(310.0)
-        assert counts == {"prepared": 1, "evaluated": 2 * per_call}, name
+    fn = fd_hessian_newton(problem)
+    fn(300.0)
+    fn(310.0)
+    assert counts == {"prepared": 1, "evaluated": 10}
 
 
 @pytest.mark.parametrize("name", sorted(_CALLBACKS))
@@ -392,7 +385,7 @@ def test_bench_solver_structure_and_ordering():
     cfg = scenario_from_dict(d)
     report = bench_solver(cfg, agreement_stride=50)
     t = report["timing"]
-    assert set(t) == {"analytic_gn", "fd_jacobian_gn", "fd_hessian_newton"}
+    assert set(t) == {"analytic_gn", "fd_hessian_newton"}
     # analytic derivative beats the finite-difference Hessian reference
     assert t["analytic_gn"]["mean_ns"] < t["fd_hessian_newton"]["mean_ns"]
     assert report["speedup_vs_analytic"]["fd_hessian_newton"] > 1.0

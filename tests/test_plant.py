@@ -224,5 +224,6 @@ def test_vehicle_params_validation():
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ConfigurationError):
                 VehicleParams(**{field: bad})
-    with pytest.raises(ConfigurationError):
-        NoiseSpec(sigma_reward=-0.1)
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            NoiseSpec(sigma_reward=bad)

@@ -25,6 +25,7 @@ from dcee import (
     objective,
     objective_grid,
     residual_fn,
+    residual_map,
     run_closed_loop,
     scenario_from_dict,
     scp_step,
@@ -154,13 +155,14 @@ def test_solve_respects_bounds():
 
 
 def test_solve_tol_infinite_returns_the_start():
-    # every step meets an infinite tol, the start's own step included
+    # every step meets a tol of 1e300, the start's own step included (an
+    # infinite tol is a configuration error)
     a = np.array([1.0, 1.0])
 
     def fun(u):
         return gn_terms(a * (u - 2.0), a)
 
-    cfg = GnConfig(max_iters=10, tol=float("inf"), damping=0.0, u_min=-100.0, u_max=100.0)
+    cfg = GnConfig(max_iters=10, tol=1e300, damping=0.0, u_min=-100.0, u_max=100.0)
     u, rep = solve(fun, 0.0, cfg)
     assert u == 0.0
     assert rep.iterations == 0
@@ -169,8 +171,8 @@ def test_solve_tol_infinite_returns_the_start():
 
 def test_solve_replaces_an_infeasible_start_from_the_grid():
     # infeasible below 0: the start moves to the grid point of least
-    # objective, 3125 (the box's 33 points lie 312.5 apart), which an
-    # infinite tol returns as it is; a finite tol then steps to the root
+    # objective, 3125 (the box's 33 points lie 312.5 apart), which a tol of
+    # 1e300 returns as it is; a tol of 1e-9 then steps to the root
     a = np.array([1.0, -1.0])
     calls = []
 
@@ -180,7 +182,7 @@ def test_solve_replaces_an_infeasible_start_from_the_grid():
             raise InfeasibleCandidateError("synthetic")
         return gn_terms(a * (u - 3000.0), a)
 
-    cfg = GnConfig(tol=float("inf"), damping=0.0, u_min=-5000.0, u_max=5000.0)
+    cfg = GnConfig(tol=1e300, damping=0.0, u_min=-5000.0, u_max=5000.0)
     u, rep = solve(fun, -100.0, cfg)
     assert u == 3125.0
     assert rep.converged and rep.iterations == 0
@@ -495,6 +497,10 @@ def test_gn_config_validation():
         GnConfig(damping=-1.0)
     with pytest.raises(ConfigurationError):
         GnConfig(damping=float("nan"))
+    # a tol of inf passes every iterate as converged, so no solve would step
+    for field in ("tol", "damping"):
+        with pytest.raises(ConfigurationError):
+            GnConfig(**{field: math.inf})
 
 
 @pytest.mark.parametrize("settings", [
@@ -599,14 +605,16 @@ def test_closed_loop_solves_return_where_the_next_step_meets_tol(name):
 
 def _check_callback_against_evaluate(p, u):
     """residual_fn's (F'F, J'F, J'J) at u against the same terms
-    of evaluate's arrays; where evaluate raises, the callback must raise the
-    same error.  Returns whether u was feasible."""
+    of evaluate's arrays, and residual_map's F against evaluate's bit for
+    bit; where evaluate raises, the callback must raise the same error.
+    Returns whether u was feasible."""
     try:
         F, J = evaluate(p, u)
     except (InfeasibleCandidateError, InvalidInputError) as exc:
         with pytest.raises(type(exc)):
             residual_fn(p)(u)
         return False
+    assert residual_map(p)(u).tobytes() == F.tobytes()
     got = residual_fn(p)(u)
     want = (float(F @ F), float(J @ F), float(J @ J))
     assert len(got) == 3 and all(type(x) is float for x in got)

@@ -1,11 +1,16 @@
 """No linter ships with this project, so this test does the checks one
 would matter most for after a deletion or a move: a name a module imports
 and never uses, a private module-level name that nothing reads any more,
-and a private name one package module imports from another."""
+a private name one package module imports from another, and a code name
+the README gives that the code no longer has."""
 import ast
+import importlib
 import pathlib
+import re
 
 import pytest
+
+from dcee.config import DEFAULTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dcee"
@@ -92,6 +97,22 @@ def unused_private_names(definers: dict, readers: list) -> list:
                   for name, line in _private_definitions(tree).items() if name not in refs)
 
 
+def stale_readme_names(text: str) -> list:
+    """Each backticked module.name in text that names a package module or a
+    config section but resolves to neither an attribute of dcee.<module>
+    nor a key of DEFAULTS[module]; other dotted names, such as file names,
+    are not code names."""
+    modules = {p.stem for p in MODULES}
+    stale = []
+    for module, name in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", text):
+        section = DEFAULTS.get(module)
+        is_key = isinstance(section, dict) and name in section
+        is_attr = module in modules and hasattr(importlib.import_module(f"dcee.{module}"), name)
+        if (module in modules or isinstance(section, dict)) and not (is_key or is_attr):
+            stale.append(f"{module}.{name}")
+    return stale
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         (1, "math"), (2, "path")]
@@ -116,6 +137,12 @@ def test_detects_a_private_import_from_the_package():
                                        (6, "_feasible_start")]
 
 
+def test_detects_a_stale_name_in_the_readme():
+    text = ("`core._eval_prepared`, `ensemble.N`, `ensemble.Ensemble`, `vehicle.mass`, "
+            "`pyproject.toml`, `core.gone`, `solver.gone`, `noise.sigma`")
+    assert stale_readme_names(text) == ["core.gone", "solver.gone", "noise.sigma"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -130,3 +157,7 @@ def test_package_reads_every_private_name_it_defines():
     definers = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     readers = [p.read_text(encoding="utf-8") for p in READERS]
     assert unused_private_names(definers, readers) == []
+
+
+def test_readme_code_names_resolve():
+    assert stale_readme_names((ROOT / "README.md").read_text(encoding="utf-8")) == []
