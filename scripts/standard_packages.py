@@ -8,9 +8,14 @@ every STRIDE-th step the same problem is also solved, from the same lifted
 warm start and in the same input box, by
 
 * scipy.optimize.least_squares: TRF on the residual F, with the analytic
-  Jacobian from dcee.evaluate and xtol = the solver's tol;
-* scipy.optimize.minimize_scalar(method="bounded") on the objective F'F,
-  with xatol = tol (1 + |u0|), the solver's own step test at the start.
+  Jacobian and xtol = the solver's tol; F and J come from one
+  dcee.evaluate per point;
+* scipy.optimize.minimize_scalar(method="bounded") on the objective F'F
+  of the solver's own callback, dcee.residual_fn, prepared once per
+  problem, with xatol = tol (1 + |u0|), the solver's own step test at the
+  start.
+
+So each scipy solver pays the analytic solve's cost per point.
 
 Each solve is timed on the thread's CPU clock, which a descheduled process
 does not advance.  Objective agreement is (D(u) - D(u_gn)) / D(u_gn), with
@@ -20,6 +25,7 @@ script imports it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import platform
 import sys
@@ -31,8 +37,8 @@ import scipy
 from scipy.optimize import least_squares, minimize_scalar
 
 from dcee import (InfeasibleCandidateError, controller_step, evaluate, load_config, objective,
-                  residual_map, standstill_input)
-from dcee.harness import _drive
+                  residual_fn, standstill_input)
+from dcee.harness import drive
 
 STRIDE = 5
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -40,24 +46,23 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.y
 
 def _least_squares(problem, u0, tol):
     veh = problem.vehicle
-    residual = residual_map(problem)
-    res = least_squares(lambda x: residual(x[0]), [u0],
-                        jac=lambda x: evaluate(problem, x[0])[1][:, None],
+    # (F, J) of the last point: jac asks at the points fun was given
+    FJ = functools.lru_cache(maxsize=1)(lambda u: evaluate(problem, u))
+    res = least_squares(lambda x: FJ(x[0])[0], [u0], jac=lambda x: FJ(x[0])[1][:, None],
                         bounds=([veh.u_min], [veh.u_max]), method="trf", xtol=tol)
     return float(res.x[0])
 
 
 def _minimize_scalar(problem, u0, tol):
     veh = problem.vehicle
-    residual = residual_map(problem)
+    terms = residual_fn(problem)
 
     def D(u):
         # an infeasible candidate is +inf, as objective_grid gives it
         try:
-            f = residual(u)
+            return terms(u)[0]
         except InfeasibleCandidateError:
             return math.inf
-        return float(f @ f)
 
     res = minimize_scalar(D, bounds=(veh.u_min, veh.u_max), method="bounded",
                           options={"xatol": tol * (1.0 + abs(u0))})
@@ -95,7 +100,7 @@ def compare(cfg):
             out[name]["rel"].append((objective(problem, u_s) - d_gn) / max(abs(d_gn), 1e-300))
         return u
 
-    _drive(cfg, select)
+    drive(cfg, select)
     return out
 
 

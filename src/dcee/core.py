@@ -10,11 +10,12 @@ Two routes compute it.  The first fuses F and its Jacobian into one pass
 over the members on Python floats, _eval_prepared, which keeps running
 sums of the members' values.  The solver's callback, residual_fn, takes
 the scalars F'F, J'F and J'J, all a one-input Gauss-Newton step needs,
-from those sums; evaluate builds the arrays F and J from the values the
-pass also collects, about the means of the same sums.  objective_split
-and objective_grid share a second, unfused route that computes the split
-from the ensemble statistics, on one float candidate or an array of them
-alike, and so checks the first independently.
+from those sums, and objective is its F'F; evaluate builds the arrays F
+and J from the values the pass also collects, about the means of the
+same sums.  objective_split and objective_grid share a second, unfused
+route that computes the split from the ensemble statistics, on one float
+candidate or an array of them alike, and so checks the first
+independently.
 """
 from __future__ import annotations
 
@@ -57,14 +58,13 @@ class _Prepared:
     The inner solver evaluates the same DceeProblem many times per control
     period; everything that does not depend on the candidate input is
     computed once here, as Python floats and lists (see evaluate).
-    neg_floor_jac is the curvature floor of an evaluation with the
-    Jacobian: no less than sqrt of the smallest normal float, so the
-    derivative never divides by a curvature whose square underflows.
+    neg_floor is the curvature floor, and no less than sqrt of the smallest
+    normal float, so the derivative never divides by a curvature whose
+    square underflows.
     """
 
     __slots__ = ("v", "m0", "m1", "m2", "rates", "mean", "n",
-                 "drag", "dy_du", "u_stop", "s", "neg_floor", "neg_floor_jac",
-                 "inv_sqrt_n")
+                 "drag", "dy_du", "u_stop", "s", "neg_floor", "inv_sqrt_n")
 
     def __init__(self, p: DceeProblem):
         m0, m1, m2 = self.m0, self.m1, self.m2 = p.ensemble.members.T.tolist()
@@ -79,23 +79,21 @@ class _Prepared:
         self.dy_du = veh.dt / veh.mass
         self.u_stop = standstill_input(veh, p.v)
         self.s = p.reward.v_scale
-        self.neg_floor = -p.reward.curvature_floor
-        self.neg_floor_jac = min(self.neg_floor, -_MIN_CURVATURE)
+        self.neg_floor = min(-p.reward.curvature_floor, -_MIN_CURVATURE)
         self.inv_sqrt_n = 1.0 / math.sqrt(n)
 
 
-def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
+def _eval_prepared(prep: _Prepared, u: float, pairs=None):
     """The one pass over the members at u.
 
-    Without lists it returns the solve callback's (F'F, J'F, J'J).
-    Given the list gam it also appends each updated member's optimal speed
-    g to it and returns (f0, gmean, j0, dmean), where gmean is the mean of
-    g, f0 = y - gmean the exploitation residual, and j0 and dmean are their
-    derivatives in u; these are computed, and each member's dg = d(g)/du
-    appended to dgam, only when dgam is given too, else j0 and dmean are
-    None.
+    Without a list it returns the solve callback's (F'F, J'F, J'J).
+    Given the list pairs it appends to it each updated member's optimal
+    speed g and its derivative dg = d(g)/du, as the pair (g, dg), and
+    returns (f0, gmean, j0, dmean), where gmean is the mean of g,
+    f0 = y - gmean the exploitation residual, and j0 and dmean are their
+    derivatives in u.
 
-    Every mode keeps the same running sums of g and dg, less their first
+    Both modes keep the same running sums of g and dg, less their first
     member's values (shifted data, so the deviations from the means come
     out of the sums without cancelling digits when the members agree
     closely), and in units that leave the factors common to all members to
@@ -124,23 +122,21 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
     psi0 = z * z
     mean0, mean1, mean2 = prep.mean
     r_hat = mean0 * psi0 + mean1 * z + mean2
-    with_jacobian = gam is None or dgam is not None
-    neg_floor = prep.neg_floor_jac if with_jacobian else prep.neg_floor
+    neg_floor = prep.neg_floor
     scale = -0.5 * s
     k = 0.5 * dy_du
-    cq = cr = r = 0.0
+    cq = cr = 0.0
     first = True
     sq = sr = sqq = sqr = srr = 0.0
     # predicted member update theta - rate * e * psi, with e the member's
     # reward innovation, and each updated member's optimal speed
-    # g = -(s/2) q for q = t1 / t0.  With the Jacobian, psi' = (2z, 1) / s
-    # and h = e + z (2z d0 + d1), with d0 and d1 the member's deviations
-    # from the means of the first two parameters, give t1' = rate h / s and
+    # g = -(s/2) q for q = t1 / t0.  psi' = (2z, 1) / s and
+    # h = e + z (2z d0 + d1), with d0 and d1 the member's deviations from
+    # the means of the first two parameters, give t1' = rate h / s and
     # t0' = rate z (e + h) / s, so dg = -(s/2) dy/du (t1' t0 - t1 t0') / t0^2,
     # with the minus signs of the update direction folded in, is k r for
     # r = rate (h - q z (e + h)) / t0 and k = dy/du / 2.  The pass sums q
-    # and r (r stays 0 without the Jacobian); the factors -(s/2) and k
-    # apply to the sums
+    # and r; the factors -(s/2) and k apply to the sums
     for a, b, c, rate in zip(prep.m0, prep.m1, prep.m2, prep.rates):
         e = a * psi0 + b * z + c - r_hat
         gain = rate * e
@@ -150,13 +146,10 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
                 f"candidate u={u} drives a predicted member outside the admissible region"
             )
         q = (b - gain * z) / t0
-        if with_jacobian:
-            h = e + z * (z2 * (a - mean0) + (b - mean1))
-            r = rate * (h - q * z * (e + h)) / t0
-        if gam is not None:
-            gam.append(q * scale)
-            if dgam is not None:
-                dgam.append(k * r)
+        h = e + z * (z2 * (a - mean0) + (b - mean1))
+        r = rate * (h - q * z * (e + h)) / t0
+        if pairs is not None:
+            pairs.append((q * scale, k * r))
         if first:
             cq, cr = q, r
             first = False
@@ -178,24 +171,20 @@ def _eval_prepared(prep: _Prepared, u: float, gam=None, dgam=None):
     f0 = y - gmean
     dmean = k * (cr + sr / n)
     j0 = dy_du - dmean
-    if gam is not None:
-        if dgam is None:
-            return f0, gmean, None, None
+    if pairs is not None:
         return f0, gmean, j0, dmean
     return (f0 * f0 + scale * scale * (sqq - sq * sq / n) / n,
             j0 * f0 + scale * k * (sqr - sq * sr / n) / n,
             j0 * j0 + k * k * (srr - sr * sr / n) / n)
 
 
-def _residual_arrays(prep: _Prepared, u: float, dgam=None):
-    """F at u as an array or, given the empty list dgam, the pair (F, J)."""
-    gam = []
-    f0, gmean, j0, dmean = _eval_prepared(prep, u, gam, dgam)
+def _residual_arrays(prep: _Prepared, u: float):
+    """The pair (F, J) at u as arrays."""
+    pairs = []
+    f0, gmean, j0, dmean = _eval_prepared(prep, u, pairs)
     w = prep.inv_sqrt_n
-    F = np.array([f0] + [(g - gmean) * w for g in gam])
-    if dgam is None:
-        return F
-    return F, np.array([j0] + [(g - dmean) * w for g in dgam])
+    return (np.array([f0] + [(g - gmean) * w for g, _ in pairs]),
+            np.array([j0] + [(dg - dmean) * w for _, dg in pairs]))
 
 
 def evaluate(p: DceeProblem, u: float):
@@ -212,30 +201,29 @@ def evaluate(p: DceeProblem, u: float):
     It is the pass the solver's callback (residual_fn) takes, with the same
     running sums and so the same means; the callback reduces them to the
     three scalars of a one-input Gauss-Newton step without collecting the
-    members' values.
-    objective_split and objective_grid share the unfused route,
-    _objective_terms, which has no code in common with this one, so the
-    decomposition identity is a genuine cross-check.
+    members' values.  objective_split and objective_grid share the unfused
+    route, _objective_terms, which has no code in common with this one, so
+    the decomposition identity is a genuine cross-check.
     """
-    return _residual_arrays(_Prepared(p), u, [])
+    return _residual_arrays(_Prepared(p), u)
 
 
 def residual_map(p: DceeProblem):
     """The residual alone, u -> F, with the problem prepared once: the map
-    the finite-difference oracles difference.  F is evaluate's, bit for
-    bit, wherever evaluate succeeds."""
+    the finite-difference oracles difference.  F is evaluate's, and it
+    raises wherever evaluate raises."""
     prep = _Prepared(p)
 
     def fn(u: float):
-        return _residual_arrays(prep, u)
+        return _residual_arrays(prep, u)[0]
 
     return fn
 
 
 def objective(p: DceeProblem, u: float) -> float:
-    """Squared residual norm D(u)."""
-    f = residual_map(p)(u)
-    return float(f @ f)
+    """Squared residual norm D(u) = F'F, as the solver's callback
+    (residual_fn) computes and minimizes it."""
+    return residual_fn(p)(u)[0]
 
 
 def _objective_terms(p: DceeProblem, u, feasible):

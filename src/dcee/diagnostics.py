@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import (DceeProblem, evaluate, objective, objective_split, residual_map,
-                   standstill_input)
+from .core import (DceeProblem, evaluate, objective, objective_split, residual_fn,
+                   residual_map, standstill_input)
 from .ensemble import Ensemble
 from .errors import (InfeasibleCandidateError, InvalidInputError, RateUndefinedError,
                      SolverFailureError)
@@ -140,22 +140,26 @@ def fd_hessian_newton(problem: DceeProblem):
     residual_fn builds the analytic one, of a damped Newton method:
     (F'F, g, |H|), with the gradient g and curvature H of L = 0.5 F'F by
     central differences in the places of J'F and J'J; an H < 0 is used by
-    magnitude, so the step still descends.  Each call evaluates L at u,
-    u +- fd_step and u +- fd_hessian_step, on a residual prepared once.  An
+    magnitude, so the step still descends.  F'F is the analytic callback's,
+    residual_fn's on a problem prepared once, whose J'F and J'J go unread.
+    Each call evaluates it at u, u +- fd_step and u +- fd_hessian_step.  An
     infeasible stencil point, or H = 0 where g is not, gives no step and
     raises SolverFailureError."""
-    L = _half_objective_fn(residual_map(problem))
+    terms = residual_fn(problem)
+
+    def L(u: float) -> float:
+        return 0.5 * terms(u)[0]
 
     def fn(u: float):
-        l0 = L(u)
+        d0 = terms(u)[0]
         try:
             g = _central(L, u, fd_step(problem.vehicle, u))
-            H = _central(L, u, fd_hessian_step(problem.vehicle, u), l0)
+            H = _central(L, u, fd_hessian_step(problem.vehicle, u), 0.5 * d0)
         except InfeasibleCandidateError as exc:
             raise SolverFailureError("stencil point infeasible") from exc
         if H == 0.0 and g != 0.0:
             raise SolverFailureError("newton reference has zero curvature at a slope")
-        return 2.0 * l0, g, abs(H)
+        return d0, g, abs(H)
 
     return fn
 

@@ -2,7 +2,7 @@
 timing benchmark.
 
 Both the runner and the benchmark step the loop through one driver,
-_drive.  Step ordering within one control period: measure output and reward
+drive.  Step ordering within one control period: measure output and reward
 at the current state, learn (measured ensemble update), select the input
 from the updated belief (warm-started at the previous input), apply it,
 advance the plant.  The measurement at t = 0 therefore seeds the belief
@@ -85,7 +85,7 @@ def _timed(times: list, fn, *args):
     return out
 
 
-def _drive(cfg: ScenarioConfig, select):
+def drive(cfg: ScenarioConfig, select):
     """Step the configured closed loop through its horizon: measure, learn,
     select, apply.
 
@@ -164,7 +164,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         )
         return u
 
-    problem, u = _drive(cfg, select)
+    problem, u = drive(cfg, select)
     metrics = compute_metrics(records, cfg.schedule, spec)
     return RunResult(
         records=records,
@@ -352,7 +352,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
                 reference_failures += 1
         return u
 
-    _drive(cfg, select)
+    drive(cfg, select)
     summary = {name: _timing_summary(vals) for name, vals in times.items()}
     cpu = _timing_summary(cpu_times)
     summary["analytic_gn"].update(cpu_p99_ns=cpu["p99_ns"], cpu_max_ns=cpu["max_ns"])

@@ -1,8 +1,12 @@
+import pathlib
+
 import pytest
 import yaml
 
 from dcee import ConfigurationError, default_config, load_config, scenario_from_dict
 from dcee.config import CONTROLLER_TYPES
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_default_config_is_valid():
@@ -11,6 +15,17 @@ def test_default_config_is_valid():
     assert cfg.controller.type == "numerical_dcee"
     assert len(cfg.schedule) == 3
     assert cfg.schedule[0].t_start == 0.0
+
+
+def test_config_files_restate_the_defaults():
+    # dcee check and the tests use DEFAULTS, while dcee run and the
+    # benchmark load these files: they must describe the same scenarios
+    default = scenario_from_dict(default_config()).raw
+    assert load_config(CONFIGS / "default.yaml").raw == default
+    free = load_config(CONFIGS / "noise_free.yaml").raw
+    sigma = default["noise"]["sigma_reward"]
+    assert free["noise"]["sigma_reward"] == 0.0 != sigma
+    assert {**free, "noise": {**free["noise"], "sigma_reward": sigma}} == default
 
 
 def test_default_config_returns_fresh_copies():

@@ -421,9 +421,11 @@ def test_overflowed_members_are_infeasible(spec):
     with pytest.raises(InfeasibleCandidateError):
         objective_split(p, u)
     assert objective_grid(p, [u])[0] == math.inf
-    # a curvature floor so small that th0**2 underflows to 0 in the Jacobian
+    # a curvature floor so small that th0**2 underflows to 0 in the Jacobian:
+    # the residual alone is rejected where the Jacobian is
     tiny = dataclasses.replace(spec, curvature_floor=1e-200)
     p = make_problem([[-1e-170, 1e-171, 0.0], [-1e-170, 2e-171, 0.0]], v=10.0, spec=tiny)
-    assert residual_map(p)(300.0).shape == (3,)
+    with pytest.raises(InfeasibleCandidateError):
+        residual_map(p)(300.0)
     with pytest.raises(InfeasibleCandidateError):
         evaluate(p, 300.0)

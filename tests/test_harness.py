@@ -89,11 +89,11 @@ def test_newton_reference_fails_at_a_slope_without_curvature(monkeypatch):
     hg = fd_step(vehicle, u0)
     assert 2.0 * hg < fd_hessian_step(vehicle, u0)
 
-    def bumped_residual(u):
-        return np.array([1.0 if u0 + 0.5 * hg < u < u0 + 2.0 * hg else 0.0])
+    def bumped_terms(u):
+        return (1.0 if u0 + 0.5 * hg < u < u0 + 2.0 * hg else 0.0), 0.0, 0.0
 
-    # the reference prepares its residual once per solve through this name
-    monkeypatch.setattr(diagnostics, "residual_map", lambda problem: bumped_residual)
+    # the reference prepares its callback once per solve through this name
+    monkeypatch.setattr(diagnostics, "residual_fn", lambda problem: bumped_terms)
     problem = types.SimpleNamespace(vehicle=vehicle)
     gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
     with pytest.raises(SolverFailureError, match="zero curvature at a slope"):
@@ -109,12 +109,13 @@ def test_newton_reference_fails_on_an_infeasible_stencil_point(monkeypatch):
     u0 = 1000.0
     edge = u0 + 0.5 * fd_hessian_step(vehicle, u0)
 
-    def edged_residual(u):
+    def edged_terms(u):
         if u > edge:
             raise InfeasibleCandidateError(f"u={u} past the edge")
-        return np.array([1e-3 * u])
+        f = 1e-3 * u
+        return f * f, 1e-3 * f, 1e-6
 
-    monkeypatch.setattr(diagnostics, "residual_map", lambda problem: edged_residual)
+    monkeypatch.setattr(diagnostics, "residual_fn", lambda problem: edged_terms)
     fn = fd_hessian_newton(types.SimpleNamespace(vehicle=vehicle))
     gncfg = GnConfig(u_min=vehicle.u_min, u_max=vehicle.u_max)
     with pytest.raises(SolverFailureError, match="stencil point infeasible"):
@@ -127,7 +128,7 @@ def test_newton_reference_resolves_the_curvature_at_the_first_step():
     # at the default run's first snapshot (5 m/s, warm start 0 N) the half
     # objective is about 97 while its curvature J'J is about 4e-9: a step
     # too fine leaves the second difference rounding noise
-    problem, _ = harness._drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
+    problem, _ = harness.drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
     _, _, H = fd_hessian_newton(problem)(0.0)
     assert H == pytest.approx(residual_fn(problem)(0.0)[2], rel=0.01)
 
@@ -142,9 +143,9 @@ _CALLBACKS = {
 
 
 def test_references_prepare_once_and_evaluate_as_their_stencils_need(monkeypatch):
-    # one preparation per built callback, and per call the residual at u and
-    # at the stencil points u +- fd_step and u +- fd_hessian_step
-    real = diagnostics.residual_map
+    # one preparation per built callback, and per call the analytic callback
+    # at u and at the stencil points u +- fd_step and u +- fd_hessian_step
+    real = diagnostics.residual_fn
     counts = {"prepared": 0, "evaluated": 0}
 
     def counting(problem):
@@ -156,8 +157,8 @@ def test_references_prepare_once_and_evaluate_as_their_stencils_need(monkeypatch
             return fn(u)
         return counted
 
-    monkeypatch.setattr(diagnostics, "residual_map", counting)
-    problem, _ = harness._drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
+    monkeypatch.setattr(diagnostics, "residual_fn", counting)
+    problem, _ = harness.drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
     fn = fd_hessian_newton(problem)
     fn(300.0)
     fn(310.0)
@@ -167,7 +168,7 @@ def test_references_prepare_once_and_evaluate_as_their_stencils_need(monkeypatch
 @pytest.mark.parametrize("name", sorted(_CALLBACKS))
 def test_solve_callback_returns_exactly_three_floats(name):
     # (F'F, J'F, J'J) is the whole contract between a callback and solve
-    problem, _ = harness._drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
+    problem, _ = harness.drive(short_cfg(horizon_s=0.1), lambda k, t, seg, r, p, u: u)
     terms = _CALLBACKS[name](problem)(0.0)
     assert type(terms) is tuple and len(terms) == 3
     assert all(type(x) is float for x in terms)
@@ -404,7 +405,7 @@ def test_bench_solver_rejects_a_bad_agreement_stride_before_any_work(monkeypatch
     def no_work(*args):
         raise AssertionError("bench_solver started the loop")
 
-    monkeypatch.setattr(harness, "_drive", no_work)
+    monkeypatch.setattr(harness, "drive", no_work)
     with pytest.raises(InvalidInputError, match="agreement_stride"):
         bench_solver(short_cfg(), agreement_stride=stride)
 

@@ -33,7 +33,7 @@ from dcee import (
     standstill_input,
     VehicleParams,
 )
-from dcee.diagnostics import random_input, random_problem
+from dcee.diagnostics import fd_hessian_newton, random_input, random_problem
 from dcee.solver import GnReport, SolverHealth
 
 from conftest import make_problem
@@ -606,13 +606,15 @@ def test_closed_loop_solves_return_where_the_next_step_meets_tol(name):
 def _check_callback_against_evaluate(p, u):
     """residual_fn's (F'F, J'F, J'J) at u against the same terms
     of evaluate's arrays, and residual_map's F against evaluate's bit for
-    bit; where evaluate raises, the callback must raise the same error.
-    Returns whether u was feasible."""
+    bit; where evaluate raises, the callback and residual_map must raise
+    the same error.  Returns whether u was feasible."""
     try:
         F, J = evaluate(p, u)
     except (InfeasibleCandidateError, InvalidInputError) as exc:
         with pytest.raises(type(exc)):
             residual_fn(p)(u)
+        with pytest.raises(type(exc)):
+            residual_map(p)(u)
         return False
     assert residual_map(p)(u).tobytes() == F.tobytes()
     got = residual_fn(p)(u)
@@ -712,6 +714,41 @@ def test_callback_raises_where_evaluate_raises(spec):
         with pytest.raises(InvalidInputError):
             residual_fn(p)(u)
         assert not _check_callback_against_evaluate(p, u)
+
+
+def _check_objective_reads_the_callback(p, u):
+    """objective's D(u) and the Newton reference's F'F at u against the
+    callback's F'F, bit for bit; where the callback raises, objective must
+    raise the same error.  Returns whether u was feasible."""
+    try:
+        want = residual_fn(p)(u)[0]
+    except InfeasibleCandidateError:
+        with pytest.raises(InfeasibleCandidateError):
+            objective(p, u)
+        return False
+    assert objective(p, u).hex() == want.hex()
+    try:
+        assert fd_hessian_newton(p)(u)[0].hex() == want.hex()
+    except SolverFailureError:  # a stencil point past the feasible region
+        pass
+    return True
+
+
+def test_objective_is_the_callbacks_on_random_problems():
+    # the solver, objective and bench's reference score a candidate alike
+    rng = np.random.default_rng(37)
+    feasible = 0
+    for _ in range(200):
+        p = random_problem(rng)
+        us = [random_input(rng, p.vehicle) for _ in range(3)]
+        feasible += sum(_check_objective_reads_the_callback(p, u) for u in us)
+    assert feasible >= 300
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVE_RUNS))
+def test_objective_is_the_callbacks_on_closed_loop_inputs(name):
+    _, _, solves, _ = _solves_of_run(name)
+    assert all(_check_objective_reads_the_callback(p, u) for p, u, _ in solves[::5])
 
 
 def test_default_run_takes_at_most_two_evaluations_per_solve():

@@ -15,9 +15,11 @@ from dcee.config import DEFAULTS
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dcee"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # besides the package itself, the code that may read its private names: its
-# tests, and the benchmark that drives it
-READERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+# tests, the benchmark that drives it and the scripts
+READERS = (sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+           + SCRIPTS)
 
 
 def unused_imports(source: str) -> list:
@@ -143,12 +145,12 @@ def test_detects_a_stale_name_in_the_readme():
     assert stale_readme_names(text) == ["core.gone", "solver.gone", "noise.sigma"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + SCRIPTS, ids=lambda p: p.name)
 def test_module_imports_no_private_name_of_another(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
 
