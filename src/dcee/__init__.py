@@ -18,7 +18,6 @@ from .diagnostics import (
     HessianSplit,
     contraction_rate,
     derivative_audit,
-    exact_hessian_fd,
     ggn_split,
     jacobian_fd,
 )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import default_config, scenario_from_dict
-from .core import evaluate, objective, objective_grid, objective_split, residual_fn
+from .core import objective, objective_grid, objective_split, residual_fn
 from .diagnostics import (
     contraction_rate,
     derivative_audit,
@@ -117,10 +117,10 @@ def criterion_3_gn_correctness() -> CriterionResult:
         prob = random_problem(rng)
         u = random_input(rng, prob.vehicle)
         try:
-            _, J = evaluate(prob, u)
+            _, _, jtj = residual_fn(prob)(u)
         except InfeasibleCandidateError:
             continue
-        min_jtj = min(min_jtj, float(J @ J))
+        min_jtj = min(min_jtj, jtj)
     ok = worst_normal < 1e-10 and worst_agree < 1e-10 and min_jtj >= -1e-10
     detail = (
         f"normal-eq residual {worst_normal:.2e}, path agreement {worst_agree:.2e}, "

@@ -4,19 +4,21 @@ The production solver only ever touches first derivatives; the exact Hessian
 appears here exclusively as a finite-difference test oracle, used to split
 the curvature into the Gauss-Newton part J'J and the neglected second-order
 remainder, and to bound the local contraction rate of the full-step
-iteration.  Every finite difference of the residual is formed here, by
-_central, including those of fd_hessian_newton, the reference solve
-callback bench times.
+iteration.  Every finite difference is formed here, by _central: of
+residual_map for the Jacobian, and of the solve callback's 0.5 F'F for all
+else, so the split, the audit and bench's reference fd_hessian_newton read
+the numbers the solver steps with.
 """
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import (DceeProblem, evaluate, objective, objective_split, residual_fn,
-                   residual_map, standstill_input)
+from .core import (DceeProblem, evaluate, objective_split, residual_fn, residual_map,
+                   standstill_input)
 from .ensemble import Ensemble
 from .errors import (InfeasibleCandidateError, InvalidInputError, RateUndefinedError,
                      SolverFailureError)
@@ -26,22 +28,20 @@ from .reward import QuadraticRewardSpec, make_true_params
 
 @dataclass(frozen=True)
 class HessianSplit:
-    """h_exact = b_ggn + e_ggn, with b_ggn = J'J from the analytic Jacobian
-    and h_exact a finite-difference second derivative of 0.5 * ||F||^2."""
+    """h_exact = b_ggn + e_ggn, with b_ggn the solve callback's J'J and
+    h_exact a finite-difference second derivative of its 0.5 F'F."""
 
     b_ggn: float
     e_ggn: float
     h_exact: float
 
 
-def _half_objective_fn(fn):
-    """u -> 0.5 ||F(u)||^2 of the residual fn: u -> F."""
-
-    def L(u: float) -> float:
-        f = fn(u)
-        return 0.5 * float(f @ f)
-
-    return L
+def _half_objective(problem: DceeProblem):
+    """The solve callback residual_fn(problem), prepared once, and its half
+    objective L: u -> 0.5 F'F, the one function every difference of the
+    objective here takes."""
+    terms = residual_fn(problem)
+    return terms, lambda u: 0.5 * terms(u)[0]
 
 
 def _central(fn, u: float, h: float, at_u: float | None = None):
@@ -62,21 +62,14 @@ def jacobian_fd(fn, u: float, h: float) -> np.ndarray:
     return _central(fn, u, h)
 
 
-def exact_hessian_fd(fn, u: float, h: float) -> float:
-    """Central second difference of 0.5 * ||F(u)||^2 for the residual
-    fn: u -> F.  Infeasible stencil points propagate as
-    InfeasibleCandidateError."""
-    L = _half_objective_fn(fn)
-    return _central(L, u, h, L(u))
-
-
 def ggn_split(p: DceeProblem, u: float) -> HessianSplit:
     """Split the exact (finite-difference, step fd_hessian_step) curvature
-    into J'J and the rest."""
+    of the solve callback's 0.5 F'F into its J'J and the rest.  Infeasible
+    stencil points propagate as InfeasibleCandidateError."""
     u = float(u)
-    _, J = evaluate(p, u)
-    b = float(J @ J)
-    h_exact = exact_hessian_fd(residual_map(p), u, fd_hessian_step(p.vehicle, u))
+    terms, L = _half_objective(p)
+    d0, _, b = terms(u)
+    h_exact = _central(L, u, fd_hessian_step(p.vehicle, u), 0.5 * d0)
     return HessianSplit(b_ggn=b, e_ggn=h_exact - b, h_exact=h_exact)
 
 
@@ -140,15 +133,12 @@ def fd_hessian_newton(problem: DceeProblem):
     residual_fn builds the analytic one, of a damped Newton method:
     (F'F, g, |H|), with the gradient g and curvature H of L = 0.5 F'F by
     central differences in the places of J'F and J'J; an H < 0 is used by
-    magnitude, so the step still descends.  F'F is the analytic callback's,
-    residual_fn's on a problem prepared once, whose J'F and J'J go unread.
-    Each call evaluates it at u, u +- fd_step and u +- fd_hessian_step.  An
+    magnitude, so the step still descends.  F'F is the analytic callback's
+    (see _half_objective), whose J'F and J'J go unread.  Each call
+    evaluates it at u, u +- fd_step and u +- fd_hessian_step.  An
     infeasible stencil point, or H = 0 where g is not, gives no step and
     raises SolverFailureError."""
-    terms = residual_fn(problem)
-
-    def L(u: float) -> float:
-        return 0.5 * terms(u)[0]
+    terms, L = _half_objective(problem)
 
     def fn(u: float):
         d0 = terms(u)[0]
@@ -208,9 +198,10 @@ def _audit_instance(rng: np.random.Generator, vehicle: VehicleParams,
 
 def derivative_audit(vehicle: VehicleParams, reward: QuadraticRewardSpec,
                      samples: int, seed: int) -> AuditReport:
-    """Randomized check of the analytic Jacobian, the gradient identity
-    grad(0.5*||F||^2) = J'F, and the exploitation/exploration decomposition,
-    on random problems with the given vehicle and reward.
+    """Randomized check of the analytic Jacobian of evaluate, the solve
+    callback's gradient identity grad(0.5 F'F) = J'F, and the
+    exploitation/exploration decomposition of its F'F, on random problems
+    with the given vehicle and reward.
 
     Three in four instances sit at an edge: a standstill speed, an input at
     a bound, or both (see _audit_instance).  Instances that hit the
@@ -218,8 +209,10 @@ def derivative_audit(vehicle: VehicleParams, reward: QuadraticRewardSpec,
     or whose stencil straddles standstill_input, where the residual has a
     kink, are skipped and counted, not failed.
     """
-    if samples < 1:
-        raise InvalidInputError("samples must be at least 1")
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     max_jac = 0.0
@@ -233,18 +226,17 @@ def derivative_audit(vehicle: VehicleParams, reward: QuadraticRewardSpec,
             skipped += 1
             continue
         try:
-            F, J = evaluate(prob, u)
-            residual = residual_map(prob)
-            J_fd = jacobian_fd(residual, u, h)
-            g_fd = _central(_half_objective_fn(residual), u, h)
+            _, J = evaluate(prob, u)
+            J_fd = jacobian_fd(residual_map(prob), u, h)
+            terms, L = _half_objective(prob)
+            d, g, _ = terms(u)
+            g_fd = _central(L, u, h)
             exploit, explore = objective_split(prob, u)
-            d = objective(prob, u)
         except InfeasibleCandidateError:
             skipped += 1
             continue
         jac_scale = max(np.abs(J).max(), 1e-300)
         max_jac = max(max_jac, float(np.abs(J_fd - J).max() / jac_scale))
-        g = float(J @ F)
         g_scale = max(abs(g), abs(g_fd), 1e-10)
         max_grad = max(max_grad, abs(g_fd - g) / g_scale)
         max_split = max(max_split, abs(d - (exploit + explore)))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import esc_init, esc_step, grad_dcee_step
 from .config import ScenarioConfig
-from .core import DceeProblem, evaluate, objective, objective_split, residual_fn
+from .core import DceeProblem, evaluate, objective, objective_split, residual_fn, standstill_input
 from .diagnostics import fd_hessian_newton
 from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
@@ -295,11 +295,12 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
 
     The loop itself is always driven by the production (analytic-Jacobian)
     controller; solve runs the reference's callback on each snapshot from
-    the same warm start with the same settings.  Each is timed around its
-    call, so the analytic time includes controller_step's preparation; the
-    analytic solves are also timed on the thread's CPU clock, which a
-    descheduled process does not advance, and its p99 and max go into their
-    timing entry as cpu_p99_ns and cpu_max_ns.  Every agreement_stride steps
+    the same warm start, lifted to standstill_input as controller_step lifts
+    it, with the same settings.  Each is timed around its call, so the
+    analytic time includes controller_step's preparation; the analytic
+    solves are also timed on the thread's CPU clock, which a descheduled
+    process does not advance, and its p99 and max go into their timing
+    entry as cpu_p99_ns and cpu_max_ns.  Every agreement_stride steps
     both are also re-solved to convergence (60 iterations at most) and
     the relative spread of the reached objectives is tracked.
     At the same steps the exploitation residual F[0] alone is solved from
@@ -330,23 +331,24 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         cpu_times.append(time.thread_time_ns() - cpu0)
         health.add(report)
 
+        u_start = max(u_prev, standstill_input(problem.vehicle, problem.v))
         try:
             # the callback is built inside the timed call, so its
             # preparation counts as controller_step's does
             _timed(times["fd_hessian_newton"],
-                   lambda: solve(fd_hessian_newton(problem), u_prev, gncfg))
+                   lambda: solve(fd_hessian_newton(problem), u_start, gncfg))
         except SolverFailureError:
             reference_failures += 1
 
         if k % agreement_stride == 0:
             try:
-                us = [solve(make_fn(problem), u_prev, ref_cfg)[0]
+                us = [solve(make_fn(problem), u_start, ref_cfg)[0]
                       for make_fn in (residual_fn, fd_hessian_newton)]
                 objs = [objective(problem, uu) for uu in us]
                 spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
                 agreement_max_rel = max(agreement_max_rel, spread_rel)
                 agreement_checks += 1
-                u_x, _ = solve(_exploit_only_fn(problem), u_prev, ref_cfg)
+                u_x, _ = solve(_exploit_only_fn(problem), u_start, ref_cfg)
                 explore_shifts.append(abs(us[0] - u_x))
             except SolverFailureError:
                 reference_failures += 1

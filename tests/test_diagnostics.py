@@ -1,22 +1,39 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dcee import (
     GnConfig,
+    InfeasibleCandidateError,
+    InvalidInputError,
     QuadraticRewardSpec,
     RateUndefinedError,
     VehicleParams,
     contraction_rate,
     derivative_audit,
-    exact_hessian_fd,
     ggn_split,
     residual_fn,
     solve,
     standstill_input,
 )
-from dcee.config import default_config, scenario_from_dict
-from dcee.diagnostics import HessianSplit, fd_step, random_problem
+from dcee import diagnostics
+from dcee.cli import main
+from dcee.config import default_config, load_config, scenario_from_dict
+from dcee.diagnostics import HessianSplit, fd_hessian_newton, fd_step, random_input, random_problem
 from dcee.harness import run_closed_loop
+
+
+DEFAULT_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
+
+
+def _second_difference_of_half_objective(fun, u, h):
+    # the split's curvature rule on the half objective of a synthetic u -> F
+    def L(x):
+        f = fun(x)
+        return 0.5 * float(f @ f)
+
+    return diagnostics._central(L, u, h, L(u))
 
 
 def test_exact_hessian_synthetic_quadratic():
@@ -26,7 +43,7 @@ def test_exact_hessian_synthetic_quadratic():
     def fun(u):
         return np.array([np.sqrt(a) * u])
 
-    assert exact_hessian_fd(fun, 1.0, h=2e-4) == pytest.approx(a, abs=1e-6)
+    assert _second_difference_of_half_objective(fun, 1.0, h=2e-4) == pytest.approx(a, abs=1e-6)
 
 
 def test_exact_hessian_affine_residual_matches_gn_matrix():
@@ -35,7 +52,7 @@ def test_exact_hessian_affine_residual_matches_gn_matrix():
     def fun(u):
         return a * (u - 1.0) + np.array([0.1, 0.0, -0.2])
 
-    h_exact = exact_hessian_fd(fun, 4.0, h=5e-4)
+    h_exact = _second_difference_of_half_objective(fun, 4.0, h=5e-4)
     assert h_exact == pytest.approx(float(a @ a), rel=1e-6)
 
 
@@ -45,6 +62,34 @@ def test_ggn_split_consistency_by_construction():
     split = ggn_split(p, 200.0)
     assert split.h_exact == pytest.approx(split.b_ggn + split.e_ggn)
     assert split.b_ggn >= 0.0
+
+
+def _check_split_reads_the_callback(p, u):
+    """ggn_split's J'J against the solve callback's, and where the curvature
+    is positive its exact curvature against the Newton reference's, bit for
+    bit.  Returns whether the split could be formed at u."""
+    try:
+        split = ggn_split(p, u)
+    except InfeasibleCandidateError:  # u or a stencil point past the edge
+        return False
+    assert split.b_ggn.hex() == residual_fn(p)(u)[2].hex()
+    if split.h_exact > 0.0:
+        assert split.h_exact.hex() == fd_hessian_newton(p)(u)[2].hex()
+    return True
+
+
+def test_ggn_split_reads_the_solve_callback():
+    # the split checks the J'J the solver divides by, and its exact
+    # curvature is the Newton reference's, on random problems and at the
+    # default run's final snapshot
+    rng = np.random.default_rng(38)
+    formed = 0
+    for _ in range(100):
+        p = random_problem(rng)
+        formed += _check_split_reads_the_callback(p, random_input(rng, p.vehicle))
+    assert formed >= 90
+    res = run_closed_loop(load_config(DEFAULT_CONFIG))
+    assert _check_split_reads_the_callback(res.final_problem, res.final_u)
 
 
 def test_ggn_error_term_shrinks_toward_zero_residual(spec):
@@ -153,3 +198,36 @@ def test_fd_step_scale():
     veh = VehicleParams()
     assert fd_step(veh, 0.0) == pytest.approx(1e-6 * 10000.0)
     assert fd_step(veh, 1000.0) == pytest.approx(1e-6 * 11000.0)
+
+
+def test_audit_fails_on_a_wrong_callback_gradient(monkeypatch, capsys):
+    # the audit checks the J'F solve steps with: a gradient off by 1e-3
+    # fails it, and `dcee audit` with it
+    real = diagnostics.residual_fn
+
+    def scaled(problem):
+        terms = real(problem)
+
+        def fn(u):
+            d, jtf, jtj = terms(u)
+            return d, jtf * (1.0 + 1e-3), jtj
+        return fn
+
+    monkeypatch.setattr(diagnostics, "residual_fn", scaled)
+    report = derivative_audit(VehicleParams(), QuadraticRewardSpec(), samples=20, seed=711)
+    assert report.max_gradient_rel_err > 1e-4
+    assert not report.passed
+    assert main(["audit", DEFAULT_CONFIG, "--samples", "20"]) == 1
+    assert '"passed": false' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("samples, seed", [(2.5, 1), (0, 1), ("5", 1), (5, -1), (5, 1.5), (5, None)],
+                         ids=["samples-2.5", "samples-0", "samples-str", "seed-neg", "seed-1.5",
+                              "seed-None"])
+def test_derivative_audit_rejects_bad_arguments_before_any_work(monkeypatch, samples, seed):
+    def no_work(*args):
+        raise AssertionError("derivative_audit drew an instance")
+
+    monkeypatch.setattr(diagnostics, "_audit_instance", no_work)
+    with pytest.raises(InvalidInputError, match="samples|seed"):
+        derivative_audit(VehicleParams(), QuadraticRewardSpec(), samples=samples, seed=seed)
