@@ -4,8 +4,8 @@ default run's own per-step problems, and print the README's table.
     PYTHONPATH=src python scripts/standard_packages.py [configs/default.yaml]
 
 The closed loop is driven by controller_step, as `dcee run` drives it.  On
-every STRIDE-th step the same problem is also solved, from the same lifted
-warm start and in the same input box, by
+every STRIDE-th step the same problem is also solved, from controller_step's
+start, dcee.warm_start, and in the same input box, by
 
 * scipy.optimize.least_squares: TRF on the residual F, with the analytic
   Jacobian and xtol = the solver's tol; F and J come from one
@@ -37,7 +37,7 @@ import scipy
 from scipy.optimize import least_squares, minimize_scalar
 
 from dcee import (InfeasibleCandidateError, controller_step, evaluate, load_config, objective,
-                  residual_fn, standstill_input)
+                  residual_fn, warm_start)
 from dcee.harness import drive
 
 STRIDE = 5
@@ -86,8 +86,7 @@ def compare(cfg):
         if k % STRIDE:
             return u
         out["controller_step"]["us"].append(elapsed / 1e3)
-        veh = problem.vehicle
-        u0 = min(max(u_prev, standstill_input(veh, problem.v), veh.u_min), veh.u_max)
+        u0 = warm_start(problem, u_prev)
         d_gn = objective(problem, u)
         for name, solver in SOLVERS.items():
             c0 = time.thread_time_ns()

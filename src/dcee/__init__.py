@@ -12,6 +12,7 @@ from .core import (
     residual_fn,
     residual_map,
     standstill_input,
+    warm_start,
 )
 from .diagnostics import (
     AuditReport,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DceeProblem, residual_fn, standstill_input
+from .core import DceeProblem, residual_fn, warm_start
 from .errors import ConfigurationError, InfeasibleCandidateError
 from .plant import VehicleParams, drag_force
 
@@ -31,24 +31,18 @@ class GradDceeConfig:
 def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
     """One explicit gradient step u - gain * grad(D)(u), clamped to bounds.
 
-    grad(D) = 2 J'F, from the same callback the Gauss-Newton solve uses.  As in
-    controller_step, a u_prev below standstill_input is lifted to it, where
-    the gradient does not vanish, and a non-finite u_prev, which gives no
-    point to step from, gives the input that holds the current speed
-    against drag, clamped to the bounds.  If the evaluation is infeasible
-    the (lifted) input is held.
+    grad(D) = 2 J'F, from the same callback the Gauss-Newton solve uses.  As
+    controller_step does, it steps from warm_start(p, u_prev), and holds
+    that start where the evaluation is infeasible.
     """
     veh = p.vehicle
-    u_prev = float(u_prev)
-    if not math.isfinite(u_prev):
-        return min(max(drag_force(veh, p.v), veh.u_min), veh.u_max)
-    u_prev = min(max(u_prev, veh.u_min, standstill_input(veh, p.v)), veh.u_max)
+    u_start = warm_start(p, u_prev)
     try:
-        _, jtf, _ = residual_fn(p)(u_prev)
+        _, jtf, _ = residual_fn(p)(u_start)
     except InfeasibleCandidateError:
-        return u_prev
+        return u_start
     grad = 2.0 * jtf
-    u = u_prev - cfg.gain * grad
+    u = u_start - cfg.gain * grad
     return min(max(u, veh.u_min), veh.u_max)
 
 

@@ -52,6 +52,17 @@ def standstill_input(vehicle: VehicleParams, v: float) -> float:
     return drag_force(vehicle, v) - v * vehicle.mass / vehicle.dt
 
 
+def warm_start(p: DceeProblem, u_prev: float) -> float:
+    """The input a model-based selection starts from, clamped to
+    p.vehicle's box: u_prev lifted to standstill_input, since from below it
+    no step could move, or, for a non-finite u_prev, which gives no point
+    to start from, the input that holds the current speed against drag."""
+    veh = p.vehicle
+    u = float(u_prev)
+    u = max(u, standstill_input(veh, p.v)) if math.isfinite(u) else drag_force(veh, p.v)
+    return min(max(u, veh.u_min), veh.u_max)
+
+
 class _Prepared:
     """Problem-invariant quantities shared by all evaluations of one snapshot.
 
@@ -162,20 +173,19 @@ def _eval_prepared(prep: _Prepared, u: float, pairs=None):
         srr += r * r
     n = prep.n
     gmean = scale * (cq + sq / n)
-    if not math.isfinite(gmean):
-        # overflowing members give inf/nan here; to the solver that is one
-        # more candidate it must not accept
-        raise InfeasibleCandidateError(
-            f"candidate u={u} gives a non-finite predicted optimal speed"
-        )
     f0 = y - gmean
     dmean = k * (cr + sr / n)
     j0 = dy_du - dmean
+    ftf = f0 * f0 + scale * scale * (sqq - sq * sq / n) / n
+    jtf = j0 * f0 + scale * k * (sqr - sq * sr / n) / n
+    jtj = j0 * j0 + k * k * (srr - sr * sr / n) / n
+    if not (math.isfinite(ftf) and math.isfinite(jtf) and math.isfinite(jtj)):
+        # overflowing members give inf/nan here, even where each member's
+        # values are finite: one more candidate the solver must not accept
+        raise InfeasibleCandidateError(f"candidate u={u} gives non-finite objective terms")
     if pairs is not None:
         return f0, gmean, j0, dmean
-    return (f0 * f0 + scale * scale * (sqq - sq * sq / n) / n,
-            j0 * f0 + scale * k * (sqr - sq * sr / n) / n,
-            j0 * j0 + k * k * (srr - sr * sr / n) / n)
+    return ftf, jtf, jtj
 
 
 def _residual_arrays(prep: _Prepared, u: float):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import esc_init, esc_step, grad_dcee_step
 from .config import ScenarioConfig
-from .core import DceeProblem, evaluate, objective, objective_split, residual_fn, standstill_input
+from .core import DceeProblem, evaluate, objective, objective_split, residual_fn, warm_start
 from .diagnostics import fd_hessian_newton
 from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
@@ -295,12 +295,12 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
 
     The loop itself is always driven by the production (analytic-Jacobian)
     controller; solve runs the reference's callback on each snapshot from
-    the same warm start, lifted to standstill_input as controller_step lifts
-    it, with the same settings.  Each is timed around its call, so the
-    analytic time includes controller_step's preparation; the analytic
-    solves are also timed on the thread's CPU clock, which a descheduled
-    process does not advance, and its p99 and max go into their timing
-    entry as cpu_p99_ns and cpu_max_ns.  Every agreement_stride steps
+    controller_step's start, warm_start(problem, u_prev), with the same
+    settings.  Each is timed around its call, so the analytic time
+    includes controller_step's preparation; the analytic solves are also
+    timed on the thread's CPU clock, which a descheduled process does not
+    advance, and its p99 and max go into their timing entry as
+    cpu_p99_ns and cpu_max_ns.  Every agreement_stride steps
     both are also re-solved to convergence (60 iterations at most) and
     the relative spread of the reached objectives is tracked.
     At the same steps the exploitation residual F[0] alone is solved from
@@ -331,7 +331,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         cpu_times.append(time.thread_time_ns() - cpu0)
         health.add(report)
 
-        u_start = max(u_prev, standstill_input(problem.vehicle, problem.v))
+        u_start = warm_start(problem, u_prev)
         try:
             # the callback is built inside the timed call, so its
             # preparation counts as controller_step's does

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DceeProblem, residual_fn, standstill_input
+from .core import DceeProblem, residual_fn, warm_start
 from .errors import ConfigurationError, InfeasibleCandidateError, SolverFailureError
-from .plant import drag_force
 
 # Relative slack when judging whether a trial step decreased the objective;
 # guards against rejecting genuinely converged steps on rounding noise.
@@ -238,27 +237,16 @@ def solve(fun, u_init: float, cfg: GnConfig):
 
 
 def controller_step(p: DceeProblem, u_prev: float, cfg: GnConfig):
-    """One control-step solve, warm-started at the previously applied input.
+    """One control-step solve from warm_start(p, u_prev), the previously
+    applied input lifted out of standstill and clamped to the box.
 
-    A warm start below standstill_input is lifted to it: every smaller input
-    predicts speed 0 and gives the same residual with a zero Jacobian, so a
-    solve started there could never move.
-
-    Never raises: a solver failure falls back to holding u_prev, clamped to
-    the box, and the report is flagged, preserving the real-time contract.
-    A non-finite u_prev gives no input to hold, so it falls back to the
-    input that holds the current speed against drag.
+    Never raises: a solver failure falls back to holding that start, and
+    the report is flagged, preserving the real-time contract.
     """
-    u_prev = float(u_prev)
-    report = None
-    if math.isfinite(u_prev):
-        try:
-            return solve(residual_fn(p), max(u_prev, standstill_input(p.vehicle, p.v)), cfg)
-        except SolverFailureError as exc:
-            report = exc.report
-        u_held = u_prev
-    else:
-        u_held = drag_force(p.vehicle, p.v)
-    report = report or GnReport()
+    u_start = warm_start(p, u_prev)
+    try:
+        return solve(residual_fn(p), u_start, cfg)
+    except SolverFailureError as exc:
+        report = exc.report or GnReport()
     report.fallback = True
-    return min(max(u_held, cfg.u_min), cfg.u_max), report
+    return u_start, report

@@ -22,6 +22,7 @@ from dcee import (
     measure,
     objective,
     plant_step,
+    warm_start,
 )
 from dcee.diagnostics import random_input, random_problem
 from dcee.errors import ConfigurationError, InfeasibleCandidateError
@@ -80,16 +81,27 @@ def test_grad_step_holds_on_infeasible(spec):
     assert grad_dcee_step(p, 5000.0, GradDceeConfig()) == 5000.0
 
 
-def test_grad_step_holds_drag_on_non_finite_warm_start():
-    # no finite input to step from: hold the speed against drag, as
-    # controller_step's fallback does, rather than raise or brake fully
+SELECTORS = {
+    "controller_step": lambda p, u: controller_step(
+        p, u, GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max))[0],
+    "grad_dcee_step": lambda p, u: grad_dcee_step(p, u, GradDceeConfig()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECTORS))
+def test_selection_from_a_non_finite_warm_start_starts_at_the_drag_input(name):
+    # no finite input to start from: each model-based selection starts from
+    # the input that holds the speed against drag, rather than raise, brake
+    # fully or return that input unchanged
+    select = SELECTORS[name]
     p = make_problem([[-1.0, 1.5, 0.25], [-0.8, 1.2, 0.2]], v=20.0)
-    gncfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
-    assert drag_force(p.vehicle, 20.0) == pytest.approx(360.0)
+    u_drag = drag_force(p.vehicle, 20.0)
+    assert u_drag == pytest.approx(360.0)
+    # the members' optimal speed is 22.5 m/s, so a selection moves from there
+    assert select(p, u_drag) > u_drag
     for u_prev in (math.nan, math.inf, -math.inf):
-        u = grad_dcee_step(p, u_prev, GradDceeConfig())
-        assert u == drag_force(p.vehicle, 20.0)
-        assert u == controller_step(p, u_prev, gncfg)[0]
+        assert warm_start(p, u_prev) == u_drag
+        assert select(p, u_prev) == select(p, u_drag)
 
 
 def test_grad_step_clamps_to_bounds():

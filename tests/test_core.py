@@ -18,6 +18,7 @@ from dcee import (
     objective_split,
     residual_map,
     standstill_input,
+    warm_start,
 )
 from dcee.diagnostics import fd_step, random_input, random_problem
 
@@ -215,6 +216,21 @@ def test_jacobian_vanishes_at_standstill():
     J_fd = jacobian_fd(residual_map(p), u, fd_step(p.vehicle, u))
     assert np.array_equal(J, J_fd)
     assert not J.any()
+
+
+def test_warm_start_lifts_clamps_and_replaces_a_non_finite_input():
+    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    veh = p.vehicle
+    u_stop = standstill_input(veh, p.v)
+    assert veh.u_min < u_stop < 0.0
+    # below standstill, inside the box, above u_max
+    assert warm_start(p, veh.u_min) == u_stop
+    assert warm_start(p, 0.0) == 0.0
+    assert warm_start(p, veh.u_max + 1.0) == veh.u_max
+    # no finite input: the drag-holding one, clamped to the box too
+    for u_prev in (math.nan, math.inf, -math.inf):
+        assert warm_start(p, u_prev) == drag_force(veh, p.v)
+        assert warm_start(dataclasses.replace(p, v=200.0), u_prev) == veh.u_max
 
 
 def test_standstill_input_is_the_edge_of_the_clamp():

@@ -26,6 +26,7 @@ from dcee import (
     scenario_from_dict,
     solve,
     standstill_input,
+    warm_start,
 )
 from dcee import diagnostics, harness
 from dcee.diagnostics import fd_hessian_newton, fd_hessian_step, fd_step, random_problem
@@ -413,8 +414,9 @@ def test_bench_solver_rejects_a_bad_agreement_stride_before_any_work(monkeypatch
 
 def test_bench_solver_side_solves_start_where_controller_step_does(monkeypatch):
     # from standstill the warm start 0 N sits where J = 0; controller_step
-    # lifts it to standstill_input, and so must the reference, agreement
-    # and exploit-only solves, or they stop where they start
+    # starts from warm_start, lifted to standstill_input, and so must the
+    # reference, agreement and exploit-only solves, or they stop where
+    # they start
     starts = []
     real_solve = harness.solve
 
@@ -426,8 +428,8 @@ def test_bench_solver_side_solves_start_where_controller_step_does(monkeypatch):
     cfg = scenario_from_dict({"v0": 0.0, "horizon_s": 0.1})
     problem, _ = harness.drive(cfg, lambda k, t, seg, r, p, u: u)
     report = bench_solver(cfg, agreement_stride=1)
-    lifted = standstill_input(problem.vehicle, problem.v)
-    assert lifted > 0.0
+    lifted = warm_start(problem, 0.0)
+    assert lifted == standstill_input(problem.vehicle, problem.v) > 0.0
     assert starts == [lifted] * 4
     assert report["explore_shift_checks"] == 1
 

@@ -12,16 +12,17 @@ from dcee import (
     ConfigurationError,
     Ensemble,
     GnConfig,
+    GradDceeConfig,
     InfeasibleCandidateError,
     InvalidInputError,
     SolverFailureError,
     condition_stats,
     controller_step,
     default_config,
-    drag_force,
     evaluate,
     gn_step,
     gn_terms,
+    grad_dcee_step,
     objective,
     objective_grid,
     residual_fn,
@@ -32,6 +33,7 @@ from dcee import (
     solve,
     standstill_input,
     VehicleParams,
+    warm_start,
 )
 from dcee.diagnostics import fd_hessian_newton, random_input, random_problem
 from dcee.solver import GnReport, SolverHealth
@@ -367,20 +369,23 @@ def test_warm_start_second_solve_is_immediate():
     assert rep2.iterations <= 2
 
 
-def test_controller_step_fallback_on_failure():
+def test_controller_step_fallback_on_failure(monkeypatch):
+    # a callback infeasible everywhere: the start and all 33 grid points
+    # fail, and controller_step holds its start, lifted out of standstill
+    # and clamped to the box
     def always_infeasible(u):
         raise InfeasibleCandidateError("synthetic")
 
-    class FakeProblem:
-        pass
-
-    # exercise the fallback through solve() directly: controller_step wraps a
-    # DceeProblem, so emulate its behavior with a raising callable
-    cfg = GnConfig(u_min=-100.0, u_max=100.0)
-    with pytest.raises(SolverFailureError) as err:
-        solve(always_infeasible, 3.0, cfg)
-    assert err.value.report is not None
-    assert err.value.report.iterations == 0
+    monkeypatch.setattr(dcee.solver, "residual_fn", lambda p: always_infeasible)
+    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
+    assert warm_start(p, -4000.0) == standstill_input(p.vehicle, p.v) > -4000.0
+    assert warm_start(p, 7000.0) == p.vehicle.u_max
+    for u_prev in (-4000.0, 300.0, 7000.0):
+        u, rep = controller_step(p, u_prev, cfg)
+        assert u == warm_start(p, u_prev)
+        assert rep.fallback
+        assert rep.evaluations == 34
 
 
 def test_controller_step_returns_report():
@@ -411,19 +416,6 @@ def test_controller_step_falls_back_on_non_finite_residual():
     assert u == p.vehicle.u_max
     assert rep.fallback
     assert rep.iterations == 0
-
-
-def test_controller_step_falls_back_on_non_finite_warm_start():
-    # no finite input to hold: fall back to the input that holds the speed
-    # against drag instead of raising
-    p = random_problem(np.random.default_rng(0))
-    cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
-    u_hold = min(max(drag_force(p.vehicle, p.v), cfg.u_min), cfg.u_max)
-    for u_prev in (math.nan, math.inf, -math.inf):
-        u, rep = controller_step(p, u_prev, cfg)
-        assert u == u_hold
-        assert rep.fallback
-        assert rep.iterations == 0
 
 
 def test_controller_step_evaluates_through_residual_fn(monkeypatch):
@@ -714,6 +706,27 @@ def test_callback_raises_where_evaluate_raises(spec):
         with pytest.raises(InvalidInputError):
             residual_fn(p)(u)
         assert not _check_callback_against_evaluate(p, u)
+
+
+def test_overflowed_terms_are_infeasible_and_each_selection_holds_its_start():
+    # every member value is finite (F about 1e238), but F'F overflows to
+    # inf - inf: the pass must call the candidate infeasible in both its
+    # modes, not hand the solver a nan
+    members = [[-0.4656678946210841, 2.5866995964105405e236, -7.370787533468109e120],
+               [-0.6973455973401603, 2.0982287357399028e236, -7.754215341698107e120],
+               [-0.4874290317713813, 4.3774110033710322e236, 9.347792585864937e119],
+               [-0.5691293701793064, 4.4825400702147928e236, -3.932113302064794e120],
+               [-0.4391045929735691, 4.4227587983722734e236, -1.565450898941654e120]]
+    p = make_problem(members, rates=np.geomspace(0.05, 0.5, 5), v=0.28177949633281685)
+    u_prev = -4775.676001577193
+    u_start = warm_start(p, u_prev)
+    assert u_start == standstill_input(p.vehicle, p.v) > u_prev
+    assert not _check_callback_against_evaluate(p, u_start)
+    u, rep = controller_step(p, u_prev, GnConfig())
+    assert u == u_start
+    assert rep.fallback
+    assert rep.evaluations == 34
+    assert grad_dcee_step(p, u_prev, GradDceeConfig()) == u_start
 
 
 def _check_objective_reads_the_callback(p, u):
