@@ -27,7 +27,6 @@ from .ensemble import (
     NOISE_VAR_FLOOR,
     Ensemble,
     EnsembleSettings,
-    SharedCovariance,
     change_test,
     condition_stats,
     init_ensemble,

@@ -85,10 +85,10 @@ class _Prepared:
         # means may depend on the interpreter version
         self.mean = (sum(m0) / n, sum(m1) / n, sum(m2) / n)
         veh = p.vehicle
-        self.v = p.v
-        self.drag = drag_force(veh, p.v)
+        v = self.v = float(p.v)
+        self.drag = drag_force(veh, v)
         self.dy_du = veh.dt / veh.mass
-        self.u_stop = standstill_input(veh, p.v)
+        self.u_stop = standstill_input(veh, v)
         self.s = p.reward.v_scale
         self.neg_floor = min(-p.reward.curvature_floor, -_MIN_CURVATURE)
         self.inv_sqrt_n = 1.0 / math.sqrt(n)
@@ -292,7 +292,8 @@ def _objective_terms(p: DceeProblem, u, feasible):
 def objective_split(p: DceeProblem, u: float) -> tuple[float, float]:
     """(exploitation, exploration) terms computed from the ensemble
     statistics directly, not from the stacked residual, so the identity
-    objective == exploit + explore is a genuine cross-check."""
+    objective == exploit + explore is a genuine cross-check.  As in the
+    solve callback, a candidate whose terms are not finite is infeasible."""
     u = float(u)
     if not math.isfinite(u):
         raise InvalidInputError(f"candidate input must be finite, got {u}")
@@ -301,20 +302,23 @@ def objective_split(p: DceeProblem, u: float) -> tuple[float, float]:
         raise InfeasibleCandidateError(
             f"candidate u={u} drives a predicted member outside the admissible region"
         )
+    if not (math.isfinite(exploit) and math.isfinite(explore)):
+        raise InfeasibleCandidateError(f"candidate u={u} gives non-finite objective terms")
     return exploit, explore
 
 
 def objective_grid(p: DceeProblem, us) -> np.ndarray:
     """Vectorized objective over an array of candidate inputs.
 
-    Infeasible candidates evaluate to +inf, which is how grid-search oracles
-    and line searches treat them.
+    Infeasible candidates, and those whose terms are not finite, evaluate
+    to +inf, which is how grid-search oracles and line searches treat them.
     """
     us = np.asarray(us, dtype=float)
     # infeasible candidates may divide by 0 or overflow; they end as +inf
     with np.errstate(all="ignore"):
         exploit, explore, feasible = _objective_terms(p, us, np.isfinite(us))
-        return np.where(feasible, exploit + explore, np.inf)
+        total = exploit + explore
+        return np.where(feasible & np.isfinite(total), total, np.inf)
 
 
 def residual_fn(p: DceeProblem):

@@ -11,7 +11,6 @@ the numbers the solver steps with.
 """
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -21,7 +20,7 @@ from .core import (DceeProblem, evaluate, objective_split, residual_fn, residual
                    standstill_input)
 from .ensemble import Ensemble
 from .errors import (InfeasibleCandidateError, InvalidInputError, RateUndefinedError,
-                     SolverFailureError)
+                     SolverFailureError, integer_at_least)
 from .plant import VehicleParams
 from .reward import QuadraticRewardSpec, make_true_params
 
@@ -209,9 +208,9 @@ def derivative_audit(vehicle: VehicleParams, reward: QuadraticRewardSpec,
     or whose stencil straddles standstill_input, where the residual has a
     kink, are skipped and counted, not failed.
     """
-    if not isinstance(samples, numbers.Integral) or samples < 1:
+    if not integer_at_least(samples, 1):
         raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not integer_at_least(seed, 0):
         raise InvalidInputError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()

@@ -1,9 +1,10 @@
 """Multi-estimator belief over the reward parameters.
 
 The bank learns from measured rewards by recursive least squares with one
-SharedCovariance, a change test that re-opens it after the environment
-switches, and an admissibility projection.  The predicted update inside the
-control objective, at each member's own staggered rate, is in core.
+covariance shared by its members, a change test that re-opens it after the
+environment switches, and an admissibility projection.  The predicted
+update inside the control objective, at each member's own staggered rate,
+is in core.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError
+from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError, integer_at_least
 from .reward import QuadraticRewardSpec, basis
 
 
@@ -32,35 +33,25 @@ NOISE_VAR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
-class SharedCovariance:
-    """Parameter covariance of the covariance-weighted measured update.
-
-    All members see the same regressor at every step, so one 3x3 matrix
-    serves the whole bank.  prior is both the initial covariance and what a
-    detected environment change adds back; noise_var is the measurement
-    variance R; cusum_hi/cusum_lo are the change-test statistics and resets
-    counts the alarms so far.
-    """
-
-    matrix: np.ndarray   # (3, 3)
-    prior: np.ndarray    # (3, 3)
-    noise_var: float
-    cusum_hi: float = 0.0
-    cusum_lo: float = 0.0
-    resets: int = 0
-
-
-@dataclass(frozen=True)
 class Ensemble:
-    """Immutable estimator bank: one parameter row per member."""
+    """Immutable estimator bank: one parameter row per member.
+
+    All members see the same regressor at every step, so one 3x3
+    covariance serves the whole bank in measured_update, which needs it;
+    prior is both the initial covariance and what a detected environment
+    change adds back, noise_var is the measurement variance R,
+    cusum_hi/cusum_lo are the change-test statistics and resets counts the
+    alarms so far.  A bank built from members and rates alone only predicts.
+    """
 
     members: np.ndarray  # (n, 3)
     rates: np.ndarray    # (n,) positive rates of the predicted update
-    covariance: SharedCovariance | None = None  # required by measured_update
-
-    @property
-    def n_members(self) -> int:
-        return self.members.shape[0]
+    covariance: np.ndarray | None = None  # (3, 3) P
+    prior: np.ndarray | None = None       # (3, 3)
+    noise_var: float = NOISE_VAR_FLOOR
+    cusum_hi: float = 0.0
+    cusum_lo: float = 0.0
+    resets: int = 0
 
 
 @dataclass(frozen=True)
@@ -77,28 +68,31 @@ class EnsembleSettings:
 
     def __post_init__(self):
         try:
+            prior = np.asarray(self.prior, dtype=float)
             spread = np.asarray(self.spread, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"ensemble spread must be numbers: {exc}") from exc
+            raise ConfigurationError(f"ensemble prior and spread must be numbers: {exc}") from exc
+        object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "spread", spread)
-        if self.n_members < 1:
-            raise ConfigurationError("ensemble N must be at least 1")
-        if np.shape(self.prior) != (3,) or spread.shape != (3,):
+        if not integer_at_least(self.n_members, 1):
+            raise ConfigurationError("ensemble N must be an integer of at least 1")
+        if prior.shape != (3,) or spread.shape != (3,):
             raise ConfigurationError("ensemble prior and spread must have shape (3,)")
+        if not np.all(np.isfinite(prior)):
+            raise ConfigurationError("ensemble prior must be finite")
         if not np.all(np.isfinite(spread) & (spread >= 0.0)):
             raise ConfigurationError("ensemble spread must be three nonnegative numbers")
-        if not (0.0 < self.eta_lo <= self.eta_hi):
-            raise ConfigurationError("need 0 < eta_lo <= eta_hi")
-        if self.seed < 0:
+        if not (0.0 < self.eta_lo <= self.eta_hi < math.inf):
+            raise ConfigurationError("need 0 < eta_lo <= eta_hi < inf")
+        if not integer_at_least(self.seed, 0):
             raise ConfigurationError("ensemble seed must be a nonnegative integer")
 
 
 def init_ensemble(spec: QuadraticRewardSpec, settings: EnsembleSettings, noise_sigma: float) -> Ensemble:
     """Draw the members of settings and project each to admissibility.
 
-    The bank carries a SharedCovariance with prior covariance
-    diag(spread**2) and measurement variance
-    max(noise_sigma**2, NOISE_VAR_FLOOR).
+    The bank's covariance and prior are diag(spread**2), and its
+    measurement variance is max(noise_sigma**2, NOISE_VAR_FLOOR).
     """
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise ConfigurationError("noise_sigma must be a nonnegative number")
@@ -107,13 +101,9 @@ def init_ensemble(spec: QuadraticRewardSpec, settings: EnsembleSettings, noise_s
     members = settings.prior + rng.uniform(-1.0, 1.0, size=(settings.n_members, 3)) * spread
     members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
     rates = np.geomspace(settings.eta_lo, settings.eta_hi, settings.n_members)
-    prior_cov = np.diag(spread * spread)
-    covariance = SharedCovariance(
-        matrix=prior_cov,
-        prior=prior_cov,
-        noise_var=max(float(noise_sigma) ** 2, NOISE_VAR_FLOOR),
-    )
-    return Ensemble(members=members, rates=rates, covariance=covariance)
+    prior = np.diag(spread * spread)
+    noise_var = max(float(noise_sigma) ** 2, NOISE_VAR_FLOOR)
+    return Ensemble(members, rates, covariance=prior, prior=prior, noise_var=noise_var)
 
 
 def change_test(cusum_hi: float, cusum_lo: float, nu: float) -> tuple[float, float, bool]:
@@ -135,53 +125,41 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
 
     Every member takes the step theta_i -= K (psi'theta_i - r), with
     K = P psi / (psi'P psi + R), and P shrinks to P - K psi'P; a bank
-    without a covariance raises InvalidInputError.  Before the step, the
-    mean member's innovation, normalized by its predicted standard
-    deviation, feeds change_test; an alarm adds the prior covariance to P,
-    so the belief can move again after the environment switched.  A member
-    pushed past the curvature floor is moved back along P's first column,
-    the correction closest in the P^-1 metric: a plain clamp of theta[0]
-    alone would lower that member's reward at the speeds already measured,
-    and the predicted update would then push it straight back past the floor
-    for every candidate input.
+    without a covariance and a prior raises InvalidInputError.  Before the
+    step, the mean member's innovation, normalized by its predicted
+    standard deviation, feeds change_test; an alarm adds the prior
+    covariance to P, so the belief can move again after the environment
+    switched.  A member pushed past the curvature floor is moved back along
+    P's first column, the correction closest in the P^-1 metric: a plain
+    clamp of theta[0] alone would lower that member's reward at the speeds
+    already measured, and the predicted update would then push it straight
+    back past the floor for every candidate input.  A NaN member stays NaN.
     """
     if not math.isfinite(float(reward_meas)):
         raise InvalidInputError(f"measured reward must be finite, got {reward_meas}")
-    cov = e.covariance
-    if cov is None:
-        raise InvalidInputError("measured update needs a bank with a SharedCovariance")
+    if e.covariance is None or e.prior is None:
+        raise InvalidInputError("measured update needs a bank with a covariance and a prior")
     psi = basis(spec, y)
     innovations = e.members @ psi - float(reward_meas)
-    P = cov.matrix
+    P = e.covariance
     p_psi = P @ psi
-    s = float(psi @ p_psi) + cov.noise_var
-    nu = -sum(innovations.tolist()) / (e.n_members * math.sqrt(s))
-    hi, lo, fired = change_test(cov.cusum_hi, cov.cusum_lo, nu)
+    s = float(psi @ p_psi) + e.noise_var
+    nu = -sum(innovations.tolist()) / (len(innovations) * math.sqrt(s))
+    hi, lo, fired = change_test(e.cusum_hi, e.cusum_lo, nu)
     if fired:
-        P = P + cov.prior
+        P = P + e.prior
         p_psi = P @ psi
-        s = float(psi @ p_psi) + cov.noise_var
+        s = float(psi @ p_psi) + e.noise_var
     gain = p_psi / s
     members = e.members - innovations[:, None] * gain[None, :]
     P = P - gain[:, None] * p_psi
     floor = spec.curvature_floor
-    t0s = members[:, 0].tolist()
-    if any(t0 > -floor for t0 in t0s):
-        # a bank holding an overflowed (NaN) member is clamped but not
-        # projected: bit for bit what a NaN-propagating max test gives
-        if not any(map(math.isnan, t0s)):
-            excess = np.maximum(members[:, 0] + floor, 0.0)
-            members -= excess[:, None] * (P[0] / P[0, 0])[None, :]
+    if any(t0 > -floor for t0 in members[:, 0].tolist()):
+        excess = np.maximum(members[:, 0] + floor, 0.0)
+        members -= excess[:, None] * (P[0] / P[0, 0])[None, :]
         members[:, 0] = np.minimum(members[:, 0], -floor)
-    cov = SharedCovariance(
-        matrix=P,
-        prior=cov.prior,
-        noise_var=cov.noise_var,
-        cusum_hi=hi,
-        cusum_lo=lo,
-        resets=cov.resets + fired,
-    )
-    return Ensemble(members=members, rates=e.rates, covariance=cov)
+    return Ensemble(members, e.rates, covariance=P, prior=e.prior, noise_var=e.noise_var,
+                    cusum_hi=hi, cusum_lo=lo, resets=e.resets + fired)
 
 
 def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one test of the
+count and seed settings whose failure they report."""
+
+import numbers
 
 
 class DceeError(Exception):
@@ -33,3 +36,8 @@ class SolverFailureError(DceeError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def integer_at_least(value, low: int) -> bool:
+    """Whether value is an integer (numpy's too, but no bool) of at least low."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low

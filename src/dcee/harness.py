@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -23,7 +22,7 @@ from .config import ScenarioConfig
 from .core import DceeProblem, evaluate, objective, objective_split, residual_fn, warm_start
 from .diagnostics import fd_hessian_newton
 from .ensemble import condition_stats, init_ensemble, measured_update
-from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
+from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError, integer_at_least
 from .plant import active_segment, measure, plant_step
 from .reward import optimal_condition
 from .solver import SolverHealth, controller_step, gn_terms, solve
@@ -311,7 +310,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     The health counts of the production solves are reported under "solver".
     agreement_stride must be a positive integer.
     """
-    if not isinstance(agreement_stride, numbers.Integral) or agreement_stride < 1:
+    if not integer_at_least(agreement_stride, 1):
         raise InvalidInputError(
             f"agreement_stride must be a positive integer, got {agreement_stride!r}")
     gncfg = cfg.controller.solver

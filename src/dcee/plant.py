@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, integer_at_least
 from .reward import QuadraticRewardSpec, eval_reward
 
 
@@ -56,7 +56,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not (0.0 <= self.sigma_reward < math.inf):
             raise ConfigurationError("sigma_reward must be nonnegative and finite")
-        if self.seed < 0:
+        if not integer_at_least(self.seed, 0):
             raise ConfigurationError("seed must be a nonnegative integer")
 
 

@@ -15,13 +15,12 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import DceeProblem, residual_fn, warm_start
-from .errors import ConfigurationError, InfeasibleCandidateError, SolverFailureError
+from .errors import ConfigurationError, InfeasibleCandidateError, SolverFailureError, integer_at_least
 
 # Relative slack when judging whether a trial step decreased the objective;
 # guards against rejecting genuinely converged steps on rounding noise.
@@ -58,7 +57,7 @@ class GnConfig:
     u_max: float = 5000.0
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        if not integer_at_least(self.max_iters, 1):
             raise ConfigurationError("solver max_iters must be an integer of at least 1")
         if not (-math.inf < self.u_min < self.u_max < math.inf):
             raise ConfigurationError(

@@ -16,6 +16,7 @@ from dcee import (
     objective,
     objective_grid,
     objective_split,
+    residual_fn,
     residual_map,
     standstill_input,
     warm_start,
@@ -135,13 +136,16 @@ def test_residual_hand_values(spec):
 
 def test_objective_split_takes_a_numpy_scalar_speed_as_a_float(spec):
     # only objective_grid's array route silences numpy's warnings, so a
-    # numpy scalar speed must not carry numpy arithmetic into the float
-    # route: optimal speeds that overflow when squared give inf, not a
-    # RuntimeWarning, and every result is the float speed's to the bit
+    # numpy scalar speed must not carry numpy arithmetic into either float
+    # route: optimal speeds that overflow when squared make the candidate
+    # infeasible, not a RuntimeWarning, and every result is the float
+    # speed's to the bit
     p = make_problem([[-0.05, 1e160, 0.0], [-1.0, 1.5, 0.25]], rates=[1e-300, 1e-300],
                      v=np.float64(20.0), spec=spec)
-    exploit, explore = objective_split(p, 300.0)
-    assert type(exploit) is float and explore == math.inf
+    with pytest.raises(InfeasibleCandidateError, match="non-finite objective terms"):
+        objective_split(p, 300.0)
+    with pytest.raises(InfeasibleCandidateError, match="non-finite objective terms"):
+        residual_fn(p)(300.0)
     rng = np.random.default_rng(33)
     for _ in range(20):
         p = random_problem(rng)
@@ -175,7 +179,7 @@ def test_residual_eval_norm_matches_objective():
     p = random_problem(rng)
     F, J = evaluate(p, 250.0)
     assert float(F @ F) == pytest.approx(objective(p, 250.0), abs=1e-12)
-    assert F.shape == J.shape == (p.ensemble.n_members + 1,)
+    assert F.shape == J.shape == (len(p.ensemble.members) + 1,)
 
 
 def test_jacobian_consensus_has_zero_uncertainty_rows(spec):

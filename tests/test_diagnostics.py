@@ -221,9 +221,10 @@ def test_audit_fails_on_a_wrong_callback_gradient(monkeypatch, capsys):
     assert '"passed": false' in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("samples, seed", [(2.5, 1), (0, 1), ("5", 1), (5, -1), (5, 1.5), (5, None)],
-                         ids=["samples-2.5", "samples-0", "samples-str", "seed-neg", "seed-1.5",
-                              "seed-None"])
+@pytest.mark.parametrize("samples, seed", [(2.5, 1), (0, 1), ("5", 1), (True, 1), (5, -1), (5, 1.5),
+                                           (5, None), (5, True)],
+                         ids=["samples-2.5", "samples-0", "samples-str", "samples-True", "seed-neg",
+                              "seed-1.5", "seed-None", "seed-True"])
 def test_derivative_audit_rejects_bad_arguments_before_any_work(monkeypatch, samples, seed):
     def no_work(*args):
         raise AssertionError("derivative_audit drew an instance")

@@ -14,7 +14,6 @@ from dcee import (
     EnsembleSettings,
     InvalidInputError,
     QuadraticRewardSpec,
-    SharedCovariance,
     VehicleParams,
     basis,
     change_test,
@@ -50,7 +49,7 @@ def test_init_singleton_rate():
     spec = QuadraticRewardSpec()
     prior = make_true_params(spec, 1.0, 20.0, 0.5)
     ens = init_ensemble(spec, settings(prior, [0.1, 0.1, 0.1], 1, seed=1, eta_lo=0.02, eta_hi=0.4), 0.0)
-    assert ens.n_members == 1
+    assert len(ens.members) == 1
     assert ens.rates[0] == pytest.approx(0.02)
 
 
@@ -80,6 +79,17 @@ def test_ensemble_settings_validation():
         dict(eta_lo=0.5, eta_hi=0.1),
         dict(eta_lo=float("nan")),
         dict(eta_hi=float("nan")),
+        # an infinite rate overflows the first step's predicted update
+        dict(eta_hi=math.inf),
+        # a member count or seed that is no integer fails only when drawn
+        dict(n=2.5),
+        dict(n=True),
+        dict(seed=1.5),
+        dict(seed=True),
+        # a NaN prior member fails only as a curvature violation, and a
+        # prior that is no numbers only when drawn
+        dict(prior=np.array([np.nan, 1.0, 0.0])),
+        dict(prior=["wide", 1.0, 0.0]),
         dict(spread=[0.1, 0.1]),
         dict(spread=[0.1, -0.1, 0.1]),
         dict(spread=[0.1, float("nan"), 0.1]),
@@ -204,24 +214,19 @@ def test_measured_update_contracts_on_scripted_sweep():
 def with_covariance(members, P, noise_var, rate=0.1):
     members = np.atleast_2d(np.asarray(members, float))
     P = np.asarray(P, float)
-    return Ensemble(
-        members=members,
-        rates=np.full(members.shape[0], rate),
-        covariance=SharedCovariance(matrix=P, prior=P, noise_var=noise_var),
-    )
+    return Ensemble(members, np.full(members.shape[0], rate), covariance=P, prior=P, noise_var=noise_var)
 
 
 def test_init_with_noise_sigma_derives_covariance():
     spec = QuadraticRewardSpec()
     prior = make_true_params(spec, 1.0, 20.0, 0.5)
     ens = init_ensemble(spec, settings(prior, [0.1, 0.2, 0.3], 4, seed=1), 0.02)
-    cov = ens.covariance
-    assert np.allclose(cov.matrix, np.diag([0.01, 0.04, 0.09]))
-    assert np.array_equal(cov.prior, cov.matrix)
-    assert cov.noise_var == pytest.approx(4e-4)
-    assert (cov.cusum_hi, cov.cusum_lo, cov.resets) == (0.0, 0.0, 0)
+    assert np.allclose(ens.covariance, np.diag([0.01, 0.04, 0.09]))
+    assert np.array_equal(ens.prior, ens.covariance)
+    assert ens.noise_var == pytest.approx(4e-4)
+    assert (ens.cusum_hi, ens.cusum_lo, ens.resets) == (0.0, 0.0, 0)
     exact = init_ensemble(spec, settings(prior, [0.1, 0.2, 0.3], 4, seed=1), 0.0)
-    assert exact.covariance.noise_var == NOISE_VAR_FLOOR
+    assert exact.noise_var == NOISE_VAR_FLOOR
     with pytest.raises(ConfigurationError):
         init_ensemble(spec, settings(prior, [0.1, 0.2, 0.3], 4, seed=1), float("nan"))
 
@@ -236,8 +241,8 @@ def test_covariance_update_hand_value():
     # the second member's innovation is 0 - 0.35; same gain
     assert np.allclose(out.members[1], [-1.95625, 1.0875, 0.175])
     psi = np.array([0.25, 0.5, 1.0])
-    assert np.allclose(out.covariance.matrix, np.eye(3) - np.outer(psi, psi) / 2.0)
-    assert out.covariance.resets == 0
+    assert np.allclose(out.covariance, np.eye(3) - np.outer(psi, psi) / 2.0)
+    assert out.resets == 0
     assert np.array_equal(out.rates, ens.rates)
 
 
@@ -248,12 +253,11 @@ def test_covariance_update_zero_innovation_keeps_members():
     y = 18.0
     out = measured_update(ens, spec, y, eval_reward(spec, theta, y))
     assert np.array_equal(out.members, ens.members)
-    cov = out.covariance
-    assert (cov.cusum_hi, cov.cusum_lo, cov.resets) == (0.0, 0.0, 0)
+    assert (out.cusum_hi, out.cusum_lo, out.resets) == (0.0, 0.0, 0)
     # the measurement is still information: P shrinks along psi only
     psi = np.array([(y / 30.0) ** 2, y / 30.0, 1.0])
-    assert psi @ cov.matrix @ psi < psi @ ens.covariance.matrix @ psi
-    assert np.allclose(cov.matrix, cov.matrix.T)
+    assert psi @ out.covariance @ psi < psi @ ens.covariance @ psi
+    assert np.allclose(out.covariance, out.covariance.T)
 
 
 def test_covariance_update_projects_along_covariance():
@@ -270,12 +274,12 @@ def test_covariance_update_projects_along_covariance():
     free = measured_update(ens, free_spec, y, r)
     assert free.members[0, 0] > -spec.curvature_floor
     assert out.members[0, 0] == pytest.approx(-spec.curvature_floor, abs=1e-15)
-    w = np.linalg.solve(out.covariance.matrix, out.members[0] - free.members[0])
+    w = np.linalg.solve(out.covariance, out.members[0] - free.members[0])
     assert np.abs(w[1:]).max() < 1e-9 * abs(w[0])
     # the admissible member is left as the unconstrained update put it
     assert free.members[1, 0] < -spec.curvature_floor
     assert np.array_equal(out.members[1], free.members[1])
-    assert np.array_equal(out.covariance.matrix, free.covariance.matrix)
+    assert np.array_equal(out.covariance, free.covariance)
 
 
 def test_change_test_hand_values():
@@ -305,12 +309,12 @@ def test_change_test_catches_small_step_quickly():
         for k in range(1, 100):
             eps = 0.0 if seed is None else rng.standard_normal()
             ens = measured_update(ens, spec, y, eval_reward(spec, theta, y) - 2.8 * sigma + sigma * eps)
-            if ens.covariance.resets:
+            if ens.resets:
                 break
-        assert ens.covariance.resets == 1
+        assert ens.resets == 1
         assert k <= (5 if seed is None else 12), (seed, k)
         # the alarm re-opened the covariance by the prior
-        assert np.trace(ens.covariance.matrix) > np.trace(1e-6 * np.eye(3))
+        assert np.trace(ens.covariance) > np.trace(1e-6 * np.eye(3))
 
 
 def test_change_test_quiet_on_pure_noise():
@@ -324,7 +328,7 @@ def test_change_test_quiet_on_pure_noise():
     speeds = 25.0 + 5.0 * np.sin(0.01 * np.arange(9000))
     for y, eps in zip(speeds, rng.standard_normal(9000)):
         ens = measured_update(ens, spec, y, eval_reward(spec, theta, y) + sigma * eps)
-    assert ens.covariance.resets == 0
+    assert ens.resets == 0
     assert np.allclose(ens.members, theta, atol=0.05)
 
 
@@ -383,21 +387,21 @@ def numpy_measured_update(e, spec, y, reward_meas):
     statistics how far another order of the innovations' sum can move each:
     the summation bound scaled as nu is, plus one rounding of each of the
     statistic's two additions."""
-    cov = e.covariance
+    n = len(e.members)
     psi = basis(spec, y)
     innovations = e.members @ psi - float(reward_meas)
-    P = cov.matrix
+    P = e.covariance
     p_psi = P @ psi
-    s = float(psi @ p_psi) + cov.noise_var
-    nu = -float(innovations.sum()) / (e.n_members * math.sqrt(s))
-    nu_bound = summation_bound(innovations) / (e.n_members * math.sqrt(s))
+    s = float(psi @ p_psi) + e.noise_var
+    nu = -float(innovations.sum()) / (n * math.sqrt(s))
+    nu_bound = summation_bound(innovations) / (n * math.sqrt(s))
     tol = [nu_bound + 2.0 * np.finfo(float).eps * (abs(prev) + abs(nu) + CHANGE_DRIFT)
-           for prev in (cov.cusum_hi, cov.cusum_lo)]
-    hi, lo, fired = change_test(cov.cusum_hi, cov.cusum_lo, nu)
+           for prev in (e.cusum_hi, e.cusum_lo)]
+    hi, lo, fired = change_test(e.cusum_hi, e.cusum_lo, nu)
     if fired:
-        P = P + cov.prior
+        P = P + e.prior
         p_psi = P @ psi
-        s = float(psi @ p_psi) + cov.noise_var
+        s = float(psi @ p_psi) + e.noise_var
     gain = p_psi / s
     members = e.members - innovations[:, None] * gain[None, :]
     P = P - gain[:, None] * p_psi
@@ -406,16 +410,16 @@ def numpy_measured_update(e, spec, y, reward_meas):
         excess = np.maximum(members[:, 0] + spec.curvature_floor, 0.0)
         members -= excess[:, None] * (P[0] / P[0, 0])[None, :]
     members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
-    return members, P, (hi, lo, cov.resets + fired, tol), fired, projected
+    return members, P, (hi, lo, e.resets + fired, tol), fired, projected
 
 
 def assert_same_update(got, want):
     members, P, (hi, lo, resets, (tol_hi, tol_lo)), _, _ = want
     assert got.members.tobytes() == members.tobytes()
-    assert got.covariance.matrix.tobytes() == P.tobytes()
-    assert abs(got.covariance.cusum_hi - hi) <= tol_hi
-    assert abs(got.covariance.cusum_lo - lo) <= tol_lo
-    assert got.covariance.resets == resets
+    assert got.covariance.tobytes() == P.tobytes()
+    assert abs(got.cusum_hi - hi) <= tol_hi
+    assert abs(got.cusum_lo - lo) <= tol_lo
+    assert got.resets == resets
 
 
 def test_measured_update_matches_numpy_body():
@@ -445,16 +449,21 @@ def test_measured_update_matches_numpy_body():
     assert all(count > 0 for count in taken.values()), taken
 
 
-def test_measured_update_with_nan_member_matches_numpy_body():
-    # an overflowed member makes numpy's max NaN, which skipped the
-    # projection; the admissible clamp still applied to the others
+def test_measured_update_projects_the_finite_members_of_a_nan_bank():
+    # an overflowed (NaN) member stays non-finite, so condition_stats still
+    # rejects the bank; the finite members are projected as in any bank,
+    # each correction a multiple of the updated P's first column
     spec = QuadraticRewardSpec()
     members = np.array([[np.nan, 1.0, 0.0], [0.5, 1.0, 0.0], [-1.0, 2.0, 0.5]])
-    cov = SharedCovariance(matrix=np.eye(3), prior=np.eye(3), noise_var=1e-4)
-    ens = Ensemble(members=members, rates=np.full(3, 0.1), covariance=cov)
-    want = numpy_measured_update(ens, spec, 20.0, 0.3)
+    ens = with_covariance(members, np.eye(3), 1e-4)
     got = measured_update(ens, spec, 20.0, 0.3)
-    assert not want[4]
-    assert got.members[1, 0] == -spec.curvature_floor
-    np.testing.assert_array_equal(got.members, want[0])
-    assert got.covariance.matrix.tobytes() == want[1].tobytes()
+    assert not np.isfinite(got.members[0]).any()
+    assert np.all(got.members[1:, 0] <= -spec.curvature_floor)
+    psi = basis(spec, 20.0)
+    free = members[1] - (members[1] @ psi - 0.3) * psi / (psi @ psi + 1e-4)
+    assert free[0] > -spec.curvature_floor
+    correction = got.members[1] - free
+    p0 = got.covariance[0]
+    assert np.abs(correction - correction[0] / p0[0] * p0).max() <= 1e-12 * np.abs(correction).max()
+    with pytest.raises(CurvatureViolationError):
+        condition_stats(got, spec)

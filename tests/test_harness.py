@@ -402,7 +402,7 @@ def test_bench_solver_structure_and_ordering():
     assert "evaluations" in report["solver"]
 
 
-@pytest.mark.parametrize("stride", [0, -1, 2.5, "10", None])
+@pytest.mark.parametrize("stride", [0, -1, 2.5, "10", None, True])
 def test_bench_solver_rejects_a_bad_agreement_stride_before_any_work(monkeypatch, stride):
     def no_work(*args):
         raise AssertionError("bench_solver started the loop")

@@ -227,3 +227,8 @@ def test_vehicle_params_validation():
     for bad in (-0.1, math.inf, math.nan):
         with pytest.raises(ConfigurationError):
             NoiseSpec(sigma_reward=bad)
+    # a float seed fails only at the first draw, and a bool is no seed
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ConfigurationError):
+            NoiseSpec(seed=bad)
+    assert NoiseSpec(seed=np.uint64(3)).seed == 3

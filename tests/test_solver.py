@@ -25,6 +25,7 @@ from dcee import (
     grad_dcee_step,
     objective,
     objective_grid,
+    objective_split,
     residual_fn,
     residual_map,
     run_closed_loop,
@@ -483,6 +484,9 @@ def test_controller_step_lifts_warm_start_out_of_standstill():
 def test_gn_config_validation():
     with pytest.raises(ConfigurationError):
         GnConfig(max_iters=0)
+    # a bool is no count of steps
+    with pytest.raises(ConfigurationError):
+        GnConfig(max_iters=True)
     with pytest.raises(ConfigurationError):
         GnConfig(tol=0.0)
     with pytest.raises(ConfigurationError):
@@ -708,16 +712,20 @@ def test_callback_raises_where_evaluate_raises(spec):
         assert not _check_callback_against_evaluate(p, u)
 
 
-def test_overflowed_terms_are_infeasible_and_each_selection_holds_its_start():
-    # every member value is finite (F about 1e238), but F'F overflows to
-    # inf - inf: the pass must call the candidate infeasible in both its
-    # modes, not hand the solver a nan
+def _overflowed_problem():
+    # every member value is finite, but the objective's terms overflow
     members = [[-0.4656678946210841, 2.5866995964105405e236, -7.370787533468109e120],
                [-0.6973455973401603, 2.0982287357399028e236, -7.754215341698107e120],
                [-0.4874290317713813, 4.3774110033710322e236, 9.347792585864937e119],
                [-0.5691293701793064, 4.4825400702147928e236, -3.932113302064794e120],
                [-0.4391045929735691, 4.4227587983722734e236, -1.565450898941654e120]]
-    p = make_problem(members, rates=np.geomspace(0.05, 0.5, 5), v=0.28177949633281685)
+    return make_problem(members, rates=np.geomspace(0.05, 0.5, 5), v=0.28177949633281685)
+
+
+def test_overflowed_terms_are_infeasible_and_each_selection_holds_its_start():
+    # F is about 1e238, but F'F overflows to inf - inf: the pass must call
+    # the candidate infeasible in both its modes, not hand the solver a nan
+    p = _overflowed_problem()
     u_prev = -4775.676001577193
     u_start = warm_start(p, u_prev)
     assert u_start == standstill_input(p.vehicle, p.v) > u_prev
@@ -727,6 +735,20 @@ def test_overflowed_terms_are_infeasible_and_each_selection_holds_its_start():
     assert rep.fallback
     assert rep.evaluations == 34
     assert grad_dcee_step(p, u_prev, GradDceeConfig()) == u_start
+
+
+def test_split_and_grid_reject_the_candidates_the_callback_rejects():
+    # the callback rejects every candidate on the overflowed bank; at some
+    # the unfused route's terms are inf rather than past the floor, and it
+    # must call those infeasible too, and the grid score them +inf
+    p = _overflowed_problem()
+    us = np.append(np.linspace(-5000.0, 5000.0, 20001)[::50], warm_start(p, -4775.676001577193))
+    for u, d in zip(us.tolist(), objective_grid(p, us).tolist()):
+        with pytest.raises(InfeasibleCandidateError):
+            residual_fn(p)(u)
+        with pytest.raises(InfeasibleCandidateError):
+            objective_split(p, u)
+        assert d == math.inf
 
 
 def _check_objective_reads_the_callback(p, u):
