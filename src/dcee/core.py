@@ -68,7 +68,7 @@ class _Prepared:
 
     The inner solver evaluates the same DceeProblem many times per control
     period; everything that does not depend on the candidate input is
-    computed once here, as Python floats and lists (see evaluate).
+    computed once here, as Python floats and tuples (see evaluate).
     neg_floor is the curvature floor, and no less than sqrt of the smallest
     normal float, so the derivative never divides by a curvature whose
     square underflows.
@@ -78,8 +78,9 @@ class _Prepared:
                  "drag", "dy_du", "u_stop", "s", "neg_floor", "inv_sqrt_n")
 
     def __init__(self, p: DceeProblem):
-        m0, m1, m2 = self.m0, self.m1, self.m2 = p.ensemble.members.T.tolist()
-        self.rates = p.ensemble.rates.tolist()
+        m0, m1, m2 = zip(*p.ensemble.members)
+        self.m0, self.m1, self.m2 = m0, m1, m2
+        self.rates = p.ensemble.rates
         n = self.n = len(m0)
         # Python's sum is compensated from 3.12 on, so the last bit of these
         # means may depend on the interpreter version
@@ -256,7 +257,7 @@ def _objective_terms(p: DceeProblem, u, feasible):
     s = p.reward.v_scale
     neg_half_s = -0.5 * s
     neg_floor = -p.reward.curvature_floor
-    rows = p.ensemble.members.tolist()
+    rows = p.ensemble.members
     n = len(rows)
     sum0 = sum1 = sum2 = 0.0
     for a, b, c in rows:
@@ -271,7 +272,7 @@ def _objective_terms(p: DceeProblem, u, feasible):
     gams = []
     gsum = 0.0
     try:
-        for (a, b, c), rate in zip(rows, p.ensemble.rates.tolist()):
+        for (a, b, c), rate in zip(rows, p.ensemble.rates):
             gain = rate * (a * psi0 + b * z + c - r_hat)
             t0 = a - gain * psi0
             feasible &= t0 <= neg_floor

@@ -171,7 +171,8 @@ def random_problem(rng: np.random.Generator,
     members = center + rng.uniform(-1.0, 1.0, size=(n, 3)) * spread
     members[:, 0] = np.minimum(members[:, 0], -reward.curvature_floor)
     rates = np.geomspace(0.05, 0.5, n)
-    return DceeProblem(vehicle=vehicle, reward=reward, ensemble=Ensemble(members, rates), v=v)
+    bank = Ensemble(tuple(map(tuple, members.tolist())), tuple(rates.tolist()))
+    return DceeProblem(vehicle=vehicle, reward=reward, ensemble=bank, v=v)
 
 
 def random_input(rng: np.random.Generator, vehicle: VehicleParams) -> float:

@@ -32,22 +32,30 @@ CHANGE_LIMIT = 8.0
 NOISE_VAR_FLOOR = 1e-6
 
 
+Row = tuple[float, float, float]
+Matrix = tuple[Row, Row, Row]
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Immutable estimator bank: one parameter row per member.
 
-    All members see the same regressor at every step, so one 3x3
-    covariance serves the whole bank in measured_update, which needs it;
-    prior is both the initial covariance and what a detected environment
-    change adds back, noise_var is the measurement variance R,
-    cusum_hi/cusum_lo are the change-test statistics and resets counts the
-    alarms so far.  A bank built from members and rates alone only predicts.
+    The members, rates, covariance and prior are Python floats in tuples,
+    so each step's update and every reader of the bank run on floats: with
+    about ten members numpy's per-call cost would outweigh the arithmetic,
+    and no bit of the bank depends on a BLAS kernel.  All members see the
+    same regressor at every step, so one 3x3 covariance serves the whole
+    bank in measured_update, which needs it; prior is both the initial
+    covariance and what a detected environment change adds back, noise_var
+    is the measurement variance R, cusum_hi/cusum_lo are the change-test
+    statistics and resets counts the alarms so far.  A bank built from
+    members and rates alone only predicts.
     """
 
-    members: np.ndarray  # (n, 3)
-    rates: np.ndarray    # (n,) positive rates of the predicted update
-    covariance: np.ndarray | None = None  # (3, 3) P
-    prior: np.ndarray | None = None       # (3, 3)
+    members: tuple[Row, ...]
+    rates: tuple[float, ...]  # positive rates of the predicted update
+    covariance: Matrix | None = None  # P
+    prior: Matrix | None = None
     noise_var: float = NOISE_VAR_FLOOR
     cusum_hi: float = 0.0
     cusum_lo: float = 0.0
@@ -101,22 +109,34 @@ def init_ensemble(spec: QuadraticRewardSpec, settings: EnsembleSettings, noise_s
     members = settings.prior + rng.uniform(-1.0, 1.0, size=(settings.n_members, 3)) * spread
     members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
     rates = np.geomspace(settings.eta_lo, settings.eta_hi, settings.n_members)
-    prior = np.diag(spread * spread)
+    prior = tuple(map(tuple, np.diag(spread * spread).tolist()))
     noise_var = max(float(noise_sigma) ** 2, NOISE_VAR_FLOOR)
-    return Ensemble(members, rates, covariance=prior, prior=prior, noise_var=noise_var)
+    return Ensemble(tuple(map(tuple, members.tolist())), tuple(rates.tolist()),
+                    covariance=prior, prior=prior, noise_var=noise_var)
 
 
 def change_test(cusum_hi: float, cusum_lo: float, nu: float) -> tuple[float, float, bool]:
     """One step of the two-sided CUSUM on a normalized innovation nu.
 
     Returns the updated (upper, lower) statistics and whether the alarm
-    fired; both statistics restart from zero after an alarm.
+    fired; both statistics restart from zero after an alarm.  A non-finite
+    nu raises InvalidInputError: it would reset both statistics, or hold
+    them at infinity, and the test could no longer fire.
     """
+    if not math.isfinite(nu):
+        raise InvalidInputError(f"change test needs a finite normalized innovation, got {nu}")
     hi = max(0.0, cusum_hi + nu - CHANGE_DRIFT)
     lo = max(0.0, cusum_lo - nu - CHANGE_DRIFT)
     if hi > CHANGE_LIMIT or lo > CHANGE_LIMIT:
         return 0.0, 0.0, True
     return hi, lo, False
+
+
+def _gain_terms(P: Matrix, psi0: float, z: float, noise_var: float):
+    """(P psi, psi'P psi + R) for psi = (psi0, z, 1), as four floats, each
+    product summed left to right."""
+    p0, p1, p2 = [a * psi0 + b * z + c for a, b, c in P]
+    return p0, p1, p2, psi0 * p0 + z * p1 + p2 + noise_var
 
 
 def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_meas: float) -> Ensemble:
@@ -129,36 +149,49 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     step, the mean member's innovation, normalized by its predicted
     standard deviation, feeds change_test; an alarm adds the prior
     covariance to P, so the belief can move again after the environment
-    switched.  A member pushed past the curvature floor is moved back along
-    P's first column, the correction closest in the P^-1 metric: a plain
-    clamp of theta[0] alone would lower that member's reward at the speeds
-    already measured, and the predicted update would then push it straight
-    back past the floor for every candidate input.  A NaN member stays NaN.
+    switched.  A bank with a non-finite member has a non-finite mean
+    innovation, which change_test rejects.  A member pushed past the
+    curvature floor is moved back along P's first column, the correction
+    closest in the P^-1 metric: a plain clamp of theta[0] alone would lower
+    that member's reward at the speeds already measured, and the predicted
+    update would then push it straight back past the floor for every
+    candidate input.
+
+    The body runs on Python floats (see Ensemble); each product with psi
+    is summed left to right.
     """
-    if not math.isfinite(float(reward_meas)):
+    r = float(reward_meas)
+    if not math.isfinite(r):
         raise InvalidInputError(f"measured reward must be finite, got {reward_meas}")
     if e.covariance is None or e.prior is None:
         raise InvalidInputError("measured update needs a bank with a covariance and a prior")
-    psi = basis(spec, y)
-    innovations = e.members @ psi - float(reward_meas)
+    psi0, z, _ = basis(spec, y)
+    innovations = [a * psi0 + b * z + c - r for a, b, c in e.members]
     P = e.covariance
-    p_psi = P @ psi
-    s = float(psi @ p_psi) + e.noise_var
-    nu = -sum(innovations.tolist()) / (len(innovations) * math.sqrt(s))
+    p0, p1, p2, s = _gain_terms(P, psi0, z, e.noise_var)
+    nu = -sum(innovations) / (len(innovations) * math.sqrt(s))
     hi, lo, fired = change_test(e.cusum_hi, e.cusum_lo, nu)
     if fired:
-        P = P + e.prior
-        p_psi = P @ psi
-        s = float(psi @ p_psi) + e.noise_var
-    gain = p_psi / s
-    members = e.members - innovations[:, None] * gain[None, :]
-    P = P - gain[:, None] * p_psi
-    floor = spec.curvature_floor
-    if any(t0 > -floor for t0 in members[:, 0].tolist()):
-        excess = np.maximum(members[:, 0] + floor, 0.0)
-        members -= excess[:, None] * (P[0] / P[0, 0])[None, :]
-        members[:, 0] = np.minimum(members[:, 0], -floor)
-    return Ensemble(members, e.rates, covariance=P, prior=e.prior, noise_var=e.noise_var,
+        P = tuple(tuple(a + b for a, b in zip(row, prior_row)) for row, prior_row in zip(P, e.prior))
+        p0, p1, p2, s = _gain_terms(P, psi0, z, e.noise_var)
+    g0, g1, g2 = p0 / s, p1 / s, p2 / s
+    P = tuple([(a - g * p0, b - g * p1, c - g * p2) for (a, b, c), g in zip(P, (g0, g1, g2))])
+    neg_floor = -spec.curvature_floor
+    members = []
+    for (a, b, c), inn in zip(e.members, innovations):
+        a -= inn * g0
+        b -= inn * g1
+        c -= inn * g2
+        excess = a - neg_floor
+        if excess > 0.0:
+            # along P's first column over its first entry, whose own first
+            # entry is 1; the clamp only catches the last rounding
+            row = P[0]
+            a = min(a - excess, neg_floor)
+            b -= excess * (row[1] / row[0])
+            c -= excess * (row[2] / row[0])
+        members.append((a, b, c))
+    return Ensemble(tuple(members), e.rates, covariance=P, prior=e.prior, noise_var=e.noise_var,
                     cusum_hi=hi, cusum_lo=lo, resets=e.resets + fired)
 
 
@@ -167,7 +200,7 @@ def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:
     floor = spec.curvature_floor
     s = spec.v_scale
     speeds = []
-    for t0, t1, _ in e.members.tolist():
+    for t0, t1, _ in e.members:
         if not t0 <= -floor:
             raise CurvatureViolationError(
                 "ensemble member violates the curvature floor; optimal condition undefined"

@@ -45,27 +45,32 @@ def _check_speed(v: float) -> float:
     return v
 
 
-def _check_theta(theta) -> np.ndarray:
+def _check_theta(theta) -> list:
+    """theta as a list of three finite Python floats."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (N_THETA,):
         raise InvalidInputError(f"theta must have shape ({N_THETA},), got {theta.shape}")
-    if not all(map(math.isfinite, theta.tolist())):
+    theta = theta.tolist()
+    if not all(map(math.isfinite, theta)):
         raise InvalidInputError("theta entries must be finite")
     return theta
 
 
-def basis(spec: QuadraticRewardSpec, v: float) -> np.ndarray:
-    """Feature vector [z**2, z, 1] at speed v, with z = v / spec.v_scale."""
+def basis(spec: QuadraticRewardSpec, v: float) -> tuple[float, float, float]:
+    """Feature vector (z**2, z, 1) at speed v, with z = v / spec.v_scale,
+    as Python floats."""
     v = _check_speed(v)
     z = v / spec.v_scale
-    return np.array([z * z, z, 1.0])
+    return z * z, z, 1.0
 
 
 def eval_reward(spec: QuadraticRewardSpec, theta, v: float) -> float:
-    """Reward psi(v) . theta.  The additive offset hook is identically zero
-    for this reward family, so the basis carries the whole value."""
-    theta = _check_theta(theta)
-    return float(basis(spec, v) @ theta)
+    """Reward psi(v) . theta, summed left to right on Python floats.  The
+    additive offset hook is identically zero for this reward family, so the
+    basis carries the whole value."""
+    t0, t1, t2 = _check_theta(theta)
+    psi0, z, _ = basis(spec, v)
+    return psi0 * t0 + z * t1 + t2
 
 
 def is_admissible(spec: QuadraticRewardSpec, theta) -> bool:
@@ -75,7 +80,7 @@ def is_admissible(spec: QuadraticRewardSpec, theta) -> bool:
 
 def optimal_condition(spec: QuadraticRewardSpec, theta) -> float:
     """Speed maximizing the reward: v_scale * (-theta[1] / (2 * theta[0]))."""
-    theta = _check_theta(theta).tolist()
+    theta = _check_theta(theta)
     if not is_admissible(spec, theta):
         raise CurvatureViolationError(
             f"theta[0] = {theta[0]} violates theta[0] <= {-spec.curvature_floor}"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dcee import (
-    Ensemble,
     InfeasibleCandidateError,
     InvalidInputError,
     QuadraticRewardSpec,
@@ -23,7 +22,7 @@ from dcee import (
 )
 from dcee.diagnostics import fd_step, random_input, random_problem
 
-from conftest import make_problem
+from conftest import make_bank, make_problem
 
 
 def test_objective_terms_consensus_bank(vehicle):
@@ -386,9 +385,9 @@ def test_evaluate_agrees_with_split_and_grid(n):
     checked = clamped = infeasible = 0
     while checked < 60:
         p = random_problem(rng)
-        members = p.ensemble.members.mean(axis=0) + rng.uniform(-0.3, 0.3, size=(n, 3))
+        members = np.mean(p.ensemble.members, axis=0) + rng.uniform(-0.3, 0.3, size=(n, 3))
         members[:, 0] = np.minimum(members[:, 0], -p.reward.curvature_floor)
-        p = dataclasses.replace(p, ensemble=Ensemble(members, np.geomspace(0.05, 0.5, n)))
+        p = dataclasses.replace(p, ensemble=make_bank(members, np.geomspace(0.05, 0.5, n)))
         if checked % 2:
             p = dataclasses.replace(p, v=float(rng.uniform(0.0, 0.3)))
         u = random_input(rng, p.vehicle) if checked % 3 else p.vehicle.u_min

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -25,8 +26,11 @@ from dcee import (
     measured_update,
     objective_split,
     optimal_condition,
+    residual_fn,
 )
 from dcee.ensemble import CHANGE_DRIFT
+
+from conftest import make_bank
 
 
 def settings(prior, spread, n, seed, eta_lo=0.005, eta_hi=0.05):
@@ -34,8 +38,7 @@ def settings(prior, spread, n, seed, eta_lo=0.005, eta_hi=0.05):
 
 
 def consensus(theta, n=4, rate=0.1):
-    theta = np.asarray(theta, float)
-    return Ensemble(members=np.tile(theta, (n, 1)), rates=np.full(n, rate))
+    return make_bank(np.tile(theta, (n, 1)), [rate] * n)
 
 
 def test_init_zero_spread_gives_prior():
@@ -56,7 +59,7 @@ def test_init_singleton_rate():
 def test_init_projects_to_admissibility():
     spec = QuadraticRewardSpec()
     ens = init_ensemble(spec, settings(np.array([1.0, 0.5, 0.0]), [0.3, 0.3, 0.3], 8, seed=2), 0.0)
-    assert np.all(ens.members[:, 0] == -spec.curvature_floor)
+    assert all(t0 == -spec.curvature_floor for t0, _, _ in ens.members)
 
 
 def test_init_rates_log_spaced():
@@ -119,7 +122,7 @@ def split_at_speed(members, y=0.5):
     # objective_split at the input that predicts speed y (v_scale 1 m/s, rate 0.1)
     spec = QuadraticRewardSpec(v_scale=1.0)
     vehicle = VehicleParams()
-    ens = Ensemble(members=np.asarray(members, float), rates=np.full(len(members), 0.1))
+    ens = make_bank(members)
     return objective_split(DceeProblem(vehicle, spec, ens, v=y), drag_force(vehicle, y)), spec
 
 
@@ -150,7 +153,7 @@ def test_condition_stats_hand_values():
     # members engineered to have optimal speeds 10 and 20
     m1 = make_true_params(spec, 1.0, 10.0, 0.0)
     m2 = make_true_params(spec, 1.0, 20.0, 0.0)
-    ens = Ensemble(members=np.stack([m1, m2]), rates=np.array([0.1, 0.1]))
+    ens = make_bank([m1, m2])
     assert condition_stats(ens, spec) == pytest.approx(15.0)
 
 
@@ -163,11 +166,11 @@ def test_condition_stats_consensus_and_singleton():
 
 def test_condition_stats_rejects_inadmissible():
     spec = QuadraticRewardSpec()
-    ens = Ensemble(members=np.array([[-0.01, 1.0, 0.0]]), rates=np.array([0.1]))
+    ens = make_bank([[-0.01, 1.0, 0.0]])
     with pytest.raises(CurvatureViolationError):
         condition_stats(ens, spec)
     # a NaN curvature is no admissible member either
-    ens = Ensemble(members=np.array([[np.nan, 1.0, 0.0], [-1.0, 1.0, 0.0]]), rates=np.array([0.1, 0.1]))
+    ens = make_bank([[np.nan, 1.0, 0.0], [-1.0, 1.0, 0.0]])
     with pytest.raises(CurvatureViolationError):
         condition_stats(ens, spec)
 
@@ -185,7 +188,7 @@ def test_deviation_centering_and_trace_identity():
         gammas = np.array([optimal_condition(spec, m) for m in ens.members])
         mean = condition_stats(ens, spec)
         assert abs(mean - gammas.mean()) <= 1e-12 * abs(mean)
-        frozen = DceeProblem(VehicleParams(), spec, Ensemble(ens.members, np.full(n, 1e-300)), v=mean)
+        frozen = DceeProblem(VehicleParams(), spec, Ensemble(ens.members, (1e-300,) * n), v=mean)
         explore = objective_split(frozen, 300.0)[1]
         assert abs(explore - ((gammas - mean) ** 2).mean()) < 1e-12 * max(1.0, explore)
 
@@ -202,19 +205,17 @@ def test_measured_update_contracts_on_scripted_sweep():
     for k, v in enumerate(sweep):
         ens = measured_update(ens, spec, v, eval_reward(spec, theta_star, v))
         if (k + 1) % 100 == 0:
-            errs.append(np.linalg.norm(ens.members.mean(axis=0) - theta_star))
+            errs.append(np.linalg.norm(np.mean(ens.members, axis=0) - theta_star))
     # strictly decreasing across 100-step windows and a net reduction; the
     # rank-one updates leave the weakly excited parameter direction slow, so
     # the trend, not a deep contraction, is the contract here
     assert all(a > b for a, b in zip(errs, errs[1:]))
     start = init_ensemble(spec, settings(prior, [0.3, 0.3, 0.3], 10, seed=924), 0.0)
-    assert errs[-1] < np.linalg.norm(start.members.mean(axis=0) - theta_star)
+    assert errs[-1] < np.linalg.norm(np.mean(start.members, axis=0) - theta_star)
 
 
 def with_covariance(members, P, noise_var, rate=0.1):
-    members = np.atleast_2d(np.asarray(members, float))
-    P = np.asarray(P, float)
-    return Ensemble(members, np.full(members.shape[0], rate), covariance=P, prior=P, noise_var=noise_var)
+    return make_bank(members, [rate] * len(np.atleast_2d(members)), covariance=P, noise_var=noise_var)
 
 
 def test_init_with_noise_sigma_derives_covariance():
@@ -222,7 +223,7 @@ def test_init_with_noise_sigma_derives_covariance():
     prior = make_true_params(spec, 1.0, 20.0, 0.5)
     ens = init_ensemble(spec, settings(prior, [0.1, 0.2, 0.3], 4, seed=1), 0.02)
     assert np.allclose(ens.covariance, np.diag([0.01, 0.04, 0.09]))
-    assert np.array_equal(ens.prior, ens.covariance)
+    assert ens.prior == ens.covariance
     assert ens.noise_var == pytest.approx(4e-4)
     assert (ens.cusum_hi, ens.cusum_lo, ens.resets) == (0.0, 0.0, 0)
     exact = init_ensemble(spec, settings(prior, [0.1, 0.2, 0.3], 4, seed=1), 0.0)
@@ -243,7 +244,7 @@ def test_covariance_update_hand_value():
     psi = np.array([0.25, 0.5, 1.0])
     assert np.allclose(out.covariance, np.eye(3) - np.outer(psi, psi) / 2.0)
     assert out.resets == 0
-    assert np.array_equal(out.rates, ens.rates)
+    assert out.rates == ens.rates
 
 
 def test_covariance_update_zero_innovation_keeps_members():
@@ -252,12 +253,12 @@ def test_covariance_update_zero_innovation_keeps_members():
     ens = with_covariance(np.tile(theta, (3, 1)), 0.09 * np.eye(3), 1e-4)
     y = 18.0
     out = measured_update(ens, spec, y, eval_reward(spec, theta, y))
-    assert np.array_equal(out.members, ens.members)
+    assert out.members == ens.members
     assert (out.cusum_hi, out.cusum_lo, out.resets) == (0.0, 0.0, 0)
     # the measurement is still information: P shrinks along psi only
     psi = np.array([(y / 30.0) ** 2, y / 30.0, 1.0])
-    assert psi @ out.covariance @ psi < psi @ ens.covariance @ psi
-    assert np.allclose(out.covariance, out.covariance.T)
+    assert psi @ np.array(out.covariance) @ psi < psi @ np.array(ens.covariance) @ psi
+    assert np.allclose(out.covariance, np.transpose(out.covariance))
 
 
 def test_covariance_update_projects_along_covariance():
@@ -272,14 +273,14 @@ def test_covariance_update_projects_along_covariance():
     r = eval_reward(spec, ens.members[0], y) + 0.5
     out = measured_update(ens, spec, y, r)
     free = measured_update(ens, free_spec, y, r)
-    assert free.members[0, 0] > -spec.curvature_floor
-    assert out.members[0, 0] == pytest.approx(-spec.curvature_floor, abs=1e-15)
-    w = np.linalg.solve(out.covariance, out.members[0] - free.members[0])
+    assert free.members[0][0] > -spec.curvature_floor
+    assert out.members[0][0] == pytest.approx(-spec.curvature_floor, abs=1e-15)
+    w = np.linalg.solve(out.covariance, np.subtract(out.members[0], free.members[0]))
     assert np.abs(w[1:]).max() < 1e-9 * abs(w[0])
     # the admissible member is left as the unconstrained update put it
-    assert free.members[1, 0] < -spec.curvature_floor
-    assert np.array_equal(out.members[1], free.members[1])
-    assert np.array_equal(out.covariance, free.covariance)
+    assert free.members[1][0] < -spec.curvature_floor
+    assert out.members[1] == free.members[1]
+    assert out.covariance == free.covariance
 
 
 def test_change_test_hand_values():
@@ -343,10 +344,11 @@ def summation_bound(x):
 def numpy_condition_stats(e, spec):
     """condition_stats as one numpy expression, the oracle of its float
     loop, with the summation bound of its mean."""
-    t0 = e.members[:, 0]
+    members = np.array(e.members)
+    t0 = members[:, 0]
     if not np.all(t0 <= -spec.curvature_floor):
         raise CurvatureViolationError("inadmissible member")
-    speeds = spec.v_scale * (-e.members[:, 1] / (2.0 * t0))
+    speeds = spec.v_scale * (-members[:, 1] / (2.0 * t0))
     return float(speeds.mean()), summation_bound(speeds) / len(speeds)
 
 
@@ -362,7 +364,7 @@ def test_condition_stats_matches_numpy_expression():
                 ])
                 # one member exactly at the floor is admissible
                 members[rng.integers(n), 0] = -spec.curvature_floor
-                ens = Ensemble(members=members, rates=np.full(n, 0.1))
+                ens = make_bank(members)
                 got = condition_stats(ens, spec)
                 assert type(got) is float
                 want, bound = numpy_condition_stats(ens, spec)
@@ -375,35 +377,42 @@ def test_condition_stats_rejects_each_bad_member(bad):
     for pos in range(4):
         members = np.tile([-1.0, 1.0, 0.0], (4, 1))
         members[pos, 0] = bad
-        ens = Ensemble(members=members, rates=np.full(4, 0.1))
+        ens = make_bank(members)
         with pytest.raises(CurvatureViolationError, match="violates the curvature floor"):
             condition_stats(ens, spec)
 
 
 def numpy_measured_update(e, spec, y, reward_meas):
     """measured_update's body on numpy arrays, reductions included: the oracle
-    of the version that sums and tests on floats.  Also returns whether the
+    of the version that sums and tests on floats.  Each product with psi =
+    (z**2, z, 1) is written out elementwise in the float body's order, so
+    the members and the covariance agree bit for bit; a matrix product
+    would leave their last bit to the BLAS kernel.  Also returns whether the
     change test fired and whether the projection ran, and with the change
     statistics how far another order of the innovations' sum can move each:
     the summation bound scaled as nu is, plus one rounding of each of the
     statistic's two additions."""
-    n = len(e.members)
-    psi = basis(spec, y)
-    innovations = e.members @ psi - float(reward_meas)
-    P = e.covariance
-    p_psi = P @ psi
-    s = float(psi @ p_psi) + e.noise_var
+    M = np.array(e.members)
+    n = len(M)
+    p0, z, _ = basis(spec, y)
+    innovations = M[:, 0] * p0 + M[:, 1] * z + M[:, 2] - float(reward_meas)
+    P = np.array(e.covariance)
+
+    def times_psi(P):
+        p_psi = P[:, 0] * p0 + P[:, 1] * z + P[:, 2]
+        return p_psi, p0 * p_psi[0] + z * p_psi[1] + p_psi[2] + e.noise_var
+
+    p_psi, s = times_psi(P)
     nu = -float(innovations.sum()) / (n * math.sqrt(s))
     nu_bound = summation_bound(innovations) / (n * math.sqrt(s))
     tol = [nu_bound + 2.0 * np.finfo(float).eps * (abs(prev) + abs(nu) + CHANGE_DRIFT)
            for prev in (e.cusum_hi, e.cusum_lo)]
     hi, lo, fired = change_test(e.cusum_hi, e.cusum_lo, nu)
     if fired:
-        P = P + e.prior
-        p_psi = P @ psi
-        s = float(psi @ p_psi) + e.noise_var
+        P = P + np.array(e.prior)
+        p_psi, s = times_psi(P)
     gain = p_psi / s
-    members = e.members - innovations[:, None] * gain[None, :]
+    members = M - innovations[:, None] * gain[None, :]
     P = P - gain[:, None] * p_psi
     projected = bool(members[:, 0].max() > -spec.curvature_floor)
     if projected:
@@ -415,8 +424,8 @@ def numpy_measured_update(e, spec, y, reward_meas):
 
 def assert_same_update(got, want):
     members, P, (hi, lo, resets, (tol_hi, tol_lo)), _, _ = want
-    assert got.members.tobytes() == members.tobytes()
-    assert got.covariance.tobytes() == P.tobytes()
+    assert np.array(got.members).tobytes() == members.tobytes()
+    assert np.array(got.covariance).tobytes() == P.tobytes()
     assert abs(got.cusum_hi - hi) <= tol_hi
     assert abs(got.cusum_lo - lo) <= tol_lo
     assert got.resets == resets
@@ -449,21 +458,52 @@ def test_measured_update_matches_numpy_body():
     assert all(count > 0 for count in taken.values()), taken
 
 
-def test_measured_update_projects_the_finite_members_of_a_nan_bank():
-    # an overflowed (NaN) member stays non-finite, so condition_stats still
-    # rejects the bank; the finite members are projected as in any bank,
-    # each correction a multiple of the updated P's first column
+def test_measured_update_rejects_a_nan_bank():
+    # an overflowed (NaN) member makes the mean innovation NaN, which the
+    # change test cannot read: the update raises instead of projecting the
+    # finite members of a bank condition_stats rejects anyway
     spec = QuadraticRewardSpec()
     members = np.array([[np.nan, 1.0, 0.0], [0.5, 1.0, 0.0], [-1.0, 2.0, 0.5]])
     ens = with_covariance(members, np.eye(3), 1e-4)
-    got = measured_update(ens, spec, 20.0, 0.3)
-    assert not np.isfinite(got.members[0]).any()
-    assert np.all(got.members[1:, 0] <= -spec.curvature_floor)
-    psi = basis(spec, 20.0)
-    free = members[1] - (members[1] @ psi - 0.3) * psi / (psi @ psi + 1e-4)
-    assert free[0] > -spec.curvature_floor
-    correction = got.members[1] - free
-    p0 = got.covariance[0]
-    assert np.abs(correction - correction[0] / p0[0] * p0).max() <= 1e-12 * np.abs(correction).max()
+    with pytest.raises(InvalidInputError, match="finite normalized innovation"):
+        measured_update(ens, spec, 20.0, 0.3)
     with pytest.raises(CurvatureViolationError):
-        condition_stats(got, spec)
+        condition_stats(ens, spec)
+
+
+def test_measured_update_nan_member_cannot_silence_an_alarm():
+    # both statistics near the alarm level and a reward far below the
+    # finite members' prediction: with a NaN member, max(0, nan) would reset
+    # both statistics to 0 without an alarm; the update raises instead
+    spec = QuadraticRewardSpec()
+    members = [[np.nan, 1.0, 0.0], [-1.0, 2.0, 0.5], [-1.0, 2.0, 0.5]]
+    ens = dataclasses.replace(with_covariance(members, np.eye(3), 1e-4), cusum_hi=7.5, cusum_lo=3.0)
+    with pytest.raises(InvalidInputError):
+        measured_update(ens, spec, 20.0, -50.0)
+
+
+@pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+def test_change_test_rejects_non_finite_innovation(nu):
+    with pytest.raises(InvalidInputError):
+        change_test(7.5, 3.0, nu)
+
+
+def test_bank_stays_on_python_floats():
+    # numpy scalars in, Python floats out: no layer converts the bank, so
+    # none may let a numpy scalar into it
+    spec = QuadraticRewardSpec()
+    prior = make_true_params(spec, 1.0, 20.0, 0.5)
+    ens = init_ensemble(spec, settings(prior, [0.3, 0.3, 0.3], 10, seed=4), 0.01)
+    for k in range(80):
+        # the environment switches halfway, so the alarm's branch runs too
+        y = np.float64(10.0 + k % 20)
+        ens = measured_update(ens, spec, y, np.float64(eval_reward(spec, prior, y) - 0.5 * (k >= 40)))
+    assert ens.resets > 0
+    cells = [x for row in ens.members for x in row] + list(ens.rates)
+    cells += [x for m in (ens.covariance, ens.prior) for row in m for x in row]
+    cells += [ens.noise_var, ens.cusum_hi, ens.cusum_lo]
+    assert all(type(x) is float for x in cells)
+    assert type(condition_stats(ens, spec)) is float
+    p = DceeProblem(VehicleParams(), spec, ens, v=np.float64(20.0))
+    assert all(type(x) is float for x in residual_fn(p)(np.float64(300.0)))
+    assert type(eval_reward(spec, prior, np.float64(20.0))) is float

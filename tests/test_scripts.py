@@ -1,8 +1,10 @@
 import importlib.util
+import json
 import pathlib
 
 import pytest
 
+import dcee.harness
 from dcee import scenario_from_dict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -29,3 +31,18 @@ def test_standard_packages_compares_every_sampled_solve():
         assert all(abs(rel) < 1e-5 for rel in out[name]["rel"])
     rows = script.table(out).splitlines()[2:]
     assert len(rows) == len(out)
+
+
+def test_seed_table_prints_one_row_per_seed(capsys):
+    script = _load_script("seed_table")
+    update = dcee.harness.measured_update
+    # through the first switch, at 300 s: each seed's one alarm follows it
+    script.main(["--seeds", "2", "--horizon", "310", "--sigma", "0.01"])
+    assert dcee.harness.measured_update is update
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["seed"] for row in rows] == [20260811, 20260812]
+    for row in rows:
+        assert set(row) == {"seed", "regret", "iae_v", "e_v", "e_v_tail", "alarm_steps", "fallbacks"}
+        assert row["fallbacks"] == 0
+        (step,) = row["alarm_steps"]
+        assert 3000 <= step < 3100

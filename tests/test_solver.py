@@ -10,7 +10,6 @@ import dcee.harness
 import dcee.solver
 from dcee import (
     ConfigurationError,
-    Ensemble,
     GnConfig,
     GradDceeConfig,
     InfeasibleCandidateError,
@@ -39,7 +38,7 @@ from dcee import (
 from dcee.diagnostics import fd_hessian_newton, random_input, random_problem
 from dcee.solver import GnReport, SolverHealth
 
-from conftest import make_problem
+from conftest import make_bank, make_problem
 
 
 def test_gn_step_hand_value():
@@ -404,12 +403,8 @@ def test_controller_step_falls_back_on_non_finite_residual():
     # update at any candidate is nan, which must hold the input, not raise
     rng = np.random.default_rng(7)
     p = random_problem(rng)
-    members = np.array([[-0.05, 5.2e47, 1.8e47], [-2.4e67, -1.5e66, -5.2e65], [-0.05, 3.5e89, 1.2e89]])
-    p = dataclasses.replace(
-        p,
-        v=88.0,
-        ensemble=Ensemble(members=members, rates=np.array([0.1, 0.5, 0.9])),
-    )
+    members = [[-0.05, 5.2e47, 1.8e47], [-2.4e67, -1.5e66, -5.2e65], [-0.05, 3.5e89, 1.2e89]]
+    p = dataclasses.replace(p, v=88.0, ensemble=make_bank(members, [0.1, 0.5, 0.9]))
     cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
     with pytest.raises(InfeasibleCandidateError):
         residual_fn(p)(p.vehicle.u_max)
@@ -651,7 +646,7 @@ def _bank_around(p, rng, rel_spread, outlier=None, shift=None):
     by rel_spread of each component, the first moved to outlier times the
     mean, and the linear and constant terms scaled by shift and shift**2,
     which scales the optimal speeds by shift."""
-    center = p.ensemble.members.mean(axis=0)
+    center = np.mean(p.ensemble.members, axis=0)
     if shift is not None:
         center = center * [1.0, shift, shift * shift]
     n = len(p.ensemble.rates)
@@ -659,7 +654,7 @@ def _bank_around(p, rng, rel_spread, outlier=None, shift=None):
     if outlier is not None:
         members[0] = center * outlier
     members[:, 0] = np.minimum(members[:, 0], -p.reward.curvature_floor)
-    return dataclasses.replace(p, ensemble=Ensemble(members, p.ensemble.rates))
+    return dataclasses.replace(p, ensemble=make_bank(members, p.ensemble.rates))
 
 
 @pytest.mark.parametrize("bank", ["collapsed", "outlier_first", "large_speeds"])
@@ -680,7 +675,8 @@ def test_callback_terms_match_evaluate_on_hard_banks(bank):
             p = _bank_around(p, rng, 1e-6, shift=30.0)
             # cruising near them without drag, so the explore part, not the
             # exploit part, is most of each sum and sets the tolerance
-            gam = -0.5 * p.reward.v_scale * p.ensemble.members[:, 1] / p.ensemble.members[:, 0]
+            m = np.array(p.ensemble.members)
+            gam = -0.5 * p.reward.v_scale * m[:, 1] / m[:, 0]
             p = dataclasses.replace(p, vehicle=VehicleParams(c0=0.0, c1=0.0, c2=0.0),
                                     v=float(gam.mean()))
         us = [random_input(rng, p.vehicle) for _ in range(4)]
