@@ -29,6 +29,7 @@ from .ensemble import (
     EnsembleSettings,
     change_test,
     condition_stats,
+    draw_bank,
     init_ensemble,
     measured_update,
 )
@@ -41,13 +42,12 @@ from .errors import (
     RateUndefinedError,
     SolverFailureError,
 )
-from .harness import RunResult, StepRecord, bench_solver, compute_metrics, export, parse_csv, run_closed_loop
+from .harness import RunResult, StepRecord, bench_solver, compute_metrics, export, run_closed_loop
 from .plant import EnvSegment, NoiseSpec, VehicleParams, active_segment, drag_force, measure, plant_step
 from .reward import (
     QuadraticRewardSpec,
     basis,
     eval_reward,
-    is_admissible,
     make_true_params,
     optimal_condition,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (DceeProblem, evaluate, objective_split, residual_fn, residual_map,
                    standstill_input)
-from .ensemble import Ensemble
+from .ensemble import draw_bank
 from .errors import (InfeasibleCandidateError, InvalidInputError, RateUndefinedError,
                      SolverFailureError, integer_at_least)
 from .plant import VehicleParams
@@ -156,7 +156,8 @@ def fd_hessian_newton(problem: DceeProblem):
 def random_problem(rng: np.random.Generator,
                    vehicle: VehicleParams | None = None,
                    reward: QuadraticRewardSpec | None = None) -> DceeProblem:
-    """Random admissible snapshot for randomized derivative checks."""
+    """Random admissible snapshot for randomized derivative checks: a bank
+    of 2-12 members drawn by ensemble.draw_bank around a random peak."""
     vehicle = vehicle if vehicle is not None else VehicleParams()
     reward = reward if reward is not None else QuadraticRewardSpec()
     v = float(rng.uniform(3.0, 40.0))
@@ -167,11 +168,7 @@ def random_problem(rng: np.random.Generator,
         c_r=float(rng.uniform(0.0, 2.0)),
     )
     n = int(rng.integers(2, 13))
-    spread = rng.uniform(0.05, 0.4, size=3)
-    members = center + rng.uniform(-1.0, 1.0, size=(n, 3)) * spread
-    members[:, 0] = np.minimum(members[:, 0], -reward.curvature_floor)
-    rates = np.geomspace(0.05, 0.5, n)
-    bank = Ensemble(tuple(map(tuple, members.tolist())), tuple(rates.tolist()))
+    bank = draw_bank(reward, rng, n, center, rng.uniform(0.05, 0.4, size=3), 0.05, 0.5)
     return DceeProblem(vehicle=vehicle, reward=reward, ensemble=bank, v=v)
 
 

@@ -44,51 +44,73 @@ class Ensemble:
     so each step's update and every reader of the bank run on floats: with
     about ten members numpy's per-call cost would outweigh the arithmetic,
     and no bit of the bank depends on a BLAS kernel.  All members see the
-    same regressor at every step, so one 3x3 covariance serves the whole
-    bank in measured_update, which needs it; prior is both the initial
-    covariance and what a detected environment change adds back, noise_var
-    is the measurement variance R, cusum_hi/cusum_lo are the change-test
-    statistics and resets counts the alarms so far.  A bank built from
-    members and rates alone only predicts.
+    same regressor at every step, so one 3x3 covariance P serves the whole
+    bank; prior is both the initial covariance and what a detected
+    environment change adds back, noise_var is the measurement variance R,
+    cusum_hi/cusum_lo are the change-test statistics and resets counts the
+    alarms so far.
+
+    Tuples are taken as they are, so the bank that measured_update builds
+    each step pays one type test.  Any other form, arrays say, is converted
+    here: members to (n, 3) with n >= 1, rates to n, covariance and prior
+    to 3x3, and the scalars to float; a wrong shape or a cell that is no
+    number raises InvalidInputError.
     """
 
     members: tuple[Row, ...]
     rates: tuple[float, ...]  # positive rates of the predicted update
-    covariance: Matrix | None = None  # P
-    prior: Matrix | None = None
+    covariance: Matrix  # P
+    prior: Matrix
     noise_var: float = NOISE_VAR_FLOOR
     cusum_hi: float = 0.0
     cusum_lo: float = 0.0
     resets: int = 0
 
+    def __post_init__(self):
+        if (type(self.members) is tuple and type(self.rates) is tuple
+                and type(self.covariance) is tuple and type(self.prior) is tuple):
+            return
+        try:
+            members, rates, P, prior = (np.asarray(x, dtype=float)
+                                        for x in (self.members, self.rates, self.covariance, self.prior))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"a bank must be arrays of numbers: {exc}") from exc
+        if not (members.ndim == 2 and members.shape[1] == 3 and len(members) >= 1
+                and rates.shape == members.shape[:1] and P.shape == prior.shape == (3, 3)):
+            raise InvalidInputError("a bank needs (n, 3) members with n >= 1, n rates, "
+                                    "and 3x3 covariance and prior")
+        for name, a in (("members", members), ("rates", rates), ("covariance", P), ("prior", prior)):
+            object.__setattr__(self, name, tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist()))
+        for name in ("noise_var", "cusum_hi", "cusum_lo"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class EnsembleSettings:
     """The initial bank: n_members drawn uniformly in prior +/- spread with
-    the given seed, predicted-update rates log-spaced on [eta_lo, eta_hi]."""
+    the given seed, predicted-update rates log-spaced on [eta_lo, eta_hi].
+    prior and spread are stored as three Python floats."""
 
     n_members: int
     eta_lo: float
     eta_hi: float
-    prior: np.ndarray   # (3,)
-    spread: np.ndarray  # (3,)
+    prior: Row
+    spread: Row
     seed: int
 
     def __post_init__(self):
-        try:
-            prior = np.asarray(self.prior, dtype=float)
-            spread = np.asarray(self.spread, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"ensemble prior and spread must be numbers: {exc}") from exc
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "spread", spread)
+        for name in ("prior", "spread"):
+            raw = getattr(self, name)
+            try:
+                value = tuple(map(float, raw))
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"ensemble {name} must be numbers: {exc}") from exc
+            if isinstance(raw, str) or len(value) != 3 or not all(map(math.isfinite, value)):
+                raise ConfigurationError(f"ensemble {name} must be three finite numbers, got {value}")
+            object.__setattr__(self, name, value)
         if not integer_at_least(self.n_members, 1):
             raise ConfigurationError("ensemble N must be an integer of at least 1")
-        if prior.shape != (3,) or spread.shape != (3,):
-            raise ConfigurationError("ensemble prior and spread must have shape (3,)")
-        if not np.all(np.isfinite(prior)):
-            raise ConfigurationError("ensemble prior must be finite")
-        if not np.all(np.isfinite(spread) & (spread >= 0.0)):
+        if min(self.spread) < 0.0:
             raise ConfigurationError("ensemble spread must be three nonnegative numbers")
         if not (0.0 < self.eta_lo <= self.eta_hi < math.inf):
             raise ConfigurationError("need 0 < eta_lo <= eta_hi < inf")
@@ -96,23 +118,28 @@ class EnsembleSettings:
             raise ConfigurationError("ensemble seed must be a nonnegative integer")
 
 
-def init_ensemble(spec: QuadraticRewardSpec, settings: EnsembleSettings, noise_sigma: float) -> Ensemble:
-    """Draw the members of settings and project each to admissibility.
+def draw_bank(spec: QuadraticRewardSpec, rng: np.random.Generator, n_members: int, prior, spread,
+              eta_lo: float, eta_hi: float, noise_var: float = NOISE_VAR_FLOOR) -> Ensemble:
+    """A bank of n_members drawn by rng uniformly in prior +/- spread, each
+    member's theta[0] clamped at -curvature_floor, with predicted-update
+    rates log-spaced on [eta_lo, eta_hi] and covariance = prior =
+    diag(spread**2).  One (n_members, 3) uniform draw is all it takes of
+    rng."""
+    members = np.asarray(prior, dtype=float) + rng.uniform(-1.0, 1.0, size=(n_members, 3)) * spread
+    members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
+    P = np.diag(np.square(spread))
+    return Ensemble(members, np.geomspace(eta_lo, eta_hi, n_members), covariance=P, prior=P,
+                    noise_var=noise_var)
 
-    The bank's covariance and prior are diag(spread**2), and its
-    measurement variance is max(noise_sigma**2, NOISE_VAR_FLOOR).
-    """
+
+def init_ensemble(spec: QuadraticRewardSpec, settings: EnsembleSettings, noise_sigma: float) -> Ensemble:
+    """draw_bank of settings, with rng default_rng(settings.seed) and
+    measurement variance max(noise_sigma**2, NOISE_VAR_FLOOR)."""
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise ConfigurationError("noise_sigma must be a nonnegative number")
-    rng = np.random.default_rng(settings.seed)
-    spread = settings.spread
-    members = settings.prior + rng.uniform(-1.0, 1.0, size=(settings.n_members, 3)) * spread
-    members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
-    rates = np.geomspace(settings.eta_lo, settings.eta_hi, settings.n_members)
-    prior = tuple(map(tuple, np.diag(spread * spread).tolist()))
-    noise_var = max(float(noise_sigma) ** 2, NOISE_VAR_FLOOR)
-    return Ensemble(tuple(map(tuple, members.tolist())), tuple(rates.tolist()),
-                    covariance=prior, prior=prior, noise_var=noise_var)
+    return draw_bank(spec, np.random.default_rng(settings.seed), settings.n_members, settings.prior,
+                     settings.spread, settings.eta_lo, settings.eta_hi,
+                     noise_var=max(float(noise_sigma) ** 2, NOISE_VAR_FLOOR))
 
 
 def change_test(cusum_hi: float, cusum_lo: float, nu: float) -> tuple[float, float, bool]:
@@ -144,8 +171,7 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     reward, followed by the admissibility projection.  Rates are unchanged.
 
     Every member takes the step theta_i -= K (psi'theta_i - r), with
-    K = P psi / (psi'P psi + R), and P shrinks to P - K psi'P; a bank
-    without a covariance and a prior raises InvalidInputError.  Before the
+    K = P psi / (psi'P psi + R), and P shrinks to P - K psi'P.  Before the
     step, the mean member's innovation, normalized by its predicted
     standard deviation, feeds change_test; an alarm adds the prior
     covariance to P, so the belief can move again after the environment
@@ -163,8 +189,6 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     r = float(reward_meas)
     if not math.isfinite(r):
         raise InvalidInputError(f"measured reward must be finite, got {reward_meas}")
-    if e.covariance is None or e.prior is None:
-        raise InvalidInputError("measured update needs a bank with a covariance and a prior")
     psi0, z, _ = basis(spec, y)
     innovations = [a * psi0 + b * z + c - r for a, b, c in e.members]
     P = e.covariance

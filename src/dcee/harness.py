@@ -199,7 +199,7 @@ def compute_metrics(records, schedule, spec) -> dict:
             active = seg
             v_star = optimal_condition(spec, seg.theta_true)
             zs = v_star / spec.v_scale
-            t0 = float(seg.theta_true[0])
+            t0 = seg.theta_true[0]
         e_v = abs(rec.v - v_star)  # the terminal error once the loop ends
         iae += e_v
         if rec.t > t_tail:
@@ -252,28 +252,6 @@ def export(result: RunResult, path, fmt: str):
         cells = [f"{getattr(r, name):.17g}" for name in CSV_COLUMNS[:-1]]
         lines.append(",".join(cells + [str(r.iterations)]))
     return _write_text(path, "\n".join(lines) + "\n")
-
-
-def parse_csv(path) -> list:
-    """Read back an exported CSV into StepRecord values.  An unreadable
-    file, a wrong header or a row that is not a record raises
-    InvalidInputError naming the path or the row."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInputError(f"cannot read CSV {path}: {exc}") from exc
-    if not lines or lines[0] != CSV_HEADER:
-        raise InvalidInputError(f"{path} does not start with the expected header")
-    records = []
-    for ln in lines[1:]:
-        *cells, iterations = ln.split(",")
-        try:
-            # a wrong cell count is a TypeError, a cell that does not parse a ValueError
-            records.append(StepRecord(*map(float, cells), iterations=int(iterations)))
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed CSV row: {ln!r}") from exc
-    return records
 
 
 def _exploit_only_fn(problem: DceeProblem):

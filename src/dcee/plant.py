@@ -41,10 +41,11 @@ class VehicleParams:
 @dataclass(frozen=True)
 class EnvSegment:
     """One piece of the unknown environment: active from t_start onward
-    (left-closed), with its own true reward parameters and road-load force."""
+    (left-closed), with its own true reward parameters, three floats as
+    make_true_params returns them, and road-load force."""
 
     t_start: float
-    theta_true: np.ndarray
+    theta_true: tuple[float, float, float]
     disturbance_force: float
 
 

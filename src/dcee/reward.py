@@ -1,20 +1,16 @@
 """Linear-in-parameters cruising reward and its optimal-speed map.
 
 The reward for cruising at speed v is psi(v) . theta with basis
-psi(v) = [z**2, z, 1] and z = v / v_scale.  Concave parameter vectors
-(theta[0] <= -curvature_floor) admit a unique maximizing speed
-v_scale * (-theta[1] / (2 * theta[0])).
+psi(v) = [z**2, z, 1] and z = v / v_scale.  A parameter vector theta is
+three Python floats (t0, t1, t2).  Concave ones (t0 <= -curvature_floor)
+admit a unique maximizing speed v_scale * (-t1 / (2 * t0)).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError
-
-N_THETA = 3
 
 
 @dataclass(frozen=True)
@@ -45,15 +41,16 @@ def _check_speed(v: float) -> float:
     return v
 
 
-def _check_theta(theta) -> list:
-    """theta as a list of three finite Python floats."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (N_THETA,):
-        raise InvalidInputError(f"theta must have shape ({N_THETA},), got {theta.shape}")
-    theta = theta.tolist()
-    if not all(map(math.isfinite, theta)):
-        raise InvalidInputError("theta entries must be finite")
-    return theta
+def _check_theta(theta) -> tuple[float, float, float]:
+    """theta, any three finite numbers, as a tuple of Python floats;
+    anything else, a string of three digits too, raises InvalidInputError."""
+    try:
+        t0, t1, t2 = checked = tuple(map(float, theta))
+        if math.isfinite(t0) and math.isfinite(t1) and math.isfinite(t2) and not isinstance(theta, str):
+            return checked
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInputError(f"theta must have three entries, and entries must be finite; got {theta!r}")
 
 
 def basis(spec: QuadraticRewardSpec, v: float) -> tuple[float, float, float]:
@@ -73,22 +70,18 @@ def eval_reward(spec: QuadraticRewardSpec, theta, v: float) -> float:
     return psi0 * t0 + z * t1 + t2
 
 
-def is_admissible(spec: QuadraticRewardSpec, theta) -> bool:
-    """True when theta[0] <= -curvature_floor (strictly concave reward)."""
-    return bool(theta[0] <= -spec.curvature_floor)
-
-
 def optimal_condition(spec: QuadraticRewardSpec, theta) -> float:
-    """Speed maximizing the reward: v_scale * (-theta[1] / (2 * theta[0]))."""
-    theta = _check_theta(theta)
-    if not is_admissible(spec, theta):
-        raise CurvatureViolationError(
-            f"theta[0] = {theta[0]} violates theta[0] <= {-spec.curvature_floor}"
-        )
-    return spec.v_scale * (-theta[1] / (2.0 * theta[0]))
+    """Speed maximizing the reward: v_scale * (-theta[1] / (2 * theta[0])).
+    theta must be admissible, theta[0] <= -curvature_floor (a strictly
+    concave reward)."""
+    t0, t1, _ = _check_theta(theta)
+    if not t0 <= -spec.curvature_floor:
+        raise CurvatureViolationError(f"theta[0] = {t0} violates theta[0] <= {-spec.curvature_floor}")
+    return spec.v_scale * (-t1 / (2.0 * t0))
 
 
-def make_true_params(spec: QuadraticRewardSpec, w_z: float, v_star: float, c_r: float) -> np.ndarray:
+def make_true_params(spec: QuadraticRewardSpec, w_z: float, v_star: float,
+                     c_r: float) -> tuple[float, float, float]:
     """Parameter vector of the peak-form reward c_r - w_z * (z - z_star)**2.
 
     Expansion gives theta = [-w_z, 2*w_z*z_star, c_r - w_z*z_star**2] with
@@ -108,4 +101,4 @@ def make_true_params(spec: QuadraticRewardSpec, w_z: float, v_star: float, c_r: 
             f"v_star = {v_star} outside [0, {2.0 * spec.v_scale}]"
         )
     z_star = v_star / spec.v_scale
-    return np.array([-w_z, 2.0 * w_z * z_star, c_r - w_z * z_star * z_star])
+    return -w_z, 2.0 * w_z * z_star, c_r - w_z * z_star * z_star

@@ -15,20 +15,14 @@ def vehicle():
     return VehicleParams()
 
 
-def _rows(a):
-    """An array of rows as the bank's tuples of Python floats."""
-    return tuple(map(tuple, np.asarray(a, dtype=float).tolist()))
-
-
-def make_bank(members, rates=None, covariance=None, **kw):
+def make_bank(members, rates=None, covariance=np.eye(3), **kw):
     """An Ensemble from array-like member rows, rates (0.1 each by default)
-    and covariance, which is also the prior."""
-    members = _rows(np.atleast_2d(members))
+    and covariance (the identity by default), which is also the prior;
+    Ensemble converts the arrays to its tuples of Python floats."""
+    members = np.atleast_2d(members)
     if rates is None:
         rates = [0.1] * len(members)
-    if covariance is not None:
-        kw.update(covariance=_rows(covariance), prior=_rows(covariance))
-    return Ensemble(members, tuple(np.asarray(rates, dtype=float).tolist()), **kw)
+    return Ensemble(members, rates, covariance=covariance, prior=covariance, **kw)
 
 
 def make_problem(members, rates=None, v=20.0, spec=None, vehicle=None):

@@ -196,3 +196,33 @@ def test_raw_echo_carries_full_schema():
         "controller",
         "ensemble",
     }
+
+
+def test_load_config_reads_an_empty_file_as_the_defaults_and_rejects_bad_yaml(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("", encoding="utf-8")
+    assert load_config(path).raw == scenario_from_dict({}).raw
+    path.write_text("vehicle: [1, 2\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="cannot parse config file"):
+        load_config(path)
+
+
+def test_schedule_entry_needs_v_star_and_v0_is_a_speed():
+    with pytest.raises(ConfigurationError, match=r"^schedule\[0\] needs t_start and v_star"):
+        scenario_from_dict({"schedule": [{"t_start": 0.0}]})
+    with pytest.raises(ConfigurationError, match="v0 must be a nonnegative speed"):
+        scenario_from_dict({"v0": -1})
+
+
+def test_parameter_vectors_are_float_triples_that_cannot_be_written():
+    # the true theta and the bank's prior and spread are tuples of Python
+    # floats: the environment and the initial bank cannot change after the
+    # config is built
+    cfg = scenario_from_dict({})
+    vectors = [seg.theta_true for seg in cfg.schedule] + [cfg.ensemble.prior, cfg.ensemble.spread]
+    for theta in vectors:
+        assert type(theta) is tuple and len(theta) == 3
+        assert all(type(x) is float for x in theta)
+        with pytest.raises(TypeError):
+            theta[0] = -2.0
+    assert cfg.schedule[0].theta_true == scenario_from_dict({}).schedule[0].theta_true

@@ -112,7 +112,7 @@ def test_residual_zero_at_consensus_optimum(spec, vehicle):
 
 def test_residual_singleton_has_zero_uncertainty_block(spec):
     theta = make_true_params(spec, 1.0, 18.0, 0.5)
-    p = make_problem(theta[None, :], v=12.0, spec=spec)
+    p = make_problem([theta], v=12.0, spec=spec)
     F, _ = evaluate(p, 500.0)
     assert F.shape == (2,)
     assert F[1] == 0.0
@@ -186,7 +186,7 @@ def test_jacobian_consensus_has_zero_uncertainty_rows(spec):
     p = make_problem(np.tile(theta, (5, 1)), v=20.0, spec=spec)
     _, J = evaluate(p, 300.0)
     assert np.abs(J[1:]).max() == 0.0
-    single = make_problem(theta[None, :], v=20.0, spec=spec)
+    single = make_problem([theta], v=20.0, spec=spec)
     _, J1 = evaluate(single, 300.0)
     assert J1[1] == 0.0
 

@@ -200,6 +200,12 @@ def test_fd_step_scale():
     assert fd_step(veh, 1000.0) == pytest.approx(1e-6 * 11000.0)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan")])
+def test_finite_differences_need_a_positive_step(h):
+    with pytest.raises(InvalidInputError, match="finite-difference step must be positive"):
+        diagnostics.jacobian_fd(lambda u: np.array([u, u * u]), 1.0, h)
+
+
 def test_audit_fails_on_a_wrong_callback_gradient(monkeypatch, capsys):
     # the audit checks the J'F solve steps with: a gradient off by 1e-3
     # fails it, and `dcee audit` with it

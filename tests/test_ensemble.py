@@ -19,6 +19,7 @@ from dcee import (
     basis,
     change_test,
     condition_stats,
+    draw_bank,
     drag_force,
     eval_reward,
     init_ensemble,
@@ -28,6 +29,7 @@ from dcee import (
     optimal_condition,
     residual_fn,
 )
+from dcee.diagnostics import random_problem
 from dcee.ensemble import CHANGE_DRIFT
 
 from conftest import make_bank
@@ -97,6 +99,8 @@ def test_ensemble_settings_validation():
         dict(spread=[0.1, -0.1, 0.1]),
         dict(spread=[0.1, float("nan"), 0.1]),
         dict(spread=["wide", 0.1, 0.1]),
+        dict(spread="123"),
+        dict(spread=0.1),
     ]
     for kwargs in bad:
         args = {"prior": prior, "spread": [0.1, 0.1, 0.1], "n": 3, "seed": 1, **kwargs}
@@ -105,10 +109,10 @@ def test_ensemble_settings_validation():
 
 
 def test_measured_update_requires_covariance():
-    spec = QuadraticRewardSpec()
-    ens = consensus([-1.0, 1.5, 0.2], n=3)
-    with pytest.raises(InvalidInputError):
-        measured_update(ens, spec, 18.0, eval_reward(spec, ens.members[0], 18.0))
+    # every bank carries the P and prior measured_update needs: one of
+    # members and rates alone cannot be built
+    with pytest.raises(TypeError, match="'covariance' and 'prior'"):
+        Ensemble(((-1.0, 1.5, 0.2),) * 3, (0.1,) * 3)
 
 
 def test_measured_update_rejects_non_finite_reward():
@@ -188,7 +192,7 @@ def test_deviation_centering_and_trace_identity():
         gammas = np.array([optimal_condition(spec, m) for m in ens.members])
         mean = condition_stats(ens, spec)
         assert abs(mean - gammas.mean()) <= 1e-12 * abs(mean)
-        frozen = DceeProblem(VehicleParams(), spec, Ensemble(ens.members, (1e-300,) * n), v=mean)
+        frozen = DceeProblem(VehicleParams(), spec, dataclasses.replace(ens, rates=(1e-300,) * n), v=mean)
         explore = objective_split(frozen, 300.0)[1]
         assert abs(explore - ((gammas - mean) ** 2).mean()) < 1e-12 * max(1.0, explore)
 
@@ -507,3 +511,61 @@ def test_bank_stays_on_python_floats():
     p = DceeProblem(VehicleParams(), spec, ens, v=np.float64(20.0))
     assert all(type(x) is float for x in residual_fn(p)(np.float64(300.0)))
     assert type(eval_reward(spec, prior, np.float64(20.0))) is float
+
+
+def test_array_bank_is_converted_to_python_floats():
+    # a bank given as arrays is converted once at construction, so the
+    # update and every reader of the bank return Python floats
+    spec = QuadraticRewardSpec()
+    ens = Ensemble(np.array([[-1, 1.5, 0.2], [-0.9, 1.4, 0.1]]), np.array([0.1, 0.1]),
+                   covariance=0.09 * np.eye(3), prior=0.09 * np.eye(3), noise_var=np.float64(1e-4))
+    for _ in range(2):
+        cells = [x for row in ens.members for x in row] + list(ens.rates)
+        cells += [x for m in (ens.covariance, ens.prior) for row in m for x in row]
+        cells += [ens.noise_var, ens.cusum_hi, ens.cusum_lo]
+        assert all(type(x) is float for x in cells)
+        assert type(condition_stats(ens, spec)) is float
+        ens = measured_update(ens, spec, 20.0, 0.4)
+    # lists are converted too, to the same tuples
+    assert Ensemble([[-1.0, 1.5, 0.2]], [0.1], np.eye(3).tolist(), np.eye(3)) == make_bank([[-1.0, 1.5, 0.2]])
+
+
+@pytest.mark.parametrize("bad", [
+    dict(members=[-1.0, 1.5, 0.2]),
+    dict(members=np.zeros((2, 2))),
+    dict(members=np.zeros((0, 3)), rates=[]),
+    dict(rates=[0.1, 0.1, 0.1]),
+    dict(covariance=np.eye(2)),
+    dict(prior=np.ones(3)),
+    dict(members=[["x", 1.5, 0.2], [-1.0, 1.5, 0.2]]),
+])
+def test_ensemble_rejects_a_bank_of_the_wrong_shape(bad):
+    args = dict(members=np.tile([-1.0, 1.5, 0.2], (2, 1)), rates=[0.1, 0.1],
+                covariance=np.eye(3), prior=np.eye(3))
+    args.update(bad)
+    with pytest.raises(InvalidInputError, match="bank"):
+        Ensemble(**args)
+
+
+def test_one_function_draws_every_bank():
+    # init_ensemble and random_problem both draw through draw_bank, from the
+    # same generator draws, and every bank they build can measure
+    spec = QuadraticRewardSpec()
+    prior = make_true_params(spec, 1.0, 20.0, 0.5)
+    s = settings(prior, [0.3, 0.2, 0.1], 6, seed=9)
+    ens = init_ensemble(spec, s, 0.02)
+    assert ens == draw_bank(spec, np.random.default_rng(9), 6, prior, (0.3, 0.2, 0.1), 0.005, 0.05,
+                            noise_var=0.02**2)
+    assert ens.prior == ens.covariance
+    assert np.array(ens.covariance).tobytes() == np.diag(np.square([0.3, 0.2, 0.1])).tobytes()
+    rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+    problem = random_problem(rng)
+    v = replay.uniform(3.0, 40.0)
+    center = make_true_params(spec, replay.uniform(0.3, 2.0), replay.uniform(5.0, 28.0), replay.uniform(0.0, 2.0))
+    n = int(replay.integers(2, 13))
+    bank = draw_bank(spec, replay, n, center, replay.uniform(0.05, 0.4, size=3), 0.05, 0.5)
+    assert (problem.v, problem.ensemble) == (v, bank)
+    assert rng.random() == replay.random()
+    for e in (ens, bank):
+        out = measured_update(e, spec, 20.0, eval_reward(spec, prior, 20.0))
+        assert out.covariance[0][0] < e.covariance[0][0]

@@ -27,7 +27,7 @@ def seg(theta=None, t_start=0.0, disturbance=0.0):
     spec = QuadraticRewardSpec()
     if theta is None:
         theta = make_true_params(spec, 1.0, 25.0, 1.0)
-    return EnvSegment(t_start=t_start, theta_true=np.asarray(theta, float), disturbance_force=disturbance)
+    return EnvSegment(t_start=t_start, theta_true=theta, disturbance_force=disturbance)
 
 
 def test_plant_step_hand_value():
@@ -220,6 +220,9 @@ def test_vehicle_params_validation():
         VehicleParams(mass=-1.0)
     with pytest.raises(ConfigurationError):
         VehicleParams(u_min=10.0, u_max=-10.0)
+    for field in ("c0", "c1", "c2"):
+        with pytest.raises(ConfigurationError, match="drag coefficients must be nonnegative"):
+            VehicleParams(**{field: -1.0})
     for field in ("mass", "dt", "c0", "c1", "c2", "u_min", "u_max"):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ConfigurationError):

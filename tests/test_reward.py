@@ -10,7 +10,6 @@ from dcee import (
     QuadraticRewardSpec,
     basis,
     eval_reward,
-    is_admissible,
     make_true_params,
     optimal_condition,
 )
@@ -40,25 +39,28 @@ def test_eval_reward_hand_values():
 
 
 def test_eval_reward_dimension_mismatch():
-    with pytest.raises(InvalidInputError):
-        eval_reward(QuadraticRewardSpec(), [1.0, 2.0], 1.0)
+    for theta in ([1.0, 2.0], "123", 1.0):
+        with pytest.raises(InvalidInputError):
+            eval_reward(QuadraticRewardSpec(), theta, 1.0)
 
 
 @pytest.mark.parametrize(
     "theta, message",
     [
-        ([-1.0, 2.0], r"shape \(3,\), got \(2,\)"),
-        ([[-1.0, 2.0, 0.0]], r"shape \(3,\), got \(1, 3\)"),
+        ([-1.0, 2.0], "have three entries"),
+        ([[-1.0, 2.0, 0.0]], "have three entries"),
         ([-1.0, math.nan, 0.0], "entries must be finite"),
         ([-1.0, 1.0, math.inf], "entries must be finite"),
         ([-math.inf, 1.0, 0.0], "entries must be finite"),
     ],
 )
 def test_theta_checks_shape_and_finiteness(theta, message):
+    # one rule, three finite numbers, for a list, a tuple or an array alike
     spec = QuadraticRewardSpec()
-    for fn in (lambda: eval_reward(spec, theta, 20.0), lambda: optimal_condition(spec, theta)):
-        with pytest.raises(InvalidInputError, match=message):
-            fn()
+    for form in (list, tuple, np.array):
+        for fn in (lambda: eval_reward(spec, form(theta), 20.0), lambda: optimal_condition(spec, form(theta))):
+            with pytest.raises(InvalidInputError, match=message):
+                fn()
 
 
 def test_optimal_condition_is_a_float_of_the_numpy_formula():
@@ -102,6 +104,14 @@ def test_make_true_params_guards():
         make_true_params(spec, 0.01, 20.0, 1.0)
     with pytest.raises(InvalidInputError):
         make_true_params(spec, 1.0, 61.0, 1.0)
+    with pytest.raises(InvalidInputError, match="c_r must be finite"):
+        make_true_params(spec, 1.0, 20.0, math.nan)
+
+
+def test_make_true_params_returns_three_floats():
+    theta = make_true_params(QuadraticRewardSpec(), np.float64(1.0), 25, 1)
+    assert type(theta) is tuple
+    assert [type(x) for x in theta] == [float] * 3
 
 
 def test_round_trip_property():
@@ -126,9 +136,10 @@ def test_peak_property():
 
 
 def test_projection_and_admissibility():
+    # a theta exactly at the curvature floor is admissible
     spec = QuadraticRewardSpec()
-    theta = np.array([-spec.curvature_floor, 2.0, 3.0])
-    assert is_admissible(spec, theta)
+    theta = (-spec.curvature_floor, 2.0, 3.0)
+    assert optimal_condition(spec, theta) == spec.v_scale * (2.0 / (2.0 * spec.curvature_floor))
 
 
 def test_spec_validation():

@@ -46,3 +46,20 @@ def test_seed_table_prints_one_row_per_seed(capsys):
         assert row["fallbacks"] == 0
         (step,) = row["alarm_steps"]
         assert 3000 <= step < 3100
+
+
+def test_seed_summary_tables_every_controller_and_level():
+    script = _load_script("seed_summary")
+    raw = scenario_from_dict({}).raw
+    out = script.summary(raw, levels=((0.01, 2),), horizon=30.0)
+    metrics, health = (block.splitlines() for block in out.split("\n\n"))
+    assert [row.split(" | ")[1] for row in metrics[2:]] == ["`regret`", "`iae_v`", "`e_v_tail`"]
+    for row in metrics[2:]:
+        cells = row.strip("| ").split(" | ")
+        assert cells[0] == "0.01, 2"
+        assert len(cells[2].split(" / ")) == 3
+        assert all(0 <= int(wins) <= 2 for wins in cells[3:])
+    assert [row.split(" | ")[1] for row in health[2:]] == ["`numerical_dcee`", "`grad_dcee`", "`esc`"]
+    for row in health[2:]:
+        # no switch within 30 s: no alarm, and no solve falls back
+        assert row.strip("| ").split(" | ")[2:] == ["0", "2", "0"]

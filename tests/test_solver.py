@@ -255,6 +255,24 @@ def test_escalation_backtracks_from_infeasible_full_step():
     assert fun(u)[0] < fun(0.0)[0]
 
 
+def test_solve_raises_when_every_trial_is_infeasible():
+    # feasible at the start only: each of the six damped trials toward
+    # u = 10 is infeasible, so the solve gives up with its partial report
+    a = np.array([1.0, 2.0])
+
+    def fun(u):
+        if u != 0.0:
+            raise InfeasibleCandidateError("synthetic")
+        return gn_terms(a * (u - 10.0), a)
+
+    cfg = GnConfig(u_min=-100.0, u_max=100.0)
+    with pytest.raises(SolverFailureError, match="no acceptable step after damping escalation") as info:
+        solve(fun, 0.0, cfg)
+    rep = info.value.report
+    assert (rep.iterations, rep.damping_escalations, rep.evaluations) == (0, 6, 7)
+    assert not rep.converged
+
+
 def test_solve_started_at_fixed_point_stops_converged():
     # at the solution of a closed-loop step the GN step is rounding noise
     # (about 1e-11 N), larger than tol = 1e-15 allows; the unchanged
