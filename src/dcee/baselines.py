@@ -65,7 +65,7 @@ class EscConfig:
                 raise ConfigurationError(f"{name} must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EscState:
     setpoint_hat: float
     lowpass_state: float

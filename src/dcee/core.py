@@ -34,7 +34,7 @@ from .reward import QuadraticRewardSpec
 _MIN_CURVATURE = math.sqrt(sys.float_info.min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DceeProblem:
     """Immutable snapshot of one control step: plant model, reward family,
     current estimator ensemble, and current speed."""

@@ -36,7 +36,7 @@ Row = tuple[float, float, float]
 Matrix = tuple[Row, Row, Row]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ensemble:
     """Immutable estimator bank: one parameter row per member.
 
@@ -50,11 +50,13 @@ class Ensemble:
     cusum_hi/cusum_lo are the change-test statistics and resets counts the
     alarms so far.
 
-    Tuples are taken as they are, so the bank that measured_update builds
-    each step pays one type test.  Any other form, arrays say, is converted
-    here: members to (n, 3) with n >= 1, rates to n, covariance and prior
-    to 3x3, and the scalars to float; a wrong shape or a cell that is no
-    number raises InvalidInputError.
+    A field is taken as it is when it is a tuple whose first row is a tuple
+    and whose first cell is a float (for rates, whose first entry is a
+    float), so the bank that measured_update builds each step pays a few
+    type tests.  Any other form, arrays or a tuple of array rows say, is
+    converted here: members to (n, 3) with n >= 1, rates to n, covariance
+    and prior to 3x3, and the scalars to float; a wrong shape or a cell
+    that is no number raises InvalidInputError.
     """
 
     members: tuple[Row, ...]
@@ -67,8 +69,9 @@ class Ensemble:
     resets: int = 0
 
     def __post_init__(self):
-        if (type(self.members) is tuple and type(self.rates) is tuple
-                and type(self.covariance) is tuple and type(self.prior) is tuple):
+        rates = self.rates
+        if (_float_rows(self.members) and _float_rows(self.covariance) and _float_rows(self.prior)
+                and type(rates) is tuple and rates and type(rates[0]) is float):
             return
         try:
             members, rates, P, prior = (np.asarray(x, dtype=float)
@@ -83,6 +86,12 @@ class Ensemble:
             object.__setattr__(self, name, tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist()))
         for name in ("noise_var", "cusum_hi", "cusum_lo"):
             object.__setattr__(self, name, float(getattr(self, name)))
+
+
+def _float_rows(x) -> bool:
+    """Whether x is a tuple whose first row is a tuple with a float first."""
+    return (type(x) is tuple and x and type(x[0]) is tuple and x[0]
+            and type(x[0][0]) is float)
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,10 @@ def change_test(cusum_hi: float, cusum_lo: float, nu: float) -> tuple[float, flo
 def _gain_terms(P: Matrix, psi0: float, z: float, noise_var: float):
     """(P psi, psi'P psi + R) for psi = (psi0, z, 1), as four floats, each
     product summed left to right."""
-    p0, p1, p2 = [a * psi0 + b * z + c for a, b, c in P]
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = P
+    p0 = a0 * psi0 + b0 * z + c0
+    p1 = a1 * psi0 + b1 * z + c1
+    p2 = a2 * psi0 + b2 * z + c2
     return p0, p1, p2, psi0 * p0 + z * p1 + p2 + noise_var
 
 
@@ -199,7 +211,10 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
         P = tuple(tuple(a + b for a, b in zip(row, prior_row)) for row, prior_row in zip(P, e.prior))
         p0, p1, p2, s = _gain_terms(P, psi0, z, e.noise_var)
     g0, g1, g2 = p0 / s, p1 / s, p2 / s
-    P = tuple([(a - g * p0, b - g * p1, c - g * p2) for (a, b, c), g in zip(P, (g0, g1, g2))])
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = P
+    P = ((a0 - g0 * p0, b0 - g0 * p1, c0 - g0 * p2),
+         (a1 - g1 * p0, b1 - g1 * p1, c1 - g1 * p2),
+         (a2 - g2 * p0, b2 - g2 * p1, c2 - g2 * p2))
     neg_floor = -spec.curvature_floor
     members = []
     for (a, b, c), inn in zip(e.members, innovations):
@@ -215,8 +230,7 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
             b -= excess * (row[1] / row[0])
             c -= excess * (row[2] / row[0])
         members.append((a, b, c))
-    return Ensemble(tuple(members), e.rates, covariance=P, prior=e.prior, noise_var=e.noise_var,
-                    cusum_hi=hi, cusum_lo=lo, resets=e.resets + fired)
+    return Ensemble(tuple(members), e.rates, P, e.prior, e.noise_var, hi, lo, e.resets + fired)
 
 
 def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from array import array
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +34,9 @@ from .solver import SolverHealth, controller_step, gn_terms, solve
 TAIL_WINDOW_S = 30.0
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One logged control step, a tuple of the CSV_COLUMNS."""
+
     t: float
     v: float
     u: float
@@ -45,7 +48,7 @@ class StepRecord:
     iterations: int
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(StepRecord))
+CSV_COLUMNS = StepRecord._fields
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
@@ -104,7 +107,7 @@ def drive(cfg: ScenarioConfig, select):
         seg = active_segment(cfg.schedule, t)
         y, r_meas = measure(spec, v, seg, cfg.noise, k)
         ens = measured_update(ens, spec, y, r_meas)
-        problem = DceeProblem(vehicle=vehicle, reward=spec, ensemble=ens, v=v)
+        problem = DceeProblem(vehicle, spec, ens, v)
         u = select(k, t, seg, r_meas, problem, u)
         v = plant_step(vehicle, v, u, seg)
     return problem, u
@@ -117,12 +120,21 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
     of (seed, step) and the ensemble draw of its own seed.  Wall-clock
     selection times go into the timing summary only, so that exported
     trajectories are byte-reproducible.
+
+    Each step appends its logged values to typed columns, one per
+    CSV_COLUMNS entry, which hold no Python objects, and the StepRecords
+    are built once after the loop.  So a step keeps no object the garbage
+    collector tracks, its allocation count does not climb from step to
+    step, and once the interpreter is warm no collection falls inside a
+    selection.
     """
     vehicle = cfg.vehicle
     spec = cfg.reward
     ctype = cfg.controller.type
     esc_state = esc_init(cfg.v0) if ctype == "esc" else None
-    records = []
+    columns = [array("d") for _ in CSV_COLUMNS[:-1]] + [array("q")]
+    (log_t, log_v, log_u, log_v_star, log_gamma, log_exploit, log_explore, log_reward,
+     log_iterations) = (col.append for col in columns)
     wall_times = []
     health = SolverHealth()
 
@@ -148,22 +160,19 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         except InfeasibleCandidateError:
             exploit, explore = math.nan, math.nan
 
-        records.append(
-            StepRecord(
-                t=t,
-                v=problem.v,
-                u=u,
-                v_star_true=optimal_condition(spec, seg.theta_true),
-                gamma_mean_est=gamma_mean,
-                exploit=exploit,
-                explore=explore,
-                reward_meas=r_meas,
-                iterations=iterations,
-            )
-        )
+        log_t(t)
+        log_v(problem.v)
+        log_u(u)
+        log_v_star(optimal_condition(spec, seg.theta_true))
+        log_gamma(gamma_mean)
+        log_exploit(exploit)
+        log_explore(explore)
+        log_reward(r_meas)
+        log_iterations(iterations)
         return u
 
     problem, u = drive(cfg, select)
+    records = list(map(StepRecord, *columns))
     metrics = compute_metrics(records, cfg.schedule, spec)
     return RunResult(
         records=records,
@@ -249,8 +258,7 @@ def export(result: RunResult, path, fmt: str):
         return write_json(path, {"config": result.config, **result.summary()})
     lines = [CSV_HEADER]
     for r in result.records:
-        cells = [f"{getattr(r, name):.17g}" for name in CSV_COLUMNS[:-1]]
-        lines.append(",".join(cells + [str(r.iterations)]))
+        lines.append(",".join([f"{x:.17g}" for x in r[:-1]] + [str(r.iterations)]))
     return _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -45,9 +45,12 @@ def _check_theta(theta) -> tuple[float, float, float]:
     """theta, any three finite numbers, as a tuple of Python floats;
     anything else, a string of three digits too, raises InvalidInputError."""
     try:
-        t0, t1, t2 = checked = tuple(map(float, theta))
+        # unpacked from the iterator: tuple(map(...)) allocates 10 slots and
+        # shrinks them to 3, and until the 3-tuple free list is full each
+        # call adds one to the collector's count that no free takes back
+        t0, t1, t2 = map(float, theta)
         if math.isfinite(t0) and math.isfinite(t1) and math.isfinite(t2) and not isinstance(theta, str):
-            return checked
+            return t0, t1, t2
     except (TypeError, ValueError):
         pass
     raise InvalidInputError(f"theta must have three entries, and entries must be finite; got {theta!r}")

@@ -68,7 +68,7 @@ class GnConfig:
             raise ConfigurationError("solver damping must be nonnegative and finite")
 
 
-@dataclass
+@dataclass(slots=True)
 class GnReport:
     """Per-solve trace: one entry of step_norms per accepted step, and in
     evaluations the callback's calls, those of the grid start included."""

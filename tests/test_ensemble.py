@@ -513,19 +513,45 @@ def test_bank_stays_on_python_floats():
     assert type(eval_reward(spec, prior, np.float64(20.0))) is float
 
 
+_ROWS = [[-1.0, 1.5, 0.2], [-0.9, 1.4, 0.1]]
+_P = tuple(map(tuple, (0.09 * np.eye(3)).tolist()))
+
+
+def _numpy_first_cell(field):
+    """The float-tuple bank of _ROWS with a numpy scalar as the first cell of
+    one field."""
+    bank = dict(members=tuple(map(tuple, _ROWS)), rates=(0.1, 0.1), covariance=_P, prior=_P)
+    value = bank[field]
+    first = value[0]
+    if field == "rates":
+        bank[field] = (np.float64(first),) + value[1:]
+    else:
+        bank[field] = ((np.float64(first[0]),) + first[1:],) + value[1:]
+    return bank
+
+
 def test_array_bank_is_converted_to_python_floats():
-    # a bank given as arrays is converted once at construction, so the
-    # update and every reader of the bank return Python floats
+    # a bank given in any other form than tuples of Python floats is
+    # converted once at construction, so the update and every reader of the
+    # bank return Python floats
     spec = QuadraticRewardSpec()
-    ens = Ensemble(np.array([[-1, 1.5, 0.2], [-0.9, 1.4, 0.1]]), np.array([0.1, 0.1]),
-                   covariance=0.09 * np.eye(3), prior=0.09 * np.eye(3), noise_var=np.float64(1e-4))
-    for _ in range(2):
-        cells = [x for row in ens.members for x in row] + list(ens.rates)
-        cells += [x for m in (ens.covariance, ens.prior) for row in m for x in row]
-        cells += [ens.noise_var, ens.cusum_hi, ens.cusum_lo]
-        assert all(type(x) is float for x in cells)
-        assert type(condition_stats(ens, spec)) is float
-        ens = measured_update(ens, spec, 20.0, 0.4)
+    banks = [
+        dict(members=np.array(_ROWS), rates=np.array([0.1, 0.1]), covariance=0.09 * np.eye(3),
+             prior=0.09 * np.eye(3), noise_var=np.float64(1e-4)),
+        # tuples of numpy rows: the outer tuples alone do not make a float bank
+        dict(members=tuple(np.array(_ROWS)), rates=(0.1, 0.1), covariance=tuple(0.09 * np.eye(3)),
+             prior=tuple(0.09 * np.eye(3))),
+    ]
+    banks += [_numpy_first_cell(field) for field in ("members", "rates", "covariance", "prior")]
+    for bank in banks:
+        ens = Ensemble(**bank)
+        for _ in range(2):
+            cells = [x for row in ens.members for x in row] + list(ens.rates)
+            cells += [x for m in (ens.covariance, ens.prior) for row in m for x in row]
+            cells += [ens.noise_var, ens.cusum_hi, ens.cusum_lo]
+            assert all(type(x) is float for x in cells), bank
+            assert type(condition_stats(ens, spec)) is float
+            ens = measured_update(ens, spec, 20.0, 0.4)
     # lists are converted too, to the same tuples
     assert Ensemble([[-1.0, 1.5, 0.2]], [0.1], np.eye(3).tolist(), np.eye(3)) == make_bank([[-1.0, 1.5, 0.2]])
 

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import gc
 import json
 import math
 import types
@@ -29,8 +31,11 @@ from dcee import (
     warm_start,
 )
 from dcee import diagnostics, harness
+from dcee.baselines import esc_init
 from dcee.diagnostics import fd_hessian_newton, fd_hessian_step, fd_step, random_problem
 from dcee.harness import CSV_HEADER, StepRecord, _exploit_only_fn
+
+from conftest import make_bank, make_problem
 
 
 def short_cfg(**overrides):
@@ -53,12 +58,71 @@ def test_single_step_run():
 def test_record_count_and_fields():
     cfg = short_cfg()
     res = run_closed_loop(cfg)
-    assert len(res.records) == cfg.n_steps
+    assert type(res.records) is list and len(res.records) == cfg.n_steps
+    assert all(type(r) is StepRecord for r in res.records)
     r = res.records[0]
     assert r.t == 0.0
     assert r.v == cfg.v0
     assert r.iterations >= 1
+    assert type(r.iterations) is int and all(type(x) is float for x in r[:-1])
     assert res.timing["mean_ns"] > 0
+    # a record is a tuple of the CSV columns and cannot be written
+    assert isinstance(r, tuple)
+    with pytest.raises(AttributeError):
+        r.v = 1.0
+
+
+@pytest.mark.parametrize("snapshot, name, value", [
+    (make_problem([[-1.0, 1.5, 0.2]]), "v", 3.0),
+    (make_bank([[-1.0, 1.5, 0.2]]), "resets", 2),
+    (esc_init(5.0), "k", 7),
+], ids=["DceeProblem", "Ensemble", "EscState"])
+def test_step_snapshots_are_frozen(snapshot, name, value):
+    # the snapshots a step builds are slotted, and as immutable as before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(snapshot, name, value)
+    changed = dataclasses.replace(snapshot, **{name: value})
+    assert getattr(changed, name) == value and getattr(snapshot, name) != value
+    assert not hasattr(snapshot, "__dict__")
+
+
+@pytest.mark.parametrize("controller, selector", [
+    ("numerical_dcee", "controller_step"), ("grad_dcee", "grad_dcee_step")])
+def test_no_collection_starts_inside_a_selection(monkeypatch, controller, selector):
+    # a step keeps no object the garbage collector tracks, so once a short
+    # run has warmed the interpreter up, the collector's count stays flat
+    # from step to step and no collection, at the default thresholds,
+    # interrupts a selection; the records built after the loop still start
+    # some
+    assert gc.isenabled()
+    d = default_config()
+    d["horizon_s"] = 300.0
+    d["controller"]["type"] = controller
+    cfg = scenario_from_dict(d)
+    run_closed_loop(short_cfg(controller={"type": controller}))
+    select = getattr(harness, selector)
+    inside = False
+    started = []
+
+    def watched(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return select(*args)
+        finally:
+            inside = False
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started.append(inside)
+
+    monkeypatch.setattr(harness, selector, watched)
+    gc.callbacks.append(on_gc)
+    try:
+        run_closed_loop(cfg)
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert started and started.count(True) == 0
 
 
 def test_default_run_reports_converged_solves():

@@ -63,3 +63,13 @@ def test_seed_summary_tables_every_controller_and_level():
     for row in health[2:]:
         # no switch within 30 s: no alarm, and no solve falls back
         assert row.strip("| ").split(" | ")[2:] == ["0", "2", "0"]
+
+
+def test_solve_gc_counts_collections_and_times_each_selection():
+    script = _load_script("solve_gc")
+    select = dcee.harness.controller_step
+    out = script.measure(scenario_from_dict({"horizon_s": 30.0}))
+    assert dcee.harness.controller_step is select
+    assert set(out) == {"gc_in_selection", "gc_total", "select_cpu_max_us", "select_cpu_p999_us"}
+    assert 0 <= out["gc_in_selection"] <= out["gc_total"]
+    assert 0.0 < out["select_cpu_p999_us"] <= out["select_cpu_max_us"]
