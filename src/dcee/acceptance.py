@@ -139,7 +139,7 @@ def criterion_4_global_quality() -> CriterionResult:
     while solved < 50:
         prob = random_problem(rng)
         if solved % 2:
-            prob = replace(prob, v=condition_stats(prob.ensemble, prob.reward))
+            prob = prob._replace(v=condition_stats(prob.ensemble, prob.reward))
         u0 = random_input(rng, prob.vehicle)
         cfg = GnConfig(max_iters=60, tol=1e-10, u_min=prob.vehicle.u_min, u_max=prob.vehicle.u_max)
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DceeProblem, residual_fn, warm_start
 from .errors import ConfigurationError, InfeasibleCandidateError
@@ -65,8 +66,9 @@ class EscConfig:
                 raise ConfigurationError(f"{name} must be positive and finite")
 
 
-@dataclass(frozen=True, slots=True)
-class EscState:
+class EscState(NamedTuple):
+    """The extremum seeker's state, a tuple record rebuilt every step."""
+
     setpoint_hat: float
     lowpass_state: float
     k: int = 0
@@ -91,9 +93,10 @@ def esc_step(
     by the dither, and integrated into the setpoint estimate; an inner speed
     loop with drag feedforward tracks setpoint + dither.
     """
-    phase = cfg.dither_freq * state.k * vehicle.dt
+    setpoint_hat, lowpass_state, k = state
+    phase = cfg.dither_freq * k * vehicle.dt
     dither = math.sin(phase)
-    lp = reward_meas if state.k == 0 else state.lowpass_state
+    lp = reward_meas if k == 0 else lowpass_state
     lp = lp + vehicle.dt * cfg.highpass_cutoff * (reward_meas - lp)
     hp = reward_meas - lp
     # demodulate against the dither as seen by the plant: the inner speed
@@ -101,7 +104,7 @@ def esc_step(
     # reference phase accordingly
     lag = math.atan(cfg.dither_freq * vehicle.mass / cfg.speed_loop_gain)
     demod = math.sin(phase - lag)
-    setpoint = state.setpoint_hat + vehicle.dt * cfg.integrator_gain * hp * demod
+    setpoint = setpoint_hat + vehicle.dt * cfg.integrator_gain * hp * demod
     # keep the estimate in a physically meaningful speed range; large climb
     # transients can otherwise leak through the washout and wind the
     # integrator into a stall at zero speed
@@ -109,5 +112,4 @@ def esc_step(
     v_cmd = setpoint + cfg.dither_amp * dither
     u = cfg.speed_loop_gain * (v_cmd - v) + drag_force(vehicle, v)
     u = min(max(u, vehicle.u_min), vehicle.u_max)
-    new_state = EscState(setpoint_hat=setpoint, lowpass_state=lp, k=state.k + 1)
-    return u, new_state
+    return u, EscState(setpoint, lp, k + 1)

@@ -98,6 +98,10 @@ def _cmd_bench(args) -> int:
         f"bench[analytic_gn]: thread CPU p99 {gn['cpu_p99_ns']/1e3:.1f} us  "
         f"max {gn['cpu_max_ns']/1e3:.1f} us (the paper reports a maximum of 83 us)"
     )
+    print(
+        f"bench[analytic_gn]: {gn['gc_solves']} solves with a garbage collection inside; "
+        f"thread CPU max over the others {gn['cpu_max_no_gc_ns']/1e3:.1f} us"
+    )
     for name, ratio in report["speedup_vs_analytic"].items():
         print(f"bench[speedup]: {name} / analytic_gn = {ratio:.2f}x")
     print(

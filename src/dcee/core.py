@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +34,10 @@ from .reward import QuadraticRewardSpec
 _MIN_CURVATURE = math.sqrt(sys.float_info.min)
 
 
-@dataclass(frozen=True, slots=True)
-class DceeProblem:
+class DceeProblem(NamedTuple):
     """Immutable snapshot of one control step: plant model, reward family,
-    current estimator ensemble, and current speed."""
+    current estimator ensemble, and current speed.  A tuple record, since
+    drive builds one every step; _replace returns a changed copy."""
 
     vehicle: VehicleParams
     reward: QuadraticRewardSpec
@@ -78,20 +78,21 @@ class _Prepared:
                  "drag", "dy_du", "u_stop", "s", "neg_floor", "inv_sqrt_n")
 
     def __init__(self, p: DceeProblem):
-        m0, m1, m2 = zip(*p.ensemble.members)
+        veh, spec, ens, v = p
+        m0, m1, m2 = zip(*ens.members)
         self.m0, self.m1, self.m2 = m0, m1, m2
-        self.rates = p.ensemble.rates
+        self.rates = ens.rates
         n = self.n = len(m0)
         # Python's sum is compensated from 3.12 on, so the last bit of these
         # means may depend on the interpreter version
         self.mean = (sum(m0) / n, sum(m1) / n, sum(m2) / n)
-        veh = p.vehicle
-        v = self.v = float(p.v)
-        self.drag = drag_force(veh, v)
+        v = self.v = float(v)
+        drag = self.drag = drag_force(veh, v)
         self.dy_du = veh.dt / veh.mass
-        self.u_stop = standstill_input(veh, v)
-        self.s = p.reward.v_scale
-        self.neg_floor = min(-p.reward.curvature_floor, -_MIN_CURVATURE)
+        # standstill_input's expression, from the drag already in hand
+        self.u_stop = drag - v * veh.mass / veh.dt
+        self.s = spec.v_scale
+        self.neg_floor = min(-spec.curvature_floor, -_MIN_CURVATURE)
         self.inv_sqrt_n = 1.0 / math.sqrt(n)
 
 
@@ -252,12 +253,12 @@ def _objective_terms(p: DceeProblem, u, feasible):
     an array silences numpy's floating-point warnings, which infeasible
     candidates raise.
     """
-    veh = p.vehicle
-    v = float(p.v)
-    s = p.reward.v_scale
+    veh, spec, ens, v = p
+    v = float(v)
+    s = spec.v_scale
     neg_half_s = -0.5 * s
-    neg_floor = -p.reward.curvature_floor
-    rows = p.ensemble.members
+    neg_floor = -spec.curvature_floor
+    rows = ens.members
     n = len(rows)
     sum0 = sum1 = sum2 = 0.0
     for a, b, c in rows:
@@ -272,7 +273,7 @@ def _objective_terms(p: DceeProblem, u, feasible):
     gams = []
     gsum = 0.0
     try:
-        for (a, b, c), rate in zip(rows, p.ensemble.rates):
+        for (a, b, c), rate in zip(rows, ens.rates):
             gain = rate * (a * psi0 + b * z + c - r_hat)
             t0 = a - gain * psi0
             feasible &= t0 <= neg_floor

@@ -12,7 +12,7 @@ the numbers the solver steps with.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -184,7 +184,7 @@ def _audit_instance(rng: np.random.Generator, vehicle: VehicleParams,
     interior or at a bound."""
     prob = random_problem(rng, vehicle=vehicle, reward=reward)
     if k % 2:
-        prob = replace(prob, v=float(rng.uniform(0.0, 0.5)))
+        prob = prob._replace(v=float(rng.uniform(0.0, 0.5)))
     veh = prob.vehicle
     if k % 4 >= 2:
         u = veh.u_max if rng.random() < 0.5 else veh.u_min

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,23 @@ Row = tuple[float, float, float]
 Matrix = tuple[Row, Row, Row]
 
 
-@dataclass(frozen=True, slots=True)
-class Ensemble:
+_tuple_new = tuple.__new__
+
+
+class _Bank(NamedTuple):
+    """The fields of an Ensemble, whose constructor checks them."""
+
+    members: tuple[Row, ...]
+    rates: tuple[float, ...]  # positive rates of the predicted update
+    covariance: Matrix  # P
+    prior: Matrix
+    noise_var: float
+    cusum_hi: float
+    cusum_lo: float
+    resets: int
+
+
+class Ensemble(_Bank):
     """Immutable estimator bank: one parameter row per member.
 
     The members, rates, covariance and prior are Python floats in tuples,
@@ -50,48 +66,52 @@ class Ensemble:
     cusum_hi/cusum_lo are the change-test statistics and resets counts the
     alarms so far.
 
+    A bank is a tuple record: measured_update builds one every step, and a
+    tuple's fields are filled in C where a frozen dataclass sets each by
+    name.  A field cannot be set, and _replace returns a changed copy
+    through the constructor's input rule.
+
     A field is taken as it is when it is a tuple whose first row is a tuple
     and whose first cell is a float (for rates, whose first entry is a
-    float), so the bank that measured_update builds each step pays a few
-    type tests.  Any other form, arrays or a tuple of array rows say, is
+    float), which costs a few type tests.  Any other form, arrays or a tuple of array rows say, is
     converted here: members to (n, 3) with n >= 1, rates to n, covariance
     and prior to 3x3, and the scalars to float; a wrong shape or a cell
     that is no number raises InvalidInputError.
     """
 
-    members: tuple[Row, ...]
-    rates: tuple[float, ...]  # positive rates of the predicted update
-    covariance: Matrix  # P
-    prior: Matrix
-    noise_var: float = NOISE_VAR_FLOOR
-    cusum_hi: float = 0.0
-    cusum_lo: float = 0.0
-    resets: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        rates = self.rates
-        if (_float_rows(self.members) and _float_rows(self.covariance) and _float_rows(self.prior)
-                and type(rates) is tuple and rates and type(rates[0]) is float):
-            return
+    def __new__(cls, members, rates, covariance, prior, noise_var=NOISE_VAR_FLOOR,
+                cusum_hi=0.0, cusum_lo=0.0, resets=0):
         try:
-            members, rates, P, prior = (np.asarray(x, dtype=float)
-                                        for x in (self.members, self.rates, self.covariance, self.prior))
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"a bank must be arrays of numbers: {exc}") from exc
-        if not (members.ndim == 2 and members.shape[1] == 3 and len(members) >= 1
-                and rates.shape == members.shape[:1] and P.shape == prior.shape == (3, 3)):
-            raise InvalidInputError("a bank needs (n, 3) members with n >= 1, n rates, "
-                                    "and 3x3 covariance and prior")
-        for name, a in (("members", members), ("rates", rates), ("covariance", P), ("prior", prior)):
-            object.__setattr__(self, name, tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist()))
-        for name in ("noise_var", "cusum_hi", "cusum_lo"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            floats = (type(members) is type(rates) is type(covariance) is type(prior) is tuple
+                      and type(members[0]) is type(covariance[0]) is type(prior[0]) is tuple
+                      and type(members[0][0]) is type(rates[0]) is type(covariance[0][0])
+                      is type(prior[0][0]) is float)
+        except IndexError:  # an empty field or first row
+            floats = False
+        if not floats:
+            members, rates, covariance, prior = _converted(members, rates, covariance, prior)
+            noise_var, cusum_hi, cusum_lo = float(noise_var), float(cusum_hi), float(cusum_lo)
+        return _tuple_new(cls, (members, rates, covariance, prior, noise_var, cusum_hi, cusum_lo, resets))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-def _float_rows(x) -> bool:
-    """Whether x is a tuple whose first row is a tuple with a float first."""
-    return (type(x) is tuple and x and type(x[0]) is tuple and x[0]
-            and type(x[0][0]) is float)
+def _converted(members, rates, covariance, prior):
+    """The four array fields of a bank as tuples of Python floats."""
+    try:
+        arrays = [np.asarray(x, dtype=float) for x in (members, rates, covariance, prior)]
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"a bank must be arrays of numbers: {exc}") from exc
+    members, rates, P, prior = arrays
+    if not (members.ndim == 2 and members.shape[1] == 3 and len(members) >= 1
+            and rates.shape == members.shape[:1] and P.shape == prior.shape == (3, 3)):
+        raise InvalidInputError("a bank needs (n, 3) members with n >= 1, n rates, "
+                                "and 3x3 covariance and prior")
+    return tuple(tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist()) for a in arrays)
 
 
 @dataclass(frozen=True)
@@ -178,6 +198,15 @@ def _gain_terms(P: Matrix, psi0: float, z: float, noise_var: float):
     return p0, p1, p2, psi0 * p0 + z * p1 + p2 + noise_var
 
 
+def _add(A: Matrix, B: Matrix) -> Matrix:
+    """A + B, each entry a + b, as three row tuples: built from displays,
+    not generators, so no tuple is allocated at one size and shrunk, which
+    would leave the collector's count higher after every alarm."""
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = A
+    (d0, e0, f0), (d1, e1, f1), (d2, e2, f2) = B
+    return ((a0 + d0, b0 + e0, c0 + f0), (a1 + d1, b1 + e1, c1 + f1), (a2 + d2, b2 + e2, c2 + f2))
+
+
 def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_meas: float) -> Ensemble:
     """Recursive-least-squares step of each member toward the measured
     reward, followed by the admissibility projection.  Rates are unchanged.
@@ -201,23 +230,23 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     r = float(reward_meas)
     if not math.isfinite(r):
         raise InvalidInputError(f"measured reward must be finite, got {reward_meas}")
+    members, rates, P, prior, noise_var, cusum_hi, cusum_lo, resets = e
     psi0, z, _ = basis(spec, y)
-    innovations = [a * psi0 + b * z + c - r for a, b, c in e.members]
-    P = e.covariance
-    p0, p1, p2, s = _gain_terms(P, psi0, z, e.noise_var)
+    innovations = [a * psi0 + b * z + c - r for a, b, c in members]
+    p0, p1, p2, s = _gain_terms(P, psi0, z, noise_var)
     nu = -sum(innovations) / (len(innovations) * math.sqrt(s))
-    hi, lo, fired = change_test(e.cusum_hi, e.cusum_lo, nu)
+    hi, lo, fired = change_test(cusum_hi, cusum_lo, nu)
     if fired:
-        P = tuple(tuple(a + b for a, b in zip(row, prior_row)) for row, prior_row in zip(P, e.prior))
-        p0, p1, p2, s = _gain_terms(P, psi0, z, e.noise_var)
+        P = _add(P, prior)
+        p0, p1, p2, s = _gain_terms(P, psi0, z, noise_var)
     g0, g1, g2 = p0 / s, p1 / s, p2 / s
     (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = P
     P = ((a0 - g0 * p0, b0 - g0 * p1, c0 - g0 * p2),
          (a1 - g1 * p0, b1 - g1 * p1, c1 - g1 * p2),
          (a2 - g2 * p0, b2 - g2 * p1, c2 - g2 * p2))
     neg_floor = -spec.curvature_floor
-    members = []
-    for (a, b, c), inn in zip(e.members, innovations):
+    updated = []
+    for (a, b, c), inn in zip(members, innovations):
         a -= inn * g0
         b -= inn * g1
         c -= inn * g2
@@ -229,8 +258,10 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
             a = min(a - excess, neg_floor)
             b -= excess * (row[1] / row[0])
             c -= excess * (row[2] / row[0])
-        members.append((a, b, c))
-    return Ensemble(tuple(members), e.rates, P, e.prior, e.noise_var, hi, lo, e.resets + fired)
+        updated.append((a, b, c))
+    # every field is e's own or float arithmetic on e's floats, so the
+    # bank skips the constructor's type test
+    return _tuple_new(Ensemble, (tuple(updated), rates, P, prior, noise_var, hi, lo, resets + fired))
 
 
 def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:

@@ -10,6 +10,7 @@ before the first input is chosen.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 import time
@@ -79,7 +80,7 @@ def _timing_summary(times_ns) -> dict:
     }
 
 
-def _timed(times: list, fn, *args):
+def _timed(times, fn, *args):
     """fn(*args), with its wall time in ns appended to times."""
     t0 = time.perf_counter_ns()
     out = fn(*args)
@@ -135,7 +136,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
     columns = [array("d") for _ in CSV_COLUMNS[:-1]] + [array("q")]
     (log_t, log_v, log_u, log_v_star, log_gamma, log_exploit, log_explore, log_reward,
      log_iterations) = (col.append for col in columns)
-    wall_times = []
+    wall_times = array("q")
     health = SolverHealth()
 
     def select(k, t, seg, r_meas, problem, u_prev):
@@ -285,7 +286,10 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     includes controller_step's preparation; the analytic solves are also
     timed on the thread's CPU clock, which a descheduled process does not
     advance, and its p99 and max go into their timing entry as
-    cpu_p99_ns and cpu_max_ns.  Every agreement_stride steps
+    cpu_p99_ns and cpu_max_ns.  A gc.callbacks hook counts, as gc_solves,
+    the analytic solves inside which a garbage collection started, and
+    cpu_max_no_gc_ns is the thread CPU max over the other solves (0.0 if
+    there are none).  Every agreement_stride steps
     both are also re-solved to convergence (60 iterations at most) and
     the relative spread of the reached objectives is tracked.
     At the same steps the exploitation residual F[0] alone is solved from
@@ -303,6 +307,9 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     ref_cfg = replace(gncfg, max_iters=60)
     times = {"analytic_gn": [], "fd_hessian_newton": []}
     cpu_times = []
+    gc_solves = 0
+    cpu_max_no_gc = 0
+    gc_starts = 0
     health = SolverHealth()
     agreement_max_rel = 0.0
     agreement_checks = 0
@@ -310,10 +317,16 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     explore_shifts = []
 
     def select(k, t, seg, r_meas, problem, u_prev):
-        nonlocal agreement_max_rel, agreement_checks, reference_failures
+        nonlocal agreement_max_rel, agreement_checks, reference_failures, gc_solves, cpu_max_no_gc
+        starts = gc_starts
         cpu0 = time.thread_time_ns()
         u, report = _timed(times["analytic_gn"], controller_step, problem, u_prev, gncfg)
-        cpu_times.append(time.thread_time_ns() - cpu0)
+        cpu = time.thread_time_ns() - cpu0
+        cpu_times.append(cpu)
+        if gc_starts != starts:
+            gc_solves += 1
+        else:
+            cpu_max_no_gc = max(cpu_max_no_gc, cpu)
         health.add(report)
 
         u_start = warm_start(problem, u_prev)
@@ -339,10 +352,20 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
                 reference_failures += 1
         return u
 
-    drive(cfg, select)
+    def on_gc(phase, info):
+        nonlocal gc_starts
+        if phase == "start":
+            gc_starts += 1
+
+    gc.callbacks.append(on_gc)
+    try:
+        drive(cfg, select)
+    finally:
+        gc.callbacks.remove(on_gc)
     summary = {name: _timing_summary(vals) for name, vals in times.items()}
     cpu = _timing_summary(cpu_times)
-    summary["analytic_gn"].update(cpu_p99_ns=cpu["p99_ns"], cpu_max_ns=cpu["max_ns"])
+    summary["analytic_gn"].update(cpu_p99_ns=cpu["p99_ns"], cpu_max_ns=cpu["max_ns"],
+                                  gc_solves=gc_solves, cpu_max_no_gc_ns=float(cpu_max_no_gc))
     mean_gn = summary["analytic_gn"]["mean_ns"]
     speedup = summary["fd_hessian_newton"]["mean_ns"] / mean_gn if mean_gn > 0 else math.inf
     return {

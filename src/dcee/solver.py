@@ -147,13 +147,12 @@ def gn_terms(F, J) -> tuple:
     return float(F @ F), float(J @ F), float(J @ J)
 
 
-def _feasible_start(fun, cfg: GnConfig, report: GnReport):
+def _feasible_start(fun, cfg: GnConfig):
     """(u, terms) at the point of least F'F among the feasible points of a
-    coarse grid over the input box, or None when none is feasible; each
-    point tried counts in report.evaluations."""
+    coarse grid of _START_GRID_POINTS over the input box, or None when none
+    is feasible; every point is evaluated."""
     best = None
     for u in np.linspace(cfg.u_min, cfg.u_max, _START_GRID_POINTS).tolist():
-        report.evaluations += 1
         try:
             terms = fun(u)
         except InfeasibleCandidateError:
@@ -189,25 +188,29 @@ def solve(fun, u_init: float, cfg: GnConfig):
     """
     u_min, u_max = cfg.u_min, cfg.u_max
     u = min(max(float(u_init), u_min), u_max)
-    report = GnReport(evaluations=1)
+    evaluations = 1
+    iterations = escalations = 0
+    step_norms = []
     try:
         obj, jtf, jtj = fun(u)
     except InfeasibleCandidateError as exc:
-        start = _feasible_start(fun, cfg, report)
+        evaluations += _START_GRID_POINTS
+        start = _feasible_start(fun, cfg)
         if start is None:
-            raise SolverFailureError("initial point infeasible", report) from exc
+            raise SolverFailureError("initial point infeasible", GnReport(evaluations=evaluations)) from exc
         u, (obj, jtf, jtj) = start
 
+    converged = False
     while True:
         lam = cfg.damping
         u_new = min(max(u + gn_step(jtf, jtj, lam), u_min), u_max)
         if abs(u_new - u) <= cfg.tol * (1.0 + abs(u)):
-            report.converged = True
+            converged = True
             break
-        if report.iterations == cfg.max_iters:
+        if iterations == cfg.max_iters:
             break
         for _attempt in range(_MAX_ESCALATIONS + 1):
-            report.evaluations += 1
+            evaluations += 1
             try:
                 terms = fun(u_new)
             except InfeasibleCandidateError:
@@ -216,23 +219,25 @@ def solve(fun, u_init: float, cfg: GnConfig):
                 if terms[0] <= obj * (1.0 + _ACCEPT_RTOL) + _ACCEPT_ATOL:
                     break
             lam = max(10.0 * lam, 1.0)
-            report.damping_escalations += 1
+            escalations += 1
             u_new = min(max(u + gn_step(jtf, jtj, lam), u_min), u_max)
         else:
             raise SolverFailureError(
-                "no acceptable step after damping escalation", report
-            )
+                "no acceptable step after damping escalation",
+                GnReport(iterations=iterations, evaluations=evaluations, step_norms=step_norms,
+                         damping_escalations=escalations))
 
-        report.iterations += 1
-        report.step_norms.append(abs(u_new - u))
+        iterations += 1
+        step_norms.append(abs(u_new - u))
         stalled = terms[0] >= obj
         u = u_new
         obj, jtf, jtj = terms
         if stalled:
-            report.converged = True
+            converged = True
             break
 
-    return u, report
+    # positional: keywords cost a dataclass __init__ about 0.5 us more
+    return u, GnReport(iterations, evaluations, step_norms, converged, False, escalations)
 
 
 def controller_step(p: DceeProblem, u_prev: float, cfg: GnConfig):

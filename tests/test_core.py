@@ -87,7 +87,7 @@ def test_objective_grid_equals_split_sum():
     for k in range(200):
         p = random_problem(rng)
         if k % 2:
-            p = dataclasses.replace(p, v=float(rng.uniform(0.0, 0.3)))
+            p = p._replace(v=float(rng.uniform(0.0, 0.3)))
         us = np.linspace(p.vehicle.u_min, p.vehicle.u_max, 101)
         for u, d in zip(us.tolist(), objective_grid(p, us).tolist()):
             try:
@@ -153,7 +153,7 @@ def test_objective_split_takes_a_numpy_scalar_speed_as_a_float(spec):
             want = objective_split(p, u)
         except InfeasibleCandidateError:
             continue
-        got = objective_split(dataclasses.replace(p, v=np.float64(p.v)), u)
+        got = objective_split(p._replace(v=np.float64(p.v)), u)
         assert all(type(x) is float for x in got) and got == want
 
 
@@ -212,7 +212,7 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_vanishes_at_standstill():
     # u = -4000 N brakes the predicted speed from 0.2 m/s below zero, where
     # it clamps: the residual no longer depends on u
-    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    p = random_problem(np.random.default_rng(0))._replace(v=0.2)
     u = -4000.0
     assert u < standstill_input(p.vehicle, p.v)
     _, J = evaluate(p, u)
@@ -222,7 +222,7 @@ def test_jacobian_vanishes_at_standstill():
 
 
 def test_warm_start_lifts_clamps_and_replaces_a_non_finite_input():
-    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    p = random_problem(np.random.default_rng(0))._replace(v=0.2)
     veh = p.vehicle
     u_stop = standstill_input(veh, p.v)
     assert veh.u_min < u_stop < 0.0
@@ -233,11 +233,11 @@ def test_warm_start_lifts_clamps_and_replaces_a_non_finite_input():
     # no finite input: the drag-holding one, clamped to the box too
     for u_prev in (math.nan, math.inf, -math.inf):
         assert warm_start(p, u_prev) == drag_force(veh, p.v)
-        assert warm_start(dataclasses.replace(p, v=200.0), u_prev) == veh.u_max
+        assert warm_start(p._replace(v=200.0), u_prev) == veh.u_max
 
 
 def test_standstill_input_is_the_edge_of_the_clamp():
-    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    p = random_problem(np.random.default_rng(0))._replace(v=0.2)
     u_stop = standstill_input(p.vehicle, p.v)
     # at the edge the Jacobian is the one-sided one from above
     h = fd_step(p.vehicle, u_stop)
@@ -250,7 +250,7 @@ def test_standstill_input_is_the_edge_of_the_clamp():
 def test_objective_flat_below_standstill():
     # every input below standstill_input predicts speed 0, so the objective
     # is flat there, and it leaves the flat at the edge
-    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    p = random_problem(np.random.default_rng(0))._replace(v=0.2)
     u_stop = standstill_input(p.vehicle, p.v)
     us = np.concatenate([np.linspace(p.vehicle.u_min, u_stop - 1.0, 50), [u_stop, u_stop + 1.0]])
     grid = objective_grid(p, us)
@@ -387,9 +387,9 @@ def test_evaluate_agrees_with_split_and_grid(n):
         p = random_problem(rng)
         members = np.mean(p.ensemble.members, axis=0) + rng.uniform(-0.3, 0.3, size=(n, 3))
         members[:, 0] = np.minimum(members[:, 0], -p.reward.curvature_floor)
-        p = dataclasses.replace(p, ensemble=make_bank(members, np.geomspace(0.05, 0.5, n)))
+        p = p._replace(ensemble=make_bank(members, np.geomspace(0.05, 0.5, n)))
         if checked % 2:
-            p = dataclasses.replace(p, v=float(rng.uniform(0.0, 0.3)))
+            p = p._replace(v=float(rng.uniform(0.0, 0.3)))
         u = random_input(rng, p.vehicle) if checked % 3 else p.vehicle.u_min
         grid = float(objective_grid(p, [u])[0])
         try:

@@ -1,4 +1,4 @@
-import dataclasses
+import gc
 import math
 from fractions import Fraction
 
@@ -192,7 +192,7 @@ def test_deviation_centering_and_trace_identity():
         gammas = np.array([optimal_condition(spec, m) for m in ens.members])
         mean = condition_stats(ens, spec)
         assert abs(mean - gammas.mean()) <= 1e-12 * abs(mean)
-        frozen = DceeProblem(VehicleParams(), spec, dataclasses.replace(ens, rates=(1e-300,) * n), v=mean)
+        frozen = DceeProblem(VehicleParams(), spec, ens._replace(rates=(1e-300,) * n), v=mean)
         explore = objective_split(frozen, 300.0)[1]
         assert abs(explore - ((gammas - mean) ** 2).mean()) < 1e-12 * max(1.0, explore)
 
@@ -481,9 +481,38 @@ def test_measured_update_nan_member_cannot_silence_an_alarm():
     # both statistics to 0 without an alarm; the update raises instead
     spec = QuadraticRewardSpec()
     members = [[np.nan, 1.0, 0.0], [-1.0, 2.0, 0.5], [-1.0, 2.0, 0.5]]
-    ens = dataclasses.replace(with_covariance(members, np.eye(3), 1e-4), cusum_hi=7.5, cusum_lo=3.0)
+    ens = with_covariance(members, np.eye(3), 1e-4)._replace(cusum_hi=7.5, cusum_lo=3.0)
     with pytest.raises(InvalidInputError):
         measured_update(ens, spec, 20.0, -50.0)
+
+
+def test_alarm_step_leaves_the_collector_count_flat():
+    # an alarm adds the prior to P in three row tuples built from displays.
+    # A row built from a generator is allocated at 10 slots and shrunk to
+    # 3: the collector counts it once, and freed into the 3-tuple free list
+    # it is never counted back, so each alarm would leave gen-0's count 4
+    # higher.  The held tuples empty the 3- and 10-slot free lists, so the
+    # count sees such tuples whatever earlier code left in those lists
+    spec = QuadraticRewardSpec()
+    theta = make_true_params(spec, 1.0, 25.0, 1.0)
+    ens = init_ensemble(spec, settings(theta, [0.1, 0.1, 0.1], 10, seed=3), 0.01)
+    r_alarm = eval_reward(spec, theta, 25.0) + 1.0
+    climbs = []
+    gc.disable()
+    try:
+        held = [(k, k, k) for k in range(2100)] + [(k,) * 10 for k in range(2100)]
+        for k in range(100):
+            y = 24.0 + k % 3
+            ens = measured_update(ens, spec, y, eval_reward(spec, theta, y))
+        bank = ens._replace(cusum_hi=CHANGE_LIMIT)
+        assert measured_update(bank, spec, 25.0, r_alarm).resets == bank.resets + 1
+        for _ in range(3):
+            count = gc.get_count()[0]
+            measured_update(bank, spec, 25.0, r_alarm)
+            climbs.append(gc.get_count()[0] - count)
+    finally:
+        gc.enable()
+    assert len(held) == 4200 and climbs == [0, 0, 0]
 
 
 @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import gc
 import json
 import math
@@ -78,16 +77,31 @@ def test_record_count_and_fields():
     (esc_init(5.0), "k", 7),
 ], ids=["DceeProblem", "Ensemble", "EscState"])
 def test_step_snapshots_are_frozen(snapshot, name, value):
-    # the snapshots a step builds are slotted, and as immutable as before
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    # the snapshots a step builds are tuple records: no field can be set,
+    # _replace returns a changed copy, and they carry no __dict__
+    assert isinstance(snapshot, tuple)
+    with pytest.raises(AttributeError):
         setattr(snapshot, name, value)
-    changed = dataclasses.replace(snapshot, **{name: value})
+    changed = snapshot._replace(**{name: value})
+    assert type(changed) is type(snapshot)
     assert getattr(changed, name) == value and getattr(snapshot, name) != value
     assert not hasattr(snapshot, "__dict__")
 
 
+def test_bank_replace_converts_as_the_constructor_does():
+    # _replace builds through Ensemble's constructor, so array fields come
+    # out as tuples of Python floats there too
+    bank = make_bank([[-1.0, 1.5, 0.2]])
+    changed = bank._replace(members=np.array([[-2.0, 1.0, 0.5]]))
+    assert changed.members == ((-2.0, 1.0, 0.5),)
+    assert all(type(x) is float for x in changed.members[0])
+    assert changed == make_bank([[-2.0, 1.0, 0.5]])
+    with pytest.raises(InvalidInputError, match="bank"):
+        bank._replace(members=np.zeros((1, 2)))
+
+
 @pytest.mark.parametrize("controller, selector", [
-    ("numerical_dcee", "controller_step"), ("grad_dcee", "grad_dcee_step")])
+    ("numerical_dcee", "controller_step"), ("grad_dcee", "grad_dcee_step"), ("esc", "esc_step")])
 def test_no_collection_starts_inside_a_selection(monkeypatch, controller, selector):
     # a step keeps no object the garbage collector tracks, so once a short
     # run has warmed the interpreter up, the collector's count stays flat
@@ -462,6 +476,26 @@ def test_bench_solver_structure_and_ordering():
     gn = t["analytic_gn"]
     assert 0.0 < gn["cpu_p99_ns"] <= gn["cpu_max_ns"]
     assert "evaluations" in report["solver"]
+
+
+def test_bench_solver_counts_solves_with_a_collection_inside(monkeypatch):
+    # every 50th solve starts a full collection: each is counted, and the
+    # thread CPU max over the other solves leaves their cost out
+    step = harness.controller_step
+    calls = 0
+
+    def collecting(*args):
+        nonlocal calls
+        calls += 1
+        if calls % 50 == 0:
+            gc.collect()
+        return step(*args)
+
+    monkeypatch.setattr(harness, "controller_step", collecting)
+    cfg = short_cfg(horizon_s=20.0)
+    gn = bench_solver(cfg, agreement_stride=50)["timing"]["analytic_gn"]
+    assert cfg.n_steps // 50 <= gn["gc_solves"] < cfg.n_steps
+    assert 0.0 < gn["cpu_max_no_gc_ns"] < gn["cpu_max_ns"]
 
 
 @pytest.mark.parametrize("stride", [0, -1, 2.5, "10", None, True])

@@ -90,7 +90,7 @@ def test_solve_takes_gn_step():
     interior = 0
     while checked < 40:
         p = random_problem(rng)
-        p = dataclasses.replace(p, v=condition_stats(p.ensemble, p.reward))
+        p = p._replace(v=condition_stats(p.ensemble, p.reward))
         u0 = random_input(rng, p.vehicle)
         fun = residual_fn(p)
         cfg = GnConfig(max_iters=1, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
@@ -336,7 +336,7 @@ def test_solve_matches_grid_oracle_at_interior_minima():
     solved = interior = 0
     while solved < 40:
         p = random_problem(rng)
-        p = dataclasses.replace(p, v=condition_stats(p.ensemble, p.reward))
+        p = p._replace(v=condition_stats(p.ensemble, p.reward))
         u0 = random_input(rng, p.vehicle)
         cfg = GnConfig(max_iters=60, tol=1e-10, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
         try:
@@ -395,7 +395,7 @@ def test_controller_step_fallback_on_failure(monkeypatch):
         raise InfeasibleCandidateError("synthetic")
 
     monkeypatch.setattr(dcee.solver, "residual_fn", lambda p: always_infeasible)
-    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    p = random_problem(np.random.default_rng(0))._replace(v=0.2)
     cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
     assert warm_start(p, -4000.0) == standstill_input(p.vehicle, p.v) > -4000.0
     assert warm_start(p, 7000.0) == p.vehicle.u_max
@@ -422,7 +422,7 @@ def test_controller_step_falls_back_on_non_finite_residual():
     rng = np.random.default_rng(7)
     p = random_problem(rng)
     members = [[-0.05, 5.2e47, 1.8e47], [-2.4e67, -1.5e66, -5.2e65], [-0.05, 3.5e89, 1.2e89]]
-    p = dataclasses.replace(p, v=88.0, ensemble=make_bank(members, [0.1, 0.5, 0.9]))
+    p = p._replace(v=88.0, ensemble=make_bank(members, [0.1, 0.5, 0.9]))
     cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
     with pytest.raises(InfeasibleCandidateError):
         residual_fn(p)(p.vehicle.u_max)
@@ -471,7 +471,7 @@ def test_controller_step_evaluates_through_residual_fn(monkeypatch):
 def test_solve_converges_at_standstill():
     # the predicted speed clamps to 0, so the objective is flat in u and
     # J'J = 0: the zero step converges instead of exhausting the escalations
-    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    p = random_problem(np.random.default_rng(0))._replace(v=0.2)
     cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
     u, rep = solve(residual_fn(p), -4000.0, cfg)
     assert u == -4000.0
@@ -482,7 +482,7 @@ def test_solve_converges_at_standstill():
 def test_controller_step_lifts_warm_start_out_of_standstill():
     # from a warm start in the flat region the step starts at the edge of
     # it, where the one-sided Jacobian lets it move
-    p = dataclasses.replace(random_problem(np.random.default_rng(0)), v=0.2)
+    p = random_problem(np.random.default_rng(0))._replace(v=0.2)
     cfg = GnConfig(u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
     u_stop = standstill_input(p.vehicle, p.v)
     assert -4000.0 < u_stop
@@ -642,7 +642,7 @@ def test_callback_terms_match_evaluate_on_random_problems():
     for k in range(200):
         p = random_problem(rng)
         if k % 2:
-            p = dataclasses.replace(p, v=float(rng.uniform(0.0, 0.3)))
+            p = p._replace(v=float(rng.uniform(0.0, 0.3)))
             u_stop = standstill_input(p.vehicle, p.v)
             us = [math.nextafter(u_stop, -math.inf), u_stop, math.nextafter(u_stop, math.inf),
                   u_stop - 1.0, u_stop + 1.0]
@@ -672,7 +672,7 @@ def _bank_around(p, rng, rel_spread, outlier=None, shift=None):
     if outlier is not None:
         members[0] = center * outlier
     members[:, 0] = np.minimum(members[:, 0], -p.reward.curvature_floor)
-    return dataclasses.replace(p, ensemble=make_bank(members, p.ensemble.rates))
+    return p._replace(ensemble=make_bank(members, p.ensemble.rates))
 
 
 @pytest.mark.parametrize("bank", ["collapsed", "outlier_first", "large_speeds"])
@@ -695,7 +695,7 @@ def test_callback_terms_match_evaluate_on_hard_banks(bank):
             # exploit part, is most of each sum and sets the tolerance
             m = np.array(p.ensemble.members)
             gam = -0.5 * p.reward.v_scale * m[:, 1] / m[:, 0]
-            p = dataclasses.replace(p, vehicle=VehicleParams(c0=0.0, c1=0.0, c2=0.0),
+            p = p._replace(vehicle=VehicleParams(c0=0.0, c1=0.0, c2=0.0),
                                     v=float(gam.mean()))
         us = [random_input(rng, p.vehicle) for _ in range(4)]
         feasible += sum(_check_callback_against_evaluate(p, u) for u in us)
