@@ -69,30 +69,24 @@ class Ensemble(_Bank):
     A bank is a tuple record: measured_update builds one every step, and a
     tuple's fields are filled in C where a frozen dataclass sets each by
     name.  A field cannot be set, and _replace returns a changed copy
-    through the constructor's input rule.
-
-    A field is taken as it is when it is a tuple whose first row is a tuple
-    and whose first cell is a float (for rates, whose first entry is a
-    float), which costs a few type tests.  Any other form, arrays or a tuple of array rows say, is
-    converted here: members to (n, 3) with n >= 1, rates to n, covariance
-    and prior to 3x3, and the scalars to float; a wrong shape or a cell
-    that is no number raises InvalidInputError.
+    through the constructor's check.  That check accepts one form only:
+    members a nonempty tuple of float 3-tuples, rates one float per
+    member, covariance and prior 3x3, noise_var and the statistics floats
+    and resets an int, where a float is a Python float, not a numpy scalar.
+    Any other form raises InvalidInputError; draw_bank converts its draw.
     """
 
     __slots__ = ()
 
     def __new__(cls, members, rates, covariance, prior, noise_var=NOISE_VAR_FLOOR,
                 cusum_hi=0.0, cusum_lo=0.0, resets=0):
-        try:
-            floats = (type(members) is type(rates) is type(covariance) is type(prior) is tuple
-                      and type(members[0]) is type(covariance[0]) is type(prior[0]) is tuple
-                      and type(members[0][0]) is type(rates[0]) is type(covariance[0][0])
-                      is type(prior[0][0]) is float)
-        except IndexError:  # an empty field or first row
-            floats = False
-        if not floats:
-            members, rates, covariance, prior = _converted(members, rates, covariance, prior)
-            noise_var, cusum_hi, cusum_lo = float(noise_var), float(cusum_hi), float(cusum_lo)
+        n = len(members) if type(members) is tuple else 0
+        if not (n and _rows(members, n) and _floats(rates, n) and _rows(covariance, 3) and _rows(prior, 3)
+                and type(noise_var) is type(cusum_hi) is type(cusum_lo) is float and type(resets) is int):
+            raise InvalidInputError(
+                "a bank needs a nonempty tuple of float 3-tuples as members, one float rate per member, "
+                "3x3 float tuples as covariance and prior, float noise_var, cusum_hi and cusum_lo, "
+                "and an int resets")
         return _tuple_new(cls, (members, rates, covariance, prior, noise_var, cusum_hi, cusum_lo, resets))
 
     @classmethod
@@ -100,18 +94,14 @@ class Ensemble(_Bank):
         return cls(*iterable)
 
 
-def _converted(members, rates, covariance, prior):
-    """The four array fields of a bank as tuples of Python floats."""
-    try:
-        arrays = [np.asarray(x, dtype=float) for x in (members, rates, covariance, prior)]
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"a bank must be arrays of numbers: {exc}") from exc
-    members, rates, P, prior = arrays
-    if not (members.ndim == 2 and members.shape[1] == 3 and len(members) >= 1
-            and rates.shape == members.shape[:1] and P.shape == prior.shape == (3, 3)):
-        raise InvalidInputError("a bank needs (n, 3) members with n >= 1, n rates, "
-                                "and 3x3 covariance and prior")
-    return tuple(tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist()) for a in arrays)
+def _floats(x, n: int) -> bool:
+    """Whether x is a tuple of n Python floats."""
+    return type(x) is tuple and len(x) == n and all(type(c) is float for c in x)
+
+
+def _rows(x, n: int) -> bool:
+    """Whether x is a tuple of n tuples of three Python floats."""
+    return type(x) is tuple and len(x) == n and all(_floats(row, 3) for row in x)
 
 
 @dataclass(frozen=True)
@@ -152,13 +142,13 @@ def draw_bank(spec: QuadraticRewardSpec, rng: np.random.Generator, n_members: in
     """A bank of n_members drawn by rng uniformly in prior +/- spread, each
     member's theta[0] clamped at -curvature_floor, with predicted-update
     rates log-spaced on [eta_lo, eta_hi] and covariance = prior =
-    diag(spread**2).  One (n_members, 3) uniform draw is all it takes of
-    rng."""
+    diag(spread**2), as the tuples of Python floats an Ensemble holds.
+    One (n_members, 3) uniform draw is all it takes of rng."""
     members = np.asarray(prior, dtype=float) + rng.uniform(-1.0, 1.0, size=(n_members, 3)) * spread
     members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
-    P = np.diag(np.square(spread))
-    return Ensemble(members, np.geomspace(eta_lo, eta_hi, n_members), covariance=P, prior=P,
-                    noise_var=noise_var)
+    rates = tuple(np.geomspace(eta_lo, eta_hi, n_members).tolist())
+    P = tuple(map(tuple, np.diag(np.square(spread)).tolist()))
+    return Ensemble(tuple(map(tuple, members.tolist())), rates, covariance=P, prior=P, noise_var=float(noise_var))
 
 
 def init_ensemble(spec: QuadraticRewardSpec, settings: EnsembleSettings, noise_sigma: float) -> Ensemble:
@@ -260,7 +250,7 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
             c -= excess * (row[2] / row[0])
         updated.append((a, b, c))
     # every field is e's own or float arithmetic on e's floats, so the
-    # bank skips the constructor's type test
+    # bank skips the constructor's check
     return _tuple_new(Ensemble, (tuple(updated), rates, P, prior, noise_var, hi, lo, resets + fired))
 
 

@@ -17,12 +17,20 @@ def vehicle():
 
 def make_bank(members, rates=None, covariance=np.eye(3), **kw):
     """An Ensemble from array-like member rows, rates (0.1 each by default)
-    and covariance (the identity by default), which is also the prior;
-    Ensemble converts the arrays to its tuples of Python floats."""
-    members = np.atleast_2d(members)
+    and covariance (the identity by default), which is also the prior:
+    the tests' one converter from arrays to the tuples of Python floats
+    that Ensemble takes."""
+    members = np.atleast_2d(np.asarray(members, dtype=float))
     if rates is None:
         rates = [0.1] * len(members)
-    return Ensemble(members, rates, covariance=covariance, prior=covariance, **kw)
+    P = _tuples(covariance)
+    return Ensemble(_tuples(members), _tuples(rates), covariance=P, prior=P, **kw)
+
+
+def _tuples(a):
+    """An array-like of numbers as (nested) tuples of Python floats."""
+    a = np.asarray(a, dtype=float)
+    return tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist())
 
 
 def make_problem(members, rates=None, v=20.0, spec=None, vehicle=None):

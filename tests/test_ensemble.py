@@ -559,44 +559,49 @@ def _numpy_first_cell(field):
     return bank
 
 
-def test_array_bank_is_converted_to_python_floats():
-    # a bank given in any other form than tuples of Python floats is
-    # converted once at construction, so the update and every reader of the
-    # bank return Python floats
-    spec = QuadraticRewardSpec()
+def test_a_bank_in_another_form_is_rejected():
+    # Ensemble converts nothing: arrays, tuples of numpy rows and a numpy
+    # scalar in any field raise, so no layer can be handed numpy scalars
+    # through the bank
     banks = [
         dict(members=np.array(_ROWS), rates=np.array([0.1, 0.1]), covariance=0.09 * np.eye(3),
              prior=0.09 * np.eye(3), noise_var=np.float64(1e-4)),
-        # tuples of numpy rows: the outer tuples alone do not make a float bank
         dict(members=tuple(np.array(_ROWS)), rates=(0.1, 0.1), covariance=tuple(0.09 * np.eye(3)),
              prior=tuple(0.09 * np.eye(3))),
     ]
     banks += [_numpy_first_cell(field) for field in ("members", "rates", "covariance", "prior")]
     for bank in banks:
-        ens = Ensemble(**bank)
-        for _ in range(2):
-            cells = [x for row in ens.members for x in row] + list(ens.rates)
-            cells += [x for m in (ens.covariance, ens.prior) for row in m for x in row]
-            cells += [ens.noise_var, ens.cusum_hi, ens.cusum_lo]
-            assert all(type(x) is float for x in cells), bank
-            assert type(condition_stats(ens, spec)) is float
-            ens = measured_update(ens, spec, 20.0, 0.4)
-    # lists are converted too, to the same tuples
-    assert Ensemble([[-1.0, 1.5, 0.2]], [0.1], np.eye(3).tolist(), np.eye(3)) == make_bank([[-1.0, 1.5, 0.2]])
+        with pytest.raises(InvalidInputError, match="bank"):
+            Ensemble(**bank)
+    # the same bank as tuples of Python floats builds as it is
+    ens = Ensemble(tuple(map(tuple, _ROWS)), (0.1, 0.1), _P, _P)
+    assert ens.members == tuple(map(tuple, _ROWS)) and ens.covariance is _P
+
+
+_ROW = (-1.0, 1.5, 0.2)
 
 
 @pytest.mark.parametrize("bad", [
-    dict(members=[-1.0, 1.5, 0.2]),
-    dict(members=np.zeros((2, 2))),
-    dict(members=np.zeros((0, 3)), rates=[]),
-    dict(rates=[0.1, 0.1, 0.1]),
-    dict(covariance=np.eye(2)),
-    dict(prior=np.ones(3)),
-    dict(members=[["x", 1.5, 0.2], [-1.0, 1.5, 0.2]]),
+    dict(members=_ROW),
+    dict(members=((0.0, 0.0), (0.0, 0.0))),
+    dict(members=(), rates=()),
+    dict(rates=(0.1, 0.1, 0.1)),
+    dict(covariance=((1.0, 0.0), (0.0, 1.0))),
+    dict(prior=(1.0, 1.0, 1.0)),
+    dict(members=(("x", 1.5, 0.2), _ROW)),
+    # two members and one rate: residual_fn would pair the one rate with
+    # the first member only and disagree with objective_split
+    dict(members=(_ROW, (-1.1, 1.4, 0.25)), rates=(0.1,)),
+    # a ragged second row: measured_update would fail to unpack it
+    dict(members=(_ROW, (-1.1, 1.4))),
+    # numpy scalars past the first cell, or in a scalar field: one update
+    # would spread them through the members and P
+    dict(members=(_ROW, (-1.1, np.float64(1.4), 0.25))),
+    dict(noise_var=np.float64(1e-4)),
+    dict(cusum_hi=0),
 ])
 def test_ensemble_rejects_a_bank_of_the_wrong_shape(bad):
-    args = dict(members=np.tile([-1.0, 1.5, 0.2], (2, 1)), rates=[0.1, 0.1],
-                covariance=np.eye(3), prior=np.eye(3))
+    args = dict(members=(_ROW, _ROW), rates=(0.1, 0.1), covariance=_P, prior=_P)
     args.update(bad)
     with pytest.raises(InvalidInputError, match="bank"):
         Ensemble(**args)

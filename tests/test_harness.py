@@ -88,16 +88,18 @@ def test_step_snapshots_are_frozen(snapshot, name, value):
     assert not hasattr(snapshot, "__dict__")
 
 
-def test_bank_replace_converts_as_the_constructor_does():
-    # _replace builds through Ensemble's constructor, so array fields come
-    # out as tuples of Python floats there too
+def test_bank_replace_checks_as_the_constructor_does():
+    # _replace builds through Ensemble's constructor, so a field in another
+    # form than tuples of Python floats raises there too
     bank = make_bank([[-1.0, 1.5, 0.2]])
-    changed = bank._replace(members=np.array([[-2.0, 1.0, 0.5]]))
-    assert changed.members == ((-2.0, 1.0, 0.5),)
-    assert all(type(x) is float for x in changed.members[0])
-    assert changed == make_bank([[-2.0, 1.0, 0.5]])
+    for members in (np.array([[-2.0, 1.0, 0.5]]), np.zeros((1, 2)), ((-2.0, 1.0),)):
+        with pytest.raises(InvalidInputError, match="bank"):
+            bank._replace(members=members)
     with pytest.raises(InvalidInputError, match="bank"):
-        bank._replace(members=np.zeros((1, 2)))
+        bank._replace(rates=(0.1, 0.1))
+    changed = bank._replace(members=((-2.0, 1.0, 0.5),))
+    assert type(changed) is type(bank) and changed == make_bank([[-2.0, 1.0, 0.5]])
+    assert bank.members == ((-1.0, 1.5, 0.2),)
 
 
 @pytest.mark.parametrize("controller, selector", [

@@ -273,6 +273,33 @@ def test_solve_raises_when_every_trial_is_infeasible():
     assert not rep.converged
 
 
+def test_solve_reaches_its_evaluation_bound():
+    # a solve makes at most 1 + 33 + max_iters (5 + 1) evaluations; a
+    # scripted callback takes every one of them: an infeasible start, 33
+    # feasible grid points, then per iteration five rejected trials and an
+    # accepted one, the objective falling strictly and no step meeting tol
+    cfg = GnConfig()
+    assert 1 + dcee.solver._START_GRID_POINTS + cfg.max_iters * (dcee.solver._MAX_ESCALATIONS + 1) == 94
+    trials = ["infeasible", "higher", "infeasible", "higher", "infeasible", "lower"]
+    script = iter(["infeasible"] + ["grid"] * 33 + trials * cfg.max_iters)
+    obj = [100.0]
+
+    def fun(u):
+        kind = next(script)
+        if kind == "infeasible":
+            raise InfeasibleCandidateError("scripted")
+        if kind == "lower":
+            obj[0] -= 1.0
+        # J'F = -1 and J'J = 1: the undamped step is +1, above tol (1 + |u|)
+        return obj[0] + (1.0 if kind == "higher" else 0.0), -1.0, 1.0
+
+    u, rep = solve(fun, 0.0, cfg)
+    assert next(script, None) is None
+    assert (rep.evaluations, rep.iterations, rep.damping_escalations) == (94, 10, 50)
+    assert rep.converged is False and not rep.fallback
+    assert obj[0] == 90.0 and cfg.u_min < u < cfg.u_max
+
+
 def test_solve_started_at_fixed_point_stops_converged():
     # at the solution of a closed-loop step the GN step is rounding noise
     # (about 1e-11 N), larger than tol = 1e-15 allows; the unchanged
