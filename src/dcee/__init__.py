@@ -10,7 +10,6 @@ from .core import (
     objective_grid,
     objective_split,
     residual_fn,
-    residual_map,
     standstill_input,
     warm_start,
 )

@@ -150,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("config", help="scenario YAML file")
     scenario.add_argument("--out", metavar="DIR")
-    scenario.add_argument("--seed", type=int, help="measurement-noise seed override")
+    scenario.add_argument("--seed", type=int, help="measurement-noise seed override; "
+                          "audit also draws its random instances with it")
 
     p_run = sub.add_parser("run", parents=[scenario],
                            help="simulate one controller and export the trajectory")
@@ -167,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_audit = sub.add_parser("audit", parents=[scenario],
-                             help="randomized derivative and decomposition audit")
+                             help="randomized derivative and decomposition audit, its "
+                             "instances drawn with the noise seed (--seed)")
     p_audit.add_argument("--samples", type=int, default=100)
     p_audit.set_defaults(fn=_cmd_audit)
 

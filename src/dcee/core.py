@@ -7,15 +7,15 @@ deviations of the member predictions.  The control objective is the squared
 norm of that residual, so its exploitation/exploration split is exact.
 
 Two routes compute it.  The first fuses F and its Jacobian into one pass
-over the members on Python floats, _eval_prepared, which keeps running
-sums of the members' values.  The solver's callback, residual_fn, takes
-the scalars F'F, J'F and J'J, all a one-input Gauss-Newton step needs,
-from those sums, and objective is its F'F; evaluate builds the arrays F
-and J from the values the pass also collects, about the means of the
-same sums.  objective_split and objective_grid share a second, unfused
-route that computes the split from the ensemble statistics, on one float
-candidate or an array of them alike, and so checks the first
-independently.
+over the members on Python floats, the callable residual_fn(p) returns,
+which keeps running sums of the members' values.  As the solver's
+callback it takes the scalars F'F, J'F and J'J, all a one-input
+Gauss-Newton step needs, from those sums, and objective is its F'F;
+evaluate asks the same pass to collect the members' values too and
+builds the arrays F and J about the means of the same sums.
+objective_split and objective_grid share a second, unfused route that
+computes the split from the ensemble statistics, on one float candidate
+or an array of them alike, and so checks the first independently.
 """
 from __future__ import annotations
 
@@ -63,142 +63,6 @@ def warm_start(p: DceeProblem, u_prev: float) -> float:
     return min(max(u, veh.u_min), veh.u_max)
 
 
-class _Prepared:
-    """Problem-invariant quantities shared by all evaluations of one snapshot.
-
-    The inner solver evaluates the same DceeProblem many times per control
-    period; everything that does not depend on the candidate input is
-    computed once here, as Python floats and tuples (see evaluate).
-    neg_floor is the curvature floor, and no less than sqrt of the smallest
-    normal float, so the derivative never divides by a curvature whose
-    square underflows.
-    """
-
-    __slots__ = ("v", "m0", "m1", "m2", "rates", "mean", "n",
-                 "drag", "dy_du", "u_stop", "s", "neg_floor", "inv_sqrt_n")
-
-    def __init__(self, p: DceeProblem):
-        veh, spec, ens, v = p
-        m0, m1, m2 = zip(*ens.members)
-        self.m0, self.m1, self.m2 = m0, m1, m2
-        self.rates = ens.rates
-        n = self.n = len(m0)
-        # Python's sum is compensated from 3.12 on, so the last bit of these
-        # means may depend on the interpreter version
-        self.mean = (sum(m0) / n, sum(m1) / n, sum(m2) / n)
-        v = self.v = float(v)
-        drag = self.drag = drag_force(veh, v)
-        self.dy_du = veh.dt / veh.mass
-        # standstill_input's expression, from the drag already in hand
-        self.u_stop = drag - v * veh.mass / veh.dt
-        self.s = spec.v_scale
-        self.neg_floor = min(-spec.curvature_floor, -_MIN_CURVATURE)
-        self.inv_sqrt_n = 1.0 / math.sqrt(n)
-
-
-def _eval_prepared(prep: _Prepared, u: float, pairs=None):
-    """The one pass over the members at u.
-
-    Without a list it returns the solve callback's (F'F, J'F, J'J).
-    Given the list pairs it appends to it each updated member's optimal
-    speed g and its derivative dg = d(g)/du, as the pair (g, dg), and
-    returns (f0, gmean, j0, dmean), where gmean is the mean of g,
-    f0 = y - gmean the exploitation residual, and j0 and dmean are their
-    derivatives in u.
-
-    Both modes keep the same running sums of g and dg, less their first
-    member's values (shifted data, so the deviations from the means come
-    out of the sums without cancelling digits when the members agree
-    closely), and in units that leave the factors common to all members to
-    the end; the means come from these sums, so evaluate's F[0] and J[0]
-    are the callback's own.  F[1:] and J[1:] are the deviations over
-    sqrt(n), so their share of each product is a sum of deviation products
-    over n; in F'F that share is the variance of the optimal speeds, the
-    explore term.
-    """
-    u = float(u)
-    if not math.isfinite(u):
-        raise InvalidInputError(f"candidate input must be finite, got {u}")
-    dy_du = prep.dy_du
-    if u < prep.u_stop:
-        # the predicted speed clamps at standstill, where it no longer
-        # depends on the input
-        y = 0.0
-        dy_du = 0.0
-    else:
-        # at u_stop itself rounding can leave y a hair below 0; the
-        # derivative there is the one-sided one from above
-        y = max(prep.v + dy_du * (u - prep.drag), 0.0)
-    s = prep.s
-    z = y / s
-    z2 = 2.0 * z
-    psi0 = z * z
-    mean0, mean1, mean2 = prep.mean
-    r_hat = mean0 * psi0 + mean1 * z + mean2
-    neg_floor = prep.neg_floor
-    scale = -0.5 * s
-    k = 0.5 * dy_du
-    cq = cr = 0.0
-    first = True
-    sq = sr = sqq = sqr = srr = 0.0
-    # predicted member update theta - rate * e * psi, with e the member's
-    # reward innovation, and each updated member's optimal speed
-    # g = -(s/2) q for q = t1 / t0.  psi' = (2z, 1) / s and
-    # h = e + z (2z d0 + d1), with d0 and d1 the member's deviations from
-    # the means of the first two parameters, give t1' = rate h / s and
-    # t0' = rate z (e + h) / s, so dg = -(s/2) dy/du (t1' t0 - t1 t0') / t0^2,
-    # with the minus signs of the update direction folded in, is k r for
-    # r = rate (h - q z (e + h)) / t0 and k = dy/du / 2.  The pass sums q
-    # and r; the factors -(s/2) and k apply to the sums
-    for a, b, c, rate in zip(prep.m0, prep.m1, prep.m2, prep.rates):
-        e = a * psi0 + b * z + c - r_hat
-        gain = rate * e
-        t0 = a - gain * psi0
-        if t0 > neg_floor:
-            raise InfeasibleCandidateError(
-                f"candidate u={u} drives a predicted member outside the admissible region"
-            )
-        q = (b - gain * z) / t0
-        h = e + z * (z2 * (a - mean0) + (b - mean1))
-        r = rate * (h - q * z * (e + h)) / t0
-        if pairs is not None:
-            pairs.append((q * scale, k * r))
-        if first:
-            cq, cr = q, r
-            first = False
-        q -= cq
-        r -= cr
-        sq += q
-        sr += r
-        sqq += q * q
-        sqr += q * r
-        srr += r * r
-    n = prep.n
-    gmean = scale * (cq + sq / n)
-    f0 = y - gmean
-    dmean = k * (cr + sr / n)
-    j0 = dy_du - dmean
-    ftf = f0 * f0 + scale * scale * (sqq - sq * sq / n) / n
-    jtf = j0 * f0 + scale * k * (sqr - sq * sr / n) / n
-    jtj = j0 * j0 + k * k * (srr - sr * sr / n) / n
-    if not (math.isfinite(ftf) and math.isfinite(jtf) and math.isfinite(jtj)):
-        # overflowing members give inf/nan here, even where each member's
-        # values are finite: one more candidate the solver must not accept
-        raise InfeasibleCandidateError(f"candidate u={u} gives non-finite objective terms")
-    if pairs is not None:
-        return f0, gmean, j0, dmean
-    return ftf, jtf, jtj
-
-
-def _residual_arrays(prep: _Prepared, u: float):
-    """The pair (F, J) at u as arrays."""
-    pairs = []
-    f0, gmean, j0, dmean = _eval_prepared(prep, u, pairs)
-    w = prep.inv_sqrt_n
-    return (np.array([f0] + [(g - gmean) * w for g, _ in pairs]),
-            np.array([j0] + [(dg - dmean) * w for _, dg in pairs]))
-
-
 def evaluate(p: DceeProblem, u: float):
     """Residual stack F(u) and its analytic Jacobian dF/du, as the pair
     (F, J).
@@ -208,28 +72,17 @@ def evaluate(p: DceeProblem, u: float):
     member update (product rule over the basis and the innovation) and the
     derivative of the optimal-speed map.
 
-    One loop over the members on Python floats (with about ten members
-    numpy's per-call cost would outweigh the arithmetic) computes F and J.
-    It is the pass the solver's callback (residual_fn) takes, with the same
-    running sums and so the same means; the callback reduces them to the
-    three scalars of a one-input Gauss-Newton step without collecting the
-    members' values.  objective_split and objective_grid share the unfused
-    route, _objective_terms, which has no code in common with this one, so
-    the decomposition identity is a genuine cross-check.
+    The pass residual_fn returns, asked to collect the members' values,
+    computes F and J, with the same running sums and so the same means as
+    the solve callback.  objective_split and objective_grid share the
+    unfused route, _objective_terms, which has no code in common with this
+    one, so the decomposition identity is a genuine cross-check.
     """
-    return _residual_arrays(_Prepared(p), u)
-
-
-def residual_map(p: DceeProblem):
-    """The residual alone, u -> F, with the problem prepared once: the map
-    the finite-difference oracles difference.  F is evaluate's, and it
-    raises wherever evaluate raises."""
-    prep = _Prepared(p)
-
-    def fn(u: float):
-        return _residual_arrays(prep, u)[0]
-
-    return fn
+    pairs = []
+    f0, gmean, j0, dmean = residual_fn(p)(u, pairs)
+    w = 1.0 / math.sqrt(len(pairs))
+    return (np.array([f0] + [(g - gmean) * w for g, _ in pairs]),
+            np.array([j0] + [(dg - dmean) * w for _, dg in pairs]))
 
 
 def objective(p: DceeProblem, u: float) -> float:
@@ -324,16 +177,122 @@ def objective_grid(p: DceeProblem, us) -> np.ndarray:
 
 
 def residual_fn(p: DceeProblem):
-    """Adapter for the inner solver: u -> (F'F, J'F, J'J).
+    """The one pass over the members, fn(u, pairs=None), with everything
+    that does not depend on the candidate input computed once, as Python
+    floats and tuples, so repeated evaluations inside one solve stay cheap
+    (with about ten members numpy's per-call cost would outweigh the
+    arithmetic).
 
-    With one input these three numbers are all a Gauss-Newton step and its
-    accept test need (see solver.solve), so no residual arrays are built.
-    Prepares the problem-invariant quantities once, so repeated evaluations
-    inside one solve stay cheap.
+    Without a list fn(u) returns the solve callback's (F'F, J'F, J'J): with
+    one input these three numbers are all a Gauss-Newton step and its
+    accept test need (see solver.solve), so no arrays are built.  Given the
+    list pairs it appends to it each updated member's optimal speed g and
+    its derivative dg = d(g)/du, as the pair (g, dg), and returns
+    (f0, gmean, j0, dmean), where gmean is the mean of g, f0 = y - gmean
+    the exploitation residual, and j0 and dmean are their derivatives in u
+    (see evaluate).
+
+    Both modes keep the same running sums of g and dg, less their first
+    member's values (shifted data, so the deviations from the means come
+    out of the sums without cancelling digits when the members agree
+    closely), and in units that leave the factors common to all members to
+    the end; the means come from these sums, so evaluate's F[0] and J[0]
+    are the callback's own.  F[1:] and J[1:] are the deviations over
+    sqrt(n), so their share of each product is a sum of deviation products
+    over n; in F'F that share is the variance of the optimal speeds, the
+    explore term.  t0_max, the largest curvature a feasible member may
+    have, is the negated curvature floor, and no more than -sqrt of the
+    smallest normal float, so the derivative never divides by a curvature
+    whose square underflows.
     """
-    prep = _Prepared(p)
+    veh, spec, ens, v = p
+    m0, m1, m2 = zip(*ens.members)
+    rates = ens.rates
+    n = len(m0)
+    # Python's sum is compensated from 3.12 on, so the last bit of these
+    # means may depend on the interpreter version
+    mean = (sum(m0) / n, sum(m1) / n, sum(m2) / n)
+    v = float(v)
+    drag = drag_force(veh, v)
+    dy_du_free = veh.dt / veh.mass
+    # standstill_input's expression, from the drag already in hand
+    u_stop = drag - v * veh.mass / veh.dt
+    s = spec.v_scale
+    t0_max = min(-spec.curvature_floor, -_MIN_CURVATURE)
+    scale = -0.5 * s
 
-    def fn(u: float):
-        return _eval_prepared(prep, u)
+    def fn(u: float, pairs=None):
+        u = float(u)
+        if not math.isfinite(u):
+            raise InvalidInputError(f"candidate input must be finite, got {u}")
+        if u < u_stop:
+            # the predicted speed clamps at standstill, where it no longer
+            # depends on the input
+            y = 0.0
+            dy_du = 0.0
+        else:
+            # at u_stop itself rounding can leave y a hair below 0; the
+            # derivative there is the one-sided one from above
+            dy_du = dy_du_free
+            y = max(v + dy_du * (u - drag), 0.0)
+        z = y / s
+        z2 = 2.0 * z
+        psi0 = z * z
+        # the loop reads locals, not the closure's cells
+        mean0, mean1, mean2 = mean
+        neg_floor = t0_max
+        r_hat = mean0 * psi0 + mean1 * z + mean2
+        k = 0.5 * dy_du
+        cq = cr = 0.0
+        first = True
+        sq = sr = sqq = sqr = srr = 0.0
+        # predicted member update theta - rate * e * psi, with e the
+        # member's reward innovation, and each updated member's optimal
+        # speed g = -(s/2) q for q = t1 / t0.  psi' = (2z, 1) / s and
+        # h = e + z (2z d0 + d1), with d0 and d1 the member's deviations
+        # from the means of the first two parameters, give t1' = rate h / s
+        # and t0' = rate z (e + h) / s, so
+        # dg = -(s/2) dy/du (t1' t0 - t1 t0') / t0^2, with the minus signs
+        # of the update direction folded in, is k r for
+        # r = rate (h - q z (e + h)) / t0 and k = dy/du / 2.  The pass sums
+        # q and r; the factors -(s/2) and k apply to the sums
+        for a, b, c, rate in zip(m0, m1, m2, rates):
+            e = a * psi0 + b * z + c - r_hat
+            gain = rate * e
+            t0 = a - gain * psi0
+            if t0 > neg_floor:
+                raise InfeasibleCandidateError(
+                    f"candidate u={u} drives a predicted member outside the admissible region"
+                )
+            q = (b - gain * z) / t0
+            h = e + z * (z2 * (a - mean0) + (b - mean1))
+            r = rate * (h - q * z * (e + h)) / t0
+            if pairs is not None:
+                pairs.append((q * scale, k * r))
+            if first:
+                cq, cr = q, r
+                first = False
+            q -= cq
+            r -= cr
+            sq += q
+            sr += r
+            sqq += q * q
+            sqr += q * r
+            srr += r * r
+        gmean = scale * (cq + sq / n)
+        f0 = y - gmean
+        dmean = k * (cr + sr / n)
+        j0 = dy_du - dmean
+        ftf = f0 * f0 + scale * scale * (sqq - sq * sq / n) / n
+        jtf = j0 * f0 + scale * k * (sqr - sq * sr / n) / n
+        jtj = j0 * j0 + k * k * (srr - sr * sr / n) / n
+        if not (math.isfinite(ftf) and math.isfinite(jtf) and math.isfinite(jtj)):
+            # overflowing members give inf/nan here, even where each
+            # member's values are finite: one more candidate the solver
+            # must not accept
+            raise InfeasibleCandidateError(f"candidate u={u} gives non-finite objective terms")
+        if pairs is not None:
+            return f0, gmean, j0, dmean
+        return ftf, jtf, jtj
 
     return fn

@@ -5,7 +5,7 @@ appears here exclusively as a finite-difference test oracle, used to split
 the curvature into the Gauss-Newton part J'J and the neglected second-order
 remainder, and to bound the local contraction rate of the full-step
 iteration.  Every finite difference is formed here, by _central: of
-residual_map for the Jacobian, and of the solve callback's 0.5 F'F for all
+evaluate's F for the Jacobian, and of the solve callback's 0.5 F'F for all
 else, so the split, the audit and bench's reference fd_hessian_newton read
 the numbers the solver steps with.
 """
@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (DceeProblem, evaluate, objective_split, residual_fn, residual_map,
-                   standstill_input)
+from .core import DceeProblem, evaluate, objective_split, residual_fn, standstill_input
 from .ensemble import draw_bank
 from .errors import (InfeasibleCandidateError, InvalidInputError, RateUndefinedError,
                      SolverFailureError, integer_at_least)
@@ -55,9 +54,9 @@ def _central(fn, u: float, h: float, at_u: float | None = None):
 
 
 def jacobian_fd(fn, u: float, h: float) -> np.ndarray:
-    """Central-difference Jacobian dF/du of the residual fn: u -> F (see
-    core.residual_map) with step h; the verification oracle for the
-    analytic Jacobian."""
+    """Central-difference Jacobian dF/du of the residual fn: u -> F, such
+    as lambda x: evaluate(p, x)[0], with step h; the verification oracle
+    for the analytic Jacobian."""
     return _central(fn, u, h)
 
 
@@ -224,7 +223,7 @@ def derivative_audit(vehicle: VehicleParams, reward: QuadraticRewardSpec,
             continue
         try:
             _, J = evaluate(prob, u)
-            J_fd = jacobian_fd(residual_map(prob), u, h)
+            J_fd = jacobian_fd(lambda x: evaluate(prob, x)[0], u, h)
             terms, L = _half_objective(prob)
             d, g, _ = terms(u)
             g_fd = _central(L, u, h)

@@ -22,13 +22,13 @@ import numpy as np
 
 from .baselines import esc_init, esc_step, grad_dcee_step
 from .config import ScenarioConfig
-from .core import DceeProblem, evaluate, objective, objective_split, residual_fn, warm_start
+from .core import DceeProblem, objective, objective_split, residual_fn, warm_start
 from .diagnostics import fd_hessian_newton
 from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError, integer_at_least
 from .plant import active_segment, measure, plant_step
 from .reward import optimal_condition
-from .solver import SolverHealth, controller_step, gn_terms, solve
+from .solver import SolverHealth, controller_step, solve
 
 # compute_metrics' e_v_tail averages |v - v*| over this many seconds at the
 # end of the run: unlike e_v, one sample, it does not hinge on the last step
@@ -193,7 +193,9 @@ def compute_metrics(records, schedule, spec) -> dict:
     per-segment parameters, each a float.
 
     A segment's optimal speed is computed again only when the segment
-    changes from one record to the next.
+    changes from one record to the next.  A record whose time is not
+    finite raises InvalidInputError: it belongs to no segment and no
+    window.
     """
     if not records:
         raise InvalidInputError("cannot compute metrics of an empty record list")
@@ -203,7 +205,9 @@ def compute_metrics(records, schedule, spec) -> dict:
     tail = 0.0
     n_tail = 0
     active = None
-    for rec in records:
+    for k, rec in enumerate(records):
+        if not math.isfinite(rec.t):
+            raise InvalidInputError(f"record {k} has a non-finite time t={rec.t}")
         seg = active_segment(schedule, rec.t)
         if seg is not active:
             active = seg
@@ -265,11 +269,14 @@ def export(result: RunResult, path, fmt: str):
 
 def _exploit_only_fn(problem: DceeProblem):
     """Solve callback of the exploitation residual F[0] alone: the input a
-    controller that ignores what the bank would learn from it would pick."""
+    controller that ignores what the bank would learn from it would pick.
+    Its (F'F, J'F, J'J) are those of f0 and j0, the first entries of F and
+    J, from one pass of residual_fn(problem) per call."""
+    member_pass = residual_fn(problem)
 
     def fn(u: float):
-        F, J = evaluate(problem, u)
-        return gn_terms(F[:1], J[:1])
+        f0, _, j0, _ = member_pass(u, [])
+        return f0 * f0, j0 * f0, j0 * j0
 
     return fn
 

@@ -15,6 +15,7 @@ from dcee import (
     active_segment,
     bench_solver,
     compute_metrics,
+    controller_step,
     default_config,
     drag_force,
     evaluate,
@@ -31,7 +32,8 @@ from dcee import (
 )
 from dcee import diagnostics, harness
 from dcee.baselines import esc_init
-from dcee.diagnostics import fd_hessian_newton, fd_hessian_step, fd_step, random_problem
+from dcee.diagnostics import (fd_hessian_newton, fd_hessian_step, fd_step, random_input,
+                              random_problem)
 from dcee.harness import CSV_HEADER, StepRecord, _exploit_only_fn
 
 from conftest import make_bank, make_problem
@@ -378,6 +380,22 @@ def test_metrics_empty_records(spec):
         compute_metrics([], (), spec)
 
 
+@pytest.mark.parametrize("bad_t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 50, 99])
+def test_metrics_reject_a_non_finite_record_time(spec, bad_t, where):
+    # a NaN time on the last record left the tail window empty, and one
+    # elsewhere was booked to the first segment; both now name the record
+    from dcee import make_true_params
+    from dcee.plant import EnvSegment
+
+    schedule = (EnvSegment(0.0, make_true_params(spec, 1.0, 25.0, 1.0), 0.0),
+                EnvSegment(5.0, make_true_params(spec, 1.0, 20.0, 1.0), 0.0))
+    records = [StepRecord(0.1 * k, 24.0, 0.0, 25.0, 0.0, 0.0, 0.0, 0.0, 0) for k in range(100)]
+    records[where] = records[where]._replace(t=bad_t)
+    with pytest.raises(InvalidInputError, match=f"record {where} "):
+        compute_metrics(records, schedule, spec)
+
+
 def read_csv(path):
     """An exported CSV's rows as StepRecords, read with the csv module."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -539,6 +557,39 @@ def test_bench_solver_reports_how_far_exploration_moves_the_input():
     assert report["explore_shift_checks"] == report["agreement_checks"] >= 4
     assert 0.0 <= report["explore_shift_median_n"] <= report["explore_shift_max_n"]
     assert math.isfinite(report["explore_shift_max_n"])
+
+
+def test_exploit_only_callback_is_gn_terms_of_the_first_residual_bitwise():
+    # the exploit-only callback reads f0 and j0 off one pass of residual_fn;
+    # they are evaluate's F[0] and J[0], and its terms gn_terms' of them
+    rng = np.random.default_rng(35)
+    problems = []
+    for _ in range(60):
+        p = random_problem(rng)
+        problems.append((p, random_input(rng, p.vehicle)))
+    n_random = len(problems)
+
+    def select(k, t, seg, r, p, u_prev):
+        # the closed loop's start and its solution of each step
+        u, _ = controller_step(p, u_prev, GnConfig())
+        problems.extend([(p, warm_start(p, u_prev)), (p, u)])
+        return u
+
+    harness.drive(short_cfg(horizon_s=3.0), select)
+    compared = 0
+    for p, u in problems:
+        try:
+            F, J = evaluate(p, u)
+        except InfeasibleCandidateError:
+            with pytest.raises(InfeasibleCandidateError):
+                _exploit_only_fn(p)(u)
+            continue
+        got = _exploit_only_fn(p)(u)
+        assert [x.hex() for x in got] == [x.hex() for x in gn_terms(F[:1], J[:1])]
+        f0, _, j0, _ = residual_fn(p)(u, [])
+        assert (f0.hex(), j0.hex()) == (float(F[0]).hex(), float(J[0]).hex())
+        compared += 1
+    assert compared >= len(problems) - n_random + 20
 
 
 def test_exploit_only_solve_minimizes_the_exploitation_term():

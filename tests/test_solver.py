@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import dcee.core
 import dcee.harness
 import dcee.solver
 from dcee import (
@@ -26,7 +25,6 @@ from dcee import (
     objective_grid,
     objective_split,
     residual_fn,
-    residual_map,
     run_closed_loop,
     scenario_from_dict,
     scp_step,
@@ -463,36 +461,28 @@ def test_controller_step_evaluates_through_residual_fn(monkeypatch):
     # the benchmark's traced run times every evaluation by wrapping
     # dcee.solver.residual_fn; a solve that bypassed the name would fail
     # that run, so pin here that each solve prepares once through it and
-    # that every residual evaluation of a closed loop goes through it
-    real_residual_fn, real_eval = dcee.solver.residual_fn, dcee.core._eval_prepared
-    counts = {"prepare": 0, "wrapped": 0, "all": 0}
+    # that every evaluation of a closed loop is a call of what it returned
+    real_residual_fn = dcee.solver.residual_fn
+    counts = {"prepare": 0, "calls": 0}
 
     def counting_residual_fn(p):
         counts["prepare"] += 1
         inner = real_residual_fn(p)
 
-        def fn(u):
-            counts["wrapped"] += 1
-            return inner(u)
+        def fn(u, *args):
+            counts["calls"] += 1
+            return inner(u, *args)
 
         return fn
 
-    def counting_eval(*args):
-        counts["all"] += 1
-        return real_eval(*args)
-
     monkeypatch.setattr(dcee.solver, "residual_fn", counting_residual_fn)
-    monkeypatch.setattr(dcee.core, "_eval_prepared", counting_eval)
     d = default_config()
     d["horizon_s"] = 5.0
     res = run_closed_loop(scenario_from_dict(d))
     health = res.solver
     assert counts["prepare"] == health.solves == len(res.records)
-    # one evaluation at the warm start, one per accepted step, one per
-    # rejected trial
-    iterations = sum(k * n for k, n in enumerate(health.histogram))
-    assert counts["wrapped"] == health.solves + iterations + health.escalations
-    assert counts["all"] == counts["wrapped"]
+    # health.evaluations is the sum of the solves' report.evaluations
+    assert counts["calls"] == health.evaluations > health.solves
 
 
 def test_solve_converges_at_standstill():
@@ -641,18 +631,14 @@ def test_closed_loop_solves_return_where_the_next_step_meets_tol(name):
 
 def _check_callback_against_evaluate(p, u):
     """residual_fn's (F'F, J'F, J'J) at u against the same terms
-    of evaluate's arrays, and residual_map's F against evaluate's bit for
-    bit; where evaluate raises, the callback and residual_map must raise
+    of evaluate's arrays; where evaluate raises, the callback must raise
     the same error.  Returns whether u was feasible."""
     try:
         F, J = evaluate(p, u)
     except (InfeasibleCandidateError, InvalidInputError) as exc:
         with pytest.raises(type(exc)):
             residual_fn(p)(u)
-        with pytest.raises(type(exc)):
-            residual_map(p)(u)
         return False
-    assert residual_map(p)(u).tobytes() == F.tobytes()
     got = residual_fn(p)(u)
     want = (float(F @ F), float(J @ F), float(J @ J))
     assert len(got) == 3 and all(type(x) is float for x in got)

@@ -132,15 +132,15 @@ def test_detects_an_unused_private_name():
 
 
 def test_detects_a_private_import_from_the_package():
-    source = ("from __future__ import annotations\nfrom .core import _Prepared, evaluate\n"
-              "from os import _exit\nfrom dcee.core import _eval_prepared\n"
+    source = ("from __future__ import annotations\nfrom .core import _objective_terms, evaluate\n"
+              "from os import _exit\nfrom dcee.core import _MIN_CURVATURE\n"
               "from . import __version__\nfrom .solver import (gn_terms,\n    _feasible_start)\n")
-    assert private_imports(source) == [(2, "_Prepared"), (4, "_eval_prepared"),
+    assert private_imports(source) == [(2, "_objective_terms"), (4, "_MIN_CURVATURE"),
                                        (6, "_feasible_start")]
 
 
 def test_detects_a_stale_name_in_the_readme():
-    text = ("`core._eval_prepared`, `ensemble.N`, `ensemble.Ensemble`, `vehicle.mass`, "
+    text = ("`core._objective_terms`, `ensemble.N`, `ensemble.Ensemble`, `vehicle.mass`, "
             "`pyproject.toml`, `core.gone`, `solver.gone`, `noise.sigma`")
     assert stale_readme_names(text) == ["core.gone", "solver.gone", "noise.sigma"]
 
