@@ -66,6 +66,8 @@ def _cmd_compare(args) -> int:
     # every controller's config is built, and so checked, before any runs
     configs = {}
     for controller in filter(None, (c.strip() for c in args.controllers.split(","))):
+        if controller in configs:
+            raise ConfigurationError(f"--controllers names {controller!r} more than once")
         raw = dict(cfg.raw, controller=dict(cfg.raw["controller"], type=controller))
         configs[controller] = scenario_from_dict(raw)
     if not configs:

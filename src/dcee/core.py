@@ -124,6 +124,7 @@ def _objective_terms(p: DceeProblem, u, feasible):
     psi0 = z * z
     r_hat = sum0 / n * psi0 + sum1 / n * z + sum2 / n
     gams = []
+    append = gams.append
     gsum = 0.0
     try:
         for (a, b, c), rate in zip(rows, ens.rates):
@@ -131,7 +132,7 @@ def _objective_terms(p: DceeProblem, u, feasible):
             t0 = a - gain * psi0
             feasible &= t0 <= neg_floor
             gam = (b - gain * z) / t0 * neg_half_s
-            gams.append(gam)
+            append(gam)
             gsum += gam
     except ZeroDivisionError:  # only a float t0 of 0 raises, and 0 is past the floor
         return math.nan, math.nan, False
@@ -206,12 +207,16 @@ def residual_fn(p: DceeProblem):
     whose square underflows.
     """
     veh, spec, ens, v = p
-    m0, m1, m2 = zip(*ens.members)
+    members = ens.members
     rates = ens.rates
-    n = len(m0)
-    # Python's sum is compensated from 3.12 on, so the last bit of these
-    # means may depend on the interpreter version
-    mean = (sum(m0) / n, sum(m1) / n, sum(m2) / n)
+    n = len(members)
+    # left to right on every interpreter, where sum is compensated from 3.12 on
+    sum0 = sum1 = sum2 = 0.0
+    for a, b, c in members:
+        sum0 += a
+        sum1 += b
+        sum2 += c
+    mean = (sum0 / n, sum1 / n, sum2 / n)
     v = float(v)
     drag = drag_force(veh, v)
     dy_du_free = veh.dt / veh.mass
@@ -256,7 +261,7 @@ def residual_fn(p: DceeProblem):
         # of the update direction folded in, is k r for
         # r = rate (h - q z (e + h)) / t0 and k = dy/du / 2.  The pass sums
         # q and r; the factors -(s/2) and k apply to the sums
-        for a, b, c, rate in zip(m0, m1, m2, rates):
+        for (a, b, c), rate in zip(members, rates):
             e = a * psi0 + b * z + c - r_hat
             gain = rate * e
             t0 = a - gain * psi0

@@ -222,9 +222,15 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
         raise InvalidInputError(f"measured reward must be finite, got {reward_meas}")
     members, rates, P, prior, noise_var, cusum_hi, cusum_lo, resets = e
     psi0, z, _ = basis(spec, y)
-    innovations = [a * psi0 + b * z + c - r for a, b, c in members]
+    innovations = []
+    append = innovations.append
+    total = 0.0
+    for a, b, c in members:
+        inn = a * psi0 + b * z + c - r
+        append(inn)
+        total += inn
     p0, p1, p2, s = _gain_terms(P, psi0, z, noise_var)
-    nu = -sum(innovations) / (len(innovations) * math.sqrt(s))
+    nu = -total / (len(members) * math.sqrt(s))
     hi, lo, fired = change_test(cusum_hi, cusum_lo, nu)
     if fired:
         P = _add(P, prior)
@@ -236,6 +242,7 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
          (a2 - g2 * p0, b2 - g2 * p1, c2 - g2 * p2))
     neg_floor = -spec.curvature_floor
     updated = []
+    append = updated.append
     for (a, b, c), inn in zip(members, innovations):
         a -= inn * g0
         b -= inn * g1
@@ -248,7 +255,7 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
             a = min(a - excess, neg_floor)
             b -= excess * (row[1] / row[0])
             c -= excess * (row[2] / row[0])
-        updated.append((a, b, c))
+        append((a, b, c))
     # every field is e's own or float arithmetic on e's floats, so the
     # bank skips the constructor's check
     return _tuple_new(Ensemble, (tuple(updated), rates, P, prior, noise_var, hi, lo, resets + fired))
@@ -258,11 +265,11 @@ def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:
     """Mean of the members' optimal speeds: the believed optimal speed."""
     floor = spec.curvature_floor
     s = spec.v_scale
-    speeds = []
+    total = 0.0
     for t0, t1, _ in e.members:
         if not t0 <= -floor:
             raise CurvatureViolationError(
                 "ensemble member violates the curvature floor; optimal condition undefined"
             )
-        speeds.append(s * (-t1 / (2.0 * t0)))
-    return sum(speeds) / len(speeds)
+        total += s * (-t1 / (2.0 * t0))
+    return total / len(e.members)

@@ -50,6 +50,7 @@ class StepRecord(NamedTuple):
 
 
 CSV_COLUMNS = StepRecord._fields
+_tuple_new = tuple.__new__
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
@@ -78,14 +79,6 @@ def _timing_summary(times_ns) -> dict:
         "max_ns": float(arr.max()),
         "p99_ns": float(np.percentile(arr, 99)),
     }
-
-
-def _timed(times, fn, *args):
-    """fn(*args), with its wall time in ns appended to times."""
-    t0 = time.perf_counter_ns()
-    out = fn(*args)
-    times.append(time.perf_counter_ns() - t0)
-    return out
 
 
 def drive(cfg: ScenarioConfig, select):
@@ -132,28 +125,35 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
     vehicle = cfg.vehicle
     spec = cfg.reward
     ctype = cfg.controller.type
+    gn_cfg, grad_cfg, esc_cfg = cfg.controller.solver, cfg.controller.grad, cfg.controller.esc
     esc_state = esc_init(cfg.v0) if ctype == "esc" else None
     columns = [array("d") for _ in CSV_COLUMNS[:-1]] + [array("q")]
     (log_t, log_v, log_u, log_v_star, log_gamma, log_exploit, log_explore, log_reward,
      log_iterations) = (col.append for col in columns)
     wall_times = array("q")
+    log_wall = wall_times.append
+    clock = time.perf_counter_ns
     health = SolverHealth()
 
     def select(k, t, seg, r_meas, problem, u_prev):
         nonlocal esc_state
         gamma_mean = condition_stats(problem.ensemble, spec)
+        v = problem.v
         # each controller is looked up as a module global at every call, so a
         # wrapper set on this module sees each selection
+        t0 = clock()
         if ctype == "numerical_dcee":
-            u, report = _timed(wall_times, controller_step, problem, u_prev, cfg.controller.solver)
+            u, report = controller_step(problem, u_prev, gn_cfg)
+            log_wall(clock() - t0)
             health.add(report)
             iterations = report.iterations
         elif ctype == "grad_dcee":
-            u = _timed(wall_times, grad_dcee_step, problem, u_prev, cfg.controller.grad)
+            u = grad_dcee_step(problem, u_prev, grad_cfg)
+            log_wall(clock() - t0)
             iterations = 1
         else:
-            u, esc_state = _timed(wall_times, esc_step, esc_state, cfg.controller.esc, r_meas,
-                                  problem.v, vehicle)
+            u, esc_state = esc_step(esc_state, esc_cfg, r_meas, v, vehicle)
+            log_wall(clock() - t0)
             iterations = 0
 
         try:
@@ -162,7 +162,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
             exploit, explore = math.nan, math.nan
 
         log_t(t)
-        log_v(problem.v)
+        log_v(v)
         log_u(u)
         log_v_star(optimal_condition(spec, seg.theta_true))
         log_gamma(gamma_mean)
@@ -173,7 +173,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         return u
 
     problem, u = drive(cfg, select)
-    records = list(map(StepRecord, *columns))
+    records = [_tuple_new(StepRecord, row) for row in zip(*columns)]
     metrics = compute_metrics(records, cfg.schedule, spec)
     return RunResult(
         records=records,
@@ -327,7 +327,9 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         nonlocal agreement_max_rel, agreement_checks, reference_failures, gc_solves, cpu_max_no_gc
         starts = gc_starts
         cpu0 = time.thread_time_ns()
-        u, report = _timed(times["analytic_gn"], controller_step, problem, u_prev, gncfg)
+        t0 = time.perf_counter_ns()
+        u, report = controller_step(problem, u_prev, gncfg)
+        times["analytic_gn"].append(time.perf_counter_ns() - t0)
         cpu = time.thread_time_ns() - cpu0
         cpu_times.append(cpu)
         if gc_starts != starts:
@@ -338,10 +340,11 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
 
         u_start = warm_start(problem, u_prev)
         try:
-            # the callback is built inside the timed call, so its
+            # the callback is built inside the timed region, so its
             # preparation counts as controller_step's does
-            _timed(times["fd_hessian_newton"],
-                   lambda: solve(fd_hessian_newton(problem), u_start, gncfg))
+            t0 = time.perf_counter_ns()
+            solve(fd_hessian_newton(problem), u_start, gncfg)
+            times["fd_hessian_newton"].append(time.perf_counter_ns() - t0)
         except SolverFailureError:
             reference_failures += 1
 

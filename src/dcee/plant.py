@@ -110,9 +110,9 @@ def _standard_normal(seed: int, k: int) -> float:
     """default_rng([seed, k]).standard_normal(), bit for bit: a new PCG64
     seeds itself from k's row of its block's seed table, which is the
     generate_state(4, uint64) of SeedSequence([seed, k])."""
-    if operator.index(seed) < 0 or operator.index(k) < 0:
-        raise ValueError("expected non-negative integer")
     seed, k = operator.index(seed), operator.index(k)
+    if seed < 0 or k < 0:
+        raise ValueError("expected non-negative integer")
     row = _seed_block(seed, k // _BLOCK)[k % _BLOCK]
     return float(np.random.Generator(np.random.PCG64(_row_seed()(row))).standard_normal())
 

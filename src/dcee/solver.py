@@ -81,7 +81,7 @@ class GnReport:
     damping_escalations: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverHealth:
     """Running counts over the solves of one run; histogram[k] is the number
     of solves that took k iterations and evaluations sums the solves'

@@ -134,6 +134,20 @@ def test_compare_rejects_unknown_controller(cfg_path):
     assert main(["compare", cfg_path, "--controllers", "numerical_dcee,banana"]) == 2
 
 
+@pytest.mark.parametrize("controllers", ["esc,esc", "numerical_dcee, grad_dcee,numerical_dcee"])
+def test_compare_rejects_a_repeated_controller_before_any_run(cfg_path, tmp_path, capsys, monkeypatch,
+                                                             controllers):
+    def no_run(cfg):
+        raise AssertionError("compare ran a controller")
+
+    monkeypatch.setattr(dcee.cli, "run_closed_loop", no_run)
+    out = str(tmp_path / "out")
+    assert main(["compare", cfg_path, "--controllers", controllers, "--out", out]) == 2
+    repeated = controllers.split(",")[0]
+    assert f"names {repeated!r} more than once" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_compare_rejects_empty_controller_list(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["compare", cfg_path, "--controllers", " , ", "--out", out]) == 2

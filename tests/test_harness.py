@@ -30,8 +30,11 @@ from dcee import (
     standstill_input,
     warm_start,
 )
+import dcee.core
+import dcee.ensemble
 from dcee import diagnostics, harness
-from dcee.baselines import esc_init
+from dcee.baselines import esc_init, esc_step, grad_dcee_step
+from dcee.ensemble import condition_stats
 from dcee.diagnostics import (fd_hessian_newton, fd_hessian_step, fd_step, random_input,
                               random_problem)
 from dcee.harness import CSV_HEADER, StepRecord, _exploit_only_fn
@@ -265,6 +268,56 @@ def test_run_deterministic():
     for ra, rb in zip(a.records, b.records):
         assert ra == rb
     assert a.metrics == b.metrics
+
+
+def _hex_rows(records):
+    """Each record's nine columns, the floats by float.hex."""
+    return [[x.hex() for x in r[:-1]] + [r.iterations] for r in records]
+
+
+@pytest.mark.parametrize("controller", ["numerical_dcee", "grad_dcee", "esc"])
+def test_records_equal_the_layers_called_directly_bitwise(controller):
+    # run_closed_loop's bookkeeping against drive with a select that calls
+    # each layer by hand: every column of every record, bit for bit
+    cfg = short_cfg(controller={"type": controller}, horizon_s=20.0)
+    ctl, spec = cfg.controller, cfg.reward
+    esc_state = esc_init(cfg.v0)
+    rows = []
+
+    def select(k, t, seg, r_meas, problem, u_prev):
+        nonlocal esc_state
+        gamma_mean = condition_stats(problem.ensemble, spec)
+        if controller == "numerical_dcee":
+            u, report = controller_step(problem, u_prev, ctl.solver)
+            iterations = report.iterations
+        elif controller == "grad_dcee":
+            u, iterations = grad_dcee_step(problem, u_prev, ctl.grad), 1
+        else:
+            u, esc_state = esc_step(esc_state, ctl.esc, r_meas, problem.v, cfg.vehicle)
+            iterations = 0
+        try:
+            exploit, explore = objective_split(problem, u)
+        except InfeasibleCandidateError:
+            exploit = explore = math.nan
+        rows.append(StepRecord(t, problem.v, u, optimal_condition(spec, seg.theta_true), gamma_mean,
+                               exploit, explore, r_meas, iterations))
+        return u
+
+    harness.drive(cfg, select)
+    records = run_closed_loop(cfg).records
+    assert len(records) == len(rows) == cfg.n_steps
+    assert all(type(r) is StepRecord and type(r.iterations) is int for r in records)
+    assert _hex_rows(records) == _hex_rows(rows)
+
+
+def test_closed_loop_does_not_depend_on_the_algorithm_of_sum(monkeypatch):
+    # Python's sum is compensated from 3.12 on, as math.fsum is: a loop that
+    # averaged with it would give other records there than on 3.11
+    cfg = short_cfg(horizon_s=60.0)
+    expected = _hex_rows(run_closed_loop(cfg).records)
+    for module in (dcee.core, dcee.ensemble):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+    assert _hex_rows(run_closed_loop(cfg).records) == expected
 
 
 def test_all_controllers_run():
