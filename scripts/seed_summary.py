@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from dcee import load_config
+from dcee.config import CONTROLLER_TYPES
 
 # seed_table.py sits beside this script
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -27,7 +28,6 @@ from seed_table import DEFAULT_CONFIG, run_seed, seed_config
 
 # (reward noise sigma, number of seeds)
 LEVELS = ((0.01, 32), (0.05, 16))
-CONTROLLERS = ("numerical_dcee", "grad_dcee", "esc")
 METRICS = ("regret", "iae_v", "e_v_tail")
 
 
@@ -40,7 +40,7 @@ def run_level(raw: dict, sigma: float, seeds: int, horizon=None) -> dict:
     """{controller: [run_seed row per seed]} at reward noise sigma."""
     first = raw["noise"]["seed"]
     return {c: [run_seed(seed_config(raw, first + i, sigma, horizon, c)) for i in range(seeds)]
-            for c in CONTROLLERS}
+            for c in CONTROLLER_TYPES}
 
 
 def summary(raw: dict, levels=LEVELS, horizon=None) -> str:
@@ -53,11 +53,12 @@ def summary(raw: dict, levels=LEVELS, horizon=None) -> str:
         runs = run_level(raw, sigma, seeds, horizon)
         level = f"{sigma:g}, {seeds}"
         for metric in METRICS:
-            values = {c: [row[metric] for row in runs[c]] for c in CONTROLLERS}
-            medians = " / ".join(_number(statistics.median(values[c])) for c in CONTROLLERS)
-            wins = [sum(a < b for a, b in zip(values["numerical_dcee"], values[c])) for c in CONTROLLERS[1:]]
+            values = {c: [row[metric] for row in runs[c]] for c in CONTROLLER_TYPES}
+            medians = " / ".join(_number(statistics.median(values[c])) for c in CONTROLLER_TYPES)
+            wins = [sum(a < b for a, b in zip(values["numerical_dcee"], values[c]))
+                    for c in CONTROLLER_TYPES[1:]]
             metric_rows.append(f"| {level} | `{metric}` | {medians} | {wins[0]} | {wins[1]} |")
-        for c in CONTROLLERS:
+        for c in CONTROLLER_TYPES:
             alarms = [len(row["alarm_steps"]) for row in runs[c]]
             fallbacks = sum(row["fallbacks"] for row in runs[c])
             health_rows.append(f"| {level} | `{c}` | {sum(alarms)} | {alarms.count(0)} | {fallbacks} |")

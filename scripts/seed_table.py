@@ -24,6 +24,7 @@ import json
 from pathlib import Path
 
 from dcee import harness, load_config, scenario_from_dict
+from dcee.config import CONTROLLER_TYPES
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
@@ -73,7 +74,7 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=32)
     parser.add_argument("--sigma", type=float)
     parser.add_argument("--horizon", type=float)
-    parser.add_argument("--controller", choices=("numerical_dcee", "grad_dcee", "esc"))
+    parser.add_argument("--controller", choices=CONTROLLER_TYPES)
     args = parser.parse_args(argv)
     base = load_config(args.config)
     for i in range(args.seeds):

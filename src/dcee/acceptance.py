@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import default_config, scenario_from_dict
+from .config import scenario_from_dict
 from .core import objective, objective_grid, objective_split, residual_fn
 from .diagnostics import (
     contraction_rate,
@@ -49,16 +49,12 @@ class CriterionResult:
 
 @functools.lru_cache(maxsize=None)
 def _noise_free_run():
-    d = default_config()
-    d["noise"]["sigma_reward"] = 0.0
-    return run_closed_loop(scenario_from_dict(d))
+    return run_closed_loop(scenario_from_dict({"noise": {"sigma_reward": 0.0}}))
 
 
 @functools.lru_cache(maxsize=None)
 def _noisy_run(controller: str):
-    d = default_config()
-    d["controller"]["type"] = controller
-    return run_closed_loop(scenario_from_dict(d))
+    return run_closed_loop(scenario_from_dict({"controller": {"type": controller}}))
 
 
 def criterion_1_derivative_audit() -> CriterionResult:
@@ -163,8 +159,7 @@ def criterion_4_global_quality() -> CriterionResult:
 
 def criterion_5_closed_loop_convergence() -> CriterionResult:
     res = _noise_free_run()
-    cfg = scenario_from_dict({"noise": {"sigma_reward": 0.0}})
-    bounds = [seg.t_start for seg in cfg.schedule] + [cfg.horizon_s]
+    bounds = [seg["t_start"] for seg in res.config["schedule"]] + [res.config["horizon_s"]]
     clauses = []
     ok = True
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -197,11 +192,8 @@ def criterion_6_comparative_ordering() -> CriterionResult:
 def criterion_7_local_rate() -> CriterionResult:
     # converged operating point: noise-free single-segment run settles at the
     # reward peak; perturb the warm start and watch the inner-iteration tail
-    d = default_config()
-    d["noise"]["sigma_reward"] = 0.0
-    d["schedule"] = [{"t_start": 0.0, "v_star": 25.0, "w_z": 1.0, "disturbance_force": 0.0}]
-    d["horizon_s"] = 300.0
-    scenario = scenario_from_dict(d)
+    scenario = scenario_from_dict({"noise": {"sigma_reward": 0.0}, "horizon_s": 300.0,
+                                   "schedule": [{"t_start": 0.0, "v_star": 25.0}]})
     res = run_closed_loop(scenario)
     prob = res.final_problem
     probe_cfg = replace(scenario.controller.solver, max_iters=12, tol=1e-15)
@@ -219,12 +211,9 @@ def criterion_7_local_rate() -> CriterionResult:
 
 
 def criterion_8_performance() -> CriterionResult:
-    d = default_config()
-    d["horizon_s"] = 90.0
-    cfg = scenario_from_dict(d)
     # warm up the numpy code paths so one-time costs stay out of the max
-    _ = bench_solver(scenario_from_dict({**d, "horizon_s": 1.0}), agreement_stride=10**9)
-    bench = bench_solver(cfg, agreement_stride=10**9)
+    _ = bench_solver(scenario_from_dict({"horizon_s": 1.0}), agreement_stride=10**9)
+    bench = bench_solver(scenario_from_dict({"horizon_s": 90.0}), agreement_stride=10**9)
     t = bench["timing"]
     mean_ns = t["analytic_gn"]["mean_ns"]
     max_ns = t["analytic_gn"]["max_ns"]
@@ -243,12 +232,10 @@ def criterion_9_determinism() -> CriterionResult:
     from .cli import main as cli_main
     import yaml
 
-    d = default_config()
-    d["horizon_s"] = 60.0
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "scenario.yaml")
         with open(cfg_path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(d, fh)
+            yaml.safe_dump({"horizon_s": 60.0}, fh)
         out_a = os.path.join(tmp, "a")
         out_b = os.path.join(tmp, "b")
         rc_a = cli_main(["run", cfg_path, "--out", out_a, "--format", "csv"])

@@ -6,7 +6,7 @@ import os
 import sys
 
 from .acceptance import run_all
-from .config import load_config, scenario_from_dict
+from .config import CONTROLLER_TYPES, load_config, scenario_from_dict
 from .diagnostics import derivative_audit
 from .errors import ConfigurationError, DceeError, InvalidInputError
 from .harness import bench_solver, export, json_text, run_closed_loop, write_json
@@ -105,7 +105,10 @@ def _cmd_bench(args) -> int:
         f"thread CPU max over the others {gn['cpu_max_no_gc_ns']/1e3:.1f} us"
     )
     for name, ratio in report["speedup_vs_analytic"].items():
-        print(f"bench[speedup]: {name} / analytic_gn = {ratio:.2f}x")
+        if ratio is None:
+            print(f"bench[speedup]: {name} / analytic_gn not measured: no {name} solve completed")
+        else:
+            print(f"bench[speedup]: {name} / analytic_gn = {ratio:.2f}x")
     print(
         f"bench[agreement]: max relative objective spread {report['agreement_max_rel']:.2e} "
         f"over {report['agreement_checks']} checks"
@@ -162,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", parents=[scenario],
                            help="run several controllers on the same scenario")
-    p_cmp.add_argument("--controllers", default="numerical_dcee,grad_dcee,esc")
+    p_cmp.add_argument("--controllers", default=",".join(CONTROLLER_TYPES))
     p_cmp.set_defaults(fn=_cmd_compare)
 
     p_bench = sub.add_parser("bench", parents=[scenario],

@@ -124,8 +124,10 @@ class EnsembleSettings:
                 value = tuple(map(float, raw))
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"ensemble {name} must be numbers: {exc}") from exc
-            if isinstance(raw, str) or len(value) != 3 or not all(map(math.isfinite, value)):
-                raise ConfigurationError(f"ensemble {name} must be three finite numbers, got {value}")
+            # a bool is not a number here either, as for every numeric config key
+            if (isinstance(raw, str) or len(value) != 3 or not all(map(math.isfinite, value))
+                    or any(isinstance(x, bool) for x in raw)):
+                raise ConfigurationError(f"ensemble {name} must be three finite numbers, got {raw!r}")
             object.__setattr__(self, name, value)
         if not integer_at_least(self.n_members, 1):
             raise ConfigurationError("ensemble N must be an integer of at least 1")

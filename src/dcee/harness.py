@@ -115,21 +115,23 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
     selection times go into the timing summary only, so that exported
     trajectories are byte-reproducible.
 
-    Each step appends its logged values to typed columns, one per
-    CSV_COLUMNS entry, which hold no Python objects, and the StepRecords
-    are built once after the loop.  So a step keeps no object the garbage
-    collector tracks, its allocation count does not climb from step to
-    step, and once the interpreter is warm no collection falls inside a
-    selection.
+    Each step logs one row into two typed buffers, which hold no Python
+    objects: its eight floats, in CSV_COLUMNS order, extend one array("d"),
+    and its iteration count goes into an array("q").  The StepRecords are
+    built once after the loop, eight floats and one count at a time.  So a
+    step keeps no object the garbage collector tracks, its allocation count
+    does not climb from step to step, and once the interpreter is warm no
+    collection falls inside a selection.
     """
     vehicle = cfg.vehicle
     spec = cfg.reward
     ctype = cfg.controller.type
     gn_cfg, grad_cfg, esc_cfg = cfg.controller.solver, cfg.controller.grad, cfg.controller.esc
     esc_state = esc_init(cfg.v0) if ctype == "esc" else None
-    columns = [array("d") for _ in CSV_COLUMNS[:-1]] + [array("q")]
-    (log_t, log_v, log_u, log_v_star, log_gamma, log_exploit, log_explore, log_reward,
-     log_iterations) = (col.append for col in columns)
+    rows = array("d")
+    log_row = rows.extend
+    iterations_log = array("q")
+    log_iterations = iterations_log.append
     wall_times = array("q")
     log_wall = wall_times.append
     clock = time.perf_counter_ns
@@ -161,19 +163,13 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         except InfeasibleCandidateError:
             exploit, explore = math.nan, math.nan
 
-        log_t(t)
-        log_v(v)
-        log_u(u)
-        log_v_star(optimal_condition(spec, seg.theta_true))
-        log_gamma(gamma_mean)
-        log_exploit(exploit)
-        log_explore(explore)
-        log_reward(r_meas)
+        log_row((t, v, u, optimal_condition(spec, seg.theta_true), gamma_mean, exploit, explore,
+                 r_meas))
         log_iterations(iterations)
         return u
 
     problem, u = drive(cfg, select)
-    records = [_tuple_new(StepRecord, row) for row in zip(*columns)]
+    records = [_tuple_new(StepRecord, row) for row in zip(*[iter(rows)] * 8, iterations_log)]
     metrics = compute_metrics(records, cfg.schedule, spec)
     return RunResult(
         records=records,
@@ -303,7 +299,9 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     the same warm start; the max and median distance |u - u_exploit|, in
     N, of the full objective's solution from that one say how far
     exploration moves the input (None without a check); a failed
-    exploit-only solve counts as a reference failure.
+    exploit-only solve counts as a reference failure.  The speedup of the
+    reference over the analytic solves is None if no reference solve
+    completed.
     The health counts of the production solves are reported under "solver".
     agreement_stride must be a positive integer.
     """
@@ -377,7 +375,8 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     summary["analytic_gn"].update(cpu_p99_ns=cpu["p99_ns"], cpu_max_ns=cpu["max_ns"],
                                   gc_solves=gc_solves, cpu_max_no_gc_ns=float(cpu_max_no_gc))
     mean_gn = summary["analytic_gn"]["mean_ns"]
-    speedup = summary["fd_hessian_newton"]["mean_ns"] / mean_gn if mean_gn > 0 else math.inf
+    # a reference solve follows an analytic one, so a timed reference means mean_gn > 0
+    speedup = summary["fd_hessian_newton"]["mean_ns"] / mean_gn if times["fd_hessian_newton"] else None
     return {
         "timing": summary,
         "speedup_vs_analytic": {"fd_hessian_newton": speedup},

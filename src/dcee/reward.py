@@ -65,9 +65,7 @@ def basis(spec: QuadraticRewardSpec, v: float) -> tuple[float, float, float]:
 
 
 def eval_reward(spec: QuadraticRewardSpec, theta, v: float) -> float:
-    """Reward psi(v) . theta, summed left to right on Python floats.  The
-    additive offset hook is identically zero for this reward family, so the
-    basis carries the whole value."""
+    """Reward psi(v) . theta, summed left to right on Python floats."""
     t0, t1, t2 = _check_theta(theta)
     psi0, z, _ = basis(spec, v)
     return psi0 * t0 + z * t1 + t2

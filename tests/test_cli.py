@@ -7,8 +7,10 @@ import pytest
 import yaml
 
 import dcee
-from dcee import default_config, load_config, run_closed_loop, scenario_from_dict
+from dcee import SolverFailureError, default_config, load_config, run_closed_loop, scenario_from_dict
+from dcee import acceptance
 from dcee.cli import main
+from dcee.config import CONTROLLER_TYPES
 
 
 @pytest.fixture
@@ -130,6 +132,19 @@ def test_compare(cfg_path, tmp_path, capsys):
         assert summary[controller]["metrics"] == run_closed_loop(cfg).metrics
 
 
+def test_compare_without_controllers_runs_every_controller_type_in_order(cfg_path, monkeypatch):
+    ran = []
+    run = dcee.cli.run_closed_loop
+
+    def spy(cfg):
+        ran.append(cfg.controller.type)
+        return run(cfg)
+
+    monkeypatch.setattr(dcee.cli, "run_closed_loop", spy)
+    assert main(["compare", cfg_path]) == 0
+    assert tuple(ran) == CONTROLLER_TYPES
+
+
 def test_compare_rejects_unknown_controller(cfg_path):
     assert main(["compare", cfg_path, "--controllers", "numerical_dcee,banana"]) == 2
 
@@ -168,6 +183,47 @@ def test_bench(cfg_path, tmp_path, capsys):
     assert "timing" in payload and "speedup_vs_analytic" in payload
     assert payload["explore_shift_checks"] == payload["agreement_checks"]
     assert payload["solver"]["evaluations"] >= payload["solver"]["solves"]
+
+
+def test_bench_reports_no_speedup_when_no_reference_solve_completes(tmp_path, monkeypatch, capsys):
+    def failing_reference(problem):
+        def fn(u):
+            raise SolverFailureError("the reference fails")
+
+        return fn
+
+    monkeypatch.setattr(dcee.harness, "fd_hessian_newton", failing_reference)
+    path = tmp_path / "short.yaml"
+    path.write_text("horizon_s: 2.0\n", encoding="utf-8")
+    out = tmp_path / "bench"
+    assert main(["bench", str(path), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("bench[speedup]")] == [
+        "bench[speedup]: fd_hessian_newton / analytic_gn not measured: "
+        "no fd_hessian_newton solve completed"]
+    with open(out / "bench.json", "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["speedup_vs_analytic"] == {"fd_hessian_newton": None}
+    # 20 steps and, at the default stride of 10, 2 agreement checks: each fails
+    assert payload["reference_failures"] == 22
+    assert payload["agreement_checks"] == payload["explore_shift_checks"] == 0
+    assert payload["solver"]["solves"] == 20
+
+
+def test_check_prints_each_criterion_and_exits_by_the_result(monkeypatch, capsys):
+    def stub(index, passed):
+        return lambda: acceptance.CriterionResult(index, f"stub {index}", passed, "detail")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (stub(1, True), stub(2, False)))
+    assert main(["check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] criterion 1 (stub 1): detail",
+        "[FAIL] criterion 2 (stub 2): detail",
+        "1/2 criteria passed",
+    ]
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (stub(1, True), stub(2, True)))
+    assert main(["check"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2/2 criteria passed"
 
 
 def test_audit(cfg_path, tmp_path, capsys):

@@ -122,6 +122,7 @@ def test_ensemble_settings():
         {"reward": {"v_scale": -1}},
         {"schedule": [{"t_start": 0.0, "v_star": 70.0}]},
         {"ensemble": {"prior": {"w_z": 0.01}}},
+        {"ensemble": {"spread": [True, 0.3, 0.3]}},
     ],
 )
 def test_malformed_values_rejected(overrides):

@@ -192,6 +192,37 @@ def test_derivative_audit_reaches_standstill_and_bounds(monkeypatch):
     assert sum(prob.v <= 0.5 for prob, _, _ in seen) >= 25
 
 
+def test_derivative_audit_skips_and_counts_a_kinked_and_an_infeasible_instance(monkeypatch):
+    # criterion 1 skips none of its instances, so these force both skips: a
+    # stencil that straddles standstill_input, where the residual has a
+    # kink, and a bank whose predicted update leaves the admissible region;
+    # a clean instance beside them is still checked
+    from conftest import make_problem
+
+    members = [[-1.0, 1.5, 0.25], [-1.0, 2.5, 0.0]]
+    clean = make_problem(members, rates=[0.05, 0.05], v=20.0)
+    slow = make_problem(members, rates=[0.05, 0.05], v=0.3)
+    infeasible = make_problem(members, rates=[50.0, 50.0], v=20.0)
+    with pytest.raises(InfeasibleCandidateError):
+        diagnostics.evaluate(infeasible, 1000.0)
+    instances = [(clean, 1000.0), (slow, standstill_input(slow.vehicle, slow.v)), (infeasible, 1000.0)]
+    monkeypatch.setattr(diagnostics, "_audit_instance", lambda rng, vehicle, reward, k: instances[k])
+    evaluated = []
+    real_evaluate = diagnostics.evaluate
+
+    def spy(prob, u):
+        evaluated.append(prob)
+        return real_evaluate(prob, u)
+
+    monkeypatch.setattr(diagnostics, "evaluate", spy)
+    report = derivative_audit(VehicleParams(), QuadraticRewardSpec(), samples=3, seed=1)
+    assert (report.samples, report.skipped) == (3, 2)
+    assert report.passed and report.max_jacobian_rel_err > 0.0
+    # the kinked instance is skipped before any evaluation, the infeasible one at its first
+    assert any(p is clean for p in evaluated) and any(p is infeasible for p in evaluated)
+    assert not any(p is slow for p in evaluated)
+
+
 def test_fd_step_scale():
     from dcee import VehicleParams
 

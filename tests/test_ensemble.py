@@ -95,6 +95,9 @@ def test_ensemble_settings_validation():
         # prior that is no numbers only when drawn
         dict(prior=np.array([np.nan, 1.0, 0.0])),
         dict(prior=["wide", 1.0, 0.0]),
+        # a bool is not a number, as for every numeric config key
+        dict(prior=[-1.0, True, 0.0]),
+        dict(spread=[True, 0.1, 0.1]),
         dict(spread=[0.1, 0.1]),
         dict(spread=[0.1, -0.1, 0.1]),
         dict(spread=[0.1, float("nan"), 0.1]),

@@ -34,6 +34,7 @@ import dcee.core
 import dcee.ensemble
 from dcee import diagnostics, harness
 from dcee.baselines import esc_init, esc_step, grad_dcee_step
+from dcee.config import CONTROLLER_TYPES
 from dcee.ensemble import condition_stats
 from dcee.diagnostics import (fd_hessian_newton, fd_hessian_step, fd_step, random_input,
                               random_problem)
@@ -275,7 +276,7 @@ def _hex_rows(records):
     return [[x.hex() for x in r[:-1]] + [r.iterations] for r in records]
 
 
-@pytest.mark.parametrize("controller", ["numerical_dcee", "grad_dcee", "esc"])
+@pytest.mark.parametrize("controller", CONTROLLER_TYPES)
 def test_records_equal_the_layers_called_directly_bitwise(controller):
     # run_closed_loop's bookkeeping against drive with a select that calls
     # each layer by hand: every column of every record, bit for bit
@@ -321,7 +322,7 @@ def test_closed_loop_does_not_depend_on_the_algorithm_of_sum(monkeypatch):
 
 
 def test_all_controllers_run():
-    for ctype in ("numerical_dcee", "grad_dcee", "esc"):
+    for ctype in CONTROLLER_TYPES:
         cfg = short_cfg(controller={"type": ctype})
         res = run_closed_loop(cfg)
         assert len(res.records) == cfg.n_steps

@@ -2,7 +2,7 @@
 would matter most for after a deletion or a move: a name a module imports
 and never uses, a private module-level name that nothing reads any more,
 a private name one package module imports from another, and a code name
-the README gives that the code no longer has."""
+or script the README gives that the code no longer has."""
 import ast
 import importlib
 import pathlib
@@ -102,8 +102,9 @@ def unused_private_names(definers: dict, readers: list) -> list:
 def stale_readme_names(text: str) -> list:
     """Each backticked module.name in text that names a package module or a
     config section but resolves to neither an attribute of dcee.<module>
-    nor a key of DEFAULTS[module]; other dotted names, such as file names,
-    are not code names."""
+    nor a key of DEFAULTS[module], and each scripts/<name>.py path whose
+    file does not exist; other dotted names, such as file names, are not
+    code names."""
     modules = {p.stem for p in MODULES}
     stale = []
     for module, name in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", text):
@@ -112,6 +113,8 @@ def stale_readme_names(text: str) -> list:
         is_attr = module in modules and hasattr(importlib.import_module(f"dcee.{module}"), name)
         if (module in modules or isinstance(section, dict)) and not (is_key or is_attr):
             stale.append(f"{module}.{name}")
+    stale += [f"scripts/{name}" for name in re.findall(r"scripts/(\w+\.py)", text)
+              if not (ROOT / "scripts" / name).is_file()]
     return stale
 
 
@@ -141,8 +144,9 @@ def test_detects_a_private_import_from_the_package():
 
 def test_detects_a_stale_name_in_the_readme():
     text = ("`core._objective_terms`, `ensemble.N`, `ensemble.Ensemble`, `vehicle.mass`, "
-            "`pyproject.toml`, `core.gone`, `solver.gone`, `noise.sigma`")
-    assert stale_readme_names(text) == ["core.gone", "solver.gone", "noise.sigma"]
+            "`pyproject.toml`, `core.gone`, `solver.gone`, `noise.sigma`, "
+            "`scripts/seed_table.py`, `python scripts/gone.py`, scripts/ alone")
+    assert stale_readme_names(text) == ["core.gone", "solver.gone", "noise.sigma", "scripts/gone.py"]
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
