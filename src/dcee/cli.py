@@ -91,6 +91,9 @@ def _cmd_bench(args) -> int:
     out = _ensure_out(args)
     report = bench_solver(cfg)
     for name, stats in report["timing"].items():
+        if stats is None:
+            print(f"bench[{name}]: not measured: no {name} solve completed")
+            continue
         print(
             f"bench[{name}]: mean {stats['mean_ns']/1e6:.4f} ms  "
             f"p99 {stats['p99_ns']/1e6:.4f} ms  max {stats['max_ns']/1e6:.4f} ms"

@@ -2,11 +2,13 @@
 timing benchmark.
 
 Both the runner and the benchmark step the loop through one driver,
-drive.  Step ordering within one control period: measure output and reward
-at the current state, learn (measured ensemble update), select the input
-from the updated belief (warm-started at the previous input), apply it,
-advance the plant.  The measurement at t = 0 therefore seeds the belief
-before the first input is chosen.
+drive; the benchmark drives it twice, to time the production solves alone
+and then to replay their inputs for the references.  Step ordering within
+one control period: measure output and reward at the current state, learn
+(measured ensemble update), select the input from the updated belief
+(warm-started at the previous input), apply it, advance the plant.  The
+measurement at t = 0 therefore seeds the belief before the first input is
+chosen.
 """
 from __future__ import annotations
 
@@ -70,10 +72,11 @@ class RunResult:
         return {"metrics": self.metrics, "timing": self.timing, "solver": self.solver.as_dict()}
 
 
-def _timing_summary(times_ns) -> dict:
+def _timing_summary(times_ns):
+    """Mean, max and p99 of times_ns; None when nothing was timed."""
     arr = np.asarray(times_ns, dtype=float)
     if arr.size == 0:
-        return {"mean_ns": 0.0, "max_ns": 0.0, "p99_ns": 0.0}
+        return None
     return {
         "mean_ns": float(arr.mean()),
         "max_ns": float(arr.max()),
@@ -278,32 +281,27 @@ def _exploit_only_fn(problem: DceeProblem):
 
 
 def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
-    """Time the production solver against the finite-difference Newton
-    reference, diagnostics.fd_hessian_newton, on the identical per-step
-    problems of the closed loop.
+    """Time the production solver, and the finite-difference Newton
+    reference diagnostics.fd_hessian_newton, on the identical per-step
+    problems of the closed loop, in two passes of the same loop.
 
-    The loop itself is always driven by the production (analytic-Jacobian)
-    controller; solve runs the reference's callback on each snapshot from
-    controller_step's start, warm_start(problem, u_prev), with the same
-    settings.  Each is timed around its call, so the analytic time
-    includes controller_step's preparation; the analytic solves are also
-    timed on the thread's CPU clock, which a descheduled process does not
-    advance, and its p99 and max go into their timing entry as
-    cpu_p99_ns and cpu_max_ns.  A gc.callbacks hook counts, as gc_solves,
-    the analytic solves inside which a garbage collection started, and
-    cpu_max_no_gc_ns is the thread CPU max over the other solves (0.0 if
-    there are none).  Every agreement_stride steps
-    both are also re-solved to convergence (60 iterations at most) and
-    the relative spread of the reached objectives is tracked.
-    At the same steps the exploitation residual F[0] alone is solved from
-    the same warm start; the max and median distance |u - u_exploit|, in
-    N, of the full objective's solution from that one say how far
-    exploration moves the input (None without a check); a failed
-    exploit-only solve counts as a reference failure.  The speedup of the
-    reference over the analytic solves is None if no reference solve
-    completed.
-    The health counts of the production solves are reported under "solver".
-    agreement_stride must be a positive integer.
+    Pass 1 drives the loop with controller_step alone and times each solve,
+    preparation included, on the wall clock and on the thread's CPU clock,
+    which a descheduled process does not advance (cpu_p99_ns, cpu_max_ns).
+    A gc.callbacks hook counts, as gc_solves, the solves inside which a
+    garbage collection started; cpu_max_no_gc_ns is the CPU max over the
+    others (0.0 if none).  Their health counts are reported under "solver".
+    Pass 2 drives the loop again with pass 1's inputs, so it rebuilds the
+    same problems, and on each times solve with the reference's callback
+    from controller_step's start, warm_start(problem, u_prev), with the
+    same settings.  Every agreement_stride steps both are also re-solved to
+    convergence (60 iterations at most) from there, and the relative spread
+    of the reached objectives is tracked; so is the exploitation residual
+    F[0] alone, whose solution's max and median distance |u - u_exploit|,
+    in N, from the full one say how far exploration moves the input (None
+    without a check).  A failed reference or check solve counts as a
+    reference failure; with no reference solve completed, its timing entry
+    and the speedup are None.  agreement_stride must be a positive integer.
     """
     if not integer_at_least(agreement_stride, 1):
         raise InvalidInputError(
@@ -312,6 +310,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     ref_cfg = replace(gncfg, max_iters=60)
     times = {"analytic_gn": [], "fd_hessian_newton": []}
     cpu_times = []
+    applied = array("d")
     gc_solves = 0
     cpu_max_no_gc = 0
     gc_starts = 0
@@ -322,7 +321,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     explore_shifts = []
 
     def select(k, t, seg, r_meas, problem, u_prev):
-        nonlocal agreement_max_rel, agreement_checks, reference_failures, gc_solves, cpu_max_no_gc
+        nonlocal gc_solves, cpu_max_no_gc
         starts = gc_starts
         cpu0 = time.thread_time_ns()
         t0 = time.perf_counter_ns()
@@ -335,7 +334,11 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         else:
             cpu_max_no_gc = max(cpu_max_no_gc, cpu)
         health.add(report)
+        applied.append(u)
+        return u
 
+    def replay(k, t, seg, r_meas, problem, u_prev):
+        nonlocal agreement_max_rel, agreement_checks, reference_failures
         u_start = warm_start(problem, u_prev)
         try:
             # the callback is built inside the timed region, so its
@@ -358,7 +361,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
                 explore_shifts.append(abs(us[0] - u_x))
             except SolverFailureError:
                 reference_failures += 1
-        return u
+        return applied[k]
 
     def on_gc(phase, info):
         nonlocal gc_starts
@@ -370,13 +373,13 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         drive(cfg, select)
     finally:
         gc.callbacks.remove(on_gc)
+    drive(cfg, replay)
     summary = {name: _timing_summary(vals) for name, vals in times.items()}
     cpu = _timing_summary(cpu_times)
     summary["analytic_gn"].update(cpu_p99_ns=cpu["p99_ns"], cpu_max_ns=cpu["max_ns"],
                                   gc_solves=gc_solves, cpu_max_no_gc_ns=float(cpu_max_no_gc))
-    mean_gn = summary["analytic_gn"]["mean_ns"]
-    # a reference solve follows an analytic one, so a timed reference means mean_gn > 0
-    speedup = summary["fd_hessian_newton"]["mean_ns"] / mean_gn if times["fd_hessian_newton"] else None
+    ref = summary["fd_hessian_newton"]
+    speedup = ref["mean_ns"] / summary["analytic_gn"]["mean_ns"] if ref else None
     return {
         "timing": summary,
         "speedup_vs_analytic": {"fd_hessian_newton": speedup},

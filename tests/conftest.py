@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcee import Ensemble, QuadraticRewardSpec, VehicleParams
+from dcee import Ensemble, QuadraticRewardSpec, SolverFailureError, VehicleParams
 from dcee.core import DceeProblem
 
 
@@ -41,3 +41,12 @@ def make_problem(members, rates=None, v=20.0, spec=None, vehicle=None):
         ensemble=make_bank(members, rates),
         v=v,
     )
+
+
+def failing_reference(problem):
+    """A stand-in for diagnostics.fd_hessian_newton whose callback fails
+    every solve."""
+    def fn(u):
+        raise SolverFailureError("the reference fails")
+
+    return fn

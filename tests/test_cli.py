@@ -7,19 +7,18 @@ import pytest
 import yaml
 
 import dcee
-from dcee import SolverFailureError, default_config, load_config, run_closed_loop, scenario_from_dict
+from dcee import default_config, load_config, run_closed_loop, scenario_from_dict
 from dcee import acceptance
 from dcee.cli import main
 from dcee.config import CONTROLLER_TYPES
 
+from conftest import failing_reference
+
 
 @pytest.fixture
 def cfg_path(tmp_path):
-    d = default_config()
-    d["horizon_s"] = 20.0
     path = tmp_path / "scenario.yaml"
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(d, fh)
+    path.write_text(yaml.safe_dump({**default_config(), "horizon_s": 20.0}), encoding="utf-8")
     return str(path)
 
 
@@ -35,33 +34,20 @@ def test_run_writes_json(cfg_path, tmp_path):
     out = str(tmp_path / "out")
     rc = main(["run", cfg_path, "--out", out, "--format", "json"])
     assert rc == 0
-    with open(os.path.join(out, "run.json"), "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads((tmp_path / "out" / "run.json").read_text(encoding="utf-8"))
     assert "metrics" in payload and "timing" in payload and "config" in payload
 
 
 def test_run_seed_override_changes_output(cfg_path, tmp_path):
-    out_a = str(tmp_path / "a")
-    out_b = str(tmp_path / "b")
-    assert main(["run", cfg_path, "--out", out_a, "--seed", "1"]) == 0
-    assert main(["run", cfg_path, "--out", out_b, "--seed", "2"]) == 0
-    with open(os.path.join(out_a, "run.csv"), "rb") as fh:
-        a = fh.read()
-    with open(os.path.join(out_b, "run.csv"), "rb") as fh:
-        b = fh.read()
-    assert a != b
+    assert main(["run", cfg_path, "--out", str(tmp_path / "a"), "--seed", "1"]) == 0
+    assert main(["run", cfg_path, "--out", str(tmp_path / "b"), "--seed", "2"]) == 0
+    assert (tmp_path / "a" / "run.csv").read_bytes() != (tmp_path / "b" / "run.csv").read_bytes()
 
 
 def test_run_byte_identical_replay(cfg_path, tmp_path):
-    out_a = str(tmp_path / "a")
-    out_b = str(tmp_path / "b")
-    assert main(["run", cfg_path, "--out", out_a]) == 0
-    assert main(["run", cfg_path, "--out", out_b]) == 0
-    with open(os.path.join(out_a, "run.csv"), "rb") as fh:
-        a = fh.read()
-    with open(os.path.join(out_b, "run.csv"), "rb") as fh:
-        b = fh.read()
-    assert a == b
+    assert main(["run", cfg_path, "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", cfg_path, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "run.csv").read_bytes() == (tmp_path / "b" / "run.csv").read_bytes()
 
 
 def test_run_requires_config(cfg_path):
@@ -122,8 +108,7 @@ def test_compare(cfg_path, tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "compare[numerical_dcee]" in text and "compare[esc]" in text
-    with open(os.path.join(out, "compare_summary.json"), "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    summary = json.loads((tmp_path / "cmp" / "compare_summary.json").read_text(encoding="utf-8"))
     assert set(summary) == {"numerical_dcee", "esc"}
     assert os.path.exists(os.path.join(out, "compare_numerical_dcee.csv"))
     raw = load_config(cfg_path).raw
@@ -178,20 +163,13 @@ def test_bench(cfg_path, tmp_path, capsys):
     assert "bench[analytic_gn]" in printed
     assert "thread CPU p99" in printed
     assert "bench[exploration]: |u - u_exploit| max" in printed and " evaluations" in printed
-    with open(os.path.join(out, "bench.json"), "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads((tmp_path / "bench" / "bench.json").read_text(encoding="utf-8"))
     assert "timing" in payload and "speedup_vs_analytic" in payload
     assert payload["explore_shift_checks"] == payload["agreement_checks"]
     assert payload["solver"]["evaluations"] >= payload["solver"]["solves"]
 
 
 def test_bench_reports_no_speedup_when_no_reference_solve_completes(tmp_path, monkeypatch, capsys):
-    def failing_reference(problem):
-        def fn(u):
-            raise SolverFailureError("the reference fails")
-
-        return fn
-
     monkeypatch.setattr(dcee.harness, "fd_hessian_newton", failing_reference)
     path = tmp_path / "short.yaml"
     path.write_text("horizon_s: 2.0\n", encoding="utf-8")
@@ -201,9 +179,10 @@ def test_bench_reports_no_speedup_when_no_reference_solve_completes(tmp_path, mo
     assert [line for line in printed if line.startswith("bench[speedup]")] == [
         "bench[speedup]: fd_hessian_newton / analytic_gn not measured: "
         "no fd_hessian_newton solve completed"]
-    with open(out / "bench.json", "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    assert "bench[fd_hessian_newton]: not measured: no fd_hessian_newton solve completed" in printed
+    payload = json.loads((out / "bench.json").read_text(encoding="utf-8"))
     assert payload["speedup_vs_analytic"] == {"fd_hessian_newton": None}
+    assert payload["timing"]["fd_hessian_newton"] is None
     # 20 steps and, at the default stride of 10, 2 agreement checks: each fails
     assert payload["reference_failures"] == 22
     assert payload["agreement_checks"] == payload["explore_shift_checks"] == 0
@@ -240,6 +219,5 @@ def test_audit_prints_the_bytes_it_writes(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "audit")
     assert main(["audit", cfg_path, "--samples", "5", "--out", out]) == 0
     path = os.path.join(out, "audit.json")
-    with open(path, "rb") as fh:
-        written = fh.read().decode("utf-8")
+    written = (tmp_path / "audit" / "audit.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == written + f"wrote {path}\n"

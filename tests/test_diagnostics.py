@@ -19,7 +19,7 @@ from dcee import (
 )
 from dcee import diagnostics
 from dcee.cli import main
-from dcee.config import default_config, load_config, scenario_from_dict
+from dcee.config import load_config, scenario_from_dict
 from dcee.diagnostics import HessianSplit, fd_hessian_newton, fd_step, random_input, random_problem
 from dcee.harness import run_closed_loop
 
@@ -137,11 +137,9 @@ def test_contraction_rate_scale_invariant():
 
 
 def test_contraction_rate_small_at_converged_operating_point():
-    d = default_config()
-    d["noise"]["sigma_reward"] = 0.0
-    d["schedule"] = [{"t_start": 0.0, "v_star": 25.0, "w_z": 1.0, "disturbance_force": 0.0}]
-    d["horizon_s"] = 300.0
-    cfg = scenario_from_dict(d)
+    cfg = scenario_from_dict({
+        "noise": {"sigma_reward": 0.0}, "horizon_s": 300.0,
+        "schedule": [{"t_start": 0.0, "v_star": 25.0, "w_z": 1.0, "disturbance_force": 0.0}]})
     res = run_closed_loop(cfg)
     prob = res.final_problem
     sol_cfg = GnConfig(max_iters=40, tol=1e-10, u_min=cfg.vehicle.u_min, u_max=cfg.vehicle.u_max)

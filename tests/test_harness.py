@@ -16,7 +16,6 @@ from dcee import (
     bench_solver,
     compute_metrics,
     controller_step,
-    default_config,
     drag_force,
     evaluate,
     export,
@@ -44,14 +43,7 @@ from conftest import make_bank, make_problem
 
 
 def short_cfg(**overrides):
-    d = default_config()
-    d["horizon_s"] = 30.0
-    for key, value in overrides.items():
-        if isinstance(value, dict):
-            d[key] = {**d[key], **value}
-        else:
-            d[key] = value
-    return scenario_from_dict(d)
+    return scenario_from_dict({"horizon_s": 30.0, **overrides})
 
 
 def test_single_step_run():
@@ -117,10 +109,7 @@ def test_no_collection_starts_inside_a_selection(monkeypatch, controller, select
     # interrupts a selection; the records built after the loop still start
     # some
     assert gc.isenabled()
-    d = default_config()
-    d["horizon_s"] = 300.0
-    d["controller"]["type"] = controller
-    cfg = scenario_from_dict(d)
+    cfg = short_cfg(horizon_s=300.0, controller={"type": controller})
     run_closed_loop(short_cfg(controller={"type": controller}))
     select = getattr(harness, selector)
     inside = False
@@ -148,9 +137,7 @@ def test_no_collection_starts_inside_a_selection(monkeypatch, controller, select
 
 
 def test_default_run_reports_converged_solves():
-    d = default_config()
-    d["horizon_s"] = 60.0
-    cfg = scenario_from_dict(d)
+    cfg = short_cfg(horizon_s=60.0)
     health = run_closed_loop(cfg).solver.as_dict()
     assert health["solves"] == cfg.n_steps
     assert sum(health["iteration_histogram"]) == cfg.n_steps
@@ -333,11 +320,9 @@ def test_all_controllers_run():
 def test_noise_free_single_segment_settles_at_peak(v_star):
     # from v0 = 5 the loop must find a peak it was not started near; the
     # default scenario's first peak, 25 m/s, is not among these
-    d = default_config()
-    d["noise"]["sigma_reward"] = 0.0
-    d["schedule"] = [{"t_start": 0.0, "v_star": v_star, "w_z": 1.0, "disturbance_force": 0.0}]
-    d["horizon_s"] = 300.0
-    res = run_closed_loop(scenario_from_dict(d))
+    res = run_closed_loop(short_cfg(
+        noise={"sigma_reward": 0.0}, horizon_s=300.0,
+        schedule=[{"t_start": 0.0, "v_star": v_star, "w_z": 1.0, "disturbance_force": 0.0}]))
     tail = [r for r in res.records if r.t >= 240.0]
     assert max(abs(r.v - v_star) for r in tail) < 0.1
     assert abs(tail[-1].gamma_mean_est - v_star) < 0.1
@@ -425,8 +410,8 @@ def test_e_v_tail_is_mean_speed_error_over_last_window(horizon_s):
     assert res.metrics["e_v"] == err[-1]
 
 
-def test_timing_summary_of_no_selections_is_zero():
-    assert harness._timing_summary([]) == {"mean_ns": 0.0, "max_ns": 0.0, "p99_ns": 0.0}
+def test_timing_summary_of_no_samples_is_none():
+    assert harness._timing_summary([]) is None
 
 
 def test_metrics_empty_records(spec):
@@ -525,17 +510,12 @@ def test_json_export_is_the_summary_and_config_in_one_format(tmp_path):
 def test_seed_changes_trajectory():
     base = short_cfg()
     res_a = run_closed_loop(base)
-    d = default_config()
-    d["horizon_s"] = 30.0
-    d["noise"]["seed"] = 1
-    res_b = run_closed_loop(scenario_from_dict(d))
+    res_b = run_closed_loop(short_cfg(noise={"seed": 1}))
     assert any(ra.reward_meas != rb.reward_meas for ra, rb in zip(res_a.records, res_b.records))
 
 
 def test_bench_solver_structure_and_ordering():
-    d = default_config()
-    d["horizon_s"] = 20.0
-    cfg = scenario_from_dict(d)
+    cfg = short_cfg(horizon_s=20.0)
     report = bench_solver(cfg, agreement_stride=50)
     t = report["timing"]
     assert set(t) == {"analytic_gn", "fd_hessian_newton"}
@@ -604,10 +584,32 @@ def test_bench_solver_side_solves_start_where_controller_step_does(monkeypatch):
     assert report["explore_shift_checks"] == 1
 
 
+def test_bench_solver_replays_the_timed_loop_for_the_references(monkeypatch):
+    # pass 1 runs the analytic solves alone; pass 2 rebuilds their problems
+    # and builds the reference once on each, and again at each check
+    events, solved, referenced = [], [], []
+    step, reference, real_solve = harness.controller_step, harness.fd_hessian_newton, harness.solve
+
+    def spy_step(problem, u_prev, cfg):
+        events.append("analytic")
+        solved.append(problem)
+        return step(problem, u_prev, cfg)
+
+    def spy_solve(*args):
+        events.append("side")
+        return real_solve(*args)
+
+    monkeypatch.setattr(harness, "controller_step", spy_step)
+    monkeypatch.setattr(harness, "fd_hessian_newton", lambda p: referenced.append(p) or reference(p))
+    monkeypatch.setattr(harness, "solve", spy_solve)
+    cfg = short_cfg(horizon_s=3.0)
+    bench_solver(cfg, agreement_stride=7)
+    assert events == ["analytic"] * cfg.n_steps + ["side"] * (len(events) - cfg.n_steps)
+    assert referenced == [p for k, p in enumerate(solved) for _ in range(1 + (k % 7 == 0))]
+
+
 def test_bench_solver_reports_how_far_exploration_moves_the_input():
-    d = default_config()
-    d["horizon_s"] = 20.0
-    report = bench_solver(scenario_from_dict(d), agreement_stride=50)
+    report = bench_solver(short_cfg(horizon_s=20.0), agreement_stride=50)
     assert report["explore_shift_checks"] == report["agreement_checks"] >= 4
     assert 0.0 <= report["explore_shift_median_n"] <= report["explore_shift_max_n"]
     assert math.isfinite(report["explore_shift_max_n"])

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import pathlib
@@ -15,6 +16,13 @@ def _load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_script_is_loaded_by_a_test():
+    tree = ast.parse(pathlib.Path(__file__).read_text(encoding="utf-8"))
+    loaded = {node.args[0].value for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_load_script"}
+    assert loaded == {path.stem for path in (ROOT / "scripts").glob("*.py")}
 
 
 def test_standard_packages_compares_every_sampled_solve():
@@ -64,12 +72,3 @@ def test_seed_summary_tables_every_controller_and_level():
         # no switch within 30 s: no alarm, and no solve falls back
         assert row.strip("| ").split(" | ")[2:] == ["0", "2", "0"]
 
-
-def test_solve_gc_counts_collections_and_times_each_selection():
-    script = _load_script("solve_gc")
-    select = dcee.harness.controller_step
-    out = script.measure(scenario_from_dict({"horizon_s": 30.0}))
-    assert dcee.harness.controller_step is select
-    assert set(out) == {"gc_in_selection", "gc_total", "select_cpu_max_us", "select_cpu_p999_us"}
-    assert 0 <= out["gc_in_selection"] <= out["gc_total"]
-    assert 0.0 < out["select_cpu_p999_us"] <= out["select_cpu_max_us"]

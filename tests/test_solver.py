@@ -16,7 +16,6 @@ from dcee import (
     SolverFailureError,
     condition_stats,
     controller_step,
-    default_config,
     evaluate,
     gn_step,
     gn_terms,
@@ -194,14 +193,11 @@ def test_solve_replaces_an_infeasible_start_from_the_grid():
     assert rep.iterations == 1
 
 
-def _wide_bank_config(**overrides):
+def _wide_bank_config(horizon_s):
     # staggered rates 0.1-0.9 and spread 1 on exact measurements: a wide
     # belief whose predicted update is infeasible for part of the box
-    d = default_config()
-    d["ensemble"].update(eta_lo=0.1, eta_hi=0.9, spread=[1.0, 1.0, 1.0])
-    d["noise"]["sigma_reward"] = 0.0
-    d.update(overrides)
-    return scenario_from_dict(d)
+    return scenario_from_dict({"ensemble": {"eta_lo": 0.1, "eta_hi": 0.9, "spread": [1.0, 1.0, 1.0]},
+                               "noise": {"sigma_reward": 0.0}, "horizon_s": horizon_s})
 
 
 def test_controller_step_starts_the_wide_bank_from_a_feasible_input(monkeypatch):
@@ -302,9 +298,7 @@ def test_solve_started_at_fixed_point_stops_converged():
     # at the solution of a closed-loop step the GN step is rounding noise
     # (about 1e-11 N), larger than tol = 1e-15 allows; the unchanged
     # objective must end the solve instead of cycling to max_iters
-    d = default_config()
-    d["horizon_s"] = 30.0
-    res = run_closed_loop(scenario_from_dict(d))
+    res = run_closed_loop(scenario_from_dict({"horizon_s": 30.0}))
     p = res.final_problem
     cfg = GnConfig(max_iters=50, tol=1e-15, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
     u_star, _ = solve(residual_fn(p), res.final_u, cfg)
@@ -476,9 +470,7 @@ def test_controller_step_evaluates_through_residual_fn(monkeypatch):
         return fn
 
     monkeypatch.setattr(dcee.solver, "residual_fn", counting_residual_fn)
-    d = default_config()
-    d["horizon_s"] = 5.0
-    res = run_closed_loop(scenario_from_dict(d))
+    res = run_closed_loop(scenario_from_dict({"horizon_s": 5.0}))
     health = res.solver
     assert counts["prepare"] == health.solves == len(res.records)
     # health.evaluations is the sum of the solves' report.evaluations
@@ -566,10 +558,8 @@ def test_q_linear_tail_of_damped_iteration():
 
 
 _SOLVE_RUNS = {
-    "default": lambda: scenario_from_dict({**default_config(), "horizon_s": 60.0}),
-    "noise_free": lambda: scenario_from_dict(
-        {**default_config(), "horizon_s": 60.0, "noise": {"sigma_reward": 0.0}}
-    ),
+    "default": lambda: scenario_from_dict({"horizon_s": 60.0}),
+    "noise_free": lambda: scenario_from_dict({"horizon_s": 60.0, "noise": {"sigma_reward": 0.0}}),
     # its first warm start is infeasible, so the grid start is exercised
     "wide_bank": lambda: _wide_bank_config(horizon_s=60.0),
 }
