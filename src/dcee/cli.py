@@ -111,7 +111,8 @@ def _cmd_bench(args) -> int:
         if ratio is None:
             print(f"bench[speedup]: {name} / analytic_gn not measured: no {name} solve completed")
         else:
-            print(f"bench[speedup]: {name} / analytic_gn = {ratio:.2f}x")
+            print(f"bench[speedup]: {name} / analytic_gn = {ratio:.2f}x "
+                  "(median per-step ratio of thread CPU times)")
     print(
         f"bench[agreement]: max relative objective spread {report['agreement_max_rel']:.2e} "
         f"over {report['agreement_checks']} checks"

@@ -96,9 +96,10 @@ def measure(
     return y, r
 
 
-# Steps per seed table.  It divides 2**32, so a block's steps share every
-# SeedSequence word but the low word of k.
-_BLOCK = 1024
+# Steps per noise block, whose draws are built together in about 1 ms; a
+# 300-step run builds one block.  It divides 2**32, so a block's steps share
+# every SeedSequence word but the low word of k.
+_BLOCK = 512
 
 
 def _words(n: int) -> list:
@@ -107,14 +108,23 @@ def _words(n: int) -> list:
 
 
 def _standard_normal(seed: int, k: int) -> float:
-    """default_rng([seed, k]).standard_normal(), bit for bit: a new PCG64
-    seeds itself from k's row of its block's seed table, which is the
-    generate_state(4, uint64) of SeedSequence([seed, k])."""
+    """default_rng([seed, k]).standard_normal(), bit for bit: k's entry of
+    its block's draws."""
     seed, k = operator.index(seed), operator.index(k)
     if seed < 0 or k < 0:
         raise ValueError("expected non-negative integer")
-    row = _seed_block(seed, k // _BLOCK)[k % _BLOCK]
-    return float(np.random.Generator(np.random.PCG64(_row_seed()(row))).standard_normal())
+    return _noise_block(seed, k // _BLOCK)[k % _BLOCK]
+
+
+@functools.lru_cache(maxsize=2)
+def _noise_block(seed: int, block: int) -> tuple:
+    """The draws of the block's steps: for each row of the block's seed
+    table a new PCG64 seeds itself from the row, and a new Generator draws
+    one standard normal from it.  Each draw owns its generator, so two
+    threads building one block build equal tuples."""
+    row_seed = _row_seed()
+    return tuple(float(np.random.Generator(np.random.PCG64(row_seed(row))).standard_normal())
+                 for row in _seed_block(seed, block))
 
 
 @functools.cache
@@ -130,11 +140,11 @@ def _row_seed():
     return RowSeed
 
 
-@functools.lru_cache(maxsize=2)
 def _seed_block(seed: int, block: int) -> np.ndarray:
     """SeedSequence([seed, k]).generate_state(4, uint64) for the block's steps
-    k, one 32-byte row each: the hash constants do not depend on the data, so
-    mix_entropy and generate_state run on uint32 arrays, one lane per step."""
+    k, one 32-byte row each, which _noise_block reads once: the hash
+    constants do not depend on the data, so mix_entropy and generate_state
+    run on uint32 arrays, one lane per step."""
     def hashmix(value):
         nonlocal const
         value, const = value ^ const, const * mult & 0xFFFFFFFF

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -162,6 +163,8 @@ def test_bench(cfg_path, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "bench[analytic_gn]" in printed
     assert "thread CPU p99" in printed
+    assert re.search(r"^bench\[speedup\]: fd_hessian_newton / analytic_gn = \d+\.\d\dx "
+                     r"\(median per-step ratio of thread CPU times\)$", printed, re.M)
     assert "bench[exploration]: |u - u_exploit| max" in printed and " evaluations" in printed
     payload = json.loads((tmp_path / "bench" / "bench.json").read_text(encoding="utf-8"))
     assert "timing" in payload and "speedup_vs_analytic" in payload

@@ -39,7 +39,7 @@ from dcee.diagnostics import (fd_hessian_newton, fd_hessian_step, fd_step, rando
                               random_problem)
 from dcee.harness import CSV_HEADER, StepRecord, _exploit_only_fn
 
-from conftest import make_bank, make_problem
+from conftest import failing_reference, make_bank, make_problem
 
 
 def short_cfg(**overrides):
@@ -613,6 +613,40 @@ def test_bench_solver_reports_how_far_exploration_moves_the_input():
     assert report["explore_shift_checks"] == report["agreement_checks"] >= 4
     assert 0.0 <= report["explore_shift_median_n"] <= report["explore_shift_max_n"]
     assert math.isfinite(report["explore_shift_max_n"])
+
+
+def test_bench_speedup_is_the_median_cpu_ratio_over_completed_reference_steps(monkeypatch):
+    # a scripted thread clock: each analytic solve costs 100 ns, and the
+    # n-th reference build costs 100 n ns or, every 4th, fails its solve
+    clock = 0
+    builds = 0
+    step, reference = harness.controller_step, harness.fd_hessian_newton
+
+    def timed_step(*args):
+        nonlocal clock
+        clock += 100
+        return step(*args)
+
+    def sometimes_failing(problem):
+        nonlocal clock, builds
+        builds += 1
+        if builds % 4 == 0:
+            return failing_reference(problem)
+        clock += 100 * builds
+        return reference(problem)
+
+    monkeypatch.setattr(harness.time, "thread_time_ns", lambda: clock)
+    monkeypatch.setattr(harness, "controller_step", timed_step)
+    monkeypatch.setattr(harness, "fd_hessian_newton", sometimes_failing)
+    cfg = short_cfg(horizon_s=2.0)
+    report = bench_solver(cfg, agreement_stride=cfg.n_steps)
+    # build 2 is step 0's check; step k >= 1 times build k + 2
+    timed = [1, *range(3, cfg.n_steps + 2)]
+    completed = [n for n in timed if n % 4]
+    assert report["reference_failures"] == len(timed) - len(completed) == 5
+    assert report["agreement_checks"] == 1
+    assert report["speedup_vs_analytic"]["fd_hessian_newton"] == np.median(completed) == 11.0
+    assert len(timed) == cfg.n_steps and np.median(timed) != 11.0
 
 
 def test_exploit_only_callback_is_gn_terms_of_the_first_residual_bitwise():

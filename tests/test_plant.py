@@ -20,7 +20,7 @@ from dcee import (
     measure,
     plant_step,
 )
-from dcee.plant import _BLOCK, _standard_normal
+from dcee.plant import _BLOCK, _noise_block, _standard_normal
 
 
 def seg(theta=None, t_start=0.0, disturbance=0.0):
@@ -164,11 +164,61 @@ def test_seed_table_with_more_seeds_interleaved_than_it_caches():
     assert all(_draws_default_rng(seed, k) for k in range(0, 3 * _BLOCK, 97) for seed in seeds)
 
 
+def test_block_size_divides_the_low_word_of_the_step():
+    # a block's steps differ in k's low SeedSequence word alone
+    assert 2**32 % _BLOCK == 0
+
+
+def test_a_block_builds_one_generator_per_step_once(monkeypatch):
+    built = []
+    real = np.random.PCG64
+
+    def counting(seed_seq):
+        built.append(seed_seq)
+        return real(seed_seq)
+
+    monkeypatch.setattr(np.random, "PCG64", counting)
+    _noise_block.cache_clear()
+    seed, steps = 4242, range(3 * _BLOCK, 4 * _BLOCK)
+    first = [_standard_normal(seed, k) for k in steps]
+    assert len(built) == _BLOCK
+    assert [_standard_normal(seed, k) for k in reversed(steps)] == first[::-1]
+    assert len(built) == _BLOCK
+    assert first == [float(np.random.default_rng([seed, k]).standard_normal()) for k in steps]
+
+
+def test_threads_building_one_block_at_once_draw_alike():
+    # every thread asks for the same uncached block, so several may build
+    # it at once; each build owns its generators, so all read equal draws
+    _noise_block.cache_clear()
+    seed, n_threads = 77, 4
+    barrier = threading.Barrier(n_threads)
+    got = [None] * n_threads
+
+    def draw(i):
+        barrier.wait(timeout=60)
+        got[i] = [_standard_normal(seed, k) for k in range(_BLOCK)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    want = [float(np.random.default_rng([seed, k]).standard_normal()) for k in range(_BLOCK)]
+    assert got == [want] * n_threads
+
+
 def test_seed_table_draws_from_many_threads_at_once():
-    # each thread sets and draws its own generator: one shared generator
-    # could be set by a thread between another thread's state set and its
-    # draw (with the GIL a switch there is rare enough that a shared
-    # generator passes this too; a free-threaded build can interleave there)
+    # six seeds share a cache of two blocks, so the threads evict each
+    # other's blocks and a thread may rebuild its block, or read it while
+    # another thread builds one; every build is a pure function of
+    # (seed, block) with generators of its own, so each read is its draw
     seeds = range(6)
     got = {seed: [] for seed in seeds}
 
