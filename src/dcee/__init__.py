@@ -42,7 +42,16 @@ from .errors import (
     SolverFailureError,
 )
 from .harness import RunResult, StepRecord, bench_solver, compute_metrics, export, run_closed_loop
-from .plant import EnvSegment, NoiseSpec, VehicleParams, active_segment, drag_force, measure, plant_step
+from .plant import (
+    EnvSegment,
+    NoiseSpec,
+    VehicleParams,
+    active_segment,
+    drag_force,
+    measure,
+    plant_step,
+    reward_noise,
+)
 from .reward import (
     QuadraticRewardSpec,
     basis,

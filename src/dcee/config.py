@@ -58,6 +58,10 @@ class ControllerSettings:
     grad: GradDceeConfig
     esc: EscConfig
 
+    def __post_init__(self):
+        if self.type not in CONTROLLER_TYPES:
+            raise ConfigurationError(f"controller type must be one of {CONTROLLER_TYPES}, got {self.type!r}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -187,10 +191,6 @@ def scenario_from_dict(overrides: dict) -> ScenarioConfig:
         raise ConfigurationError("v0 must be a nonnegative speed")
 
     ctrl = raw["controller"]
-    if ctrl["type"] not in CONTROLLER_TYPES:
-        raise ConfigurationError(
-            f"controller type must be one of {CONTROLLER_TYPES}, got {ctrl['type']!r}"
-        )
     controller = ControllerSettings(
         type=ctrl["type"],
         solver=GnConfig(**ctrl["solver"], u_min=vehicle.u_min, u_max=vehicle.u_max),

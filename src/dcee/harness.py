@@ -28,7 +28,7 @@ from .core import DceeProblem, objective, objective_split, residual_fn, warm_sta
 from .diagnostics import fd_hessian_newton
 from .ensemble import condition_stats, init_ensemble, measured_update
 from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError, integer_at_least
-from .plant import active_segment, measure, plant_step
+from .plant import active_segment, measure, plant_step, reward_noise
 from .reward import optimal_condition
 from .solver import SolverHealth, controller_step, solve
 
@@ -99,10 +99,12 @@ def drive(cfg: ScenarioConfig, select):
     v = cfg.v0
     u = 0.0
     problem = None
+    # the run's noise is drawn once, before its first step
+    noise = reward_noise(cfg.noise, cfg.n_steps)
     for k in range(cfg.n_steps):
         t = k * vehicle.dt
         seg = active_segment(cfg.schedule, t)
-        y, r_meas = measure(spec, v, seg, cfg.noise, k)
+        y, r_meas = measure(spec, v, seg, noise[k])
         ens = measured_update(ens, spec, y, r_meas)
         problem = DceeProblem(vehicle, spec, ens, v)
         u = select(k, t, seg, r_meas, problem, u)

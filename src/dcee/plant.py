@@ -77,54 +77,37 @@ def plant_step(params: VehicleParams, v: float, u: float, segment: EnvSegment) -
     return max(0.0, v + params.dt * accel)
 
 
-def measure(
-    spec: QuadraticRewardSpec,
-    v: float,
-    segment: EnvSegment,
-    noise: NoiseSpec,
-    k: int,
-) -> tuple[float, float]:
-    """Output and noisy reward at step k.
-
-    The noise draw is a pure function of (seed, k), so replays are
-    bit-identical and independent scenario runs can share nothing.
-    """
+def measure(spec: QuadraticRewardSpec, v: float, segment: EnvSegment, noise: float) -> tuple[float, float]:
+    """Output and noisy reward at speed v: the segment's reward plus noise,
+    the step's entry of reward_noise."""
     y = float(v)
-    r = eval_reward(spec, segment.theta_true, y)
-    if noise.sigma_reward > 0.0:
-        r += noise.sigma_reward * _standard_normal(noise.seed, k)
-    return y, r
+    return y, eval_reward(spec, segment.theta_true, y) + noise
 
 
-# Steps per noise block, whose draws are built together in about 1 ms; a
-# 300-step run builds one block.  It divides 2**32, so a block's steps share
-# every SeedSequence word but the low word of k.
-_BLOCK = 512
+def reward_noise(noise: NoiseSpec, n_steps: int) -> tuple:
+    """A run's reward noise, one float for each step k < n_steps:
+    sigma_reward * default_rng([seed, k]).standard_normal(), bit for bit.
+
+    Each draw is a pure function of (seed, k), so replays are bit-identical
+    and independent runs share nothing.  For each row of the run's seed
+    table a new PCG64 seeds itself from the row, and a new Generator draws
+    one standard normal from it.  Without noise the draws are zeros, and no
+    generator is built.
+    """
+    if not integer_at_least(n_steps, 0) or n_steps > 2**32:
+        # a step must fit the one 32-bit word _seed_table gives it
+        raise InvalidInputError(f"n_steps must be an integer in [0, 2**32], got {n_steps!r}")
+    sigma = noise.sigma_reward
+    if sigma == 0.0:
+        return (0.0,) * n_steps
+    row_seed = _row_seed()
+    return tuple(sigma * float(np.random.Generator(np.random.PCG64(row_seed(row))).standard_normal())
+                 for row in _seed_table(operator.index(noise.seed), n_steps))
 
 
 def _words(n: int) -> list:
     """SeedSequence's little-endian 32-bit words of an integer (0 as [0])."""
     return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _standard_normal(seed: int, k: int) -> float:
-    """default_rng([seed, k]).standard_normal(), bit for bit: k's entry of
-    its block's draws."""
-    seed, k = operator.index(seed), operator.index(k)
-    if seed < 0 or k < 0:
-        raise ValueError("expected non-negative integer")
-    return _noise_block(seed, k // _BLOCK)[k % _BLOCK]
-
-
-@functools.lru_cache(maxsize=2)
-def _noise_block(seed: int, block: int) -> tuple:
-    """The draws of the block's steps: for each row of the block's seed
-    table a new PCG64 seeds itself from the row, and a new Generator draws
-    one standard normal from it.  Each draw owns its generator, so two
-    threads building one block build equal tuples."""
-    row_seed = _row_seed()
-    return tuple(float(np.random.Generator(np.random.PCG64(row_seed(row))).standard_normal())
-                 for row in _seed_block(seed, block))
 
 
 @functools.cache
@@ -140,9 +123,9 @@ def _row_seed():
     return RowSeed
 
 
-def _seed_block(seed: int, block: int) -> np.ndarray:
-    """SeedSequence([seed, k]).generate_state(4, uint64) for the block's steps
-    k, one 32-byte row each, which _noise_block reads once: the hash
+def _seed_table(seed: int, n_steps: int) -> np.ndarray:
+    """SeedSequence([seed, k]).generate_state(4, uint64) for the steps
+    k < n_steps, one 32-byte row each, where k is one 32-bit word: the hash
     constants do not depend on the data, so mix_entropy and generate_state
     run on uint32 arrays, one lane per step."""
     def hashmix(value):
@@ -151,10 +134,10 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
         value = value * const
         return value ^ value >> 16
 
-    words = _words(seed) + _words(block * _BLOCK)
-    entropy = np.zeros((max(len(words), 4), _BLOCK), np.uint32)
+    words = _words(seed)
+    entropy = np.zeros((max(len(words) + 1, 4), n_steps), np.uint32)
     entropy[: len(words)] = np.array(words, np.uint32)[:, None]
-    entropy[len(_words(seed))] += np.arange(_BLOCK, dtype=np.uint32)  # k's low word
+    entropy[len(words)] = np.arange(n_steps, dtype=np.uint32)
     const, mult = 0x43B0D7E5, 0x931E8875
     pool = [hashmix(row) for row in entropy[:4]]
     # each pool word into every other, then each further word into all four

@@ -22,6 +22,7 @@ from dcee import (
     measure,
     objective,
     plant_step,
+    reward_noise,
     warm_start,
 )
 from dcee.diagnostics import random_input, random_problem
@@ -113,12 +114,12 @@ def test_grad_step_clamps_to_bounds():
 
 def _esc_loop(cfg, spec, veh, theta, v0, steps, sigma=0.0, seed=5):
     seg = EnvSegment(0.0, theta, 0.0)
-    noise = NoiseSpec(sigma_reward=sigma, seed=seed)
+    noise = reward_noise(NoiseSpec(sigma_reward=sigma, seed=seed), steps)
     state = esc_init(v0)
     v = v0
     vs, sps = [], []
     for k in range(steps):
-        _, r = measure(spec, v, seg, noise, k)
+        _, r = measure(spec, v, seg, noise[k])
         u, state = esc_step(state, cfg, r, v, veh)
         v = plant_step(veh, v, u, seg)
         vs.append(v)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -49,6 +50,23 @@ def test_run_byte_identical_replay(cfg_path, tmp_path):
     assert main(["run", cfg_path, "--out", str(tmp_path / "a")]) == 0
     assert main(["run", cfg_path, "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "run.csv").read_bytes() == (tmp_path / "b" / "run.csv").read_bytes()
+
+
+# md5 of the CSV `dcee run` writes for each shipped config.  Every logged
+# bit of a run goes into it, so the pin changes only in a change that says
+# why its runs changed.  ESC's CSV is not pinned: ESC calls libm's sin and
+# atan, whose last bit may differ between platforms.
+RUN_CSV_MD5 = {
+    "default.yaml": "928143b3db96286b34d6e63226ed81dd",
+    "noise_free.yaml": "ab034c899cdf773b66aee6dfd993b686",
+}
+
+
+@pytest.mark.parametrize("config", sorted(RUN_CSV_MD5))
+def test_run_csv_of_each_shipped_config_is_pinned(tmp_path, config):
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", config)
+    assert main(["run", path, "--out", str(tmp_path)]) == 0
+    assert hashlib.md5((tmp_path / "run.csv").read_bytes()).hexdigest() == RUN_CSV_MD5[config]
 
 
 def test_run_requires_config(cfg_path):

@@ -1,9 +1,10 @@
+import dataclasses
 import pathlib
 
 import pytest
 import yaml
 
-from dcee import ConfigurationError, default_config, load_config, scenario_from_dict
+from dcee import ConfigurationError, default_config, load_config, run_closed_loop, scenario_from_dict
 from dcee.config import CONTROLLER_TYPES
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -80,6 +81,14 @@ def test_controller_type_validation():
         assert cfg.controller.type == ctype
     with pytest.raises(ConfigurationError):
         scenario_from_dict({"controller": {"type": "mpc"}})
+
+
+def test_a_hand_built_scenario_rejects_an_unknown_controller_type():
+    # the settings check their own type, so a scenario built without
+    # scenario_from_dict cannot reach the loop with a type it has no branch for
+    cfg = scenario_from_dict({"horizon_s": 1.0})
+    with pytest.raises(ConfigurationError, match="'numerical'"):
+        run_closed_loop(dataclasses.replace(cfg, controller=dataclasses.replace(cfg.controller, type="numerical")))
 
 
 def test_solver_settings_validated():

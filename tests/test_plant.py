@@ -1,11 +1,9 @@
 import math
-import re
-import sys
-import threading
 
 import numpy as np
 import pytest
 
+import dcee.harness
 from dcee import (
     ConfigurationError,
     EnvSegment,
@@ -19,8 +17,10 @@ from dcee import (
     make_true_params,
     measure,
     plant_step,
+    reward_noise,
+    run_closed_loop,
+    scenario_from_dict,
 )
-from dcee.plant import _BLOCK, _noise_block, _standard_normal
 
 
 def seg(theta=None, t_start=0.0, disturbance=0.0):
@@ -89,165 +89,98 @@ def test_equilibrium_shift_with_disturbance():
 def test_measure_noise_free_equals_eval_reward():
     spec = QuadraticRewardSpec()
     s = seg()
-    noise = NoiseSpec(sigma_reward=0.0, seed=7)
-    y, r = measure(spec, 21.0, s, noise, 13)
+    noise = reward_noise(NoiseSpec(sigma_reward=0.0, seed=7), 13)
+    assert noise == (0.0,) * 13
+    y, r = measure(spec, 21.0, s, noise[12])
     assert y == 21.0
     assert r == eval_reward(spec, s.theta_true, 21.0)
 
 
 def test_measure_deterministic_per_step():
-    spec = QuadraticRewardSpec()
-    s = seg()
+    # a step's draw depends on (seed, k) alone, not on the run's length
     noise = NoiseSpec(sigma_reward=0.05, seed=99)
-    a = measure(spec, 21.0, s, noise, 4)
-    b = measure(spec, 21.0, s, noise, 4)
-    assert a == b
-    c = measure(spec, 21.0, s, noise, 5)
-    assert c != a
+    a = reward_noise(noise, 6)
+    assert reward_noise(noise, 6) == a
+    assert reward_noise(noise, 3) == a[:3]
+    assert len(set(a)) == 6
+    assert reward_noise(NoiseSpec(sigma_reward=0.05, seed=98), 6) != a
 
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**60 + 1, 2**64 + 5)
-STEPS = (0, 1, 4, 8999, 2**31, 2**32, 2**40 + 3)
+
+
+def _default_rng_noise(noise, k):
+    return np.float64(noise.sigma_reward * np.random.default_rng([noise.seed, k]).standard_normal())
 
 
 def test_measure_draws_the_default_rng_stream():
-    # the replay contract: the noise at step k is the first standard normal
-    # of default_rng([seed, k]), bit for bit, whatever the seed's word count
+    # the replay contract: the noise at step k is sigma times the first
+    # standard normal of default_rng([seed, k]), bit for bit, whatever the
+    # seed's word count, and measure adds it to the clean reward
     spec = QuadraticRewardSpec()
     s = seg()
     clean = eval_reward(spec, s.theta_true, 21.0)
     for seed in SEEDS:
         noise = NoiseSpec(sigma_reward=0.05, seed=seed)
-        for k in STEPS:
-            eps = float(np.random.default_rng([seed, k]).standard_normal())
-            y, r = measure(spec, 21.0, s, noise, k)
+        for k, eps in enumerate(reward_noise(noise, 40)):
+            want = _default_rng_noise(noise, k)
+            assert np.float64(eps).tobytes() == want.tobytes()
+            y, r = measure(spec, 21.0, s, eps)
             assert y == 21.0
-            assert np.float64(r).tobytes() == np.float64(clean + 0.05 * eps).tobytes()
+            assert np.float64(r).tobytes() == np.float64(clean + want).tobytes()
 
 
 def test_noise_draw_takes_any_integer_as_default_rng_does():
-    # numpy integers and bools draw default_rng's stream for their value; a
-    # negative step or a float is rejected with default_rng's error type
-    for seed, k in ((np.int64(7), 3), (True, 5), (7, np.uint32(3)), (np.uint64(2**63), 2**33)):
-        want = float(np.random.default_rng([seed, k]).standard_normal())
-        assert _standard_normal(seed, k) == want
-    for seed, k in ((7, -1), (-3, 2)):
-        with pytest.raises(ValueError) as want:
-            np.random.default_rng([seed, k])
-        with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            _standard_normal(seed, k)
-    with pytest.raises(TypeError):
-        np.random.default_rng([7, 1.5])
-    with pytest.raises(TypeError):
-        _standard_normal(7, 1.5)
-
-
-def _draws_default_rng(seed, k):
-    want = np.float64(np.random.default_rng([seed, k]).standard_normal())
-    return np.float64(_standard_normal(seed, k)).tobytes() == want.tobytes()
+    # numpy integer seeds and step counts draw default_rng's stream for their
+    # value; a step count that is no integer, negative, or past the one
+    # 32-bit word a step gets is rejected, noise or not
+    for seed, n_steps in ((np.int64(7), 3), (np.uint64(2**63), np.uint32(4)), (2**64 + 5, np.int8(2))):
+        noise = NoiseSpec(sigma_reward=0.5, seed=seed)
+        got = reward_noise(noise, n_steps)
+        assert all(type(eps) is float for eps in got)
+        assert [np.float64(eps).tobytes() for eps in got] == [
+            _default_rng_noise(noise, k).tobytes() for k in range(n_steps)]
+    assert reward_noise(NoiseSpec(sigma_reward=0.5), 0) == ()
+    for sigma in (0.0, 0.5):
+        for bad in (-1, 1.5, True, None, 2**32 + 1, 2**64):
+            with pytest.raises(InvalidInputError, match="n_steps"):
+                reward_noise(NoiseSpec(sigma_reward=sigma), bad)
 
 
 def test_seed_table_draws_every_step_of_the_default_run():
-    seed = NoiseSpec().seed
-    assert all(_draws_default_rng(seed, k) for k in range(9000))
+    noise = NoiseSpec()
+    got = reward_noise(noise, 9000)
+    assert len(got) == 9000
+    assert all(np.float64(eps).tobytes() == _default_rng_noise(noise, k).tobytes()
+               for k, eps in enumerate(got))
 
 
-def test_seed_table_at_block_edges_and_out_of_order():
-    edges = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2**32 - 1, 2**32, 2**32 + _BLOCK]
-    order = edges + edges[::-1] + [7 * _BLOCK + 5, 3, 7 * _BLOCK + 4, 2 * _BLOCK - 1, 0]
-    for seed in (5, 2**100 + 5):
-        assert all(_draws_default_rng(seed, k) for k in order)
-
-
-def test_seed_table_with_more_seeds_interleaved_than_it_caches():
-    seeds = (NoiseSpec().seed, 0, 2**32 + 3, 2**64 + 5)
-    assert all(_draws_default_rng(seed, k) for k in range(0, 3 * _BLOCK, 97) for seed in seeds)
-
-
-def test_block_size_divides_the_low_word_of_the_step():
-    # a block's steps differ in k's low SeedSequence word alone
-    assert 2**32 % _BLOCK == 0
-
-
-def test_a_block_builds_one_generator_per_step_once(monkeypatch):
-    built = []
-    real = np.random.PCG64
+@pytest.mark.parametrize("sigma", [0.01, 0.0])
+def test_a_run_builds_its_generators_before_its_first_step(monkeypatch, sigma):
+    # one generator per step of a noisy run, all built before the first
+    # step, and none at all without noise
+    built, at_step = [], []
+    real_pcg64, real_measure = np.random.PCG64, dcee.harness.measure
 
     def counting(seed_seq):
         built.append(seed_seq)
-        return real(seed_seq)
+        return real_pcg64(seed_seq)
+
+    def measure_step(*args):
+        at_step.append(len(built))
+        return real_measure(*args)
 
     monkeypatch.setattr(np.random, "PCG64", counting)
-    _noise_block.cache_clear()
-    seed, steps = 4242, range(3 * _BLOCK, 4 * _BLOCK)
-    first = [_standard_normal(seed, k) for k in steps]
-    assert len(built) == _BLOCK
-    assert [_standard_normal(seed, k) for k in reversed(steps)] == first[::-1]
-    assert len(built) == _BLOCK
-    assert first == [float(np.random.default_rng([seed, k]).standard_normal()) for k in steps]
-
-
-def test_threads_building_one_block_at_once_draw_alike():
-    # every thread asks for the same uncached block, so several may build
-    # it at once; each build owns its generators, so all read equal draws
-    _noise_block.cache_clear()
-    seed, n_threads = 77, 4
-    barrier = threading.Barrier(n_threads)
-    got = [None] * n_threads
-
-    def draw(i):
-        barrier.wait(timeout=60)
-        got[i] = [_standard_normal(seed, k) for k in range(_BLOCK)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=draw, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    want = [float(np.random.default_rng([seed, k]).standard_normal()) for k in range(_BLOCK)]
-    assert got == [want] * n_threads
-
-
-def test_seed_table_draws_from_many_threads_at_once():
-    # six seeds share a cache of two blocks, so the threads evict each
-    # other's blocks and a thread may rebuild its block, or read it while
-    # another thread builds one; every build is a pure function of
-    # (seed, block) with generators of its own, so each read is its draw
-    seeds = range(6)
-    got = {seed: [] for seed in seeds}
-
-    def draw(seed):
-        got[seed] = [_standard_normal(seed, k) for k in range(400)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for seed in seeds:
-        assert got[seed] == [float(np.random.default_rng([seed, k]).standard_normal()) for k in range(400)]
+    monkeypatch.setattr(dcee.harness, "measure", measure_step)
+    cfg = scenario_from_dict({"noise": {"sigma_reward": sigma}, "horizon_s": 30.0})
+    run_closed_loop(cfg)
+    n_built = cfg.n_steps if sigma else 0
+    assert at_step == [n_built] * cfg.n_steps == [n_built] * 300
 
 
 def test_measure_noise_statistics():
     # sample std over many draws matches sigma_reward
-    spec = QuadraticRewardSpec()
-    s = seg()
-    sigma = 0.01
-    noise = NoiseSpec(sigma_reward=sigma, seed=1234)
-    clean = eval_reward(spec, s.theta_true, 18.0)
-    draws = np.array([measure(spec, 18.0, s, noise, k)[1] - clean for k in range(100_000)])
+    draws = np.array(reward_noise(NoiseSpec(sigma_reward=0.01, seed=1234), 100_000))
     assert 0.0095 <= draws.std() <= 0.0105
     assert abs(draws.mean()) < 5e-4
 
