@@ -7,9 +7,9 @@ metrics as one JSON line.
 Seed i runs the configuration with noise seed (the configured seed) + i,
 and with --sigma, --horizon and --controller, where given, in place of the
 configured reward noise, horizon and controller type.  Each run is
-harness.run_closed_loop, which steps harness.drive as `dcee run` does; a
-wrapper on the measured update it calls notes the steps at which the
-bank's change test fired.  A line reads
+harness.run_closed_loop, which steps harness.drive as `dcee run` does and
+returns, as alarm_steps, the steps at which the bank's change test fired.
+A line reads
 
     {"seed", "regret", "iae_v", "e_v", "e_v_tail", "alarm_steps", "fallbacks"}
 
@@ -23,7 +23,7 @@ import copy
 import json
 from pathlib import Path
 
-from dcee import harness, load_config, scenario_from_dict
+from dcee import load_config, run_closed_loop, scenario_from_dict
 from dcee.config import CONTROLLER_TYPES
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -44,26 +44,10 @@ def seed_config(raw: dict, seed: int, sigma=None, horizon=None, controller=None)
 
 def run_seed(cfg) -> dict:
     """cfg's closed-loop metrics, alarm steps and fallbacks."""
-    alarms = []
-    update = harness.measured_update
-    step = 0
-
-    def watched(e, *args):
-        nonlocal step
-        out = update(e, *args)
-        if out.resets > e.resets:
-            alarms.append(step)
-        step += 1
-        return out
-
-    harness.measured_update = watched
-    try:
-        result = harness.run_closed_loop(cfg)
-    finally:
-        harness.measured_update = update
+    result = run_closed_loop(cfg)
     row = {"seed": cfg.noise.seed}
     row.update({key: result.metrics[key] for key in ("regret", "iae_v", "e_v", "e_v_tail")})
-    row["alarm_steps"] = alarms
+    row["alarm_steps"] = list(result.alarm_steps)
     row["fallbacks"] = result.solver.fallbacks
     return row
 

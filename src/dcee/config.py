@@ -75,6 +75,14 @@ class ScenarioConfig:
     ensemble: EnsembleSettings
     raw: dict = field(repr=False, default_factory=dict)
 
+    def __post_init__(self):
+        # the solver searches the box the plant clamps to, and no other
+        solver, vehicle = self.controller.solver, self.vehicle
+        if (solver.u_min, solver.u_max) != (vehicle.u_min, vehicle.u_max):
+            raise ConfigurationError(
+                f"solver box [{solver.u_min}, {solver.u_max}] differs from the vehicle's "
+                f"input box [{vehicle.u_min}, {vehicle.u_max}]")
+
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon_s / self.vehicle.dt))

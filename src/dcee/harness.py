@@ -66,6 +66,9 @@ class RunResult:
     final_u: float = 0.0
     # counts over the GN solves; empty for the baseline controllers
     solver: SolverHealth = field(default_factory=SolverHealth)
+    # the steps k, in order, at which the bank's resets count rose: the
+    # change test fired in their measured update
+    alarm_steps: tuple = ()
 
     def summary(self) -> dict:
         """The metrics, timing summary and solver health counts."""
@@ -141,10 +144,16 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
     log_wall = wall_times.append
     clock = time.perf_counter_ns
     health = SolverHealth()
+    alarms = []
+    resets = 0  # a new bank has fired no alarm
 
     def select(k, t, seg, r_meas, problem, u_prev):
-        nonlocal esc_state
-        gamma_mean = condition_stats(problem.ensemble, spec)
+        nonlocal esc_state, resets
+        bank = problem.ensemble
+        if bank.resets != resets:
+            resets = bank.resets
+            alarms.append(k)
+        gamma_mean = condition_stats(bank, spec)
         v = problem.v
         # each controller is looked up as a module global at every call, so a
         # wrapper set on this module sees each selection
@@ -184,6 +193,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         final_problem=problem,
         final_u=u,
         solver=health,
+        alarm_steps=tuple(alarms),
     )
 
 

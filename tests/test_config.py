@@ -4,7 +4,7 @@ import pathlib
 import pytest
 import yaml
 
-from dcee import ConfigurationError, default_config, load_config, run_closed_loop, scenario_from_dict
+from dcee import ConfigurationError, GnConfig, default_config, load_config, run_closed_loop, scenario_from_dict
 from dcee.config import CONTROLLER_TYPES
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -89,6 +89,20 @@ def test_a_hand_built_scenario_rejects_an_unknown_controller_type():
     cfg = scenario_from_dict({"horizon_s": 1.0})
     with pytest.raises(ConfigurationError, match="'numerical'"):
         run_closed_loop(dataclasses.replace(cfg, controller=dataclasses.replace(cfg.controller, type="numerical")))
+
+
+def test_a_scenario_rejects_a_solver_box_other_than_the_vehicles():
+    # the plant clamps the input to the vehicle's box: a solver searching
+    # another box would log inputs the plant never applies
+    cfg = scenario_from_dict({"horizon_s": 1.0})
+    vehicle = dataclasses.replace(cfg.vehicle, u_min=-1000.0, u_max=1000.0)
+    with pytest.raises(ConfigurationError, match=r"\[-5000.0, 5000.0\].*\[-1000.0, 1000.0\]"):
+        dataclasses.replace(cfg, vehicle=vehicle,
+                            controller=dataclasses.replace(cfg.controller, solver=GnConfig()))
+    solver = GnConfig(u_min=-1000.0, u_max=1000.0)
+    narrow = dataclasses.replace(cfg, vehicle=vehicle,
+                                 controller=dataclasses.replace(cfg.controller, solver=solver))
+    assert scenario_from_dict({"vehicle": {"u_min": -1000.0, "u_max": 1000.0}}).controller == narrow.controller
 
 
 def test_solver_settings_validated():

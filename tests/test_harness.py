@@ -308,6 +308,31 @@ def test_closed_loop_does_not_depend_on_the_algorithm_of_sum(monkeypatch):
     assert _hex_rows(run_closed_loop(cfg).records) == expected
 
 
+@pytest.mark.parametrize("controller", CONTROLLER_TYPES)
+def test_alarm_steps_are_the_steps_whose_update_fired(monkeypatch, controller):
+    # through both switches of the default schedule, at 300 s and 600 s: the
+    # run's own record against a wrapper that watches each measured update
+    cfg = short_cfg(controller={"type": controller}, horizon_s=700.0)
+    update = harness.measured_update
+    fired = []
+    step = 0
+
+    def watched(bank, *args):
+        nonlocal step
+        out = update(bank, *args)
+        if out.resets > bank.resets:
+            fired.append(step)
+        step += 1
+        return out
+
+    monkeypatch.setattr(harness, "measured_update", watched)
+    alarms = run_closed_loop(cfg).alarm_steps
+    assert step == cfg.n_steps
+    assert type(alarms) is tuple and all(type(k) is int for k in alarms)
+    assert alarms == tuple(fired)
+    assert len(alarms) == 2 and 3000 <= alarms[0] < 3100 and 6000 <= alarms[1] < 6100
+
+
 def test_all_controllers_run():
     for ctype in CONTROLLER_TYPES:
         cfg = short_cfg(controller={"type": ctype})
@@ -326,6 +351,8 @@ def test_noise_free_single_segment_settles_at_peak(v_star):
     tail = [r for r in res.records if r.t >= 240.0]
     assert max(abs(r.v - v_star) for r in tail) < 0.1
     assert abs(tail[-1].gamma_mean_est - v_star) < 0.1
+    # with no switch and no noise the change test never fires
+    assert res.alarm_steps == ()
 
 
 def test_run_survives_extreme_ensemble_settings():

@@ -1,8 +1,10 @@
 """No linter ships with this project, so this test does the checks one
 would matter most for after a deletion or a move: a name a module imports
 and never uses, a private module-level name that nothing reads any more,
-a private name one package module imports from another, and a code name
-or script the README gives that the code no longer has."""
+a private name one package module imports from another, a code name or
+script the README gives that the code no longer has, and a module of the
+package or a script that patches dcee.harness: only the tests and the
+benchmark may swap the loop's layers."""
 import ast
 import importlib
 import pathlib
@@ -118,6 +120,48 @@ def stale_readme_names(text: str) -> list:
     return stale
 
 
+def harness_patches(source: str) -> list:
+    """(line, text) of each assignment to or deletion of an attribute of
+    dcee.harness, and each setattr or delattr call on it, where the module
+    is reached by a name an import binds: dcee, dcee.harness, an alias, or
+    harness from `from dcee import` or `from . import`."""
+    tree = ast.parse(source)
+    packages, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is None and alias.name.split(".")[0] == "dcee":
+                    packages.add("dcee")
+                elif alias.name == "dcee":
+                    packages.add(alias.asname)
+                elif alias.name == "dcee.harness":
+                    modules.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom) and (node.module, node.level) in (("dcee", 0), (None, 1)):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "harness"}
+
+    def is_harness(expr):
+        if isinstance(expr, ast.Name):
+            return expr.id in modules
+        return (isinstance(expr, ast.Attribute) and expr.attr == "harness"
+                and isinstance(expr.value, ast.Name) and expr.value.id in packages)
+
+    found = []
+    for node in ast.walk(tree):
+        # an attribute stored to or deleted is the target of an assignment,
+        # augmented or not, of a for or with target, or of a del
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and is_harness(node.value)):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and node.args:
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            first = node.args[0]
+            named = (isinstance(first, ast.Constant) and isinstance(first.value, str)
+                     and first.value.startswith("dcee.harness."))
+            if name in ("setattr", "delattr") and (is_harness(first) or named):
+                found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         (1, "math"), (2, "path")]
@@ -147,6 +191,21 @@ def test_detects_a_stale_name_in_the_readme():
             "`pyproject.toml`, `core.gone`, `solver.gone`, `noise.sigma`, "
             "`scripts/seed_table.py`, `python scripts/gone.py`, scripts/ alone")
     assert stale_readme_names(text) == ["core.gone", "solver.gone", "noise.sigma", "scripts/gone.py"]
+
+
+def test_detects_a_patch_of_the_harness():
+    source = ("import dcee\nimport dcee.harness as h\nfrom dcee import harness as loop\n"
+              "from . import harness\nimport dcee.core as core\n"
+              "h.solve = None\nloop.measure, x = 1, 2\ndcee.harness.drive += 1\n"
+              "setattr(harness, 'solve', None)\nmonkeypatch.setattr('dcee.harness.solve', None)\n"
+              "del harness.drive\ncore.solve = None\nsetattr(core, 'x', 1)\nloop.run(h.x)\n"
+              "d[h.solve] = loop.measure\n")
+    assert [line for line, _ in harness_patches(source)] == [6, 7, 8, 9, 10, 11]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + SCRIPTS, ids=lambda p: p.name)
+def test_module_patches_no_layer_of_the_harness(path):
+    assert harness_patches(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
