@@ -28,8 +28,8 @@ from .diagnostics import (
 )
 from .ensemble import condition_stats
 from .errors import InfeasibleCandidateError, SolverFailureError
-from .harness import bench_solver, run_closed_loop
-from .solver import GnConfig, gn_step, scp_step, solve
+from .harness import bench_solver, drive, run_closed_loop
+from .solver import GnConfig, controller_step, gn_step, scp_step, solve
 
 AUDIT_SEED = 711
 ORACLE_SEED = 1213
@@ -194,26 +194,27 @@ def criterion_7_local_rate() -> CriterionResult:
     # reward peak; perturb the warm start and watch the inner-iteration tail
     scenario = scenario_from_dict({"noise": {"sigma_reward": 0.0}, "horizon_s": 300.0,
                                    "schedule": [{"t_start": 0.0, "v_star": 25.0}]})
-    res = run_closed_loop(scenario)
-    prob = res.final_problem
-    probe_cfg = replace(scenario.controller.solver, max_iters=12, tol=1e-15)
-    u_star, report = solve(residual_fn(prob), res.final_u + 200.0, probe_cfg)
-    tail = report.step_norms[-3:]
+    gn_cfg = scenario.controller.solver
+    prob, u_final = drive(scenario, lambda k, t, seg, r, p, u: controller_step(p, u, gn_cfg)[0])
+    probe_cfg = replace(gn_cfg, max_iters=12, tol=1e-15)
+    u_init = u_final + 200.0  # inside the box and feasible: the solve's iterate 0
+    u_star, report = solve(residual_fn(prob), u_init, probe_cfg)
+    # stopped after m steps, the deterministic solve returns its m-th iterate
+    us = [u_init] + [solve(residual_fn(prob), u_init, replace(probe_cfg, max_iters=m))[0]
+                     for m in range(1, report.iterations + 1)]
+    tail = [abs(b - a) for a, b in zip(us, us[1:])][-3:]
     monotone = len(tail) == 3 and tail[0] > tail[1] > tail[2]
-    split = ggn_split(prob, u_star)
-    alpha = contraction_rate(split)
+    alpha = contraction_rate(ggn_split(prob, u_star))
     ok = monotone and alpha < 1.0
-    detail = (
-        f"alpha = {alpha:.3e}, last step norms {[f'{s:.3e}' for s in tail]}, "
-        f"monotone decreasing: {monotone}"
-    )
+    detail = (f"alpha = {alpha:.3e}, last step norms {[f'{s:.3e}' for s in tail]}, "
+              f"monotone decreasing: {monotone}")
     return CriterionResult(7, "local contraction diagnostics", ok, detail)
 
 
 def criterion_8_performance() -> CriterionResult:
     # warm up the numpy code paths so one-time costs stay out of the max
-    _ = bench_solver(scenario_from_dict({"horizon_s": 1.0}), agreement_stride=10**9)
-    bench = bench_solver(scenario_from_dict({"horizon_s": 90.0}), agreement_stride=10**9)
+    _ = bench_solver(scenario_from_dict({"horizon_s": 1.0}))
+    bench = bench_solver(scenario_from_dict({"horizon_s": 90.0}))
     t = bench["timing"]
     mean_ns = t["analytic_gn"]["mean_ns"]
     max_ns = t["analytic_gn"]["max_ns"]

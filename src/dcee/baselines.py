@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import DceeProblem, residual_fn, warm_start
-from .errors import ConfigurationError, InfeasibleCandidateError
+from .errors import ConfigurationError, InfeasibleCandidateError, reject_bools
 from .plant import VehicleParams, drag_force
 
 
@@ -25,6 +25,7 @@ class GradDceeConfig:
     gain: float = 2.1e8
 
     def __post_init__(self):
+        reject_bools(self)
         if not (0.0 < self.gain < math.inf):
             raise ConfigurationError("gradient gain must be positive and finite")
 
@@ -60,6 +61,7 @@ class EscConfig:
     speed_loop_gain: float = 800.0   # N per (m/s)
 
     def __post_init__(self):
+        reject_bools(self)
         for name in ("dither_amp", "dither_freq", "integrator_gain",
                      "highpass_cutoff", "speed_loop_gain"):
             if not (0.0 < getattr(self, name) < math.inf):

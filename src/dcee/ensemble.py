@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError, integer_at_least
+from .errors import (ConfigurationError, CurvatureViolationError, InvalidInputError, integer_at_least,
+                     reject_bools)
 from .reward import QuadraticRewardSpec, basis
 
 
@@ -118,6 +119,7 @@ class EnsembleSettings:
     seed: int
 
     def __post_init__(self):
+        reject_bools(self)
         for name in ("prior", "spread"):
             raw = getattr(self, name)
             try:

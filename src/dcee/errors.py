@@ -1,7 +1,8 @@
-"""Exception types shared across the library, and the one test of the
-count and seed settings whose failure they report."""
+"""Exception types shared across the library, and the tests of settings
+whose failure they report."""
 
 import numbers
+from dataclasses import fields
 
 
 class DceeError(Exception):
@@ -41,3 +42,11 @@ class SolverFailureError(DceeError):
 def integer_at_least(value, low: int) -> bool:
     """Whether value is an integer (numpy's too, but no bool) of at least low."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def reject_bools(settings) -> None:
+    """Raise ConfigurationError if a field of the settings dataclass holds a
+    bool: no setting is a flag, and True passes every numeric test as 1."""
+    for f in fields(settings):
+        if isinstance(getattr(settings, f.name), bool):
+            raise ConfigurationError(f"{type(settings).__name__}.{f.name} must be a number, not a bool")

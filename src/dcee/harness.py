@@ -24,17 +24,20 @@ import numpy as np
 
 from .baselines import esc_init, esc_step, grad_dcee_step
 from .config import ScenarioConfig
-from .core import DceeProblem, objective, objective_split, residual_fn, warm_start
+from .core import DceeProblem, evaluate, objective, objective_split, residual_fn, warm_start
 from .diagnostics import fd_hessian_newton
 from .ensemble import condition_stats, init_ensemble, measured_update
-from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError, integer_at_least
+from .errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
 from .plant import active_segment, measure, plant_step, reward_noise
 from .reward import optimal_condition
-from .solver import SolverHealth, controller_step, solve
+from .solver import SolverHealth, controller_step, gn_terms, solve
 
 # compute_metrics' e_v_tail averages |v - v*| over this many seconds at the
 # end of the run: unlike e_v, one sample, it does not hinge on the last step
 TAIL_WINDOW_S = 30.0
+
+# bench_solver's agreement and exploration checks run on every this many steps
+AGREEMENT_STRIDE = 10
 
 
 class StepRecord(NamedTuple):
@@ -62,8 +65,6 @@ class RunResult:
     metrics: dict
     timing: dict
     config: dict
-    final_problem: DceeProblem = field(repr=False, default=None)
-    final_u: float = 0.0
     # counts over the GN solves; empty for the baseline controllers
     solver: SolverHealth = field(default_factory=SolverHealth)
     # the steps k, in order, at which the bank's resets count rose: the
@@ -182,7 +183,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         log_iterations(iterations)
         return u
 
-    problem, u = drive(cfg, select)
+    drive(cfg, select)
     records = [_tuple_new(StepRecord, row) for row in zip(*[iter(rows)] * 8, iterations_log)]
     metrics = compute_metrics(records, cfg.schedule, spec)
     return RunResult(
@@ -190,8 +191,6 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         metrics=metrics,
         timing=_timing_summary(wall_times),
         config=cfg.raw,
-        final_problem=problem,
-        final_u=u,
         solver=health,
         alarm_steps=tuple(alarms),
     )
@@ -278,21 +277,7 @@ def export(result: RunResult, path, fmt: str):
     return _write_text(path, "\n".join(lines) + "\n")
 
 
-def _exploit_only_fn(problem: DceeProblem):
-    """Solve callback of the exploitation residual F[0] alone: the input a
-    controller that ignores what the bank would learn from it would pick.
-    Its (F'F, J'F, J'J) are those of f0 and j0, the first entries of F and
-    J, from one pass of residual_fn(problem) per call."""
-    member_pass = residual_fn(problem)
-
-    def fn(u: float):
-        f0, _, j0, _ = member_pass(u, [])
-        return f0 * f0, j0 * f0, j0 * j0
-
-    return fn
-
-
-def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
+def bench_solver(cfg: ScenarioConfig) -> dict:
     """Time the production solver, and the finite-difference Newton
     reference diagnostics.fd_hessian_newton, on the identical per-step
     problems of the closed loop, in two passes of the same loop.
@@ -309,19 +294,16 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
     same settings, on both clocks.  speedup_vs_analytic is the median, over
     the steps whose reference solve completed, of the step's thread CPU
     time of the reference over that of its analytic solve, so load on the
-    host between the passes moves it little.  Every agreement_stride steps
-    both are also re-solved to
-    convergence (60 iterations at most) from there, and the relative spread
-    of the reached objectives is tracked; so is the exploitation residual
-    F[0] alone, whose solution's max and median distance |u - u_exploit|,
-    in N, from the full one say how far exploration moves the input (None
-    without a check).  A failed reference or check solve counts as a
-    reference failure; with no reference solve completed, its timing entry
-    and the speedup are None.  agreement_stride must be a positive integer.
+    host between the passes moves it little.  On every 10th step
+    (AGREEMENT_STRIDE), from step 0, both are also re-solved to convergence
+    (60 iterations at most) from there, and the relative spread of the
+    reached objectives is tracked; so is the exploitation residual F[0]
+    alone, gn_terms of evaluate's first entries, whose solution's max and
+    median distance |u - u_exploit|, in N, from the full one say how far
+    exploration moves the input (None without a check).  A failed reference
+    or check solve counts as a reference failure; with no reference solve
+    completed, its timing entry and the speedup are None.
     """
-    if not integer_at_least(agreement_stride, 1):
-        raise InvalidInputError(
-            f"agreement_stride must be a positive integer, got {agreement_stride!r}")
     gncfg = cfg.controller.solver
     ref_cfg = replace(gncfg, max_iters=60)
     times = {"analytic_gn": [], "fd_hessian_newton": []}
@@ -368,7 +350,7 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
         except SolverFailureError:
             reference_failures += 1
 
-        if k % agreement_stride == 0:
+        if k % AGREEMENT_STRIDE == 0:
             try:
                 us = [solve(make_fn(problem), u_start, ref_cfg)[0]
                       for make_fn in (residual_fn, fd_hessian_newton)]
@@ -376,7 +358,8 @@ def bench_solver(cfg: ScenarioConfig, agreement_stride: int = 10) -> dict:
                 spread_rel = (max(objs) - min(objs)) / max(max(abs(o) for o in objs), 1e-300)
                 agreement_max_rel = max(agreement_max_rel, spread_rel)
                 agreement_checks += 1
-                u_x, _ = solve(_exploit_only_fn(problem), u_start, ref_cfg)
+                u_x, _ = solve(lambda u: gn_terms(*(a[:1] for a in evaluate(problem, u))),
+                               u_start, ref_cfg)
                 explore_shifts.append(abs(us[0] - u_x))
             except SolverFailureError:
                 reference_failures += 1

@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, integer_at_least
+from .errors import ConfigurationError, InvalidInputError, integer_at_least, reject_bools
 from .reward import QuadraticRewardSpec, eval_reward
 
 
@@ -28,6 +28,7 @@ class VehicleParams:
     u_max: float = 5000.0   # N
 
     def __post_init__(self):
+        reject_bools(self)
         if not all(-math.inf < x < math.inf for x in astuple(self)):
             raise ConfigurationError(f"vehicle parameters must be finite, got {self}")
         if not (self.mass > 0.0 and self.dt > 0.0):
@@ -55,6 +56,7 @@ class NoiseSpec:
     seed: int = 20260811
 
     def __post_init__(self):
+        reject_bools(self)
         if not (0.0 <= self.sigma_reward < math.inf):
             raise ConfigurationError("sigma_reward must be nonnegative and finite")
         if not integer_at_least(self.seed, 0):

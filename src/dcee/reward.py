@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError
+from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError, reject_bools
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class QuadraticRewardSpec:
     curvature_floor: float = 0.05
 
     def __post_init__(self):
+        reject_bools(self)
         if not (math.isfinite(self.v_scale) and self.v_scale > 0.0):
             raise ConfigurationError(f"v_scale must be positive and finite, got {self.v_scale}")
         if not (math.isfinite(self.curvature_floor) and self.curvature_floor > 0.0):

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DceeProblem, residual_fn, warm_start
-from .errors import ConfigurationError, InfeasibleCandidateError, SolverFailureError, integer_at_least
+from .errors import (ConfigurationError, InfeasibleCandidateError, SolverFailureError, integer_at_least,
+                     reject_bools)
 
 # Relative slack when judging whether a trial step decreased the objective;
 # guards against rejecting genuinely converged steps on rounding noise.
@@ -57,6 +58,7 @@ class GnConfig:
     u_max: float = 5000.0
 
     def __post_init__(self):
+        reject_bools(self)
         if not integer_at_least(self.max_iters, 1):
             raise ConfigurationError("solver max_iters must be an integer of at least 1")
         if not (-math.inf < self.u_min < self.u_max < math.inf):
@@ -70,12 +72,11 @@ class GnConfig:
 
 @dataclass(slots=True)
 class GnReport:
-    """Per-solve trace: one entry of step_norms per accepted step, and in
-    evaluations the callback's calls, those of the grid start included."""
+    """Per-solve counts: iterations, the accepted steps, and evaluations,
+    the callback's calls, those of the grid start included."""
 
     iterations: int = 0
     evaluations: int = 0
-    step_norms: list = field(default_factory=list)
     converged: bool = False
     fallback: bool = False
     damping_escalations: int = 0
@@ -182,7 +183,8 @@ def solve(fun, u_init: float, cfg: GnConfig):
     further steps only cycle there.  After max_iters accepted steps the last
     iterate is judged once more and returned either way.  So a solve makes
     at most 1 + _START_GRID_POINTS + max_iters * (_MAX_ESCALATIONS + 1)
-    callback evaluations, 94 at the defaults.
+    callback evaluations, 94 at the defaults.  A solve is deterministic, so
+    one stopped at max_iters = m returns the m-th iterate of a longer one.
 
     Returns (u, report).  Raises SolverFailureError (carrying the partial
     report) when no start is feasible or no acceptable step exists after
@@ -192,7 +194,6 @@ def solve(fun, u_init: float, cfg: GnConfig):
     u = min(max(float(u_init), u_min), u_max)
     evaluations = 1
     iterations = escalations = 0
-    step_norms = []
     try:
         obj, jtf, jtj = fun(u)
     except InfeasibleCandidateError as exc:
@@ -226,11 +227,9 @@ def solve(fun, u_init: float, cfg: GnConfig):
         else:
             raise SolverFailureError(
                 "no acceptable step after damping escalation",
-                GnReport(iterations=iterations, evaluations=evaluations, step_norms=step_norms,
-                         damping_escalations=escalations))
+                GnReport(iterations=iterations, evaluations=evaluations, damping_escalations=escalations))
 
         iterations += 1
-        step_norms.append(abs(u_new - u))
         stalled = terms[0] >= obj
         u = u_new
         obj, jtf, jtj = terms
@@ -239,7 +238,7 @@ def solve(fun, u_init: float, cfg: GnConfig):
             break
 
     # positional: keywords cost a dataclass __init__ about 0.5 us more
-    return u, GnReport(iterations, evaluations, step_norms, converged, False, escalations)
+    return u, GnReport(iterations, evaluations, converged, False, escalations)
 
 
 def controller_step(p: DceeProblem, u_prev: float, cfg: GnConfig):

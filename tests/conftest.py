@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dcee import Ensemble, QuadraticRewardSpec, SolverFailureError, VehicleParams
+from dcee import Ensemble, QuadraticRewardSpec, SolverFailureError, VehicleParams, controller_step
 from dcee.core import DceeProblem
+from dcee.harness import drive
 
 
 @pytest.fixture
@@ -41,6 +42,13 @@ def make_problem(members, rates=None, v=20.0, spec=None, vehicle=None):
         ensemble=make_bank(members, rates),
         v=v,
     )
+
+
+def final_state(cfg):
+    """(problem, u) at the end of cfg's closed loop under controller_step,
+    as drive returns them: the last step's problem and its chosen input."""
+    gn_cfg = cfg.controller.solver
+    return drive(cfg, lambda k, t, seg, r, p, u_prev: controller_step(p, u_prev, gn_cfg)[0])
 
 
 def failing_reference(problem):

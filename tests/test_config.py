@@ -4,7 +4,10 @@ import pathlib
 import pytest
 import yaml
 
-from dcee import ConfigurationError, GnConfig, default_config, load_config, run_closed_loop, scenario_from_dict
+from dcee import (ConfigurationError, EnsembleSettings, GnConfig, GradDceeConfig, NoiseSpec,
+                  QuadraticRewardSpec, VehicleParams, default_config, load_config, run_closed_loop,
+                  scenario_from_dict)
+from dcee.baselines import EscConfig
 from dcee.config import CONTROLLER_TYPES
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -119,6 +122,31 @@ def test_ensemble_settings():
         scenario_from_dict({"ensemble": {"eta_lo": 0.5, "eta_hi": 0.1}})
     with pytest.raises(ConfigurationError):
         scenario_from_dict({"ensemble": {"spread": [0.1, 0.1]}})
+
+
+_ENSEMBLE = {"n_members": 5, "eta_lo": 0.01, "eta_hi": 2.0, "prior": (-1.0, 1.0, 0.0),
+             "spread": (0.1, 0.1, 0.1), "seed": 0}
+
+
+@pytest.mark.parametrize("settings, name", [
+    *((VehicleParams, n) for n in ("mass", "dt", "c0", "c1", "c2", "u_min", "u_max")),
+    (NoiseSpec, "sigma_reward"),
+    (QuadraticRewardSpec, "v_scale"),
+    (QuadraticRewardSpec, "curvature_floor"),
+    *((GnConfig, n) for n in ("tol", "damping", "u_min", "u_max")),
+    (GradDceeConfig, "gain"),
+    *((EscConfig, n) for n in ("dither_amp", "dither_freq", "integrator_gain", "highpass_cutoff",
+                               "speed_loop_gain")),
+    (EnsembleSettings, "eta_lo"),
+    (EnsembleSettings, "eta_hi"),
+])
+def test_settings_types_reject_a_bool_as_a_number(settings, name):
+    # True passes every numeric test of these fields as 1, and a run would
+    # use it so: NoiseSpec(sigma_reward=True) draws with sigma 1
+    base = _ENSEMBLE if settings is EnsembleSettings else {}
+    settings(**{**base, name: 1.0})
+    with pytest.raises(ConfigurationError, match=f"{settings.__name__}.{name} must be a number"):
+        settings(**{**base, name: True})
 
 
 @pytest.mark.parametrize(

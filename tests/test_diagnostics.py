@@ -21,7 +21,8 @@ from dcee import diagnostics
 from dcee.cli import main
 from dcee.config import load_config, scenario_from_dict
 from dcee.diagnostics import HessianSplit, fd_hessian_newton, fd_step, random_input, random_problem
-from dcee.harness import run_closed_loop
+
+from conftest import final_state
 
 
 DEFAULT_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
@@ -88,8 +89,7 @@ def test_ggn_split_reads_the_solve_callback():
         p = random_problem(rng)
         formed += _check_split_reads_the_callback(p, random_input(rng, p.vehicle))
     assert formed >= 90
-    res = run_closed_loop(load_config(DEFAULT_CONFIG))
-    assert _check_split_reads_the_callback(res.final_problem, res.final_u)
+    assert _check_split_reads_the_callback(*final_state(load_config(DEFAULT_CONFIG)))
 
 
 def test_ggn_error_term_shrinks_toward_zero_residual(spec):
@@ -140,10 +140,9 @@ def test_contraction_rate_small_at_converged_operating_point():
     cfg = scenario_from_dict({
         "noise": {"sigma_reward": 0.0}, "horizon_s": 300.0,
         "schedule": [{"t_start": 0.0, "v_star": 25.0, "w_z": 1.0, "disturbance_force": 0.0}]})
-    res = run_closed_loop(cfg)
-    prob = res.final_problem
+    prob, u_final = final_state(cfg)
     sol_cfg = GnConfig(max_iters=40, tol=1e-10, u_min=cfg.vehicle.u_min, u_max=cfg.vehicle.u_max)
-    u_star, _ = solve(residual_fn(prob), res.final_u, sol_cfg)
+    u_star, _ = solve(residual_fn(prob), u_final, sol_cfg)
     alpha = contraction_rate(ggn_split(prob, u_star))
     assert alpha < 1.0
 

@@ -37,13 +37,19 @@ from dcee.config import CONTROLLER_TYPES
 from dcee.ensemble import condition_stats
 from dcee.diagnostics import (fd_hessian_newton, fd_hessian_step, fd_step, random_input,
                               random_problem)
-from dcee.harness import CSV_HEADER, StepRecord, _exploit_only_fn
+from dcee.harness import CSV_HEADER, StepRecord
 
-from conftest import failing_reference, make_bank, make_problem
+from conftest import failing_reference, final_state, make_bank, make_problem
 
 
 def short_cfg(**overrides):
     return scenario_from_dict({"horizon_s": 30.0, **overrides})
+
+
+def exploit_only(problem):
+    """bench_solver's callback of the exploitation residual F[0] alone:
+    gn_terms of evaluate's first entries."""
+    return lambda u: gn_terms(*(a[:1] for a in evaluate(problem, u)))
 
 
 def test_single_step_run():
@@ -213,7 +219,7 @@ _CALLBACKS = {
     "residual_fn": residual_fn,
     "gn_terms_of_evaluate": lambda p: lambda u: gn_terms(*evaluate(p, u)),
     "fd_hessian": fd_hessian_newton,
-    "exploit_only": _exploit_only_fn,
+    "exploit_only": exploit_only,
 }
 
 
@@ -256,6 +262,15 @@ def test_run_deterministic():
     for ra, rb in zip(a.records, b.records):
         assert ra == rb
     assert a.metrics == b.metrics
+
+
+def test_drive_with_a_bare_controller_step_ends_where_the_run_does():
+    # drive's return under a select of controller_step alone is the last
+    # record's speed and input, bit for bit
+    cfg = short_cfg()
+    problem, u = final_state(cfg)
+    last = run_closed_loop(cfg).records[-1]
+    assert (problem.v.hex(), u.hex()) == (last.v.hex(), last.u.hex())
 
 
 def _hex_rows(records):
@@ -543,14 +558,14 @@ def test_seed_changes_trajectory():
 
 def test_bench_solver_structure_and_ordering():
     cfg = short_cfg(horizon_s=20.0)
-    report = bench_solver(cfg, agreement_stride=50)
+    report = bench_solver(cfg)
     t = report["timing"]
     assert set(t) == {"analytic_gn", "fd_hessian_newton"}
     # analytic derivative beats the finite-difference Hessian reference
     assert t["analytic_gn"]["mean_ns"] < t["fd_hessian_newton"]["mean_ns"]
     assert report["speedup_vs_analytic"]["fd_hessian_newton"] > 1.0
     # all solvers reach the same objective when solved to convergence
-    assert report["agreement_checks"] >= 4
+    assert report["agreement_checks"] == len(range(0, cfg.n_steps, harness.AGREEMENT_STRIDE))
     assert report["agreement_max_rel"] < 1e-6
     assert report["solver"]["solves"] == cfg.n_steps
     # the analytic solves' thread CPU time: positive, and the max bounds the p99
@@ -574,19 +589,9 @@ def test_bench_solver_counts_solves_with_a_collection_inside(monkeypatch):
 
     monkeypatch.setattr(harness, "controller_step", collecting)
     cfg = short_cfg(horizon_s=20.0)
-    gn = bench_solver(cfg, agreement_stride=50)["timing"]["analytic_gn"]
+    gn = bench_solver(cfg)["timing"]["analytic_gn"]
     assert cfg.n_steps // 50 <= gn["gc_solves"] < cfg.n_steps
     assert 0.0 < gn["cpu_max_no_gc_ns"] < gn["cpu_max_ns"]
-
-
-@pytest.mark.parametrize("stride", [0, -1, 2.5, "10", None, True])
-def test_bench_solver_rejects_a_bad_agreement_stride_before_any_work(monkeypatch, stride):
-    def no_work(*args):
-        raise AssertionError("bench_solver started the loop")
-
-    monkeypatch.setattr(harness, "drive", no_work)
-    with pytest.raises(InvalidInputError, match="agreement_stride"):
-        bench_solver(short_cfg(), agreement_stride=stride)
 
 
 def test_bench_solver_side_solves_start_where_controller_step_does(monkeypatch):
@@ -594,21 +599,25 @@ def test_bench_solver_side_solves_start_where_controller_step_does(monkeypatch):
     # starts from warm_start, lifted to standstill_input, and so must the
     # reference, agreement and exploit-only solves, or they stop where
     # they start
-    starts = []
+    starts, callbacks = [], []
     real_solve = harness.solve
 
     def spy(fn, u_init, cfg):
         starts.append(u_init)
+        callbacks.append(fn)
         return real_solve(fn, u_init, cfg)
 
     monkeypatch.setattr(harness, "solve", spy)
     cfg = scenario_from_dict({"v0": 0.0, "horizon_s": 0.1})
     problem, _ = harness.drive(cfg, lambda k, t, seg, r, p, u: u)
-    report = bench_solver(cfg, agreement_stride=1)
+    report = bench_solver(cfg)
     lifted = warm_start(problem, 0.0)
     assert lifted == standstill_input(problem.vehicle, problem.v) > 0.0
     assert starts == [lifted] * 4
     assert report["explore_shift_checks"] == 1
+    # the last side solve is the exploit-only one
+    for u in (lifted, lifted + 100.0):
+        assert callbacks[-1](u) == exploit_only(problem)(u)
 
 
 def test_bench_solver_replays_the_timed_loop_for_the_references(monkeypatch):
@@ -630,13 +639,14 @@ def test_bench_solver_replays_the_timed_loop_for_the_references(monkeypatch):
     monkeypatch.setattr(harness, "fd_hessian_newton", lambda p: referenced.append(p) or reference(p))
     monkeypatch.setattr(harness, "solve", spy_solve)
     cfg = short_cfg(horizon_s=3.0)
-    bench_solver(cfg, agreement_stride=7)
+    bench_solver(cfg)
+    stride = harness.AGREEMENT_STRIDE
     assert events == ["analytic"] * cfg.n_steps + ["side"] * (len(events) - cfg.n_steps)
-    assert referenced == [p for k, p in enumerate(solved) for _ in range(1 + (k % 7 == 0))]
+    assert referenced == [p for k, p in enumerate(solved) for _ in range(1 + (k % stride == 0))]
 
 
 def test_bench_solver_reports_how_far_exploration_moves_the_input():
-    report = bench_solver(short_cfg(horizon_s=20.0), agreement_stride=50)
+    report = bench_solver(short_cfg(horizon_s=20.0))
     assert report["explore_shift_checks"] == report["agreement_checks"] >= 4
     assert 0.0 <= report["explore_shift_median_n"] <= report["explore_shift_max_n"]
     assert math.isfinite(report["explore_shift_max_n"])
@@ -666,19 +676,21 @@ def test_bench_speedup_is_the_median_cpu_ratio_over_completed_reference_steps(mo
     monkeypatch.setattr(harness, "controller_step", timed_step)
     monkeypatch.setattr(harness, "fd_hessian_newton", sometimes_failing)
     cfg = short_cfg(horizon_s=2.0)
-    report = bench_solver(cfg, agreement_stride=cfg.n_steps)
-    # build 2 is step 0's check; step k >= 1 times build k + 2
-    timed = [1, *range(3, cfg.n_steps + 2)]
+    assert cfg.n_steps == 2 * harness.AGREEMENT_STRIDE == 20
+    report = bench_solver(cfg)
+    # builds 2 and 13 are the checks of steps 0 and 10; step k times build
+    # k + 2 for 1 <= k <= 10 and k + 3 after
+    timed = [1, *range(3, 13), *range(14, 23)]
     completed = [n for n in timed if n % 4]
     assert report["reference_failures"] == len(timed) - len(completed) == 5
-    assert report["agreement_checks"] == 1
+    assert report["agreement_checks"] == 2
     assert report["speedup_vs_analytic"]["fd_hessian_newton"] == np.median(completed) == 11.0
     assert len(timed) == cfg.n_steps and np.median(timed) != 11.0
 
 
 def test_exploit_only_callback_is_gn_terms_of_the_first_residual_bitwise():
-    # the exploit-only callback reads f0 and j0 off one pass of residual_fn;
-    # they are evaluate's F[0] and J[0], and its terms gn_terms' of them
+    # the exploit-only callback, gn_terms of evaluate's F[:1] and J[:1], is
+    # (f0 f0, j0 f0, j0 j0) of f0 and j0 off one pass of residual_fn
     rng = np.random.default_rng(35)
     problems = []
     for _ in range(60):
@@ -696,14 +708,14 @@ def test_exploit_only_callback_is_gn_terms_of_the_first_residual_bitwise():
     compared = 0
     for p, u in problems:
         try:
-            F, J = evaluate(p, u)
+            f0, _, j0, _ = residual_fn(p)(u, [])
         except InfeasibleCandidateError:
             with pytest.raises(InfeasibleCandidateError):
-                _exploit_only_fn(p)(u)
+                exploit_only(p)(u)
             continue
-        got = _exploit_only_fn(p)(u)
-        assert [x.hex() for x in got] == [x.hex() for x in gn_terms(F[:1], J[:1])]
-        f0, _, j0, _ = residual_fn(p)(u, [])
+        got = exploit_only(p)(u)
+        assert [x.hex() for x in got] == [x.hex() for x in (f0 * f0, j0 * f0, j0 * j0)]
+        F, J = evaluate(p, u)
         assert (f0.hex(), j0.hex()) == (float(F[0]).hex(), float(J[0]).hex())
         compared += 1
     assert compared >= len(problems) - n_random + 20
@@ -718,7 +730,7 @@ def test_exploit_only_solve_minimizes_the_exploitation_term():
     for _ in range(20):
         p = random_problem(rng)
         try:
-            u, rep = solve(_exploit_only_fn(p), drag_force(p.vehicle, p.v), cfg)
+            u, rep = solve(exploit_only(p), drag_force(p.vehicle, p.v), cfg)
         except SolverFailureError:  # no feasible point on the start grid
             continue
         assert rep.converged

@@ -35,7 +35,7 @@ from dcee import (
 from dcee.diagnostics import fd_hessian_newton, random_input, random_problem
 from dcee.solver import GnReport, SolverHealth
 
-from conftest import make_bank, make_problem
+from conftest import final_state, make_bank, make_problem
 
 
 def test_gn_step_hand_value():
@@ -118,7 +118,6 @@ def test_solve_stationary_start():
     u, rep = solve(fun, 5.0, cfg)
     assert u == 5.0
     assert rep.iterations == 0
-    assert rep.step_norms == []
     assert rep.converged
 
 
@@ -205,7 +204,7 @@ def test_controller_step_starts_the_wide_bank_from_a_feasible_input(monkeypatch)
     # infeasible, but half the box is not; the solve must start there
     # instead of falling back to holding 0 N
     cfg = _wide_bank_config(horizon_s=0.1)
-    p = run_closed_loop(cfg).final_problem
+    p, _ = final_state(cfg)
     assert p.v == 5.0
     with pytest.raises(InfeasibleCandidateError):
         residual_fn(p)(0.0)
@@ -298,10 +297,9 @@ def test_solve_started_at_fixed_point_stops_converged():
     # at the solution of a closed-loop step the GN step is rounding noise
     # (about 1e-11 N), larger than tol = 1e-15 allows; the unchanged
     # objective must end the solve instead of cycling to max_iters
-    res = run_closed_loop(scenario_from_dict({"horizon_s": 30.0}))
-    p = res.final_problem
+    p, u_final = final_state(scenario_from_dict({"horizon_s": 30.0}))
     cfg = GnConfig(max_iters=50, tol=1e-15, u_min=p.vehicle.u_min, u_max=p.vehicle.u_max)
-    u_star, _ = solve(residual_fn(p), res.final_u, cfg)
+    u_star, _ = solve(residual_fn(p), u_final, cfg)
     u, rep = solve(residual_fn(p), u_star, cfg)
     assert rep.converged
     assert rep.iterations <= 2
@@ -432,7 +430,8 @@ def test_controller_step_returns_report():
     u, rep = controller_step(p, 0.0, cfg)
     assert p.vehicle.u_min <= u <= p.vehicle.u_max
     assert not rep.fallback
-    assert len(rep.step_norms) == rep.iterations
+    # the solve from the warm start, report and all
+    assert (u, rep) == solve(residual_fn(p), warm_start(p, 0.0), cfg)
 
 
 def test_controller_step_falls_back_on_non_finite_residual():
@@ -550,7 +549,11 @@ def test_q_linear_tail_of_damped_iteration():
 
     cfg = GnConfig(max_iters=10, tol=1e-15, damping=3.0, u_min=-100.0, u_max=100.0)
     _, rep = solve(fun, 10.0, cfg)
-    tail = rep.step_norms[-3:]
+    # solve is deterministic, so a budget of k iterations returns the k-th
+    # iterate; the start 10 is iterate 0
+    us = [10.0] + [solve(fun, 10.0, dataclasses.replace(cfg, max_iters=k))[0]
+                   for k in range(1, rep.iterations + 1)]
+    tail = [abs(b - a) for a, b in zip(us, us[1:])][-3:]
     assert len(tail) == 3
     assert tail[0] > tail[1] > tail[2]
     assert tail[1] / tail[0] == pytest.approx(0.75, rel=1e-6)
