@@ -14,7 +14,7 @@ import yaml
 
 from .baselines import EscConfig, GradDceeConfig
 from .ensemble import EnsembleSettings
-from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError
+from .errors import ConfigurationError, CurvatureViolationError, InvalidInputError, reject_bools
 from .plant import EnvSegment, NoiseSpec, VehicleParams
 from .reward import QuadraticRewardSpec, make_true_params
 from .solver import GnConfig
@@ -76,6 +76,14 @@ class ScenarioConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
+        reject_bools(self)
+        if not (0.0 < self.horizon_s < math.inf):
+            raise ConfigurationError(f"horizon_s must be positive and finite, got {self.horizon_s!r}")
+        steps = self.horizon_s / self.vehicle.dt
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
+            raise ConfigurationError("vehicle dt must divide horizon_s into whole steps")
+        if not (0.0 <= self.v0 < math.inf):
+            raise ConfigurationError(f"v0 must be a nonnegative speed and finite, got {self.v0!r}")
         # the solver searches the box the plant clamps to, and no other
         solver, vehicle = self.controller.solver, self.vehicle
         if (solver.u_min, solver.u_max) != (vehicle.u_min, vehicle.u_max):
@@ -189,15 +197,6 @@ def scenario_from_dict(overrides: dict) -> ScenarioConfig:
         theta = _peak_params(reward, where, entry["w_z"], entry["v_star"], rw["c_r"])
         segments.append(EnvSegment(t_start, theta, entry["disturbance_force"]))
 
-    horizon_s = raw["horizon_s"]
-    if not (horizon_s > 0.0):
-        raise ConfigurationError("horizon_s must be positive")
-    steps = horizon_s / vehicle.dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
-        raise ConfigurationError("vehicle dt must divide horizon_s into whole steps")
-    if not (raw["v0"] >= 0.0):
-        raise ConfigurationError("v0 must be a nonnegative speed")
-
     ctrl = raw["controller"]
     controller = ControllerSettings(
         type=ctrl["type"],
@@ -221,7 +220,7 @@ def scenario_from_dict(overrides: dict) -> ScenarioConfig:
         reward=reward,
         noise=noise,
         schedule=tuple(segments),
-        horizon_s=horizon_s,
+        horizon_s=raw["horizon_s"],
         v0=raw["v0"],
         controller=controller,
         ensemble=ensemble,

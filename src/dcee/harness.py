@@ -17,6 +17,7 @@ import json
 import math
 import time
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -59,9 +60,37 @@ _tuple_new = tuple.__new__
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
+class RecordView(Sequence):
+    """A run's StepRecords, read-only, over the two typed buffers its loop
+    logs into: an array("d") of eight floats a step, in CSV_COLUMNS order,
+    and an array("q") of the iteration counts.  A record is built each time
+    it is read; an index may be negative or a numpy integer, and a slice
+    is a list of records."""
+
+    __slots__ = ("_rows", "_iterations")
+
+    def __init__(self, rows: array, iterations: array):
+        self._rows = rows
+        self._iterations = iterations
+
+    def __len__(self):
+        return len(self._iterations)
+
+    def __getitem__(self, index):
+        k = range(len(self._iterations))[index]
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        return _tuple_new(StepRecord, (*self._rows[8 * k:8 * k + 8], self._iterations[k]))
+
+    def __iter__(self):
+        return (_tuple_new(StepRecord, row)
+                for row in zip(*[iter(self._rows)] * 8, self._iterations))
+
+
 @dataclass
 class RunResult:
-    records: list
+    # a RecordView from run_closed_loop
+    records: Sequence
     metrics: dict
     timing: dict
     config: dict
@@ -126,11 +155,11 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
 
     Each step logs one row into two typed buffers, which hold no Python
     objects: its eight floats, in CSV_COLUMNS order, extend one array("d"),
-    and its iteration count goes into an array("q").  The StepRecords are
-    built once after the loop, eight floats and one count at a time.  So a
-    step keeps no object the garbage collector tracks, its allocation count
-    does not climb from step to step, and once the interpreter is warm no
-    collection falls inside a selection.
+    and its iteration count goes into an array("q").  The result keeps the
+    buffers, 72 bytes a step, as a RecordView, which builds each StepRecord
+    when it is read.  So a step keeps no object the garbage collector
+    tracks, its allocation count does not climb from step to step, and once
+    the interpreter is warm no collection falls inside a selection.
     """
     vehicle = cfg.vehicle
     spec = cfg.reward
@@ -184,7 +213,7 @@ def run_closed_loop(cfg: ScenarioConfig) -> RunResult:
         return u
 
     drive(cfg, select)
-    records = [_tuple_new(StepRecord, row) for row in zip(*[iter(rows)] * 8, iterations_log)]
+    records = RecordView(rows, iterations_log)
     metrics = compute_metrics(records, cfg.schedule, spec)
     return RunResult(
         records=records,

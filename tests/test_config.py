@@ -108,6 +108,26 @@ def test_a_scenario_rejects_a_solver_box_other_than_the_vehicles():
     assert scenario_from_dict({"vehicle": {"u_min": -1000.0, "u_max": 1000.0}}).controller == narrow.controller
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"horizon_s": True}, "ScenarioConfig.horizon_s must be a number"),
+    ({"v0": True}, "ScenarioConfig.v0 must be a number"),
+    ({"horizon_s": float("nan")}, "horizon_s must be positive"),
+    ({"horizon_s": float("inf")}, "horizon_s must be positive"),
+    ({"horizon_s": 0.0}, "horizon_s must be positive"),
+    ({"horizon_s": 0.15}, "vehicle dt must divide horizon_s"),
+    ({"v0": -3.0}, "v0 must be a nonnegative speed"),
+    ({"v0": float("nan")}, "v0 must be a nonnegative speed"),
+    ({"v0": float("inf")}, "v0 must be a nonnegative speed"),
+])
+def test_a_hand_built_scenario_checks_its_horizon_and_start_speed(change, message):
+    # the checks belong to the scenario, so one built without
+    # scenario_from_dict cannot run 10 steps of horizon_s = True, one step
+    # of a 0.15 s horizon, or fail in n_steps on a nan
+    cfg = scenario_from_dict({"horizon_s": 1.0})
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(cfg, **change)
+
+
 def test_solver_settings_validated():
     with pytest.raises(ConfigurationError):
         scenario_from_dict({"controller": {"solver": {"max_iters": 0}}})
