@@ -19,8 +19,7 @@ import statistics
 import sys
 from pathlib import Path
 
-from dcee import load_config
-from dcee.config import CONTROLLER_TYPES
+from dcee.config import CONTROLLER_TYPES, load_config
 
 # seed_table.py sits beside this script
 sys.path.insert(0, str(Path(__file__).resolve().parent))

@@ -23,8 +23,8 @@ import copy
 import json
 from pathlib import Path
 
-from dcee import load_config, run_closed_loop, scenario_from_dict
-from dcee.config import CONTROLLER_TYPES
+from dcee.config import CONTROLLER_TYPES, load_config, scenario_from_dict
+from dcee.harness import run_closed_loop
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 

@@ -36,9 +36,11 @@ import numpy as np
 import scipy
 from scipy.optimize import least_squares, minimize_scalar
 
-from dcee import (InfeasibleCandidateError, controller_step, evaluate, load_config, objective,
-                  residual_fn, warm_start)
+from dcee.config import load_config
+from dcee.core import evaluate, objective, residual_fn, warm_start
+from dcee.errors import InfeasibleCandidateError
 from dcee.harness import drive
+from dcee.solver import controller_step
 
 STRIDE = 5
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"

@@ -147,10 +147,17 @@ def draw_bank(spec: QuadraticRewardSpec, rng: np.random.Generator, n_members: in
     member's theta[0] clamped at -curvature_floor, with predicted-update
     rates log-spaced on [eta_lo, eta_hi] and covariance = prior =
     diag(spread**2), as the tuples of Python floats an Ensemble holds.
-    One (n_members, 3) uniform draw is all it takes of rng."""
+    One (n_members, 3) uniform draw is all it takes of rng.
+
+    The rates are np.geomspace's arithmetic done in Python floats, ends
+    exact: numpy's vectorized power can differ from libm's pow in the last
+    bit, and which kernel it runs depends on the CPU."""
     members = np.asarray(prior, dtype=float) + rng.uniform(-1.0, 1.0, size=(n_members, 3)) * spread
     members[:, 0] = np.minimum(members[:, 0], -spec.curvature_floor)
-    rates = tuple(np.geomspace(eta_lo, eta_hi, n_members).tolist())
+    lo = math.log10(eta_lo)
+    step = (math.log10(eta_hi) - lo) / max(n_members - 1, 1)
+    inner = (10.0 ** (i * step + lo) for i in range(1, n_members - 1))
+    rates = (float(eta_lo), *inner, float(eta_hi))[:n_members]
     P = tuple(map(tuple, np.diag(np.square(spread)).tolist()))
     return Ensemble(tuple(map(tuple, members.tolist())), rates, covariance=P, prior=P, noise_var=float(noise_var))
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from dcee import Ensemble, QuadraticRewardSpec, SolverFailureError, VehicleParams, controller_step
 from dcee.core import DceeProblem
+from dcee.ensemble import Ensemble
+from dcee.errors import SolverFailureError
 from dcee.harness import drive
+from dcee.plant import VehicleParams
+from dcee.reward import QuadraticRewardSpec
+from dcee.solver import controller_step
 
 
 @pytest.fixture

@@ -4,29 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from dcee import (
-    EnvSegment,
-    EscConfig,
-    GnConfig,
-    GradDceeConfig,
-    NoiseSpec,
-    QuadraticRewardSpec,
-    VehicleParams,
-    controller_step,
-    drag_force,
-    esc_init,
-    esc_step,
-    evaluate,
-    grad_dcee_step,
-    make_true_params,
-    measure,
-    objective,
-    plant_step,
-    reward_noise,
-    warm_start,
-)
+from dcee.baselines import EscConfig, GradDceeConfig, esc_init, esc_step, grad_dcee_step
+from dcee.core import evaluate, objective, warm_start
 from dcee.diagnostics import random_input, random_problem
 from dcee.errors import ConfigurationError, InfeasibleCandidateError
+from dcee.plant import (EnvSegment, NoiseSpec, VehicleParams, drag_force, measure, plant_step,
+                        reward_noise)
+from dcee.reward import QuadraticRewardSpec, make_true_params
+from dcee.solver import GnConfig, controller_step
 
 from conftest import make_problem
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -9,10 +10,10 @@ import pytest
 import yaml
 
 import dcee
-from dcee import default_config, load_config, run_closed_loop, scenario_from_dict
 from dcee import acceptance
 from dcee.cli import main
-from dcee.config import CONTROLLER_TYPES
+from dcee.config import CONTROLLER_TYPES, default_config, load_config, scenario_from_dict
+from dcee.harness import run_closed_loop
 
 from conftest import failing_reference
 
@@ -85,23 +86,43 @@ def test_run_rejects_malformed_config(tmp_path, capsys, bad):
     assert "error:" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter, importing the same dcee as this test session
-    src = os.path.dirname(os.path.dirname(dcee.__file__))
-    code = "import sys, dcee; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": src}
+def _fresh_interpreter(code: str) -> list:
+    """The lines code prints in a fresh interpreter that imports the same
+    dcee as this test session."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dcee.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.splitlines()
+
+
+def test_import_loads_no_scipy():
+    package = os.path.dirname(dcee.__file__)
+    modules = sorted(f"dcee.{name[:-3]}" for name in os.listdir(package)
+                     if name.endswith(".py") and name != "__init__.py")
+    assert "dcee.harness" in modules and "dcee.cli" in modules
+    code = (f"import importlib, sys\nfor m in {modules!r}: importlib.import_module(m)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_interpreter(code) == ["[]"]
 
 
 def test_import_and_config_load_no_numpy_random():
     # the noise generator is built on the first draw, not at import
-    src = os.path.dirname(os.path.dirname(dcee.__file__))
-    config = os.path.join(os.path.dirname(src), "configs", "default.yaml")
-    code = f"import sys, dcee; dcee.config.load_config({config!r}); print('numpy.random' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
+    code = f"import sys, dcee.config; dcee.config.load_config({config!r}); print('numpy.random' in sys.modules)"
+    assert _fresh_interpreter(code) == ["False"]
+
+
+def test_import_loads_only_the_modules_it_needs():
+    # the package imports none of its modules, a scenario loads neither the
+    # loop nor the checks, and the command line loads the acceptance suite
+    # only when check runs
+    code = ("import sys\n"
+            "def loaded(): print(sorted(m for m in sys.modules if m.startswith('dcee.')))\n"
+            "import dcee; loaded()\nimport dcee.config; loaded()\nimport dcee.cli; loaded()\n")
+    package, config, cli = map(ast.literal_eval, _fresh_interpreter(code))
+    assert package == []
+    assert "dcee.config" in config
+    assert not {"dcee.harness", "dcee.diagnostics", "dcee.acceptance", "dcee.cli"} & set(config)
+    assert "dcee.cli" in cli and "dcee.acceptance" not in cli
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "bench", "audit"])

@@ -4,11 +4,14 @@ import pathlib
 import pytest
 import yaml
 
-from dcee import (ConfigurationError, EnsembleSettings, GnConfig, GradDceeConfig, NoiseSpec,
-                  QuadraticRewardSpec, VehicleParams, default_config, load_config, run_closed_loop,
-                  scenario_from_dict)
-from dcee.baselines import EscConfig
-from dcee.config import CONTROLLER_TYPES
+from dcee.baselines import EscConfig, GradDceeConfig
+from dcee.config import CONTROLLER_TYPES, default_config, load_config, scenario_from_dict
+from dcee.ensemble import EnsembleSettings
+from dcee.errors import ConfigurationError
+from dcee.harness import run_closed_loop
+from dcee.plant import NoiseSpec, VehicleParams
+from dcee.reward import QuadraticRewardSpec, optimal_condition
+from dcee.solver import GnConfig
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,8 +67,6 @@ def test_schedule_validation():
 
 def test_schedule_builds_true_parameters():
     cfg = scenario_from_dict({})
-    from dcee import optimal_condition
-
     stars = [optimal_condition(cfg.reward, seg.theta_true) for seg in cfg.schedule]
     assert stars == pytest.approx([25.0, 20.0, 30.0])
     assert [seg.disturbance_force for seg in cfg.schedule] == [0.0, 200.0, -200.0]

@@ -4,22 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from dcee import (
-    InfeasibleCandidateError,
-    InvalidInputError,
-    QuadraticRewardSpec,
-    drag_force,
-    evaluate,
-    jacobian_fd,
-    make_true_params,
-    objective,
-    objective_grid,
-    objective_split,
-    residual_fn,
-    standstill_input,
-    warm_start,
-)
-from dcee.diagnostics import fd_step, random_input, random_problem
+from dcee.core import (evaluate, objective, objective_grid, objective_split, residual_fn,
+                       standstill_input, warm_start)
+from dcee.diagnostics import fd_step, jacobian_fd, random_input, random_problem
+from dcee.errors import InfeasibleCandidateError, InvalidInputError
+from dcee.plant import drag_force
+from dcee.reward import QuadraticRewardSpec, make_true_params
 
 from conftest import make_bank, make_problem
 

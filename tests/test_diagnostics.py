@@ -3,26 +3,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcee import (
-    GnConfig,
-    InfeasibleCandidateError,
-    InvalidInputError,
-    QuadraticRewardSpec,
-    RateUndefinedError,
-    VehicleParams,
-    contraction_rate,
-    derivative_audit,
-    ggn_split,
-    residual_fn,
-    solve,
-    standstill_input,
-)
 from dcee import diagnostics
 from dcee.cli import main
 from dcee.config import load_config, scenario_from_dict
-from dcee.diagnostics import HessianSplit, fd_hessian_newton, fd_step, random_input, random_problem
+from dcee.core import residual_fn, standstill_input
+from dcee.diagnostics import (HessianSplit, contraction_rate, derivative_audit, fd_hessian_newton,
+                              fd_step, ggn_split, random_input, random_problem)
+from dcee.errors import InfeasibleCandidateError, InvalidInputError, RateUndefinedError
+from dcee.plant import VehicleParams, drag_force
+from dcee.reward import QuadraticRewardSpec, make_true_params
+from dcee.solver import GnConfig, solve
 
-from conftest import final_state
+from conftest import final_state, make_problem
 
 
 DEFAULT_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "default.yaml")
@@ -95,10 +87,6 @@ def test_ggn_split_reads_the_solve_callback():
 def test_ggn_error_term_shrinks_toward_zero_residual(spec):
     # family of consensus-plus-scaled-deviation ensembles approaching the
     # optimum: the neglected curvature shrinks with the residual
-    from dcee import make_true_params
-    from conftest import make_problem
-    from dcee.plant import drag_force, VehicleParams
-
     veh = VehicleParams()
     rng = np.random.default_rng(33)
     deltas = rng.uniform(-2.0, 2.0, size=5)
@@ -169,8 +157,6 @@ def test_derivative_audit_deterministic_and_clean():
 def test_derivative_audit_reaches_standstill_and_bounds(monkeypatch):
     # besides cruising speeds and interior inputs the audit checks the
     # branch where the predicted speed clamps to 0 and inputs at the bounds
-    import dcee.diagnostics as diagnostics
-
     seen = []
     real_evaluate = diagnostics.evaluate
 
@@ -221,8 +207,6 @@ def test_derivative_audit_skips_and_counts_a_kinked_and_an_infeasible_instance(m
 
 
 def test_fd_step_scale():
-    from dcee import VehicleParams
-
     veh = VehicleParams()
     assert fd_step(veh, 0.0) == pytest.approx(1e-6 * 10000.0)
     assert fd_step(veh, 1000.0) == pytest.approx(1e-6 * 11000.0)

@@ -5,32 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dcee import (
-    CHANGE_LIMIT,
-    NOISE_VAR_FLOOR,
-    ConfigurationError,
-    CurvatureViolationError,
-    DceeProblem,
-    Ensemble,
-    EnsembleSettings,
-    InvalidInputError,
-    QuadraticRewardSpec,
-    VehicleParams,
-    basis,
-    change_test,
-    condition_stats,
-    draw_bank,
-    drag_force,
-    eval_reward,
-    init_ensemble,
-    make_true_params,
-    measured_update,
-    objective_split,
-    optimal_condition,
-    residual_fn,
-)
+from dcee.core import DceeProblem, objective_split, residual_fn
 from dcee.diagnostics import random_problem
-from dcee.ensemble import CHANGE_DRIFT
+from dcee.ensemble import (CHANGE_DRIFT, CHANGE_LIMIT, Ensemble, EnsembleSettings, NOISE_VAR_FLOOR,
+                           change_test, condition_stats, draw_bank, init_ensemble, measured_update)
+from dcee.errors import ConfigurationError, CurvatureViolationError, InvalidInputError
+from dcee.plant import VehicleParams, drag_force
+from dcee.reward import QuadraticRewardSpec, basis, eval_reward, make_true_params, optimal_condition
 
 from conftest import make_bank
 
@@ -608,6 +589,20 @@ def test_ensemble_rejects_a_bank_of_the_wrong_shape(bad):
     args.update(bad)
     with pytest.raises(InvalidInputError, match="bank"):
         Ensemble(**args)
+
+
+def test_bank_rates_are_geomspace_arithmetic_in_python_floats():
+    # 10 ** (i * step + lo) on libm, with both ends exact: no bit of a rate
+    # depends on which kernel numpy's power runs on this CPU
+    spec = QuadraticRewardSpec()
+    prior = make_true_params(spec, 1.0, 20.0, 0.5)
+    lo, hi = math.log10(0.005), math.log10(0.05)
+    for n in (1, 2, 10):
+        rates = draw_bank(spec, np.random.default_rng(0), n, prior, (0.3, 0.2, 0.1), 0.005, 0.05).rates
+        step = (hi - lo) / max(n - 1, 1)
+        assert rates == (0.005, *[10.0 ** (i * step + lo) for i in range(1, n - 1)], 0.05)[:n]
+        assert all(type(r) is float for r in rates)
+        assert rates == pytest.approx(np.geomspace(0.005, 0.05, n).tolist(), rel=1e-15, abs=0.0)
 
 
 def test_one_function_draws_every_bank():

@@ -8,37 +8,21 @@ import types
 import numpy as np
 import pytest
 
-from dcee import (
-    GnConfig,
-    InfeasibleCandidateError,
-    InvalidInputError,
-    SolverFailureError,
-    active_segment,
-    bench_solver,
-    compute_metrics,
-    controller_step,
-    drag_force,
-    evaluate,
-    export,
-    gn_terms,
-    optimal_condition,
-    objective_split,
-    residual_fn,
-    run_closed_loop,
-    scenario_from_dict,
-    solve,
-    standstill_input,
-    warm_start,
-)
 import dcee.core
 import dcee.ensemble
 from dcee import diagnostics, harness
 from dcee.baselines import esc_init, esc_step, grad_dcee_step
-from dcee.config import CONTROLLER_TYPES
-from dcee.ensemble import condition_stats
+from dcee.config import CONTROLLER_TYPES, scenario_from_dict
+from dcee.core import evaluate, objective_split, residual_fn, standstill_input, warm_start
 from dcee.diagnostics import (fd_hessian_newton, fd_hessian_step, fd_step, random_input,
                               random_problem)
-from dcee.harness import CSV_HEADER, RecordView, StepRecord
+from dcee.ensemble import condition_stats
+from dcee.errors import InfeasibleCandidateError, InvalidInputError, SolverFailureError
+from dcee.harness import (CSV_HEADER, RecordView, StepRecord, bench_solver, compute_metrics, export,
+                          run_closed_loop)
+from dcee.plant import EnvSegment, active_segment, drag_force
+from dcee.reward import make_true_params, optimal_condition
+from dcee.solver import GnConfig, controller_step, gn_terms, solve
 
 from conftest import failing_reference, final_state, make_bank, make_problem
 
@@ -342,13 +326,14 @@ def test_record_view_indexes_and_slices_as_a_list_does():
 
 
 def test_run_result_retains_its_buffers_not_a_record_per_step():
-    # a 900 s default run logs 72 bytes a step into its two typed buffers;
-    # a list of 9,000 StepRecords kept beside them held about 2.75 MB.  The
-    # buffers do not depend on the controller, and esc is the cheapest one
-    # to run with every allocation traced
+    # a run logs 72 bytes a step into its two typed buffers; a list of
+    # StepRecords kept beside them held about 300 bytes a step more.  The
+    # buffers do not depend on the controller or the horizon, so a 90 s esc
+    # run, the cheapest to trace, bounds the bytes per step of any run
+    cfg = scenario_from_dict({"horizon_s": 90.0, "controller": {"type": "esc"}})
     tracemalloc.start()
     try:
-        res = run_closed_loop(scenario_from_dict({"controller": {"type": "esc"}}))
+        res = run_closed_loop(cfg)
         gc.collect()
         with_result = tracemalloc.get_traced_memory()[0]
         del res
@@ -356,7 +341,8 @@ def test_run_result_retains_its_buffers_not_a_record_per_step():
         retained = with_result - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert 9000 * 72 <= retained < 1_000_000
+    # per step, the bounds a 900 s run had: 72 B and 1,000,000 B / 9,000 steps
+    assert 72 * cfg.n_steps <= retained < 1_000_000 / 9_000 * cfg.n_steps
 
 
 def test_closed_loop_does_not_depend_on_the_algorithm_of_sum(monkeypatch):
@@ -427,8 +413,6 @@ def test_run_survives_extreme_ensemble_settings():
 
 
 def test_metrics_hand_values(spec):
-    from dcee import make_true_params
-    from dcee.plant import EnvSegment
 
     theta = make_true_params(spec, 1.0, 25.0, 1.0)
     schedule = (EnvSegment(0.0, theta, 0.0),)
@@ -512,8 +496,6 @@ def test_metrics_empty_records(spec):
 def test_metrics_reject_a_non_finite_record_time(spec, bad_t, where):
     # a NaN time on the last record left the tail window empty, and one
     # elsewhere was booked to the first segment; both now name the record
-    from dcee import make_true_params
-    from dcee.plant import EnvSegment
 
     schedule = (EnvSegment(0.0, make_true_params(spec, 1.0, 25.0, 1.0), 0.0),
                 EnvSegment(5.0, make_true_params(spec, 1.0, 20.0, 1.0), 0.0))

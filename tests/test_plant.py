@@ -4,23 +4,12 @@ import numpy as np
 import pytest
 
 import dcee.harness
-from dcee import (
-    ConfigurationError,
-    EnvSegment,
-    InvalidInputError,
-    NoiseSpec,
-    QuadraticRewardSpec,
-    VehicleParams,
-    active_segment,
-    drag_force,
-    eval_reward,
-    make_true_params,
-    measure,
-    plant_step,
-    reward_noise,
-    run_closed_loop,
-    scenario_from_dict,
-)
+from dcee.config import scenario_from_dict
+from dcee.errors import ConfigurationError, InvalidInputError
+from dcee.harness import run_closed_loop
+from dcee.plant import (EnvSegment, NoiseSpec, VehicleParams, active_segment, drag_force, measure,
+                        plant_step, reward_noise)
+from dcee.reward import QuadraticRewardSpec, eval_reward, make_true_params
 
 
 def seg(theta=None, t_start=0.0, disturbance=0.0):

@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dcee import (
-    ConfigurationError,
-    CurvatureViolationError,
-    InvalidInputError,
-    QuadraticRewardSpec,
-    basis,
-    eval_reward,
-    make_true_params,
-    optimal_condition,
-)
+from dcee.errors import ConfigurationError, CurvatureViolationError, InvalidInputError
+from dcee.reward import QuadraticRewardSpec, basis, eval_reward, make_true_params, optimal_condition
 
 
 def test_basis_hand_values():

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from dcee import scenario_from_dict
+from dcee.config import scenario_from_dict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 

@@ -7,33 +7,18 @@ import pytest
 
 import dcee.harness
 import dcee.solver
-from dcee import (
-    ConfigurationError,
-    GnConfig,
-    GradDceeConfig,
-    InfeasibleCandidateError,
-    InvalidInputError,
-    SolverFailureError,
-    condition_stats,
-    controller_step,
-    evaluate,
-    gn_step,
-    gn_terms,
-    grad_dcee_step,
-    objective,
-    objective_grid,
-    objective_split,
-    residual_fn,
-    run_closed_loop,
-    scenario_from_dict,
-    scp_step,
-    solve,
-    standstill_input,
-    VehicleParams,
-    warm_start,
-)
+from dcee.baselines import GradDceeConfig, grad_dcee_step
+from dcee.config import scenario_from_dict
+from dcee.core import (evaluate, objective, objective_grid, objective_split, residual_fn,
+                       standstill_input, warm_start)
 from dcee.diagnostics import fd_hessian_newton, random_input, random_problem
-from dcee.solver import GnReport, SolverHealth
+from dcee.ensemble import condition_stats
+from dcee.errors import (ConfigurationError, InfeasibleCandidateError, InvalidInputError,
+                         SolverFailureError)
+from dcee.harness import run_closed_loop
+from dcee.plant import VehicleParams
+from dcee.solver import (GnConfig, GnReport, SolverHealth, controller_step, gn_step, gn_terms,
+                         scp_step, solve)
 
 from conftest import final_state, make_bank, make_problem
 
