@@ -48,6 +48,8 @@ def grad_dcee_step(p: DceeProblem, u_prev: float, cfg: GradDceeConfig) -> float:
     return min(max(u, veh.u_min), veh.u_max)
 
 
+_tuple_new = tuple.__new__
+
 # speed-setpoint ceiling for the extremum-seeking estimate, m/s
 _SETPOINT_CEILING = 100.0
 
@@ -69,7 +71,8 @@ class EscConfig:
 
 
 class EscState(NamedTuple):
-    """The extremum seeker's state, a tuple record rebuilt every step."""
+    """The extremum seeker's state, a tuple record rebuilt every step,
+    by esc_step with tuple.__new__, which fills the fields in C."""
 
     setpoint_hat: float
     lowpass_state: float
@@ -114,4 +117,4 @@ def esc_step(
     v_cmd = setpoint + cfg.dither_amp * dither
     u = cfg.speed_loop_gain * (v_cmd - v) + drag_force(vehicle, v)
     u = min(max(u, vehicle.u_min), vehicle.u_max)
-    return u, EscState(setpoint, lp, k + 1)
+    return u, _tuple_new(EscState, (setpoint, lp, k + 1))

@@ -6,7 +6,6 @@ import os
 import sys
 
 from .config import CONTROLLER_TYPES, load_config, scenario_from_dict
-from .diagnostics import derivative_audit
 from .errors import ConfigurationError, DceeError, InvalidInputError
 from .harness import bench_solver, export, json_text, run_closed_loop, write_json
 
@@ -129,6 +128,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    # imported here, so run and compare do not load the diagnostics
+    from .diagnostics import derivative_audit
+
     cfg = _resolve_config(args)
     out = _ensure_out(args)
     report = derivative_audit(cfg.vehicle, cfg.reward, samples=args.samples, seed=cfg.noise.seed)

@@ -37,7 +37,8 @@ _MIN_CURVATURE = math.sqrt(sys.float_info.min)
 class DceeProblem(NamedTuple):
     """Immutable snapshot of one control step: plant model, reward family,
     current estimator ensemble, and current speed.  A tuple record, since
-    drive builds one every step; _replace returns a changed copy."""
+    drive builds one every step, with tuple.__new__, which fills the
+    fields in C; _replace returns a changed copy."""
 
     vehicle: VehicleParams
     reward: QuadraticRewardSpec
@@ -113,16 +114,12 @@ def _objective_terms(p: DceeProblem, u, feasible):
     neg_floor = -spec.curvature_floor
     rows = ens.members
     n = len(rows)
-    sum0 = sum1 = sum2 = 0.0
-    for a, b, c in rows:
-        sum0 += a
-        sum1 += b
-        sum2 += c
+    mean0, mean1, mean2 = ens.mean
     y = v + veh.dt * ((u - drag_force(veh, v)) / veh.mass)
     y = 0.5 * (y + abs(y))  # max(y, 0) for a float and an array alike
     z = y / s
     psi0 = z * z
-    r_hat = sum0 / n * psi0 + sum1 / n * z + sum2 / n
+    r_hat = mean0 * psi0 + mean1 * z + mean2
     gams = []
     append = gams.append
     gsum = 0.0
@@ -210,13 +207,7 @@ def residual_fn(p: DceeProblem):
     members = ens.members
     rates = ens.rates
     n = len(members)
-    # left to right on every interpreter, where sum is compensated from 3.12 on
-    sum0 = sum1 = sum2 = 0.0
-    for a, b, c in members:
-        sum0 += a
-        sum1 += b
-        sum2 += c
-    mean = (sum0 / n, sum1 / n, sum2 / n)
+    mean = ens.mean
     v = float(v)
     drag = drag_force(veh, v)
     dy_du_free = veh.dt / veh.mass

@@ -52,6 +52,7 @@ class _Bank(NamedTuple):
     cusum_hi: float
     cusum_lo: float
     resets: int
+    mean: Row  # derived from members by the constructor
 
 
 class Ensemble(_Bank):
@@ -75,12 +76,19 @@ class Ensemble(_Bank):
     member, covariance and prior 3x3, noise_var and the statistics floats
     and resets an int, where a float is a Python float, not a numpy scalar.
     Any other form raises InvalidInputError; draw_bank converts its draw.
+
+    mean is derived: the members' three parameter means, each a running
+    sum over the rows, left to right, divided by their number.  The
+    constructor computes it and ignores any value passed in, so a bank
+    built by hand, by _replace, _make or unpickling holds its members'
+    mean; measured_update sums the rows as it builds them.  The control
+    objective's two routes in core read it instead of summing again.
     """
 
     __slots__ = ()
 
     def __new__(cls, members, rates, covariance, prior, noise_var=NOISE_VAR_FLOOR,
-                cusum_hi=0.0, cusum_lo=0.0, resets=0):
+                cusum_hi=0.0, cusum_lo=0.0, resets=0, mean=None):
         n = len(members) if type(members) is tuple else 0
         if not (n and _rows(members, n) and _floats(rates, n) and _rows(covariance, 3) and _rows(prior, 3)
                 and type(noise_var) is type(cusum_hi) is type(cusum_lo) is float and type(resets) is int):
@@ -88,7 +96,14 @@ class Ensemble(_Bank):
                 "a bank needs a nonempty tuple of float 3-tuples as members, one float rate per member, "
                 "3x3 float tuples as covariance and prior, float noise_var, cusum_hi and cusum_lo, "
                 "and an int resets")
-        return _tuple_new(cls, (members, rates, covariance, prior, noise_var, cusum_hi, cusum_lo, resets))
+        # left to right on every interpreter, where sum is compensated from 3.12 on
+        s0 = s1 = s2 = 0.0
+        for a, b, c in members:
+            s0 += a
+            s1 += b
+            s2 += c
+        return _tuple_new(cls, (members, rates, covariance, prior, noise_var, cusum_hi, cusum_lo, resets,
+                                (s0 / n, s1 / n, s2 / n)))
 
     @classmethod
     def _make(cls, iterable):
@@ -231,7 +246,7 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     r = float(reward_meas)
     if not math.isfinite(r):
         raise InvalidInputError(f"measured reward must be finite, got {reward_meas}")
-    members, rates, P, prior, noise_var, cusum_hi, cusum_lo, resets = e
+    members, rates, P, prior, noise_var, cusum_hi, cusum_lo, resets, _ = e
     psi0, z, _ = basis(spec, y)
     innovations = []
     append = innovations.append
@@ -240,8 +255,9 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
         inn = a * psi0 + b * z + c - r
         append(inn)
         total += inn
+    n = len(members)
     p0, p1, p2, s = _gain_terms(P, psi0, z, noise_var)
-    nu = -total / (len(members) * math.sqrt(s))
+    nu = -total / (n * math.sqrt(s))
     hi, lo, fired = change_test(cusum_hi, cusum_lo, nu)
     if fired:
         P = _add(P, prior)
@@ -254,6 +270,7 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
     neg_floor = -spec.curvature_floor
     updated = []
     append = updated.append
+    s0 = s1 = s2 = 0.0
     for (a, b, c), inn in zip(members, innovations):
         a -= inn * g0
         b -= inn * g1
@@ -267,9 +284,14 @@ def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_mea
             b -= excess * (row[1] / row[0])
             c -= excess * (row[2] / row[0])
         append((a, b, c))
-    # every field is e's own or float arithmetic on e's floats, so the
-    # bank skips the constructor's check
-    return _tuple_new(Ensemble, (tuple(updated), rates, P, prior, noise_var, hi, lo, resets + fired))
+        s0 += a
+        s1 += b
+        s2 += c
+    # every field is e's own or float arithmetic on e's floats, and mean
+    # the constructor's sums of the new rows, so the bank skips the
+    # constructor
+    return _tuple_new(Ensemble, (tuple(updated), rates, P, prior, noise_var, hi, lo, resets + fired,
+                                 (s0 / n, s1 / n, s2 / n)))
 
 
 def condition_stats(e: Ensemble, spec: QuadraticRewardSpec) -> float:

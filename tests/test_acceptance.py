@@ -9,7 +9,7 @@ both baselines and less tracking error than extremum seeking.
 """
 import pytest
 
-from dcee import acceptance, harness
+from dcee import acceptance, diagnostics
 from dcee.acceptance import ALL_CRITERIA
 from dcee.errors import InfeasibleCandidateError
 
@@ -74,7 +74,7 @@ def test_criterion_3_passes_past_an_infeasible_instance(monkeypatch):
 
 
 def test_criterion_8_fails_when_no_reference_solve_completes(monkeypatch):
-    monkeypatch.setattr(harness, "fd_hessian_newton", failing_reference)
+    monkeypatch.setattr(diagnostics, "fd_hessian_newton", failing_reference)
     result = acceptance.criterion_8_performance()
     assert not result.passed
     assert result.detail.endswith("; no FD-Hessian Newton solve completed")

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import dcee
-from dcee import acceptance
+from dcee import acceptance, diagnostics
 from dcee.cli import main
 from dcee.config import CONTROLLER_TYPES, default_config, load_config, scenario_from_dict
 from dcee.harness import run_closed_loop
@@ -114,7 +114,7 @@ def test_import_and_config_load_no_numpy_random():
 def test_import_loads_only_the_modules_it_needs():
     # the package imports none of its modules, a scenario loads neither the
     # loop nor the checks, and the command line loads the acceptance suite
-    # only when check runs
+    # only when check runs, and the diagnostics only when audit or bench does
     code = ("import sys\n"
             "def loaded(): print(sorted(m for m in sys.modules if m.startswith('dcee.')))\n"
             "import dcee; loaded()\nimport dcee.config; loaded()\nimport dcee.cli; loaded()\n")
@@ -122,7 +122,8 @@ def test_import_loads_only_the_modules_it_needs():
     assert package == []
     assert "dcee.config" in config
     assert not {"dcee.harness", "dcee.diagnostics", "dcee.acceptance", "dcee.cli"} & set(config)
-    assert "dcee.cli" in cli and "dcee.acceptance" not in cli
+    assert "dcee.cli" in cli and "dcee.harness" in cli
+    assert not {"dcee.acceptance", "dcee.diagnostics"} & set(cli)
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "bench", "audit"])
@@ -212,7 +213,7 @@ def test_bench(cfg_path, tmp_path, capsys):
 
 
 def test_bench_reports_no_speedup_when_no_reference_solve_completes(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(dcee.harness, "fd_hessian_newton", failing_reference)
+    monkeypatch.setattr(diagnostics, "fd_hessian_newton", failing_reference)
     path = tmp_path / "short.yaml"
     path.write_text("horizon_s: 2.0\n", encoding="utf-8")
     out = tmp_path / "bench"

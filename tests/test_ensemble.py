@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -417,13 +418,29 @@ def assert_same_update(got, want):
     assert abs(got.cusum_hi - hi) <= tol_hi
     assert abs(got.cusum_lo - lo) <= tol_lo
     assert got.resets == resets
+    assert hex_mean(got) == loop_mean(got.members)
+
+
+def loop_mean(members):
+    """The members' three parameter means, each a left-to-right running sum
+    over the rows divided by their number, as hex strings."""
+    sums = [0.0, 0.0, 0.0]
+    for row in members:
+        for i, x in enumerate(row):
+            sums[i] += x
+    return [(x / len(members)).hex() for x in sums]
+
+
+def hex_mean(e):
+    return [x.hex() for x in e.mean]
 
 
 def test_measured_update_matches_numpy_body():
     # banks near the curvature floor with a wide spread, swept over speeds
     # through an environment switch: every branch (plain step, change alarm,
     # projection) is taken; members, covariance and alarms are the numpy
-    # body's bit for bit, the change statistics within the summation bound
+    # body's bit for bit, the change statistics within the summation bound,
+    # and the mean, summed as the rows are built, is the rows' loop mean
     spec = QuadraticRewardSpec()
     rng = np.random.default_rng(61)
     taken = {"plain": 0, "fired": 0, "projected": 0}
@@ -518,7 +535,7 @@ def test_bank_stays_on_python_floats():
     assert ens.resets > 0
     cells = [x for row in ens.members for x in row] + list(ens.rates)
     cells += [x for m in (ens.covariance, ens.prior) for row in m for x in row]
-    cells += [ens.noise_var, ens.cusum_hi, ens.cusum_lo]
+    cells += [*ens.mean, ens.noise_var, ens.cusum_hi, ens.cusum_lo]
     assert all(type(x) is float for x in cells)
     assert type(condition_stats(ens, spec)) is float
     p = DceeProblem(VehicleParams(), spec, ens, v=np.float64(20.0))
@@ -589,6 +606,22 @@ def test_ensemble_rejects_a_bank_of_the_wrong_shape(bad):
     args.update(bad)
     with pytest.raises(InvalidInputError, match="bank"):
         Ensemble(**args)
+
+
+def test_bank_mean_is_its_members_left_to_right_sums_over_n():
+    # every way a bank is built derives mean from its members; a mean
+    # passed in is replaced by the computed one
+    spec = QuadraticRewardSpec()
+    prior = make_true_params(spec, 1.0, 20.0, 0.5)
+    drawn = init_ensemble(spec, settings(prior, [0.3, 0.3, 0.3], 10, seed=5), 0.01)
+    assert hex_mean(drawn) == loop_mean(drawn.members)
+    rows = tuple((a * 1.1, b + 0.3, c - 0.7) for a, b, c in drawn.members[::-1])
+    for bank in (drawn._replace(members=rows), drawn._replace(members=rows, mean=(0.0, 0.0, 0.0)),
+                 Ensemble._make((rows, *drawn[1:])), pickle.loads(pickle.dumps(drawn._replace(members=rows)))):
+        assert bank.members == rows
+        assert hex_mean(bank) == loop_mean(rows) != hex_mean(drawn)
+    bank = Ensemble(tuple(map(tuple, _ROWS)), (0.1, 0.1), _P, _P, mean=(9.0, 9.0, 9.0))
+    assert hex_mean(bank) == loop_mean(_ROWS)
 
 
 def test_bank_rates_are_geomspace_arithmetic_in_python_floats():

@@ -69,3 +69,41 @@ def test_seed_summary_tables_every_controller_and_level():
         # no switch within 30 s: no alarm, and no solve falls back
         assert row.strip("| ").split(" | ")[2:] == ["0", "2", "0"]
 
+
+
+def _result_line(correct=True, failed=0, **values):
+    return "workload ...\n" + json.dumps({"correct": correct, "attempted": 9000, "failed": failed, "metrics": {
+        name: {"value": value, "unit": "-"} for name, value in values.items()}})
+
+
+def test_bench_pairs_summarizes_canned_result_lines():
+    script = _load_script("bench_pairs")
+    end_to_end = [{"name": "step_us_p50", "better": "lower", "bound": 0.2},
+                  {"name": "steps_per_s", "better": "higher", "bound": 0.2},
+                  {"name": "regret", "better": "lower", "bound": 0.15}]
+
+    def side(steps, rates, regrets, failed=0):
+        return [script.parse_result(_result_line(failed=failed, step_us_p50=s, steps_per_s=r, regret=g))
+                for s, r, g in zip(steps, rates, regrets)]
+
+    parent = side([10.0, 11.0, 12.0, 13.0, 30.0], [100.0, 90.0, 80.0, 70.0, 60.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+    change = side([9.0, 12.0, 10.0, 12.0, 9.0], [110.0, 90.0, 70.0, 99.0, 61.0], [1.0, 2.0, 3.0, 4.0, 5.0],
+                  failed=1)
+    out = script.summarize(parent, change, end_to_end)
+    assert out["pairs"] == 5 and out["failed_steps"] == {"parent": 0, "change": 5}
+    step = out["step_us_p50"]
+    assert (step["parent_median"], step["change_median"]) == (12.0, 10.0)
+    # lower is better: 10 against 12 is 1/6 better, so worse_by is negative
+    assert step["worse_by"] == round(-2.0 / 12.0, 4) and step["within_bound"]
+    assert step["change_better_pairs"] == 4 and step["parent_iqr"] == 2.0
+    assert step["parent"] == [10.0, 11.0, 12.0, 13.0, 30.0] and not step["identical_per_seed"]
+    # higher is better: a median of 90 against 80 is 1/8 better
+    rate = out["steps_per_s"]
+    assert rate["worse_by"] == -0.125 and rate["change_better_pairs"] == 3
+    assert out["regret"]["identical_per_seed"] and out["regret"]["worse_by"] == 0.0
+    assert out["quality_identical"]
+    worse = script.summarize(parent, side([20.0] * 5, [50.0] * 5, [1.0] * 5), end_to_end)
+    assert worse["step_us_p50"]["worse_by"] == round(8.0 / 12.0, 4) and not worse["step_us_p50"]["within_bound"]
+    assert worse["steps_per_s"]["worse_by"] == 0.375 and not worse["quality_identical"]
+    with pytest.raises(RuntimeError, match="not correct"):
+        script.parse_result(_result_line(correct=False, regret=1.0))
