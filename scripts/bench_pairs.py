@@ -1,11 +1,11 @@
 """Compare this checkout with a parent revision on perfbench's end-to-end
 metrics, in alternating pairs, and write the summary as JSON.
 
-    python scripts/bench_pairs.py --parent REV [--out BENCH.json] [--pairs 10]
-        [--seed 4201] [--seconds 20] [--workloads noisy_default,baselines]
+    python scripts/bench_pairs.py --parent REV [--out BENCH.json] [--seed 4201]
 
-REV is extracted with git archive into a new directory.  Pair i runs
-perfbench/run.py --trace 0 from both trees with the same seed, --seed + i,
+REV is extracted with git archive into a new directory.  On each workload
+of BENCHMARK.json, pair i of PAIRS = 10 runs perfbench/run.py --trace 0 for
+BENCHMARK.json's run_seconds from both trees with the same seed, --seed + i,
 the parent first in pairs 0, 2, 4, ... and the change first in the others,
 so drift of the host's speed falls on both sides alike.  Any run whose
 result line reads "correct": false, or that exits with another status than
@@ -33,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 QUALITY = ("regret", "iae_v", "e_v")
+PAIRS = 10
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -42,7 +43,8 @@ def extract(rev: str, into: Path) -> Path:
     archive = into / "parent.tar"
     subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "-o", str(archive), rev], check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(tree, filter="data")
+        # extraction filters came with Python 3.10.12 and 3.11.4
+        tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     archive.unlink()
     return tree
 
@@ -102,27 +104,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--out", help="write the JSON here (default: print it)")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=4201, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--workloads", help="comma-separated (default: BENCHMARK.json's)")
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": extract(args.parent, Path(tmp)), "change": ROOT}
         summary = {}
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             results = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seed + i
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    results[side].append(run_one(trees[side], workload, seed, args.seconds))
+                    results[side].append(run_one(trees[side], workload, seed, seconds))
                     print(f"{workload} pair {i} seed {seed} {side}: done", file=sys.stderr)
             summary[workload] = summarize(results["parent"], results["change"], bench["end_to_end"])
     payload = {
-        "method": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, {args.pairs} alternating pairs "
-                  f"per workload (parent first in pairs 0, 2, ...), seeds {args.seed}-{args.seed + args.pairs - 1}; "
+        "method": f"perfbench/run.py --seconds {seconds:g} --trace 0, {PAIRS} alternating pairs "
+                  f"per workload (parent first in pairs 0, 2, ...), seeds {args.seed}-{args.seed + PAIRS - 1}; "
                   f"parent tree = git archive of {args.parent}, change tree = this checkout. worse_by is the "
                   "change's median relative to the parent's, positive when worse in the metric's direction.",
         "workloads": summary,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import gc
 import json
 import math
-import sys
 import time
 from array import array
 from collections.abc import Sequence
@@ -231,67 +230,39 @@ def compute_metrics(records, schedule, spec) -> dict:
     accumulated absolute speed error, and cumulative regret against the true
     per-segment parameters, each a float.
 
-    A record's segment is looked up, and its optimal speed computed, only
-    when the record's time leaves the interval of times for which
-    active_segment returns the segment in hand (see _segment_interval).
-    A record whose time is not finite raises InvalidInputError: it belongs
-    to no segment and no window.
+    A segment's optimal speed is computed again only when the segment
+    changes from one record to the next.  A record whose time is not
+    finite raises InvalidInputError: it belongs to no segment and no
+    window.
     """
     if not records:
         raise InvalidInputError("cannot compute metrics of an empty record list")
-    t_tail = records[-1][0] - TAIL_WINDOW_S
+    t_tail = records[-1].t - TAIL_WINDOW_S
     iae = 0.0
     regret = 0.0
     tail = 0.0
     n_tail = 0
-    lo, hi = math.inf, -math.inf  # empty: the first record looks its segment up
+    active = None
     for k, rec in enumerate(records):
-        t = rec[0]
-        v = rec[1]
-        if not lo <= t < hi:
-            if not math.isfinite(t):
-                raise InvalidInputError(f"record {k} has a non-finite time t={t}")
-            seg = active_segment(schedule, t)
-            lo, hi = _segment_interval(schedule, seg, t)
+        if not math.isfinite(rec.t):
+            raise InvalidInputError(f"record {k} has a non-finite time t={rec.t}")
+        seg = active_segment(schedule, rec.t)
+        if seg is not active:
+            active = seg
             v_star = optimal_condition(spec, seg.theta_true)
             zs = v_star / spec.v_scale
             t0 = seg.theta_true[0]
-        e_v = abs(v - v_star)  # the terminal error once the loop ends
+        e_v = abs(rec.v - v_star)  # the terminal error once the loop ends
         iae += e_v
-        if t > t_tail:
+        if rec.t > t_tail:
             tail += e_v
             n_tail += 1
-        z = v / spec.v_scale
+        z = rec.v / spec.v_scale
         # R(theta*, v*) - R(theta*, v) = -theta0 * (z - z*)^2 for the peak form
         regret += -t0 * (z - zs) ** 2
     # record times are finite, so the last record is in the window: n_tail >= 1
     e_v_tail = tail / n_tail
     return {"e_v": e_v, "e_v_tail": e_v_tail, "iae_v": iae, "regret": regret}
-
-
-def _segment_interval(schedule, seg, t: float) -> tuple[float, float]:
-    """(lo, hi): every finite time in [lo, hi) is one for which
-    active_segment(schedule, .) returns seg, as it does for t.
-
-    By active_segment's rule schedule[i] is returned for the times in
-    [max(t_start of schedule[1..i]), schedule[i+1].t_start), open below for
-    i = 0 and above for the last segment, whatever the order of the
-    t_starts.  seg is found by identity, at the position whose interval
-    holds t, since a schedule may hold equal or the same segments at two
-    places.  lo is at least the most negative float and hi is exclusive,
-    so only a finite time is ever in [lo, hi).
-    """
-    lo = -sys.float_info.max
-    last = len(schedule) - 1
-    for i, s in enumerate(schedule):
-        if i:
-            lo = max(lo, s.t_start)
-        if s is seg:
-            hi = schedule[i + 1].t_start if i < last else math.inf
-            if lo <= t < hi:
-                return lo, hi
-    # no comparison with a NaN t_start holds: look the segment up at every record
-    return math.inf, -math.inf
 
 
 def _write_text(path, text: str) -> str:

@@ -470,29 +470,6 @@ def test_metrics_equal_per_record_lookup_bitwise():
     assert type(res.metrics["e_v_tail"]) is float
 
 
-def test_metrics_on_an_unsorted_schedule_equal_per_record_lookup_bitwise(spec):
-    # t_starts out of order, one segment object at two places and an equal
-    # copy of it at a third: by active_segment's rule A holds t < 10, B
-    # [10, 30) and [30, 50), D (t_start 20) [50, 60), F from 60 on, and the
-    # copy of B none; each record's segment is active_segment's, whether
-    # the records run forward, backward or shuffled
-    def seg(t_start, v_star):
-        return EnvSegment(t_start, make_true_params(spec, 1.0, v_star, 1.0), 0.0)
-
-    a, b, c, e, d, f = seg(0.0, 25.0), seg(10.0, 20.0), seg(30.0, 30.0), seg(50.0, 15.0), seg(20.0, 28.0), \
-        seg(60.0, 22.0)
-    schedule = (a, b, c, b, e, seg(10.0, 20.0), d, f)
-    rng = np.random.default_rng(72)
-    times = [0.25 * k for k in range(300)] + [-3.0, 10.0, 30.0, 50.0, 60.0, 1e3]
-    records = [StepRecord(t, float(v), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
-               for t, v in zip(times, rng.uniform(10.0, 35.0, len(times)))]
-    for recs in (records, records[::-1], [records[i] for i in rng.permutation(len(records))]):
-        got = compute_metrics(recs, schedule, spec)
-        want = per_record_metrics(recs, schedule, spec)
-        for key, value in want.items():
-            assert got[key].hex() == value.hex(), key
-
-
 @pytest.mark.parametrize("horizon_s", [12.0, 45.0])
 def test_e_v_tail_is_mean_speed_error_over_last_window(horizon_s):
     res = run_closed_loop(short_cfg(horizon_s=horizon_s))

@@ -70,7 +70,6 @@ def test_seed_summary_tables_every_controller_and_level():
         assert row.strip("| ").split(" | ")[2:] == ["0", "2", "0"]
 
 
-
 def _result_line(correct=True, failed=0, **values):
     return "workload ...\n" + json.dumps({"correct": correct, "attempted": 9000, "failed": failed, "metrics": {
         name: {"value": value, "unit": "-"} for name, value in values.items()}})
