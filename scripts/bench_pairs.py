@@ -16,8 +16,11 @@ gives both sides' values in pair order, their medians, worse_by (the
 change's median relative to the parent's, positive when worse in the
 metric's better direction), the bound and whether worse_by is within it,
 the pairs in which the change is strictly better, the interquartile range
-of the parent's values, and whether the two sides are identical seed by
-seed; quality_identical says that of regret, iae_v and e_v together.
+of the parent's values, whether a gain may be claimed, and whether the two
+sides are identical seed by seed; quality_identical says that of regret,
+iae_v and e_v together.  gain_met is true when the change is strictly
+better in at least nine tenths of the pairs and its median is better than
+the parent's by more than the parent's interquartile range.
 """
 from __future__ import annotations
 
@@ -84,14 +87,16 @@ def summarize(parent: list, change: list, end_to_end: list) -> dict:
         q1, _, q3 = statistics.quantiles(p, n=4, method="inclusive")
         diff = sign * (c_med - p_med)
         worse_by = diff / abs(p_med) if p_med else math.copysign(math.inf, diff) if diff else 0.0
+        better = sum(sign * (b - a) < 0 for a, b in zip(p, c))
         out[name] = {
             "parent_median": p_med,
             "change_median": c_med,
             "worse_by": round(worse_by, 4),
             "bound": spec["bound"],
             "within_bound": worse_by <= spec["bound"],
-            "change_better_pairs": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
+            "change_better_pairs": better,
             "parent_iqr": q3 - q1,
+            "gain_met": 10 * better >= 9 * len(p) and -diff > q3 - q1,
             "identical_per_seed": p == c,
             "parent": p,
             "change": c,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, CurvatureViolationError, InvalidInputError, integer_at_least,
                      reject_bools)
-from .reward import QuadraticRewardSpec, basis
+from .reward import QuadraticRewardSpec
 
 
 # Two-sided CUSUM change test on the normalized innovation of the mean
@@ -204,16 +204,6 @@ def change_test(cusum_hi: float, cusum_lo: float, nu: float) -> tuple[float, flo
     return hi, lo, False
 
 
-def _gain_terms(P: Matrix, psi0: float, z: float, noise_var: float):
-    """(P psi, psi'P psi + R) for psi = (psi0, z, 1), as four floats, each
-    product summed left to right."""
-    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = P
-    p0 = a0 * psi0 + b0 * z + c0
-    p1 = a1 * psi0 + b1 * z + c1
-    p2 = a2 * psi0 + b2 * z + c2
-    return p0, p1, p2, psi0 * p0 + z * p1 + p2 + noise_var
-
-
 def _add(A: Matrix, B: Matrix) -> Matrix:
     """A + B, each entry a + b, as three row tuples: built from displays,
     not generators, so no tuple is allocated at one size and shrunk, which
@@ -224,73 +214,81 @@ def _add(A: Matrix, B: Matrix) -> Matrix:
 
 
 def measured_update(e: Ensemble, spec: QuadraticRewardSpec, y: float, reward_meas: float) -> Ensemble:
-    """Recursive-least-squares step of each member toward the measured
-    reward, followed by the admissibility projection.  Rates are unchanged.
+    """Recursive-least-squares step of each member toward the reward
+    measured at speed y, then the admissibility projection; rates unchanged.
 
     Every member takes the step theta_i -= K (psi'theta_i - r), with
-    K = P psi / (psi'P psi + R), and P shrinks to P - K psi'P.  Before the
-    step, the mean member's innovation, normalized by its predicted
-    standard deviation, feeds change_test; an alarm adds the prior
-    covariance to P, so the belief can move again after the environment
-    switched.  A bank with a non-finite member has a non-finite mean
-    innovation, which change_test rejects.  A member pushed past the
-    curvature floor is moved back along P's first column, the correction
+    psi = (z**2, z, 1), z = y / v_scale and K = P psi / (psi'P psi + R),
+    and P shrinks to P - K psi'P.  The mean member's innovation, normalized
+    by its predicted standard deviation, feeds change_test; an alarm adds
+    the prior covariance to P before the step, so the belief can move again
+    after the environment switched.  A member pushed past the curvature
+    floor is moved back along the new P's first column, the correction
     closest in the P^-1 metric: a plain clamp of theta[0] alone would lower
     that member's reward at the speeds already measured, and the predicted
     update would then push it straight back past the floor for every
     candidate input.
 
-    The body runs on Python floats (see Ensemble); each product with psi
-    is summed left to right.
+    A step without an alarm is one pass over the members: each adds its
+    innovation to the change test's total, takes P's gain, is projected
+    and adds its row to the three mean sums.  An alarm runs the row pass
+    again with P + prior; the statistics stay the first pass's.  A
+    non-finite member makes the total non-finite, which change_test
+    rejects: the pass before it divides only by s and the new P's first
+    entry, both positive for a positive definite P and R > 0.  The body
+    runs on Python floats (see Ensemble); each product with psi is summed
+    left to right.
     """
     r = float(reward_meas)
-    if not math.isfinite(r):
-        raise InvalidInputError(f"measured reward must be finite, got {reward_meas}")
-    members, rates, P, prior, noise_var, cusum_hi, cusum_lo, resets, _ = e
-    psi0, z, _ = basis(spec, y)
-    innovations = []
-    append = innovations.append
-    total = 0.0
-    for a, b, c in members:
-        inn = a * psi0 + b * z + c - r
-        append(inn)
-        total += inn
+    v = float(y)
+    if not (math.isfinite(r) and math.isfinite(v)):
+        raise InvalidInputError(f"measured speed and reward must be finite, got {y} and {reward_meas}")
+    members, rates, cov, prior, noise_var, cusum_hi, cusum_lo, resets, _ = e
+    z = v / spec.v_scale
+    psi0 = z * z
     n = len(members)
-    p0, p1, p2, s = _gain_terms(P, psi0, z, noise_var)
-    nu = -total / (n * math.sqrt(s))
-    hi, lo, fired = change_test(cusum_hi, cusum_lo, nu)
-    if fired:
-        P = _add(P, prior)
-        p0, p1, p2, s = _gain_terms(P, psi0, z, noise_var)
-    g0, g1, g2 = p0 / s, p1 / s, p2 / s
-    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = P
-    P = ((a0 - g0 * p0, b0 - g0 * p1, c0 - g0 * p2),
-         (a1 - g1 * p0, b1 - g1 * p1, c1 - g1 * p2),
-         (a2 - g2 * p0, b2 - g2 * p1, c2 - g2 * p2))
     neg_floor = -spec.curvature_floor
-    updated = []
-    append = updated.append
-    s0 = s1 = s2 = 0.0
-    for (a, b, c), inn in zip(members, innovations):
-        a -= inn * g0
-        b -= inn * g1
-        c -= inn * g2
-        excess = a - neg_floor
-        if excess > 0.0:
-            # along P's first column over its first entry, whose own first
-            # entry is 1; the clamp only catches the last rounding
-            row = P[0]
-            a = min(a - excess, neg_floor)
-            b -= excess * (row[1] / row[0])
-            c -= excess * (row[2] / row[0])
-        append((a, b, c))
-        s0 += a
-        s1 += b
-        s2 += c
-    # every field is e's own or float arithmetic on e's floats, and mean
-    # the constructor's sums of the new rows, so the bank skips the
-    # constructor
-    return _tuple_new(Ensemble, (tuple(updated), rates, P, prior, noise_var, hi, lo, resets + fired,
+    fired = None
+    while True:
+        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = cov
+        p0 = a0 * psi0 + b0 * z + c0
+        p1 = a1 * psi0 + b1 * z + c1
+        p2 = a2 * psi0 + b2 * z + c2
+        s = psi0 * p0 + z * p1 + p2 + noise_var
+        g0, g1, g2 = p0 / s, p1 / s, p2 / s
+        post = ((a0 - g0 * p0, b0 - g0 * p1, c0 - g0 * p2),
+                (a1 - g1 * p0, b1 - g1 * p1, c1 - g1 * p2),
+                (a2 - g2 * p0, b2 - g2 * p1, c2 - g2 * p2))
+        updated = []
+        append = updated.append
+        total = s0 = s1 = s2 = 0.0
+        for a, b, c in members:
+            inn = a * psi0 + b * z + c - r
+            total += inn
+            a -= inn * g0
+            b -= inn * g1
+            c -= inn * g2
+            excess = a - neg_floor
+            if excess > 0.0:
+                # along the new P's first column over its first entry, whose
+                # own first entry is 1; the clamp only catches the last rounding
+                row = post[0]
+                a = min(a - excess, neg_floor)
+                b -= excess * (row[1] / row[0])
+                c -= excess * (row[2] / row[0])
+            append((a, b, c))
+            s0 += a
+            s1 += b
+            s2 += c
+        if fired is None:
+            hi, lo, fired = change_test(cusum_hi, cusum_lo, -total / (n * math.sqrt(s)))
+            if fired:
+                cov = _add(cov, prior)
+                continue
+        break
+    # every field is e's own or float arithmetic on e's floats, and mean the
+    # constructor's sums of the new rows, so the bank skips the constructor
+    return _tuple_new(Ensemble, (tuple(updated), rates, post, prior, noise_var, hi, lo, resets + fired,
                                  (s0 / n, s1 / n, s2 / n)))
 
 

@@ -237,7 +237,7 @@ def compute_metrics(records, schedule, spec) -> dict:
     """
     if not records:
         raise InvalidInputError("cannot compute metrics of an empty record list")
-    t_tail = records[-1].t - TAIL_WINDOW_S
+    t_tail = min(records[-1].t - TAIL_WINDOW_S, math.nextafter(records[-1].t, -math.inf))
     iae = 0.0
     regret = 0.0
     tail = 0.0
@@ -260,7 +260,8 @@ def compute_metrics(records, schedule, spec) -> dict:
         z = rec.v / spec.v_scale
         # R(theta*, v*) - R(theta*, v) = -theta0 * (z - z*)^2 for the peak form
         regret += -t0 * (z - zs) ** 2
-    # record times are finite, so the last record is in the window: n_tail >= 1
+    # t_tail is below the last time even where subtracting the window rounds
+    # back to it, so the last record is in the window: n_tail >= 1
     e_v_tail = tail / n_tail
     return {"e_v": e_v, "e_v_tail": e_v_tail, "iae_v": iae, "regret": regret}
 

@@ -437,13 +437,26 @@ def hex_mean(e):
 
 def test_measured_update_matches_numpy_body():
     # banks near the curvature floor with a wide spread, swept over speeds
-    # through an environment switch: every branch (plain step, change alarm,
-    # projection) is taken; members, covariance and alarms are the numpy
+    # through an environment switch, then one hand-built step: every branch
+    # (plain step, change alarm, projection, and an alarm whose second row
+    # pass projects) is taken; members, covariance and alarms are the numpy
     # body's bit for bit, the change statistics within the summation bound,
     # and the mean, summed as the rows are built, is the rows' loop mean
     spec = QuadraticRewardSpec()
     rng = np.random.default_rng(61)
-    taken = {"plain": 0, "fired": 0, "projected": 0}
+    taken = {"plain": 0, "fired": 0, "projected": 0, "fired and projected": 0}
+
+    def step(ens, y, r):
+        want = numpy_measured_update(ens, spec, y, r)
+        got = measured_update(ens, spec, y, r)
+        assert_same_update(got, want)
+        _, _, _, fired, projected = want
+        taken["fired"] += fired
+        taken["projected"] += projected
+        taken["fired and projected"] += fired and projected
+        taken["plain"] += not (fired or projected)
+        return got
+
     for trial in range(6):
         w_z = (0.06, 0.3, 1.0)[trial % 3]
         prior = make_true_params(spec, w_z, 15.0, 0.5)
@@ -452,14 +465,13 @@ def test_measured_update_matches_numpy_body():
         for k in range(400):
             theta = make_true_params(spec, 0.08, 25.0, 1.0) if k < 200 else make_true_params(spec, 0.5, 10.0, -1.0)
             y = float(rng.uniform(0.0, 40.0))
-            r = eval_reward(spec, theta, y) + sigma * float(rng.standard_normal())
-            want = numpy_measured_update(ens, spec, y, r)
-            ens = measured_update(ens, spec, y, r)
-            assert_same_update(ens, want)
-            _, _, _, fired, projected = want
-            taken["fired"] += fired
-            taken["projected"] += projected
-            taken["plain"] += not (fired or projected)
+            ens = step(ens, y, eval_reward(spec, theta, y) + sigma * float(rng.standard_normal()))
+    # the sweep's alarms project no member.  Members on the floor, the
+    # statistic at the alarm level and a reward far above their prediction:
+    # the alarm's gain lifts every member past the floor
+    members = [[-spec.curvature_floor - 1e-3 * i, 0.1 * i, 0.0] for i in range(10)]
+    ens = make_bank(members, covariance=0.01 * np.eye(3))._replace(cusum_hi=CHANGE_LIMIT)
+    step(ens, 30.0, 2.0)
     assert all(count > 0 for count in taken.values()), taken
 
 
@@ -485,6 +497,50 @@ def test_measured_update_nan_member_cannot_silence_an_alarm():
     ens = with_covariance(members, np.eye(3), 1e-4)._replace(cusum_hi=7.5, cusum_lo=3.0)
     with pytest.raises(InvalidInputError):
         measured_update(ens, spec, 20.0, -50.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_a_non_finite_member_ends_in_the_change_test(bad, col):
+    # the rows are updated and projected before change_test reads their
+    # total: a member lifted to +inf past the floor (-inf at column 1 or 2
+    # and y > 0) is projected to NaN without raising, and the update still
+    # ends in change_test's error
+    spec = QuadraticRewardSpec()
+    theta = make_true_params(spec, 1.0, 25.0, 1.0)
+    ens = init_ensemble(spec, settings(theta, [0.1, 0.1, 0.1], 10, seed=3), 0.01)
+    rows = list(ens.members)
+    rows[4] = tuple(bad if i == col else x for i, x in enumerate(rows[4]))
+    bank = ens._replace(members=tuple(rows))
+    for y in (0.0, 25.0):
+        with pytest.raises(InvalidInputError, match="finite normalized innovation"):
+            measured_update(bank, spec, y, 0.3)
+
+
+class CountedRows(tuple):
+    """A members tuple that counts the iterators taken over it."""
+
+    def __iter__(self):
+        self.passes += 1
+        return tuple.__iter__(self)
+
+
+def test_measured_update_passes_over_the_members_once_without_an_alarm():
+    # a plain step visits each member once; an alarm runs the row pass
+    # again with P + prior.  The constructor takes a plain tuple of members
+    # only, so the bank is built as measured_update builds its own
+    spec = QuadraticRewardSpec()
+    theta = make_true_params(spec, 1.0, 25.0, 1.0)
+    ens = init_ensemble(spec, settings(theta, [0.1, 0.1, 0.1], 10, seed=3), 0.01)
+    r = eval_reward(spec, theta, 25.0)
+    for cusum_hi, reward, passes in ((0.0, r, 1), (CHANGE_LIMIT, r + 1.0, 2)):
+        bank = ens._replace(cusum_hi=cusum_hi)
+        members = CountedRows(bank.members)
+        members.passes = 0
+        out = measured_update(tuple.__new__(Ensemble, (members, *bank[1:])), spec, 25.0, reward)
+        assert members.passes == passes
+        assert out.resets == bank.resets + (passes == 2)
+        assert out == measured_update(bank, spec, 25.0, reward)
 
 
 def test_alarm_step_leaves_the_collector_count_flat():

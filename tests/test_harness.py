@@ -441,6 +441,18 @@ def test_metrics_hand_values(spec):
     assert m["regret"] == pytest.approx(100 * (3.0 / 30.0) ** 2)
 
 
+def test_tail_window_keeps_the_last_record_where_its_start_rounds_to_it(spec):
+    # 1e300 - 30 rounds back to 1e300: no record is later than that, and
+    # the window's mean divided by zero records
+    theta = make_true_params(spec, 1.0, 25.0, 1.0)
+    schedule = (EnvSegment(0.0, theta, 0.0),)
+    records = [StepRecord(t, v, 0.0, 25.0, 0.0, 0.0, 0.0, 0.0, 0) for t, v in ((0.0, 20.0), (1e300, 24.0))]
+    assert 1e300 - harness.TAIL_WINDOW_S == 1e300
+    m = compute_metrics(records, schedule, spec)
+    assert m["e_v_tail"] == m["e_v"] == abs(24.0 - optimal_condition(spec, theta))
+    assert m["iae_v"] == abs(20.0 - optimal_condition(spec, theta)) + m["e_v"]
+
+
 def per_record_metrics(records, schedule, spec):
     """compute_metrics' sums with the optimal speed recomputed at every
     record: the oracle of its once-per-segment caching."""

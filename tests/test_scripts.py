@@ -104,5 +104,18 @@ def test_bench_pairs_summarizes_canned_result_lines():
     worse = script.summarize(parent, side([20.0] * 5, [50.0] * 5, [1.0] * 5), end_to_end)
     assert worse["step_us_p50"]["worse_by"] == round(8.0 / 12.0, 4) and not worse["step_us_p50"]["within_bound"]
     assert worse["steps_per_s"]["worse_by"] == 0.375 and not worse["quality_identical"]
+    # a gain needs 9 of 10 pairs better and medians apart by more than the parent's IQR
+    assert not step["gain_met"] and not rate["gain_met"] and not out["regret"]["gain_met"]
+    base = [10.0 + 0.5 * i for i in range(10)]  # median 12.25, IQR 2.25
+
+    def gains(shift, worse_pairs):
+        steps = [b - shift if i >= worse_pairs else b + 1.0 for i, b in enumerate(base)]
+        out = script.summarize(side(base, [100.0 - b for b in base], [1.0] * 10),
+                               side(steps, [100.0 - s for s in steps], [1.0] * 10), end_to_end)
+        return out["step_us_p50"]["gain_met"], out["steps_per_s"]["gain_met"]
+
+    assert gains(3.0, 1) == (True, True)
+    assert gains(2.0, 1) == (False, False)  # medians 2.0 apart, within the IQR
+    assert gains(3.0, 2) == (False, False)  # 8 of 10 pairs
     with pytest.raises(RuntimeError, match="not correct"):
         script.parse_result(_result_line(correct=False, regret=1.0))
